@@ -7,8 +7,8 @@
 /// every query of a shard.  This bench reports single-query baseline
 /// throughput against batched throughput at 1/4/8 pool threads for the
 /// linear-scan, hash-table and BK-tree backends at 10k codes, plus the
-/// end-to-end CbirService::QueryBatch path (one MiLaN forward pass per
-/// batch instead of per query).
+/// end-to-end CbirService path (HashFeatures + OpenStreams: one MiLaN
+/// forward pass and one batched open per batch instead of per query).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -26,6 +26,8 @@ constexpr size_t kBits = 128;
 constexpr uint32_t kRadius = 8;
 constexpr size_t kArchive = 10000;
 constexpr size_t kBatch = 64;
+/// Hits pulled per stream Next() call when draining CBIR streams.
+constexpr size_t kDrainChunk = 64;
 
 index::HammingIndex* GetIndex(const std::string& kind) {
   static std::map<std::string, std::unique_ptr<index::HammingIndex>> cache;
@@ -74,7 +76,7 @@ void RunSingleQuery(benchmark::State& state, const std::string& kind) {
     const auto& queries = QueryBatchCodes(offset++);
     size_t results = 0;
     for (const BinaryCode& q : queries) {
-      auto hits = idx->RadiusSearch(q, kRadius);
+      auto hits = RadiusHits(*idx, q, kRadius);
       benchmark::DoNotOptimize(hits);
       results += hits.size();
     }
@@ -85,7 +87,7 @@ void RunSingleQuery(benchmark::State& state, const std::string& kind) {
   state.counters["queries_per_batch"] = static_cast<double>(kBatch);
 }
 
-/// Batched path: one BatchRadiusSearch call sharded across `threads`
+/// Batched path: one batched open (OpenFrontiers) sharded across `threads`
 /// pool workers (threads == 0 runs the batch sequentially, isolating
 /// the batching gain from the threading gain).
 void RunBatchQuery(benchmark::State& state, const std::string& kind) {
@@ -96,7 +98,7 @@ void RunBatchQuery(benchmark::State& state, const std::string& kind) {
   size_t offset = 0;
   for (auto _ : state) {
     const auto& queries = QueryBatchCodes(offset++);
-    auto hits = idx->BatchRadiusSearch(queries, kRadius, pool.get());
+    auto hits = RadiusHitsBatch(*idx, queries, kRadius, pool.get());
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -146,12 +148,19 @@ earthqube::CbirService* GetCbir() {
 void BM_CbirSingleQueryByFeature(benchmark::State& state) {
   earthqube::CbirService* cbir = GetCbir();
   const ArchiveFixture& fixture = GetArchive(2000);
+  const size_t dim = fixture.features.shape()[1];
   size_t offset = 0;
   for (auto _ : state) {
     size_t results = 0;
     for (size_t q = 0; q < kBatch; ++q) {
-      const auto hits = cbir->QueryByFeature(
-          fixture.features.Row((offset + q * 37) % 2000), kRadius);
+      Tensor row({1, dim});
+      row.SetRow(0, fixture.features.Row((offset + q * 37) % 2000));
+      auto code = cbir->HashFeatures(row);
+      if (!code.ok()) std::abort();
+      auto stream = cbir->OpenStream(code->front(), kRadius, 0, nullptr);
+      std::vector<earthqube::CbirResult> hits;
+      while (stream->Next(kDrainChunk, &hits) > 0) {
+      }
       results += hits.size();
     }
     benchmark::DoNotOptimize(results);
@@ -171,9 +180,17 @@ void BM_CbirQueryBatch(benchmark::State& state) {
     for (size_t q = 0; q < kBatch; ++q) {
       batch.SetRow(q, fixture.features.Row((offset + q * 37) % 2000));
     }
-    auto hits = cbir->QueryBatch(batch, kRadius);
-    if (!hits.ok()) std::abort();
-    benchmark::DoNotOptimize(*hits);
+    auto codes = cbir->HashFeatures(batch);
+    if (!codes.ok()) std::abort();
+    auto streams = cbir->OpenStreams(*codes, kRadius,
+                                     std::vector<size_t>(kBatch, 0), nullptr,
+                                     std::vector<std::string>(kBatch));
+    std::vector<std::vector<earthqube::CbirResult>> hits(kBatch);
+    for (size_t q = 0; q < kBatch; ++q) {
+      while (streams[q]->Next(kDrainChunk, &hits[q]) > 0) {
+      }
+    }
+    benchmark::DoNotOptimize(hits);
     ++offset;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -59,8 +59,8 @@ void RunRadiusQueries(benchmark::State& state, const std::string& kind) {
   size_t results = 0, candidates = 0, queries = 0;
   for (auto _ : state) {
     index::SearchStats stats;
-    auto hits = idx->RadiusSearch(codes[(q * 37) % codes.size()], kRadius,
-                                  &stats);
+    auto hits =
+        RadiusHits(*idx, codes[(q * 37) % codes.size()], kRadius, &stats);
     benchmark::DoNotOptimize(hits);
     results += hits.size();
     candidates += stats.candidates;

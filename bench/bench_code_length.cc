@@ -58,7 +58,7 @@ int main() {
     size_t hits = 0;
     const auto start = Clock::now();
     for (size_t q = 0; q < kNumQueries; ++q) {
-      hits += table.RadiusSearch(codes[q * 31 % codes.size()], radius).size();
+      hits += RadiusHits(table, codes[q * 31 % codes.size()], radius).size();
     }
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - start)

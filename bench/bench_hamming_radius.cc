@@ -52,7 +52,7 @@ void RunSweep(benchmark::State& state, Kind kind) {
   for (auto _ : state) {
     index::SearchStats stats;
     auto hits =
-        idx->RadiusSearch(codes[(q * 41) % codes.size()], radius, &stats);
+        RadiusHits(*idx, codes[(q * 41) % codes.size()], radius, &stats);
     benchmark::DoNotOptimize(hits);
     results += stats.results;
     candidates += stats.candidates;

@@ -8,10 +8,11 @@
 ///                           hits page N needs ((N+1) * 50), stop — each
 ///                           shard sorts only the distance buckets the
 ///                           pull actually reaches.
-///     BM_EagerOverfetchPage the stateless alternative: every shard
-///                           computes its full top-(N+1)*50 (4x
-///                           overfetch), the merge discards 3/4 of it,
-///                           page N is sliced out.
+///     BM_EagerOverfetchPage the stateless alternative: a frontier
+///                           bounded at the page end, re-opened per
+///                           page — every shard keeps its own top-
+///                           (N+1)*50 (4x overfetch), the merge pulls
+///                           (N+1)*50 of them, page N is sliced out.
 ///
 ///   System layer (EarthQube over the same 100k archive):
 ///     BM_CursorResumePage   page N with a live ranked-access handle —
@@ -52,13 +53,13 @@ constexpr size_t kPage = 50;      ///< k per page (the paper's default grid)
 constexpr uint32_t kRadius = 16;  ///< deep ranking: thousands of hits
 
 // ---------------------------------------------------------------------------
-// Index layer: lazy frontier pull vs eager overfetch
+// Index layer: lazy frontier pull vs bounded overfetch
 // ---------------------------------------------------------------------------
 
 struct IndexContext {
   std::unique_ptr<index::ShardedHammingIndex> idx;
   BinaryCode query;
-  size_t total_hits = 0;  ///< eager ranking size, for the counters
+  size_t total_hits = 0;  ///< full ranking size, for the counters
 };
 
 IndexContext* GetIndexContext() {
@@ -69,8 +70,8 @@ IndexContext* GetIndexContext() {
   const std::vector<BinaryCode> codes = ClusteredCodes(fixture, kBits);
   auto ctx = std::make_unique<IndexContext>();
   // Seal after loading: lazy frontiers stream from sealed segments; a
-  // never-sealed mutable segment would be materialised eagerly (it has
-  // no stable snapshot to stream from).
+  // never-sealed mutable segment would be snapshotted at open (it has
+  // no stable state to stream from).
   ctx->idx = std::make_unique<index::ShardedHammingIndex>(
       4, [] { return std::make_unique<index::LinearScanIndex>(); },
       /*seal_threshold=*/0);
@@ -109,7 +110,7 @@ void BM_EagerOverfetchPage(benchmark::State& state) {
   const size_t need = (depth + 1) * kPage;
   size_t window = 0;
   for (auto _ : state) {
-    const auto all = ctx->idx->KnnSearch(ctx->query, need);
+    const auto all = KnnHits(*ctx->idx, ctx->query, need);
     const size_t begin = std::min(all.size(), depth * kPage);
     const size_t end = std::min(all.size(), begin + kPage);
     window = end - begin;

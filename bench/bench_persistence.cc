@@ -201,7 +201,7 @@ void BM_Read_MonolithicVsSealed(benchmark::State& state) {
   size_t cursor = 0, hits = 0;
   for (auto _ : state) {
     const BinaryCode& q = context->queries[cursor++ % context->queries.size()];
-    hits += context->index->KnnSearch(q, 10).size();
+    hits += KnnHits(*context->index, q, 10).size();
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -69,7 +69,7 @@ void BM_ShardedBatchRadius(benchmark::State& state) {
   size_t hits = 0;
   for (auto _ : state) {
     const auto batch =
-        ctx->idx->BatchRadiusSearch(ctx->queries, kRadius, ctx->pool.get());
+        RadiusHitsBatch(*ctx->idx, ctx->queries, kRadius, ctx->pool.get());
     for (const auto& slot : batch) hits += slot.size();
     benchmark::DoNotOptimize(batch);
   }

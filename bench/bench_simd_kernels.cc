@@ -6,7 +6,7 @@
 ///   BM_KernelScan/<kernel>/<bits>  — the raw kernel over the padded
 ///       flat layout in index-sized (256-code) blocks;
 ///   BM_IndexBatchRadius/<kernel>   — the same hardware path end to end
-///       through LinearScanIndex::BatchRadiusSearch (single thread,
+///       through LinearScanIndex::OpenFrontiers (single thread,
 ///       128-bit codes), i.e. what the service actually runs.
 ///
 /// The dispatch self-check counters record which kernel the host
@@ -108,7 +108,7 @@ void BM_IndexBatchRadius(benchmark::State& state, std::string kernel_name) {
   for (auto _ : state) {
     // nullptr pool: single thread — the per-core kernel speedup, not
     // the shard fan-out (bench_sharded_index measures that).
-    const auto batch = idx->BatchRadiusSearch(*queries, kRadius, nullptr);
+    const auto batch = RadiusHitsBatch(*idx, *queries, kRadius, nullptr);
     for (const auto& slot : batch) hits += slot.size();
     benchmark::DoNotOptimize(batch);
   }

@@ -131,6 +131,37 @@ earthqube::EarthQube* GetEarthQube(const ArchiveFixture& fixture,
   return inserted->second.get();
 }
 
+std::vector<index::SearchResult> RadiusHits(const index::HammingIndex& idx,
+                                            const BinaryCode& query,
+                                            uint32_t radius,
+                                            index::SearchStats* stats) {
+  index::FrontierOptions options;
+  options.radius = radius;
+  options.stats = stats;
+  return index::Drain(*idx.OpenFrontier(query, options));
+}
+
+std::vector<index::SearchResult> KnnHits(const index::HammingIndex& idx,
+                                         const BinaryCode& query, size_t k) {
+  if (k == 0) return {};
+  index::FrontierOptions options;
+  options.limit = k;
+  return index::Drain(*idx.OpenFrontier(query, options), k);
+}
+
+std::vector<std::vector<index::SearchResult>> RadiusHitsBatch(
+    const index::HammingIndex& idx, const std::vector<BinaryCode>& queries,
+    uint32_t radius, ThreadPool* pool) {
+  index::FrontierOptions options;
+  options.radius = radius;
+  std::vector<std::unique_ptr<index::HitFrontier>> frontiers =
+      idx.OpenFrontiers(queries, options, pool);
+  std::vector<std::vector<index::SearchResult>> out;
+  out.reserve(frontiers.size());
+  for (auto& frontier : frontiers) out.push_back(index::Drain(*frontier));
+  return out;
+}
+
 void PrintHeader(const std::string& experiment, const std::string& claim) {
   std::printf("\n============================================================\n");
   std::printf("%s\n", experiment.c_str());

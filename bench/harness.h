@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "docstore/value.h"
 #include "earthqube/earthqube.h"
+#include "index/frontier.h"
 #include "milan/baselines.h"
 #include "milan/trainer.h"
 #include "tensor/tensor.h"
@@ -57,6 +58,24 @@ milan::MilanModel* GetTrainedMilan(const ArchiveFixture& fixture, size_t bits);
 earthqube::EarthQube* GetEarthQube(const ArchiveFixture& fixture,
                                    bool build_indexes,
                                    earthqube::LabelEncoding encoding);
+
+/// Radius search through the frontier API: every hit within `radius`,
+/// drained from one open (`stats`, optional, receives the walk's work).
+std::vector<index::SearchResult> RadiusHits(const index::HammingIndex& idx,
+                                            const BinaryCode& query,
+                                            uint32_t radius,
+                                            index::SearchStats* stats = nullptr);
+
+/// k-NN through the frontier API: a frontier bounded at k, drained.
+std::vector<index::SearchResult> KnnHits(const index::HammingIndex& idx,
+                                         const BinaryCode& query, size_t k);
+
+/// Batched radius search: one batched open across `pool` (every kind
+/// the benches batch does its radius work at open), each frontier then
+/// drained on the calling thread.
+std::vector<std::vector<index::SearchResult>> RadiusHitsBatch(
+    const index::HammingIndex& idx, const std::vector<BinaryCode>& queries,
+    uint32_t radius, ThreadPool* pool);
 
 /// Prints a section header for plain-table benches.
 void PrintHeader(const std::string& experiment, const std::string& claim);

@@ -16,20 +16,9 @@ using docstore::Value;
 using earthqube::QueryRequest;
 using earthqube::QueryResponse;
 using netsvc::EarthQubeService;
+using netsvc::FromStatus;
 using netsvc::HttpRequest;
 using netsvc::HttpResponse;
-
-namespace {
-
-HttpResponse FromStatus(const Status& status) {
-  if (status.IsNotFound()) return HttpResponse::NotFound(status.message());
-  if (status.IsInvalidArgument()) {
-    return HttpResponse::BadRequest(status.message());
-  }
-  return HttpResponse::InternalError(status.message());
-}
-
-}  // namespace
 
 ClusterNode::ClusterNode(earthqube::EarthQube* system, Options options)
     : system_(system),
@@ -116,7 +105,8 @@ std::vector<size_t> ClusterNode::tombstoned_slots() const {
 }
 
 HttpResponse ClusterNode::Stamp(HttpResponse response) const {
-  response.headers["x-cluster-epoch"] = std::to_string(epoch());
+  // A query answer already carries the epoch its data was read at.
+  response.headers.emplace("x-cluster-epoch", std::to_string(epoch()));
   return response;
 }
 
@@ -212,6 +202,19 @@ HttpResponse ClusterNode::ExecuteOne(const QueryRequest& request,
   const uint64_t start_ns =
       (trace != nullptr || obs.metrics_enabled()) ? obs::NowNanos() : 0;
 
+  // Tombstones are read BEFORE executing: a slot that migrates away
+  // mid-execution is still answered here (the data stays until then,
+  // and the coordinator dedups by name), whereas reading them after
+  // would drop rows the new owner may not have served yet.  The answer
+  // carries the epoch read with them, so a coordinator whose nodes
+  // answered from different sides of a migration can tell and re-ask.
+  std::set<size_t> tombstones;
+  uint64_t read_epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tombstones = tombstones_;
+    read_epoch = table_.epoch();
+  }
   StatusOr<QueryResponse> response = [&] {
     std::shared_lock<std::shared_mutex> data_lock(data_mu_);
     return system_->Execute(request, trace);
@@ -229,13 +232,10 @@ HttpResponse ClusterNode::ExecuteOne(const QueryRequest& request,
 
   if (!response.ok()) return FromStatus(response.status());
 
-  const std::set<size_t> tombstones = [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return tombstones_;
-  }();
   if (!tombstones.empty()) FilterTombstoned(tombstones, &*response);
   HttpResponse http = HttpResponse::Json(
       200, EarthQubeService::QueryResponseToJson(*response));
+  http.headers["x-cluster-epoch"] = std::to_string(read_epoch);
   if (trace != nullptr) {
     http.headers["x-trace-id"] = trace->id();
     http.headers["x-trace-spans"] = trace->SpansToJson();

@@ -123,7 +123,8 @@ class ClusterNode {
   netsvc::HttpResponse HandleIngest(const netsvc::HttpRequest& request);
   netsvc::HttpResponse HandleCode(const netsvc::HttpRequest& request) const;
 
-  /// Stamps the x-cluster-epoch staleness token onto a response.
+  /// Stamps the x-cluster-epoch staleness token onto a response (a
+  /// query answer keeps the epoch it was read at).
   netsvc::HttpResponse Stamp(netsvc::HttpResponse response) const;
 
   /// The 308 MOVED answer for a slot this node does not serve; nullopt

@@ -27,6 +27,9 @@ namespace {
 
 HttpResponse FromStatus(const Status& status) {
   if (status.IsNotFound()) return HttpResponse::NotFound(status.message());
+  if (status.IsCursorExpired()) {
+    return HttpResponse::Error(410, "cursor_expired", status.message());
+  }
   if (status.IsInvalidArgument()) {
     return HttpResponse::BadRequest(status.message());
   }
@@ -172,21 +175,22 @@ StatusOr<HttpResponse> Coordinator::PostNode(
                         body, "application/json", detail, extra_headers);
 }
 
-void Coordinator::ObserveEpoch(const NodeAddress& node,
-                               const HttpResponse& response) {
+uint64_t Coordinator::ObserveEpoch(const NodeAddress& node,
+                                   const HttpResponse& response) {
   const auto it = response.headers.find("x-cluster-epoch");
-  if (it == response.headers.end()) return;
+  if (it == response.headers.end()) return 0;
   uint64_t advertised = 0;
   try {
     advertised = std::stoull(it->second);
   } catch (...) {
-    return;
+    return 0;
   }
   if (advertised > epoch()) {
     // Best effort: a failed refresh leaves the stale table in place and
     // the next MOVED answer will try again.
     (void)RefreshTopology(node);
   }
+  return advertised;
 }
 
 Status Coordinator::IngestArchive(const bigearthnet::Archive& archive,
@@ -406,8 +410,8 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
 
   // Scatter: every node holds some of the slots, so every node is
   // asked.  One thread per peer — the win the cluster exists for.
-  const auto fan_all =
-      [&](const std::string& body) -> StatusOr<std::vector<WireQueryResponse>> {
+  const auto fan_once = [&](const std::string& body, uint64_t* newest_epoch)
+      -> StatusOr<std::vector<WireQueryResponse>> {
     obs::ScopedSpan fan_span(trace.get(), "fanout");
     // Propagate the trace id so each node's engine stamps its stage
     // spans under OUR trace and echoes them back in x-trace-spans.
@@ -445,7 +449,8 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
             std::string(raw[i]->status().message()));
       }
       const HttpResponse& response = **raw[i];
-      ObserveEpoch(nodes[i], response);
+      *newest_epoch =
+          std::max(*newest_epoch, ObserveEpoch(nodes[i], response));
       if (response.status_code != 200) {
         return Status::Internal("node " + nodes[i].id + " answered " +
                                 std::to_string(response.status_code) + ": " +
@@ -467,6 +472,24 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
       partials.push_back(std::move(partial));
     }
     return partials;
+  };
+  // A slot migration committing mid-fan-out can leave the slot's rows
+  // on neither side of the forwarding window (the new owner answered
+  // before its import, the old one after its tombstone).  Some node
+  // then answers from an epoch newer than the table this fan-out was
+  // planned on: adopt it (ObserveEpoch) and ask every node again.
+  constexpr int kFanAttempts = 3;
+  const auto fan_all =
+      [&](const std::string& body) -> StatusOr<std::vector<WireQueryResponse>> {
+    for (int attempt = 1;; ++attempt) {
+      const uint64_t planned_epoch = epoch();
+      uint64_t newest_epoch = 0;
+      AGORAEO_ASSIGN_OR_RETURN(std::vector<WireQueryResponse> partials,
+                               fan_once(body, &newest_epoch));
+      if (newest_epoch <= planned_epoch || attempt == kFanAttempts) {
+        return partials;
+      }
+    }
   };
 
   // Gather: dedup by name (the migration forwarding window can answer

@@ -141,9 +141,10 @@ class Coordinator {
       const std::map<std::string, std::string>& extra_headers = {});
 
   /// Notes a response's x-cluster-epoch header; refreshes the table
-  /// from `node` when the header advertises a newer topology.
-  void ObserveEpoch(const NodeAddress& node,
-                    const netsvc::HttpResponse& response);
+  /// from `node` when the header advertises a newer topology.  Returns
+  /// the advertised epoch (0 when the header is absent or malformed).
+  uint64_t ObserveEpoch(const NodeAddress& node,
+                        const netsvc::HttpResponse& response);
 
   uint64_t SeqOf(const std::string& name) const;
 

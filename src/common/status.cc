@@ -24,6 +24,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "IOError";
     case StatusCode::kCorruption:
       return "Corruption";
+    case StatusCode::kCursorExpired:
+      return "CursorExpired";
   }
   return "Unknown";
 }

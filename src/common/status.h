@@ -22,6 +22,9 @@ enum class StatusCode {
   kInternal = 7,
   kIOError = 8,
   kCorruption = 9,
+  /// A paging cursor that can no longer be resumed (undecodable, or
+  /// naming a window out of range): the client restarts from page 0.
+  kCursorExpired = 10,
 };
 
 /// Returns a short human-readable name for a status code ("OK",
@@ -69,6 +72,9 @@ class Status {
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
   }
+  static Status CursorExpired(std::string msg) {
+    return Status(StatusCode::kCursorExpired, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -87,6 +93,9 @@ class Status {
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
+  bool IsCursorExpired() const {
+    return code_ == StatusCode::kCursorExpired;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

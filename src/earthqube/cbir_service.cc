@@ -411,83 +411,6 @@ Status CbirService::AddImagesWithCodes(const std::vector<std::string>& names,
   return LogIngest(first_seq, names, codes);
 }
 
-std::vector<CbirResult> CbirService::ToResults(
-    const std::vector<index::SearchResult>& hits, size_t max_results,
-    const std::string& exclude_name) const {
-  std::vector<CbirResult> out;
-  out.reserve(hits.size());
-  for (const auto& hit : hits) {
-    const std::string& name = name_by_id_[hit.id];
-    if (name == exclude_name) continue;
-    out.push_back({name, hit.distance});
-    if (max_results != 0 && out.size() >= max_results) break;
-  }
-  return out;
-}
-
-StatusOr<std::vector<CbirResult>> CbirService::QueryByName(
-    const std::string& patch_name, uint32_t radius,
-    size_t max_results) const {
-  auto it = code_by_name_.find(patch_name);
-  if (it == code_by_name_.end()) {
-    return Status::NotFound("image not in archive index: " + patch_name);
-  }
-  return RadiusByCode(it->second, radius, max_results, patch_name);
-}
-
-StatusOr<std::vector<CbirResult>> CbirService::KnnByName(
-    const std::string& patch_name, size_t k) const {
-  auto it = code_by_name_.find(patch_name);
-  if (it == code_by_name_.end()) {
-    return Status::NotFound("image not in archive index: " + patch_name);
-  }
-  return KnnByCode(it->second, k, patch_name);
-}
-
-StatusOr<std::vector<CbirResult>> CbirService::QueryByPatch(
-    const bigearthnet::Patch& patch, uint32_t radius, size_t max_results) {
-  AGORAEO_ASSIGN_OR_RETURN(BinaryCode code, HashPatch(patch));
-  return RadiusByCode(code, radius, max_results);
-}
-
-std::vector<CbirResult> CbirService::QueryByFeature(const Tensor& feature,
-                                                    uint32_t radius,
-                                                    size_t max_results) {
-  return RadiusByCode(model_->HashOne(feature), radius, max_results);
-}
-
-std::vector<CbirResult> CbirService::RadiusByCode(
-    const BinaryCode& code, uint32_t radius, size_t max_results,
-    const std::string& exclude_name) const {
-  return ToResults(index_->RadiusSearch(code, radius), max_results,
-                   exclude_name);
-}
-
-std::vector<CbirResult> CbirService::KnnByCode(
-    const BinaryCode& code, size_t k, const std::string& exclude_name) const {
-  // k == 0 must return nothing: ToResults treats a 0 cap as "unlimited",
-  // and the k+1 overfetch below would otherwise surface one neighbour.
-  if (k == 0) return {};
-  // Fetch one extra so a self-match can be dropped.
-  const size_t fetch = exclude_name.empty() ? k : k + 1;
-  return ToResults(index_->KnnSearch(code, fetch), k, exclude_name);
-}
-
-std::vector<CbirResult> CbirService::RadiusByCodeRestricted(
-    const BinaryCode& code, uint32_t radius, size_t max_results,
-    const index::CandidateSet& allowed, const std::string& exclude_name) const {
-  return ToResults(index_->RadiusSearchIn(code, radius, allowed), max_results,
-                   exclude_name);
-}
-
-std::vector<CbirResult> CbirService::KnnByCodeRestricted(
-    const BinaryCode& code, size_t k, const index::CandidateSet& allowed,
-    const std::string& exclude_name) const {
-  if (k == 0) return {};
-  const size_t fetch = exclude_name.empty() ? k : k + 1;
-  return ToResults(index_->KnnSearchIn(code, fetch, allowed), k, exclude_name);
-}
-
 size_t CbirHitStream::Next(size_t n, std::vector<CbirResult>* out) {
   if (cap_ != 0) n = std::min(n, cap_ - emitted_);
   size_t produced = 0;
@@ -505,27 +428,86 @@ size_t CbirHitStream::Next(size_t n, std::vector<CbirResult>* out) {
   return produced;
 }
 
+namespace {
+
+/// The frontier limit behind a stream cap: one extra hit when an
+/// excluded image may drop out of the stream; 0 (unbounded) for
+/// unlimited caps.
+size_t FrontierLimit(size_t cap, const std::string& exclude_name) {
+  if (cap == 0 || cap == SIZE_MAX) return 0;
+  return exclude_name.empty() ? cap : cap + 1;
+}
+
+/// k-NN with k == 0 streams nothing; a cap of 0 everywhere else means
+/// "unlimited".
+bool StreamsNothing(const std::optional<uint32_t>& radius, size_t cap) {
+  return !radius.has_value() && cap == 0;
+}
+
+std::unique_ptr<index::HitFrontier> ExhaustedFrontier() {
+  return std::make_unique<index::MaterializedFrontier>(
+      std::vector<index::SearchResult>{});
+}
+
+}  // namespace
+
+std::unique_ptr<CbirHitStream> CbirService::MakeStream(
+    std::unique_ptr<index::HitFrontier> frontier, size_t cap,
+    std::shared_ptr<const index::CandidateSet> allowed,
+    const std::string& exclude_name) const {
+  auto stream = std::unique_ptr<CbirHitStream>(new CbirHitStream());
+  stream->frontier_ = std::move(frontier);
+  stream->name_by_id_ = &name_by_id_;
+  stream->allowed_pin_ = std::move(allowed);
+  stream->exclude_name_ = exclude_name;
+  stream->cap_ = cap;
+  return stream;
+}
+
 std::unique_ptr<CbirHitStream> CbirService::OpenStream(
     const BinaryCode& code, std::optional<uint32_t> radius, size_t cap,
     std::shared_ptr<const index::CandidateSet> allowed,
     const std::string& exclude_name) const {
-  auto stream = std::unique_ptr<CbirHitStream>(new CbirHitStream());
-  stream->name_by_id_ = &name_by_id_;
-  stream->allowed_pin_ = std::move(allowed);
-  stream->exclude_name_ = exclude_name;
-  if (!radius.has_value() && cap == 0) {
-    // k-NN with k == 0 streams nothing (KnnByCode parity); a cap of 0
-    // everywhere else means "unlimited", so pin an exhausted frontier.
-    stream->frontier_ = std::make_unique<index::MaterializedFrontier>(
-        std::vector<index::SearchResult>{});
-    return stream;
+  if (StreamsNothing(radius, cap)) {
+    return MakeStream(ExhaustedFrontier(), 0, nullptr, exclude_name);
   }
-  stream->cap_ = cap;
   index::FrontierOptions options;
   options.radius = radius;
-  options.allowed = stream->allowed_pin_.get();
-  stream->frontier_ = index_->OpenFrontier(code, options);
-  return stream;
+  options.allowed = allowed.get();
+  options.limit = FrontierLimit(cap, exclude_name);
+  return MakeStream(index_->OpenFrontier(code, options), cap,
+                    std::move(allowed), exclude_name);
+}
+
+std::vector<std::unique_ptr<CbirHitStream>> CbirService::OpenStreams(
+    const std::vector<BinaryCode>& codes, std::optional<uint32_t> radius,
+    const std::vector<size_t>& caps,
+    std::shared_ptr<const index::CandidateSet> allowed,
+    const std::vector<std::string>& exclude_names) const {
+  // One frontier limit serves the whole batch: the loosest slot's.
+  index::FrontierOptions options;
+  options.radius = radius;
+  options.allowed = allowed.get();
+  bool unbounded = false;
+  for (size_t i = 0; i < codes.size(); ++i) {
+    if (StreamsNothing(radius, caps[i])) continue;
+    const size_t limit = FrontierLimit(caps[i], exclude_names[i]);
+    unbounded = unbounded || limit == 0;
+    options.limit = std::max(options.limit, limit);
+  }
+  if (unbounded) options.limit = 0;
+  std::vector<std::unique_ptr<index::HitFrontier>> frontiers =
+      index_->OpenFrontiers(codes, options, QueryPool());
+  std::vector<std::unique_ptr<CbirHitStream>> out;
+  out.reserve(codes.size());
+  for (size_t i = 0; i < codes.size(); ++i) {
+    out.push_back(StreamsNothing(radius, caps[i])
+                      ? MakeStream(ExhaustedFrontier(), 0, nullptr,
+                                   exclude_names[i])
+                      : MakeStream(std::move(frontiers[i]), caps[i], allowed,
+                                   exclude_names[i]));
+  }
+  return out;
 }
 
 index::CandidateSet CbirService::CandidatesFromNames(
@@ -553,125 +535,14 @@ StatusOr<BinaryCode> CbirService::HashPatch(
   return model_->HashOne(feature);
 }
 
-StatusOr<std::vector<std::vector<CbirResult>>> CbirService::QueryBatchByName(
-    const std::vector<std::string>& names, uint32_t radius,
-    size_t max_results) const {
-  std::vector<BinaryCode> codes;
-  codes.reserve(names.size());
-  for (const std::string& name : names) {
-    auto it = code_by_name_.find(name);
-    if (it == code_by_name_.end()) {
-      return Status::NotFound("image not in archive index: " + name);
-    }
-    codes.push_back(it->second);
-  }
-  const auto batch_hits = index_->BatchRadiusSearch(codes, radius, QueryPool());
-  std::vector<std::vector<CbirResult>> out(names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], max_results, names[i]);
-  }
-  return out;
-}
-
-StatusOr<std::vector<std::vector<CbirResult>>> CbirService::KnnBatchByName(
-    const std::vector<std::string>& names, size_t k) const {
-  std::vector<BinaryCode> codes;
-  codes.reserve(names.size());
-  for (const std::string& name : names) {
-    auto it = code_by_name_.find(name);
-    if (it == code_by_name_.end()) {
-      return Status::NotFound("image not in archive index: " + name);
-    }
-    codes.push_back(it->second);
-  }
-  // Same k == 0 guard as KnnByName (names were still validated above).
-  if (k == 0) return std::vector<std::vector<CbirResult>>(names.size());
-  // Fetch one extra per query so the self-match can be dropped.
-  const auto batch_hits = index_->BatchKnnSearch(codes, k + 1, QueryPool());
-  std::vector<std::vector<CbirResult>> out(names.size());
-  for (size_t i = 0; i < names.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], k, names[i]);
-  }
-  return out;
-}
-
-StatusOr<std::vector<std::vector<CbirResult>>> CbirService::QueryBatch(
-    const Tensor& features, uint32_t radius, size_t max_results) {
+StatusOr<std::vector<BinaryCode>> CbirService::HashFeatures(
+    const Tensor& features) const {
   if (features.rank() != 2 ||
       features.dim(1) != model_->config().feature_dim) {
     return Status::InvalidArgument(
-        "features must be [batch, feature_dim] for batch query");
+        "features must be [batch, feature_dim] for batch hashing");
   }
-  // One forward pass through MiLaN for the whole matrix; per-query
-  // inference is the dominant fixed cost this amortises.
-  const std::vector<BinaryCode> codes = model_->HashBatch(features);
-  const auto batch_hits = index_->BatchRadiusSearch(codes, radius, QueryPool());
-  std::vector<std::vector<CbirResult>> out(codes.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], max_results, /*exclude_name=*/"");
-  }
-  return out;
-}
-
-std::vector<std::vector<CbirResult>> CbirService::RadiusBatchByCode(
-    const std::vector<BinaryCode>& codes, uint32_t radius,
-    const std::vector<size_t>& max_results,
-    const std::vector<std::string>& exclude_names) const {
-  const auto batch_hits = index_->BatchRadiusSearch(codes, radius, QueryPool());
-  std::vector<std::vector<CbirResult>> out(codes.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], max_results[i], exclude_names[i]);
-  }
-  return out;
-}
-
-std::vector<std::vector<CbirResult>> CbirService::KnnBatchByCode(
-    const std::vector<BinaryCode>& codes, size_t k,
-    const std::vector<std::string>& exclude_names) const {
-  std::vector<std::vector<CbirResult>> out(codes.size());
-  if (k == 0) return out;  // same guard as KnnByCode
-  // One extra per query so a self-match can be dropped; slots without
-  // an exclusion take the first k of the canonical (distance, id)
-  // order, which equals a direct k-fetch.
-  const bool any_exclude =
-      std::any_of(exclude_names.begin(), exclude_names.end(),
-                  [](const std::string& name) { return !name.empty(); });
-  const auto batch_hits =
-      index_->BatchKnnSearch(codes, any_exclude ? k + 1 : k, QueryPool());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], k, exclude_names[i]);
-  }
-  return out;
-}
-
-std::vector<std::vector<CbirResult>> CbirService::RadiusBatchByCodeRestricted(
-    const std::vector<BinaryCode>& codes, uint32_t radius,
-    const std::vector<size_t>& max_results, const index::CandidateSet& allowed,
-    const std::vector<std::string>& exclude_names) const {
-  const auto batch_hits =
-      index_->BatchRadiusSearchIn(codes, radius, allowed, QueryPool());
-  std::vector<std::vector<CbirResult>> out(codes.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], max_results[i], exclude_names[i]);
-  }
-  return out;
-}
-
-std::vector<std::vector<CbirResult>> CbirService::KnnBatchByCodeRestricted(
-    const std::vector<BinaryCode>& codes, size_t k,
-    const index::CandidateSet& allowed,
-    const std::vector<std::string>& exclude_names) const {
-  std::vector<std::vector<CbirResult>> out(codes.size());
-  if (k == 0) return out;
-  const bool any_exclude =
-      std::any_of(exclude_names.begin(), exclude_names.end(),
-                  [](const std::string& name) { return !name.empty(); });
-  const auto batch_hits = index_->BatchKnnSearchIn(
-      codes, any_exclude ? k + 1 : k, allowed, QueryPool());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    out[i] = ToResults(batch_hits[i], k, exclude_names[i]);
-  }
-  return out;
+  return model_->HashBatch(features);
 }
 
 StatusOr<BinaryCode> CbirService::CodeOf(const std::string& patch_name) const {

@@ -106,14 +106,12 @@ struct CbirResult {
 };
 
 /// A lazy, resumable stream of named CBIR hits in (distance, ingest
-/// seq) order — what a code-level query returns when the caller wants
-/// to pull results a page at a time instead of materialising the full
-/// ranking.  Draining it yields exactly the corresponding eager call
-/// (RadiusByCode[Restricted] / KnnByCode[Restricted]): the exclude name
-/// is dropped and the cap applied as hits surface.  Single-consumer;
-/// same ingest-vs-query discipline as every other read path (callers
-/// serialise against concurrent AddImages themselves — the ranked-
-/// access registry does it by epoch-invalidating handles on ingest).
+/// seq) order — the one form every CBIR query takes.  Callers pull
+/// results a page at a time, or drain it for the full answer: the
+/// exclude name is dropped and the cap applied as hits surface.
+/// Single-consumer; callers serialise against concurrent AddImages
+/// themselves (the ranked-access registry does it by epoch-
+/// invalidating handles on ingest).
 class CbirHitStream {
  public:
   /// Appends up to `n` further results to `out`; returns the number
@@ -209,66 +207,36 @@ class CbirService {
   Status AddImagesWithCodes(const std::vector<std::string>& names,
                             const std::vector<BinaryCode>& codes);
 
-  /// Query by an image already in the archive: looks the code up in the
-  /// in-memory hash table (no model inference).  NotFound for unknown
-  /// names.  Results exclude the query image itself.
-  StatusOr<std::vector<CbirResult>> QueryByName(const std::string& patch_name,
-                                                uint32_t radius,
-                                                size_t max_results = 0) const;
-
-  /// k-NN flavour of QueryByName.
-  StatusOr<std::vector<CbirResult>> KnnByName(const std::string& patch_name,
-                                              size_t k) const;
-
-  /// Query by an external image (query-by-new-example): extracts
-  /// features from pixels and infers the code on the fly.
-  StatusOr<std::vector<CbirResult>> QueryByPatch(
-      const bigearthnet::Patch& patch, uint32_t radius,
-      size_t max_results = 0);
-
-  /// Query by a raw feature vector (on-the-fly inference).
-  std::vector<CbirResult> QueryByFeature(const Tensor& feature,
-                                         uint32_t radius,
-                                         size_t max_results = 0);
-
-  // --- code-level queries (the unified executor's entry points) ------------
+  // --- queries ---------------------------------------------------------------
   //
-  // Every query path above resolves its subject to a BinaryCode and runs
-  // one of these.  `exclude_name` drops one archive image from the
-  // result (the query image itself for query-by-archive-image).
+  // Every query resolves its subject to a BinaryCode (CodeOf for
+  // archive images, HashPatch for uploads, the model for raw features)
+  // and opens a ranked stream on it.  `exclude_name` drops one archive
+  // image from the stream (the query image itself for query-by-
+  // archive-image).
 
-  /// Radius search by explicit code.
-  std::vector<CbirResult> RadiusByCode(const BinaryCode& code, uint32_t radius,
-                                       size_t max_results = 0,
-                                       const std::string& exclude_name = {}) const;
-
-  /// k-NN search by explicit code.
-  std::vector<CbirResult> KnnByCode(const BinaryCode& code, size_t k,
-                                    const std::string& exclude_name = {}) const;
-
-  /// Candidate-restricted flavours: only images in `allowed` can be
-  /// returned — the pre-filter leg of hybrid (metadata ∧ similarity)
-  /// queries.
-  std::vector<CbirResult> RadiusByCodeRestricted(
-      const BinaryCode& code, uint32_t radius, size_t max_results,
-      const index::CandidateSet& allowed,
-      const std::string& exclude_name = {}) const;
-  std::vector<CbirResult> KnnByCodeRestricted(
-      const BinaryCode& code, size_t k, const index::CandidateSet& allowed,
-      const std::string& exclude_name = {}) const;
-
-  /// Opens a lazy ranked stream over the index (the streaming
-  /// counterpart of the four code-level calls above).  `radius` set:
-  /// radius search, `cap` = max_results (0 = unlimited).  `radius`
-  /// empty: k-NN with `cap` = k (cap 0 streams nothing, matching
-  /// KnnByCode).  `allowed` (may be null) restricts candidates and is
-  /// pinned inside the stream.  The stream snapshots the index at open
-  /// but borrows this service's name map — it must not outlive the
-  /// service.
+  /// Opens a lazy ranked stream over the index.  `radius` set: radius
+  /// search, `cap` = max_results (0 = unlimited).  `radius` empty: k-NN
+  /// with `cap` = k (cap 0 streams nothing).  `allowed` (may be null)
+  /// restricts candidates — the pre-filter leg of hybrid (metadata ∧
+  /// similarity) queries — and is pinned inside the stream.  The
+  /// stream snapshots the index at open but borrows this service's
+  /// name map — it must not outlive the service.
   std::unique_ptr<CbirHitStream> OpenStream(
       const BinaryCode& code, std::optional<uint32_t> radius, size_t cap,
       std::shared_ptr<const index::CandidateSet> allowed,
       const std::string& exclude_name = {}) const;
+
+  /// Batched open (the execution engine's micro-batch entry point):
+  /// slot i equals OpenStream(codes[i], radius, caps[i], allowed,
+  /// exclude_names[i]), but every stream comes from one batched index
+  /// open sharded across the query pool.  `caps` and `exclude_names`
+  /// must match `codes` in length.
+  std::vector<std::unique_ptr<CbirHitStream>> OpenStreams(
+      const std::vector<BinaryCode>& codes, std::optional<uint32_t> radius,
+      const std::vector<size_t>& caps,
+      std::shared_ptr<const index::CandidateSet> allowed,
+      const std::vector<std::string>& exclude_names) const;
 
   /// Builds the ItemId allowlist for a set of patch names; names not in
   /// the CBIR index are skipped (they cannot be similarity hits anyway).
@@ -279,54 +247,10 @@ class CbirService {
   /// subject resolution).  InvalidArgument when bands are missing.
   StatusOr<BinaryCode> HashPatch(const bigearthnet::Patch& patch) const;
 
-  // --- batch queries -------------------------------------------------------
-  //
-  // Slot i of every batch result equals what the corresponding
-  // single-query call would return for input i.  Index lookups are
-  // sharded across the service's query pool.
-
-  /// Batch query-by-archive-image: radius search for each named image.
-  /// NotFound (whole batch) when any name is unknown.
-  StatusOr<std::vector<std::vector<CbirResult>>> QueryBatchByName(
-      const std::vector<std::string>& names, uint32_t radius,
-      size_t max_results = 0) const;
-
-  /// k-NN flavour of QueryBatchByName.
-  StatusOr<std::vector<std::vector<CbirResult>>> KnnBatchByName(
-      const std::vector<std::string>& names, size_t k) const;
-
-  /// Batch query-by-feature over a [B, feature_dim] matrix: the whole
-  /// batch goes through ONE MiLaN forward pass (amortising inference),
-  /// then one sharded batch index search.
-  StatusOr<std::vector<std::vector<CbirResult>>> QueryBatch(
-      const Tensor& features, uint32_t radius, size_t max_results = 0);
-
-  // --- batch code-level queries (the execution engine's micro-batch
-  // --- entry points) -------------------------------------------------------
-  //
-  // Per-slot caps and excludes: slot i equals the corresponding single
-  // code-level call with max_results[i] / exclude_names[i].  The
-  // `max_results` and `exclude_names` vectors must match `codes` in
-  // length.
-
-  std::vector<std::vector<CbirResult>> RadiusBatchByCode(
-      const std::vector<BinaryCode>& codes, uint32_t radius,
-      const std::vector<size_t>& max_results,
-      const std::vector<std::string>& exclude_names) const;
-  std::vector<std::vector<CbirResult>> KnnBatchByCode(
-      const std::vector<BinaryCode>& codes, size_t k,
-      const std::vector<std::string>& exclude_names) const;
-  /// Candidate-restricted flavours (micro-batched pre-filter hybrids:
-  /// many query codes against one shared allowlist).
-  std::vector<std::vector<CbirResult>> RadiusBatchByCodeRestricted(
-      const std::vector<BinaryCode>& codes, uint32_t radius,
-      const std::vector<size_t>& max_results,
-      const index::CandidateSet& allowed,
-      const std::vector<std::string>& exclude_names) const;
-  std::vector<std::vector<CbirResult>> KnnBatchByCodeRestricted(
-      const std::vector<BinaryCode>& codes, size_t k,
-      const index::CandidateSet& allowed,
-      const std::vector<std::string>& exclude_names) const;
+  /// Hashes a [batch, feature_dim] feature matrix in ONE MiLaN forward
+  /// pass (query-by-feature subject resolution; the batch amortises
+  /// inference).  InvalidArgument for any other shape.
+  StatusOr<std::vector<BinaryCode>> HashFeatures(const Tensor& features) const;
 
   /// The stored code of an archive image.
   StatusOr<BinaryCode> CodeOf(const std::string& patch_name) const;
@@ -362,6 +286,11 @@ class CbirService {
   /// null (or metrics disabled) leaves the service uninstrumented.
   void AttachObservability(obs::Observability* obs);
 
+  /// The lazily created query pool (nullptr when query_threads == 1):
+  /// batched opens shard across it, and the engine pulls a batch's
+  /// streams on it.
+  ThreadPool* QueryPool() const;
+
  private:
   // Field-by-field assembly instead of aggregate init: brace-initialising
   // CbirConfig with omitted members trips -Wmissing-field-initializers in
@@ -374,12 +303,11 @@ class CbirService {
     return config;
   }
 
-  std::vector<CbirResult> ToResults(
-      const std::vector<index::SearchResult>& hits, size_t max_results,
+  /// Wraps an opened frontier into a named stream.
+  std::unique_ptr<CbirHitStream> MakeStream(
+      std::unique_ptr<index::HitFrontier> frontier, size_t cap,
+      std::shared_ptr<const index::CandidateSet> allowed,
       const std::string& exclude_name) const;
-
-  /// The lazily created query pool (nullptr when query_threads == 1).
-  ThreadPool* QueryPool() const;
 
   /// Which snapshot shard an item belongs to (matches index routing for
   /// sharded services; everything is shard 0 for monolithic ones).

@@ -328,44 +328,6 @@ StatusOr<QueryResponse> EarthQube::ExecutePanelOnly(
   return response;
 }
 
-StatusOr<QueryResponse> EarthQube::BuildCbirResponse(
-    const QueryRequest& request, std::vector<CbirResult> hits,
-    uint64_t epoch_snapshot) const {
-  const SimilaritySpec& spec = *request.similarity;
-  QueryResponse response;
-  response.hits = std::move(hits);
-  response.query_stats.plan = "CBIR";
-  response.plan.strategy = QueryPlan::Strategy::kCbirOnly;
-  response.plan.description =
-      spec.radius.has_value()
-          ? "CBIR(" + cbir_->hamming_index().Name() +
-                ", radius=" + std::to_string(*spec.radius) + ")"
-          : "CBIR(" + cbir_->hamming_index().Name() +
-                ", k=" + std::to_string(*spec.k) + ")";
-  if (WindowedEligible(request)) {
-    return WindowizeEager(request, std::move(response), epoch_snapshot);
-  }
-  if (request.projection == Projection::kFullPanel) {
-    AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
-  }
-  FinishPaging(request, &response);
-  return response;
-}
-
-StatusOr<QueryResponse> EarthQube::ExecuteCbirOnly(
-    const QueryRequest& request) const {
-  const SimilaritySpec& spec = *request.similarity;
-  const uint64_t epoch_snapshot = query_cache_.epoch();
-  std::string exclude;
-  AGORAEO_ASSIGN_OR_RETURN(BinaryCode code,
-                           ResolveSimilarityCode(spec, &exclude));
-  std::vector<CbirResult> hits =
-      spec.radius.has_value()
-          ? cbir_->RadiusByCode(code, *spec.radius, spec.limit, exclude)
-          : cbir_->KnnByCode(code, *spec.k, exclude);
-  return BuildCbirResponse(request, std::move(hits), epoch_snapshot);
-}
-
 EarthQube::HybridPlanInfo EarthQube::PlanHybrid(const QueryRequest& request,
                                                 const Filter& filter) const {
   // Cheap selectivity estimate: index candidate counts only, no
@@ -426,121 +388,57 @@ StatusOr<std::shared_ptr<const CachedAllowlist>> EarthQube::ObtainAllowlist(
   return std::shared_ptr<const CachedAllowlist>(std::move(fresh));
 }
 
-StatusOr<QueryResponse> EarthQube::BuildHybridPreResponse(
-    const QueryRequest& request, const HybridPlanInfo& plan,
-    const CachedAllowlist& allowlist, std::vector<CbirResult> hits,
-    uint64_t epoch_snapshot) const {
-  QueryResponse response;
-  response.plan.strategy = plan.strategy;
-  response.plan.estimated_selectivity = plan.selectivity;
-  response.plan.estimated_filter_matches = plan.estimated;
-  response.query_stats = allowlist.filter_stats;
-  response.hits = std::move(hits);
-  char sel_text[32];
-  std::snprintf(sel_text, sizeof(sel_text), "%.4f", plan.selectivity);
-  response.plan.description =
-      "HYBRID(pre-filter: " + response.query_stats.plan + " -> " +
-      std::to_string(allowlist.candidates.size()) +
-      " candidates -> restricted " + cbir_->hamming_index().Name() +
-      ", est_sel=" + sel_text + ")";
-  response.query_stats.plan = response.plan.description;
-  if (WindowedEligible(request)) {
-    return WindowizeEager(request, std::move(response), epoch_snapshot);
-  }
-  if (request.projection == Projection::kFullPanel) {
-    AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
-  }
-  FinishPaging(request, &response);
-  return response;
-}
-
-StatusOr<QueryResponse> EarthQube::ExecuteHybrid(
+StatusOr<EarthQube::SimilarityPlan> EarthQube::PlanSimilarity(
     const QueryRequest& request) const {
   const SimilaritySpec& spec = *request.similarity;
-  const uint64_t epoch_snapshot = query_cache_.epoch();
-  const Filter filter = request.panel->ToFilter(
+  const std::string index_name = cbir_->hamming_index().Name();
+  SimilarityPlan plan;
+  QueryResponse& skeleton = plan.skeleton;
+  if (!request.panel.has_value()) {
+    skeleton.query_stats.plan = "CBIR";
+    skeleton.plan.strategy = QueryPlan::Strategy::kCbirOnly;
+    skeleton.plan.description =
+        "CBIR(" + index_name +
+        (spec.radius.has_value() ? ", radius=" + std::to_string(*spec.radius)
+                                 : ", k=" + std::to_string(*spec.k)) +
+        ")";
+    return plan;
+  }
+  plan.filter = request.panel->ToFilter(
       config_.label_encoding == LabelEncoding::kAsciiCompressed);
-  const HybridPlanInfo plan = PlanHybrid(request, filter);
-
-  std::string exclude;
-  AGORAEO_ASSIGN_OR_RETURN(BinaryCode code,
-                           ResolveSimilarityCode(spec, &exclude));
-
-  if (plan.strategy == QueryPlan::Strategy::kPreFilter) {
-    // Filter first: the docstore produces the allowlist, then the
-    // Hamming index searches only within it.
-    AGORAEO_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAllowlist> allowlist,
-                             ObtainAllowlist(*request.panel, filter));
-    const index::CandidateSet& allowed = allowlist->candidates;
-    std::vector<CbirResult> hits =
-        spec.radius.has_value()
-            ? cbir_->RadiusByCodeRestricted(code, *spec.radius, spec.limit,
-                                            allowed, exclude)
-            : cbir_->KnnByCodeRestricted(code, *spec.k, allowed, exclude);
-    return BuildHybridPreResponse(request, plan, *allowlist, std::move(hits),
-                                  epoch_snapshot);
-  }
-
-  QueryResponse response;
-  response.plan.strategy = plan.strategy;
-  response.plan.estimated_selectivity = plan.selectivity;
-  response.plan.estimated_filter_matches = plan.estimated;
-
+  const HybridPlanInfo info = PlanHybrid(request, plan.filter);
+  skeleton.plan.strategy = info.strategy;
+  skeleton.plan.estimated_selectivity = info.selectivity;
+  skeleton.plan.estimated_filter_matches = info.estimated;
   char sel_text[32];
-  std::snprintf(sel_text, sizeof(sel_text), "%.4f", plan.selectivity);
-
-  {
-    // Search first: unrestricted Hamming search, then join each hit's
-    // metadata and keep the filter survivors.
-    std::vector<CbirResult> survivors;
-    auto filter_hits = [&](const std::vector<CbirResult>& raw,
-                           size_t cap) -> Status {
-      survivors.clear();
-      for (const CbirResult& r : raw) {
-        AGORAEO_ASSIGN_OR_RETURN(
-            docstore::DocId id,
-            metadata_->FindOneId(
-                Filter::Eq(kFieldName, Value(r.patch_name))));
-        ++response.query_stats.docs_examined;
-        if (!filter.Matches(*metadata_->Get(id))) continue;
-        survivors.push_back(r);
-        if (cap != 0 && survivors.size() >= cap) break;
-      }
-      return Status::OK();
-    };
-    if (spec.radius.has_value()) {
-      const auto raw = cbir_->RadiusByCode(code, *spec.radius,
-                                           /*max_results=*/0, exclude);
-      AGORAEO_RETURN_IF_ERROR(filter_hits(raw, spec.limit));
-    } else {
-      // k-NN post-filter must over-fetch: the k nearest overall may not
-      // survive the metadata filter.  Double the fetch until k
-      // survivors are found or the index is exhausted.
-      const size_t k = *spec.k;
-      for (size_t fetch = std::max<size_t>(k, 1);; fetch *= 2) {
-        const auto raw = cbir_->KnnByCode(code, fetch, exclude);
-        AGORAEO_RETURN_IF_ERROR(filter_hits(raw, k));
-        if (survivors.size() >= k || raw.size() < fetch) break;
-      }
-    }
-    response.hits = std::move(survivors);
-    response.plan.description =
-        "HYBRID(post-filter: CBIR " + cbir_->hamming_index().Name() +
-        " -> join -> " + filter.ToString() + ", est_sel=" + sel_text + ")";
+  std::snprintf(sel_text, sizeof(sel_text), "%.4f", info.selectivity);
+  if (info.strategy == QueryPlan::Strategy::kPreFilter) {
+    // Filter first: the docstore produces the allowlist, then the
+    // Hamming index ranks only within it.
+    AGORAEO_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAllowlist> allowlist,
+                             ObtainAllowlist(*request.panel, plan.filter));
+    skeleton.query_stats = allowlist->filter_stats;
+    skeleton.plan.description =
+        "HYBRID(pre-filter: " + skeleton.query_stats.plan + " -> " +
+        std::to_string(allowlist->candidates.size()) +
+        " candidates -> restricted " + index_name + ", est_sel=" + sel_text +
+        ")";
+    plan.allowed = std::shared_ptr<const index::CandidateSet>(
+        allowlist, &allowlist->candidates);
+  } else {
+    // Search first: the unrestricted ranking is joined against the
+    // metadata and filtered as it streams.
+    plan.kind = RankedHandle::Kind::kPostFilter;
+    skeleton.plan.description = "HYBRID(post-filter: CBIR " + index_name +
+                                " -> join -> " + plan.filter.ToString() +
+                                ", est_sel=" + sel_text + ")";
   }
-  response.query_stats.plan = response.plan.description;
-  if (request.projection == Projection::kFullPanel) {
-    AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
-  }
-  FinishPaging(request, &response);
-  return response;
+  skeleton.query_stats.plan = skeleton.plan.description;
+  return plan;
 }
 
-// --- ranked direct access (resumable windowed paging) --------------------
-
-bool EarthQube::WindowedEligible(const QueryRequest& request) const {
-  return ranked_ != nullptr && request.similarity.has_value() &&
-         request.page_size > 0;
+bool EarthQube::Windowed(const QueryRequest& request) const {
+  return ranked_ != nullptr && request.page_size > 0;
 }
 
 Status EarthQube::ExtendHandle(RankedHandle* handle, size_t need) const {
@@ -585,130 +483,169 @@ Status EarthQube::ExtendHandle(RankedHandle* handle, size_t need) const {
   return Status::OK();
 }
 
-StatusOr<QueryResponse> EarthQube::ExecuteWindowed(
-    const QueryRequest& request) const {
-  const uint64_t start_ns =
-      stage_ranked_resume_ != nullptr ? obs::NowNanos() : 0;
-  const SimilaritySpec& spec = *request.similarity;
-  const size_t begin = request.page * request.page_size;
-  // One past the window: proves a further page exists without draining
-  // the rest of the ranking.
-  const size_t need = begin + request.page_size + 1;
+std::vector<StatusOr<QueryResponse>> EarthQube::ExecuteSimilarity(
+    const std::vector<const QueryRequest*>& requests,
+    uint64_t epoch_snapshot) const {
+  const size_t n = requests.size();
+  std::vector<StatusOr<QueryResponse>> out(
+      n, StatusOr<QueryResponse>(Status::Internal("not executed")));
 
-  // The page-free fingerprint identifies the underlying ranking; its
-  // hash is the handle id every node mints identically.
-  QueryRequest stream_request = request;
-  stream_request.page = 0;
-  stream_request.page_size = 0;
-  const std::optional<std::string> stream_fp =
-      QueryCache::RequestFingerprint(stream_request);
-  const std::string handle_id =
-      stream_fp.has_value() ? RankedAccess::HandleIdFor(*stream_fp)
-                            : std::string();
-  // Epoch BEFORE any read: an ingest racing this page leaves the handle
-  // stale (dropped on the next Get) instead of pinning pre-ingest state
-  // as fresh.
-  const uint64_t epoch_snapshot = query_cache_.epoch();
-
-  // Resolve the subject first so a bad archive name fails identically
-  // whether or not a handle is resident.
-  std::string exclude;
-  AGORAEO_ASSIGN_OR_RETURN(BinaryCode code,
-                           ResolveSimilarityCode(spec, &exclude));
-
-  // The shape-dependent response skeleton (plan + base stats) is built
-  // on BOTH the resume and the fresh path, so a resumed page stays
-  // byte-identical to a re-executed one.
-  QueryResponse response;
-  RankedHandle::Kind kind = RankedHandle::Kind::kPlain;
-  Filter filter = Filter::True();
-  std::shared_ptr<const CachedAllowlist> allowlist;
-  if (!request.panel.has_value()) {
-    response.query_stats.plan = "CBIR";
-    response.plan.strategy = QueryPlan::Strategy::kCbirOnly;
-    response.plan.description =
-        spec.radius.has_value()
-            ? "CBIR(" + cbir_->hamming_index().Name() +
-                  ", radius=" + std::to_string(*spec.radius) + ")"
-            : "CBIR(" + cbir_->hamming_index().Name() +
-                  ", k=" + std::to_string(*spec.k) + ")";
-  } else {
-    filter = request.panel->ToFilter(
-        config_.label_encoding == LabelEncoding::kAsciiCompressed);
-    const HybridPlanInfo plan = PlanHybrid(request, filter);
-    response.plan.strategy = plan.strategy;
-    response.plan.estimated_selectivity = plan.selectivity;
-    response.plan.estimated_filter_matches = plan.estimated;
-    char sel_text[32];
-    std::snprintf(sel_text, sizeof(sel_text), "%.4f", plan.selectivity);
-    if (plan.strategy == QueryPlan::Strategy::kPreFilter) {
-      AGORAEO_ASSIGN_OR_RETURN(allowlist,
-                               ObtainAllowlist(*request.panel, filter));
-      response.query_stats = allowlist->filter_stats;
-      response.plan.description =
-          "HYBRID(pre-filter: " + response.query_stats.plan + " -> " +
-          std::to_string(allowlist->candidates.size()) +
-          " candidates -> restricted " + cbir_->hamming_index().Name() +
-          ", est_sel=" + sel_text + ")";
-      response.query_stats.plan = response.plan.description;
-    } else {
-      kind = RankedHandle::Kind::kPostFilter;
-      response.plan.description =
-          "HYBRID(post-filter: CBIR " + cbir_->hamming_index().Name() +
-          " -> join -> " + filter.ToString() + ", est_sel=" + sel_text + ")";
-      response.query_stats.plan = response.plan.description;
+  // Resolve every subject first, so a bad archive name fails the same
+  // way whether or not its ranking is resident.
+  std::vector<size_t> live;
+  std::vector<BinaryCode> codes(n);
+  std::vector<std::string> excludes(n);
+  for (size_t i = 0; i < n; ++i) {
+    StatusOr<BinaryCode> code =
+        ResolveSimilarityCode(*requests[i]->similarity, &excludes[i]);
+    if (!code.ok()) {
+      out[i] = code.status();
+      continue;
     }
+    codes[i] = std::move(code).value();
+    live.push_back(i);
+  }
+  if (live.empty()) return out;
+
+  StatusOr<SimilarityPlan> plan = PlanSimilarity(*requests[live.front()]);
+  if (!plan.ok()) {
+    for (size_t i : live) out[i] = plan.status();
+    return out;
+  }
+  const SimilaritySpec& mode = *requests[live.front()]->similarity;
+
+  // One handle per distinct ranking: requests whose page-free
+  // fingerprints are equal share it, and a paged request resumes the
+  // live handle its cursor names.  Uploaded-patch subjects have no
+  // fingerprint and stay ephemeral.
+  std::vector<std::shared_ptr<RankedHandle>> handles(n);
+  std::vector<size_t> to_open;            // slots owning a fresh handle
+  std::vector<bool> registers(n, false);  // fresh handle to pin
+  std::unordered_map<std::string, size_t> owner_by_fp;
+  for (size_t i : live) {
+    const QueryRequest& request = *requests[i];
+    // A lone unpaged request has nothing to share its ranking with.
+    std::optional<std::string> stream_fp;
+    if (live.size() > 1 || Windowed(request)) {
+      QueryRequest stream_request = request;
+      stream_request.page = 0;
+      stream_request.page_size = 0;
+      stream_fp = QueryCache::RequestFingerprint(stream_request);
+    }
+    size_t owner = i;
+    if (stream_fp.has_value()) {
+      owner = owner_by_fp.emplace(*stream_fp, i).first->second;
+    }
+    if (owner != i) {
+      handles[i] = handles[owner];
+      registers[owner] = registers[owner] || Windowed(request);
+      continue;
+    }
+    const std::string handle_id =
+        stream_fp.has_value() ? RankedAccess::HandleIdFor(*stream_fp) : "";
+    if (Windowed(request) && stream_fp.has_value()) {
+      handles[i] = ranked_->Get(handle_id, *stream_fp, epoch_snapshot);
+    }
+    if (handles[i] != nullptr) continue;
+    const SimilaritySpec& spec = *request.similarity;
+    handles[i] = std::make_shared<RankedHandle>(
+        handle_id, stream_fp.value_or(std::string()), epoch_snapshot,
+        plan->kind);
+    handles[i]->survivor_cap_ = spec.radius.has_value() ? spec.limit : *spec.k;
+    if (plan->kind == RankedHandle::Kind::kPostFilter) {
+      handles[i]->filter_ = plan->filter;
+    }
+    registers[i] = Windowed(request) && stream_fp.has_value();
+    to_open.push_back(i);
   }
 
-  std::shared_ptr<RankedHandle> handle;
-  if (!handle_id.empty()) {
-    handle = ranked_->Get(handle_id, *stream_fp, epoch_snapshot);
-  }
-  if (handle == nullptr) {
-    // Fresh (or fallen-back) execution: open the lazy stream and pin it
-    // under the ranking's deterministic id.  Uploaded-patch subjects
-    // have no fingerprint and stay ephemeral.
-    auto fresh = std::make_shared<RankedHandle>(
-        handle_id, stream_fp.value_or(std::string()), epoch_snapshot, kind);
-    fresh->survivor_cap_ = spec.radius.has_value() ? spec.limit : *spec.k;
-    if (kind == RankedHandle::Kind::kPlain) {
-      std::shared_ptr<const index::CandidateSet> allowed;
-      if (allowlist != nullptr) {
-        allowed = std::shared_ptr<const index::CandidateSet>(
-            allowlist, &allowlist->candidates);
+  // One (batched) open for every missing ranking.  Post-filter streams
+  // carry the UNCAPPED raw ranking — the cap applies to filter
+  // survivors, not raw hits — so k-NN asks for everything unless k is 0.
+  if (!to_open.empty()) {
+    std::vector<BinaryCode> open_codes;
+    std::vector<size_t> caps;
+    std::vector<std::string> open_excludes;
+    for (size_t i : to_open) {
+      size_t cap = handles[i]->survivor_cap_;
+      if (plan->kind == RankedHandle::Kind::kPostFilter) {
+        cap = mode.radius.has_value() || cap == 0 ? 0 : SIZE_MAX;
       }
-      fresh->stream_ = cbir_->OpenStream(
-          code, spec.radius, fresh->survivor_cap_, std::move(allowed),
-          exclude);
-    } else {
-      // Post-filter streams the UNCAPPED raw ranking (the cap applies
-      // to filter survivors, not raw hits); k-NN mode needs the full
-      // ranking, so ask for everything unless k is 0.
-      const size_t raw_cap =
-          spec.radius.has_value() ? 0 : (*spec.k == 0 ? 0 : SIZE_MAX);
-      fresh->stream_ =
-          cbir_->OpenStream(code, spec.radius, raw_cap, nullptr, exclude);
-      fresh->filter_ = filter;
+      open_codes.push_back(codes[i]);
+      caps.push_back(cap);
+      open_excludes.push_back(excludes[i]);
     }
-    handle = handle_id.empty() ? std::move(fresh)
-                               : ranked_->Register(std::move(fresh));
+    std::vector<std::unique_ptr<CbirHitStream>> streams;
+    if (to_open.size() == 1) {
+      streams.push_back(cbir_->OpenStream(open_codes[0], mode.radius, caps[0],
+                                          plan->allowed, open_excludes[0]));
+    } else {
+      streams = cbir_->OpenStreams(open_codes, mode.radius, caps,
+                                   plan->allowed, open_excludes);
+    }
+    for (size_t j = 0; j < to_open.size(); ++j) {
+      const size_t i = to_open[j];
+      handles[i]->stream_ = std::move(streams[j]);
+      if (!registers[i]) continue;
+      // First-wins: a racing request may have pinned this ranking
+      // already; every sharer converges on the resident handle.
+      const RankedHandle* fresh = handles[i].get();
+      const std::shared_ptr<RankedHandle> pinned =
+          ranked_->Register(handles[i]);
+      for (size_t k : live) {
+        if (handles[k].get() == fresh) handles[k] = pinned;
+      }
+    }
   }
 
+  // Build every response; pulling the streams here is where most index
+  // work happens for the lazy kinds, so spread it across the pool.
+  auto respond = [&](size_t j) {
+    const size_t i = live[j];
+    out[i] = RespondSimilarity(*requests[i], *plan, handles[i]);
+  };
+  ThreadPool* pool = live.size() > 1 ? cbir_->QueryPool() : nullptr;
+  if (pool != nullptr) {
+    pool->ParallelFor(live.size(), respond);
+  } else {
+    for (size_t j = 0; j < live.size(); ++j) respond(j);
+  }
+  return out;
+}
+
+StatusOr<QueryResponse> EarthQube::RespondSimilarity(
+    const QueryRequest& request, const SimilarityPlan& plan,
+    const std::shared_ptr<RankedHandle>& handle) const {
+  const bool windowed = Windowed(request);
+  const uint64_t start_ns =
+      windowed && stage_ranked_resume_ != nullptr ? obs::NowNanos() : 0;
+  const size_t begin = windowed ? request.page * request.page_size : 0;
+  // A paged window reaches one past its end: that proves a further
+  // page exists without draining the rest of the ranking.  An unpaged
+  // window runs to the cap.
+  const size_t cap = handle->survivor_cap_;
+  const size_t need = windowed ? begin + request.page_size + 1
+                      : cap == 0 ? SIZE_MAX
+                                 : cap;
+
+  QueryResponse response = plan.skeleton;
   bool has_more = false;
   size_t touch_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(handle->mu_);
     AGORAEO_RETURN_IF_ERROR(ExtendHandle(handle.get(), need));
     const std::vector<CbirResult>& survivors = handle->survivors_;
-    const size_t end = std::min(survivors.size(), begin + request.page_size);
+    const size_t end =
+        windowed ? std::min(survivors.size(), begin + request.page_size)
+                 : survivors.size();
     if (begin < end) {
       response.hits.assign(survivors.begin() + begin, survivors.begin() + end);
     }
-    has_more = survivors.size() >= need;
+    has_more = windowed && survivors.size() >= need;
     if (handle->kind() == RankedHandle::Kind::kPostFilter) {
-      // Deterministic join cost: what a fresh execution of exactly this
-      // page would have examined, independent of how deep the pinned
-      // stream has already been pulled.
+      // Deterministic join cost: the raw rank of the window's last
+      // survivor — what a fresh execution of exactly this window
+      // examines, however deep the stream has already been pulled.
       response.query_stats.docs_examined +=
           survivors.size() >= need ? handle->examined_after_[need - 1]
                                    : handle->examined_total_;
@@ -716,12 +653,16 @@ StatusOr<QueryResponse> EarthQube::ExecuteWindowed(
     // Measured under handle->mu_: a concurrent resume of this cursor
     // may extend survivors_ the moment the lock drops, and Touch must
     // not walk the vector mid-reallocation.
-    touch_bytes = RankedAccess::ApproxBytes(*handle);
+    if (windowed) touch_bytes = RankedAccess::ApproxBytes(*handle);
   }
-  if (!handle_id.empty()) ranked_->Touch(handle, touch_bytes);
+  if (windowed && !handle->id().empty()) ranked_->Touch(handle, touch_bytes);
 
   if (request.projection == Projection::kFullPanel) {
     AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
+  }
+  if (!windowed) {
+    FinishPaging(request, &response);
+    return response;
   }
   response.windowed = true;
   response.projection = request.projection;
@@ -729,53 +670,9 @@ StatusOr<QueryResponse> EarthQube::ExecuteWindowed(
   response.page_size = request.page_size;
   if (has_more) {
     response.cursor =
-        EncodeCursor({request.page + 1, request.page_size, handle_id});
+        EncodeCursor({request.page + 1, request.page_size, handle->id()});
   }
-  if (stage_ranked_resume_ != nullptr) {
-    stage_ranked_resume_->Record(obs::NowNanos() - start_ns);
-  }
-  return response;
-}
-
-StatusOr<QueryResponse> EarthQube::WindowizeEager(const QueryRequest& request,
-                                                  QueryResponse response,
-                                                  uint64_t epoch_snapshot) const {
-  QueryRequest stream_request = request;
-  stream_request.page = 0;
-  stream_request.page_size = 0;
-  const std::optional<std::string> stream_fp =
-      QueryCache::RequestFingerprint(stream_request);
-  const size_t begin = request.page * request.page_size;
-  const size_t end = std::min(response.hits.size(), begin + request.page_size);
-  const bool has_more = response.hits.size() > begin + request.page_size;
-  std::string handle_id;
-  if (stream_fp.has_value()) {
-    handle_id = RankedAccess::HandleIdFor(*stream_fp);
-    // Register the full ranking as an already-exhausted handle so later
-    // pages of this cursor resume from it instead of re-running the
-    // micro-batched index pass.
-    auto handle = std::make_shared<RankedHandle>(
-        handle_id, *stream_fp, epoch_snapshot, RankedHandle::Kind::kPlain);
-    handle->survivors_ = response.hits;
-    handle->exhausted_ = true;
-    ranked_->Register(std::move(handle));
-  }
-  std::vector<CbirResult> window;
-  if (begin < end) {
-    window.assign(response.hits.begin() + begin, response.hits.begin() + end);
-  }
-  response.hits = std::move(window);
-  if (request.projection == Projection::kFullPanel) {
-    AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
-  }
-  response.windowed = true;
-  response.projection = request.projection;
-  response.page = request.page;
-  response.page_size = request.page_size;
-  if (has_more) {
-    response.cursor =
-        EncodeCursor({request.page + 1, request.page_size, handle_id});
-  }
+  if (start_ns != 0) stage_ranked_resume_->Record(obs::NowNanos() - start_ns);
   return response;
 }
 
@@ -898,11 +795,7 @@ void EarthQube::ExecuteAsync(
 StatusOr<QueryResponse> EarthQube::ExecuteUncached(
     const QueryRequest& request) const {
   if (!request.similarity.has_value()) return ExecutePanelOnly(request);
-  // Paged similarity requests stream hits lazily and resume from the
-  // ranked-access handle table; unpaged ones materialise eagerly.
-  if (WindowedEligible(request)) return ExecuteWindowed(request);
-  if (!request.panel.has_value()) return ExecuteCbirOnly(request);
-  return ExecuteHybrid(request);
+  return std::move(ExecuteSimilarity({&request}, query_cache_.epoch()).front());
 }
 
 StatusOr<std::vector<QueryResponse>> EarthQube::ExecuteBatch(

@@ -284,7 +284,7 @@ class EarthQube {
   StatusOr<QueryResponse> ExecuteSync(const QueryRequest& request) const;
 
   /// Cache-put halves of ExecuteAndCache, exposed to the engine's
-  /// micro-batch paths (which snapshot one epoch per shared pass).
+  /// micro-batch path (which snapshots one epoch per shared pass).
   /// CacheResponse returns whether the response cache admitted the
   /// entry (the flight pre-warm signal).
   bool CacheResponse(const QueryRequest& request,
@@ -298,24 +298,10 @@ class EarthQube {
   /// Execute minus the response-cache layer.
   StatusOr<QueryResponse> ExecuteUncached(const QueryRequest& request) const;
 
-  // Execute's three paths.
   StatusOr<QueryResponse> ExecutePanelOnly(const QueryRequest& request) const;
-  StatusOr<QueryResponse> ExecuteCbirOnly(const QueryRequest& request) const;
-  StatusOr<QueryResponse> ExecuteHybrid(const QueryRequest& request) const;
 
-  // --- response materialisation, shared with the engine --------------------
-  //
-  // The engine's micro-batch passes produce raw hit lists; these build
-  // the per-request QueryResponse exactly as the synchronous paths do,
-  // so batched and direct executions stay byte-identical.
-
-  /// Builds a CBIR-only response from raw hits (plan description, join
-  /// for full-panel projection, paging).  `epoch_snapshot` is the cache
-  /// epoch observed before the index pass that produced `hits`; paged
-  /// requests register the ranking as a ranked-access handle under it.
-  StatusOr<QueryResponse> BuildCbirResponse(const QueryRequest& request,
-                                            std::vector<CbirResult> hits,
-                                            uint64_t epoch_snapshot) const;
+  // --- similarity execution: one path for CBIR-only and hybrid requests,
+  // --- single or micro-batched, paged or not -------------------------------
 
   /// The hybrid planner's decision for one request.
   struct HybridPlanInfo {
@@ -332,34 +318,49 @@ class EarthQube {
   StatusOr<std::shared_ptr<const CachedAllowlist>> ObtainAllowlist(
       const EarthQubeQuery& panel, const docstore::Filter& filter) const;
 
-  /// Builds a pre-filter hybrid response from restricted-search hits.
-  StatusOr<QueryResponse> BuildHybridPreResponse(
-      const QueryRequest& request, const HybridPlanInfo& plan,
-      const CachedAllowlist& allowlist, std::vector<CbirResult> hits,
+  /// Everything a similarity response is built from besides its
+  /// ranking, fixed per request shape (mode, panel filter, planner):
+  /// the response skeleton with the plan description and base stats,
+  /// how survivors come out of the ranked stream, and the pre-filter
+  /// allowlist the stream is restricted to.
+  struct SimilarityPlan {
+    QueryResponse skeleton;
+    RankedHandle::Kind kind = RankedHandle::Kind::kPlain;
+    docstore::Filter filter = docstore::Filter::True();
+    std::shared_ptr<const index::CandidateSet> allowed;
+  };
+  StatusOr<SimilarityPlan> PlanSimilarity(const QueryRequest& request) const;
+
+  /// Executes similarity requests that share one plan — the engine's
+  /// micro-batch key guarantees it; a lone request is a batch of one.
+  /// Resolves every subject (a bad archive name fails only its own
+  /// slot), plans once, gives requests whose page-free fingerprints
+  /// are equal one shared ranked handle (resuming a live one for paged
+  /// requests), opens every missing ranking in one batched open, and
+  /// builds every response with RespondSimilarity, spread across the
+  /// CBIR query pool.  Slot i is requests[i]'s outcome.
+  /// `epoch_snapshot` is the cache epoch observed before any read.
+  std::vector<StatusOr<QueryResponse>> ExecuteSimilarity(
+      const std::vector<const QueryRequest*>& requests,
       uint64_t epoch_snapshot) const;
 
-  // --- ranked direct access (resumable windowed paging) --------------------
+  /// The one similarity response builder: pulls `handle` until the
+  /// request's window is buffered, slices it, joins metadata for the
+  /// full-panel projection and mints the cursor.  A paged request
+  /// (with ranked access on) gets the window [page·size, page·size +
+  /// size) and a v3 cursor on the handle; an unpaged one gets the
+  /// window [0, cap) and no handle cursor.
+  StatusOr<QueryResponse> RespondSimilarity(
+      const QueryRequest& request, const SimilarityPlan& plan,
+      const std::shared_ptr<RankedHandle>& handle) const;
 
-  /// Whether a request takes the windowed streaming path: similarity
-  /// with paging on and the ranked-access layer enabled.
-  bool WindowedEligible(const QueryRequest& request) const;
-
-  /// The windowed executor: resumes the ranking's pinned stream (or
-  /// opens and registers a fresh one) and materialises exactly the
-  /// requested window.  Covers CBIR-only and both hybrid strategies.
-  StatusOr<QueryResponse> ExecuteWindowed(const QueryRequest& request) const;
+  /// Whether a request is served as a window of a pinned ranking:
+  /// paging on and the ranked-access layer enabled.
+  bool Windowed(const QueryRequest& request) const;
 
   /// Pulls the handle's stream until `need` survivors are buffered (or
   /// the stream/cap is exhausted).  Caller holds the handle's mutex.
   Status ExtendHandle(RankedHandle* handle, size_t need) const;
-
-  /// The eager-window counterpart used by the engine's micro-batch
-  /// paths: slices a fully materialised ranking to the request's window
-  /// and registers it as an exhausted handle, producing a response
-  /// byte-identical to the streamed path's.
-  StatusOr<QueryResponse> WindowizeEager(const QueryRequest& request,
-                                         QueryResponse response,
-                                         uint64_t epoch_snapshot) const;
 
   /// Resolves a similarity spec's subject to (code, exclude_name).
   StatusOr<BinaryCode> ResolveSimilarityCode(const SimilaritySpec& spec,

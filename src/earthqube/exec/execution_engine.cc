@@ -49,7 +49,7 @@ struct ExecutionEngine::Flight {
 namespace {
 
 /// The micro-batcher's compatibility class: flights with equal keys can
-/// share one (restricted) batch index pass.  Mode value (radius/k) must
+/// share one batched (restricted) index open.  Mode value (radius/k) must
 /// match because the index pass takes one of them; per-request limit,
 /// projection and paging stay free — they are applied during
 /// materialisation.  Hybrids additionally pin the panel filter (the
@@ -519,152 +519,35 @@ void ExecutionEngine::ExecuteDirect(const std::shared_ptr<Flight>& flight) {
 
 void ExecutionEngine::ExecuteGroup(
     const std::vector<std::shared_ptr<Flight>>& group) {
-  if (group.front()->request.panel.has_value()) {
-    ExecuteHybridGroup(group);
-  } else {
-    ExecuteCbirGroup(group);
-  }
-}
-
-void ExecutionEngine::ExecuteCbirGroup(
-    const std::vector<std::shared_ptr<Flight>>& group) {
   batches_.fetch_add(1);
   batched_flights_.fetch_add(group.size());
-  const CbirService* cbir = system_->cbir();
-  // Epoch snapshot before any index read, one per shared pass.
+  // Epoch snapshot before any read, one per shared pass.
   const uint64_t epoch_snapshot = system_->query_cache().epoch();
-
-  // Resolve each flight's subject; NotFound names fail (and negative-
-  // cache) individually instead of poisoning the batch.
-  std::vector<std::shared_ptr<Flight>> live;
-  std::vector<BinaryCode> codes;
-  std::vector<size_t> limits;
-  std::vector<std::string> excludes;
-  live.reserve(group.size());
-  codes.reserve(group.size());
+  std::vector<const QueryRequest*> requests;
+  requests.reserve(group.size());
   for (const std::shared_ptr<Flight>& flight : group) {
-    const SimilaritySpec& spec = *flight->request.similarity;
-    if (spec.archive_name.has_value()) {
-      StatusOr<BinaryCode> code = cbir->CodeOf(*spec.archive_name);
-      if (!code.ok()) {
-        system_->MaybeCacheNegative(flight->request, flight->fingerprint,
-                                    code.status(), epoch_snapshot);
-        CompleteFlight(flight, code.status(), nullptr);
-        continue;
-      }
-      codes.push_back(std::move(code).value());
-      excludes.push_back(*spec.archive_name);
-    } else {
-      codes.push_back(*spec.code);
-      excludes.push_back(std::string());
-    }
-    limits.push_back(spec.limit);
-    live.push_back(flight);
+    requests.push_back(&flight->request);
   }
-  if (live.empty()) return;
-
-  const SimilaritySpec& mode = *live.front()->request.similarity;
-  std::vector<std::vector<CbirResult>> hit_lists =
-      mode.radius.has_value()
-          ? cbir->RadiusBatchByCode(codes, *mode.radius, limits, excludes)
-          : cbir->KnnBatchByCode(codes, *mode.k, excludes);
-
-  for (size_t i = 0; i < live.size(); ++i) {
-    StatusOr<QueryResponse> response = system_->BuildCbirResponse(
-        live[i]->request, std::move(hit_lists[i]), epoch_snapshot);
-    if (response.ok()) {
-      if (system_->CacheResponse(live[i]->request, live[i]->fingerprint,
-                                 *response, epoch_snapshot)) {
-        RecordFlightWarm(live[i]->fingerprint);
-      }
-      CompleteFlight(live[i], Status::OK(),
-                     std::make_shared<const QueryResponse>(
-                         std::move(response).value()));
-    } else {
-      CompleteFlight(live[i], response.status(), nullptr);
+  // Equal batch keys imply one shared plan: the same mode, panel filter
+  // and planner mode.  Subjects resolve per flight, so an unknown name
+  // fails (and negative-caches) alone instead of poisoning the batch.
+  std::vector<StatusOr<QueryResponse>> responses =
+      system_->ExecuteSimilarity(requests, epoch_snapshot);
+  for (size_t i = 0; i < group.size(); ++i) {
+    const std::shared_ptr<Flight>& flight = group[i];
+    if (!responses[i].ok()) {
+      system_->MaybeCacheNegative(flight->request, flight->fingerprint,
+                                  responses[i].status(), epoch_snapshot);
+      CompleteFlight(flight, responses[i].status(), nullptr);
+      continue;
     }
-  }
-}
-
-void ExecutionEngine::ExecuteHybridGroup(
-    const std::vector<std::shared_ptr<Flight>>& group) {
-  const CbirService* cbir = system_->cbir();
-  const QueryRequest& representative = group.front()->request;
-  const docstore::Filter filter = representative.panel->ToFilter(
-      system_->config().label_encoding == LabelEncoding::kAsciiCompressed);
-  // Same panel fingerprint and planner mode across the group implies
-  // one shared plan (the estimate is deterministic for a given filter).
-  const EarthQube::HybridPlanInfo plan =
-      system_->PlanHybrid(representative, filter);
-  if (plan.strategy != QueryPlan::Strategy::kPreFilter) {
-    // Post-filter hybrids have no shared index pass; run them directly.
-    direct_.fetch_add(group.size());
-    for (const std::shared_ptr<Flight>& flight : group) ExecuteDirect(flight);
-    return;
-  }
-  batches_.fetch_add(1);
-  batched_flights_.fetch_add(group.size());
-
-  const uint64_t epoch_snapshot = system_->query_cache().epoch();
-  StatusOr<std::shared_ptr<const CachedAllowlist>> allowlist =
-      system_->ObtainAllowlist(*representative.panel, filter);
-  if (!allowlist.ok()) {
-    for (const std::shared_ptr<Flight>& flight : group) {
-      CompleteFlight(flight, allowlist.status(), nullptr);
+    if (system_->CacheResponse(flight->request, flight->fingerprint,
+                               *responses[i], epoch_snapshot)) {
+      RecordFlightWarm(flight->fingerprint);
     }
-    return;
-  }
-
-  std::vector<std::shared_ptr<Flight>> live;
-  std::vector<BinaryCode> codes;
-  std::vector<size_t> limits;
-  std::vector<std::string> excludes;
-  live.reserve(group.size());
-  codes.reserve(group.size());
-  for (const std::shared_ptr<Flight>& flight : group) {
-    const SimilaritySpec& spec = *flight->request.similarity;
-    if (spec.archive_name.has_value()) {
-      StatusOr<BinaryCode> code = cbir->CodeOf(*spec.archive_name);
-      if (!code.ok()) {
-        system_->MaybeCacheNegative(flight->request, flight->fingerprint,
-                                    code.status(), epoch_snapshot);
-        CompleteFlight(flight, code.status(), nullptr);
-        continue;
-      }
-      codes.push_back(std::move(code).value());
-      excludes.push_back(*spec.archive_name);
-    } else {
-      codes.push_back(*spec.code);
-      excludes.push_back(std::string());
-    }
-    limits.push_back(spec.limit);
-    live.push_back(flight);
-  }
-  if (live.empty()) return;
-
-  const SimilaritySpec& mode = *live.front()->request.similarity;
-  const index::CandidateSet& allowed = (*allowlist)->candidates;
-  std::vector<std::vector<CbirResult>> hit_lists =
-      mode.radius.has_value()
-          ? cbir->RadiusBatchByCodeRestricted(codes, *mode.radius, limits,
-                                              allowed, excludes)
-          : cbir->KnnBatchByCodeRestricted(codes, *mode.k, allowed, excludes);
-
-  for (size_t i = 0; i < live.size(); ++i) {
-    StatusOr<QueryResponse> response = system_->BuildHybridPreResponse(
-        live[i]->request, plan, **allowlist, std::move(hit_lists[i]),
-        epoch_snapshot);
-    if (response.ok()) {
-      if (system_->CacheResponse(live[i]->request, live[i]->fingerprint,
-                                 *response, epoch_snapshot)) {
-        RecordFlightWarm(live[i]->fingerprint);
-      }
-      CompleteFlight(live[i], Status::OK(),
-                     std::make_shared<const QueryResponse>(
-                         std::move(response).value()));
-    } else {
-      CompleteFlight(live[i], response.status(), nullptr);
-    }
+    CompleteFlight(flight, Status::OK(),
+                   std::make_shared<const QueryResponse>(
+                       std::move(responses[i]).value()));
   }
 }
 

@@ -36,9 +36,9 @@ class EarthQube;
 ///      negative caches, so N coalesced identical misses cost exactly
 ///      one cache miss and one execution.
 ///   4. admission queue + micro-batcher — worker threads pop flights;
-///      distinct batchable misses (CBIR-only, or pre-filter hybrids
-///      sharing a panel filter) that are in flight within one
-///      time/size window are fused into one batched index pass.
+///      distinct batchable misses (CBIR-only, or hybrids sharing a
+///      panel filter and planner mode) that are in flight within one
+///      time/size window are fused into one batched index open.
 ///   5. per-request materialisation — each waiter materialises its own
 ///      QueryResponse copy from the shared result (Get / callback).
 ///
@@ -143,9 +143,9 @@ class ExecutionEngine {
   void CollectMatching(const std::string& key,
                        std::vector<std::shared_ptr<Flight>>* group);
   void ExecuteDirect(const std::shared_ptr<Flight>& flight);
+  /// Runs a micro-batch of similarity flights as one batched open
+  /// (EarthQube::ExecuteSimilarity), then caches and completes each.
   void ExecuteGroup(const std::vector<std::shared_ptr<Flight>>& group);
-  void ExecuteCbirGroup(const std::vector<std::shared_ptr<Flight>>& group);
-  void ExecuteHybridGroup(const std::vector<std::shared_ptr<Flight>>& group);
 
   const EarthQube* system_;
   const ExecConfig config_;

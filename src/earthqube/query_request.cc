@@ -130,50 +130,44 @@ std::string EncodeCursor(const PageCursor& cursor) {
 }
 
 StatusOr<PageCursor> DecodeCursor(const std::string& token) {
-  // Every rejection carries the "cursor: " prefix IsCursorRejection
-  // keys on, so unrelated base64/parse failures elsewhere in the stack
-  // are never mistaken for an expired cursor.
+  // Every rejection is typed kCursorExpired, so unrelated base64/parse
+  // failures elsewhere in the stack are never mistaken for one.
   StatusOr<std::vector<uint8_t>> raw = json::Base64Decode(token);
   if (!raw.ok()) {
-    return Status::InvalidArgument("cursor: invalid base64");
+    return Status::CursorExpired("cursor: invalid base64");
   }
   const std::string text(raw->begin(), raw->end());
   const bool v3 = text.rfind("v3:", 0) == 0;
   if (!v3 && text.rfind("v2:", 0) != 0) {
-    return Status::InvalidArgument("cursor: unrecognised version");
+    return Status::CursorExpired("cursor: unrecognised version");
   }
   const size_t sep = text.find(':', 3);
   if (sep == std::string::npos) {
-    return Status::InvalidArgument("cursor: malformed");
+    return Status::CursorExpired("cursor: malformed");
   }
   PageCursor cursor;
   std::string size_text = text.substr(sep + 1);
   if (v3) {
     const size_t handle_sep = size_text.find(':');
     if (handle_sep == std::string::npos) {
-      return Status::InvalidArgument("cursor: malformed");
+      return Status::CursorExpired("cursor: malformed");
     }
     cursor.handle = size_text.substr(handle_sep + 1);
     size_text.resize(handle_sep);
     if (cursor.handle.empty()) {
-      return Status::InvalidArgument("cursor: malformed");
+      return Status::CursorExpired("cursor: malformed");
     }
   }
   try {
     cursor.page = std::stoull(text.substr(3, sep - 3));
     cursor.page_size = std::stoull(size_text);
   } catch (const std::exception&) {
-    return Status::InvalidArgument("cursor: malformed");
+    return Status::CursorExpired("cursor: malformed");
   }
   if (PageWindowOverflows(cursor.page, cursor.page_size)) {
-    return Status::InvalidArgument("cursor: page window out of range");
+    return Status::CursorExpired("cursor: page window out of range");
   }
   return cursor;
-}
-
-bool IsCursorRejection(const Status& status) {
-  return status.IsInvalidArgument() &&
-         status.message().rfind("cursor: ", 0) == 0;
 }
 
 }  // namespace agoraeo::earthqube

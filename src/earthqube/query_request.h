@@ -137,15 +137,10 @@ struct PageCursor {
 std::string EncodeCursor(const PageCursor& cursor);
 /// Accepts both v2 and v3 tokens.  Rejects tokens whose page window
 /// would overflow size_t arithmetic (cursor payloads are
-/// client-controlled).  Every rejection is InvalidArgument with a
-/// "cursor: " message prefix.
+/// client-controlled).  Every rejection is kCursorExpired, which the
+/// HTTP tier maps onto the 410 `cursor_expired` error envelope instead
+/// of a generic 400.
 StatusOr<PageCursor> DecodeCursor(const std::string& token);
-
-/// Whether a status is a cursor-decoding rejection — InvalidArgument
-/// with the "cursor: " prefix DecodeCursor stamps (the HTTP tier maps
-/// these onto the 410 `cursor_expired` error envelope instead of a
-/// generic 400).
-bool IsCursorRejection(const Status& status);
 
 }  // namespace agoraeo::earthqube
 

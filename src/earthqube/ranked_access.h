@@ -20,8 +20,8 @@ namespace agoraeo::earthqube {
 /// Knobs of the ranked direct-access registry (EarthQubeConfig::ranked):
 /// resumable top-k cursors over lazily streamed shard frontiers.
 struct RankedAccessConfig {
-  /// Master switch: off restores the stateless eager paging path
-  /// (responses materialise the full ranking and the serialiser slices).
+  /// Master switch: off restores the stateless paging path (responses
+  /// carry the ranking up to its cap and the serialiser slices).
   bool enable = true;
   /// Max live query handles; the least recently touched one is evicted
   /// past this (its next page transparently falls back to re-execution).
@@ -85,8 +85,8 @@ class RankedHandle {
   const Kind kind_;
 
   std::mutex mu_;
-  /// The lazy ranked stream; null for handles registered from an eager
-  /// micro-batch pass (already exhausted).
+  /// The lazy ranked stream; null reads as exhausted (tests populate
+  /// survivor state by hand).
   std::unique_ptr<CbirHitStream> stream_;
   /// Every survivor produced so far, in rank order.
   std::vector<CbirResult> survivors_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "index/batch_util.h"
 #include "index/frontier.h"
 
 namespace agoraeo::index {
@@ -19,8 +18,11 @@ namespace agoraeo::index {
 class BkTree::FrontierImpl : public HitFrontier {
  public:
   FrontierImpl(const Node* root, const BinaryCode& query,
-               std::optional<uint32_t> radius, const CandidateSet* allowed)
-      : query_(query), radius_(radius), allowed_(allowed) {
+               const FrontierOptions& options)
+      : query_(query),
+        radius_(options.radius),
+        allowed_(options.allowed),
+        stats_(options.stats) {
     if (root != nullptr) queue_.push({0, root});
   }
 
@@ -59,10 +61,15 @@ class BkTree::FrontierImpl : public HitFrontier {
     }
     const uint32_t d =
         static_cast<uint32_t>(top.node->code.HammingDistance(query_));
+    if (stats_ != nullptr) {
+      ++stats_->buckets_probed;  // nodes visited
+      stats_->candidates += top.node->ids.size();
+    }
     if (!radius_.has_value() || d <= *radius_) {
       for (ItemId id : top.node->ids) {
         if (allowed_ != nullptr && !allowed_->Contains(id)) continue;
         pending_.push({id, d});
+        if (stats_ != nullptr) ++stats_->results;
       }
     }
     for (const auto& [edge, child] : top.node->children) {
@@ -75,6 +82,7 @@ class BkTree::FrontierImpl : public HitFrontier {
   const BinaryCode query_;
   const std::optional<uint32_t> radius_;
   const CandidateSet* allowed_;
+  SearchStats* const stats_;
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
   struct ResultGreater {
@@ -88,8 +96,50 @@ class BkTree::FrontierImpl : public HitFrontier {
 
 std::unique_ptr<HitFrontier> BkTree::OpenFrontier(
     const BinaryCode& query, const FrontierOptions& options) const {
-  return std::make_unique<FrontierImpl>(root_.get(), query, options.radius,
-                                        options.allowed);
+  if (options.radius.has_value() && options.limit == 0) {
+    return RadiusScan(query, *options.radius, options.allowed, options.stats);
+  }
+  return std::make_unique<FrontierImpl>(root_.get(), query, options);
+}
+
+std::unique_ptr<HitFrontier> BkTree::RadiusScan(const BinaryCode& query,
+                                                uint32_t radius,
+                                                const CandidateSet* allowed,
+                                                SearchStats* stats) const {
+  const uint32_t max_d =
+      std::min(radius, static_cast<uint32_t>(code_bits_));
+  std::vector<SearchResult> hits;
+  size_t visited = 0;
+  size_t candidates = 0;
+  std::vector<const Node*> stack;
+  if (root_ != nullptr) stack.push_back(root_.get());
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    ++visited;
+    const uint32_t d =
+        static_cast<uint32_t>(node->code.HammingDistance(query));
+    candidates += node->ids.size();
+    if (d <= radius) {
+      for (ItemId id : node->ids) {
+        if (allowed != nullptr && !allowed->Contains(id)) continue;
+        hits.push_back({id, d});
+      }
+    }
+    // Children with edge key in [d - radius, d + radius] can contain
+    // matches; std::map's ordering gives the window as a range scan.
+    const uint32_t lo = d > radius ? d - radius : 0;
+    for (auto it = node->children.lower_bound(lo);
+         it != node->children.end() && it->first <= d + radius; ++it) {
+      stack.push_back(it->second.get());
+    }
+  }
+  if (stats != nullptr) {
+    stats->buckets_probed += visited;
+    stats->candidates += candidates;
+    stats->results += hits.size();
+  }
+  return std::make_unique<DistanceBucketFrontier>(std::move(hits), max_d);
 }
 
 Status BkTree::Add(ItemId id, const BinaryCode& code) {
@@ -125,148 +175,6 @@ Status BkTree::Add(ItemId id, const BinaryCode& code) {
     }
     node = it->second.get();
   }
-}
-
-void BkTree::RadiusSearchInto(const BinaryCode& query, uint32_t radius,
-                              const CandidateSet* allowed,
-                              std::vector<const Node*>* stack,
-                              std::vector<SearchResult>* out,
-                              SearchStats* stats) const {
-  SearchStats local;
-  if (root_ != nullptr) {
-    // Iterative DFS; triangle-inequality pruning on edge keys.
-    stack->clear();
-    stack->push_back(root_.get());
-    while (!stack->empty()) {
-      const Node* node = stack->back();
-      stack->pop_back();
-      ++local.buckets_probed;  // nodes visited
-      const uint32_t d =
-          static_cast<uint32_t>(node->code.HammingDistance(query));
-      local.candidates += node->ids.size();
-      if (d <= radius) {
-        for (ItemId id : node->ids) {
-          if (allowed != nullptr && !allowed->Contains(id)) continue;
-          out->push_back({id, d});
-        }
-      }
-      // Children with edge key in [d - radius, d + radius] can contain
-      // matches; std::map's ordering gives the window as a range scan.
-      const uint32_t lo = d > radius ? d - radius : 0;
-      const uint32_t hi = d + radius;
-      for (auto it = node->children.lower_bound(lo);
-           it != node->children.end() && it->first <= hi; ++it) {
-        stack->push_back(it->second.get());
-      }
-    }
-  }
-  std::sort(out->begin(), out->end(), ResultLess);
-  local.results = out->size();
-  if (stats != nullptr) *stats = local;
-}
-
-std::vector<SearchResult> BkTree::RadiusSearch(const BinaryCode& query,
-                                               uint32_t radius,
-                                               SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  std::vector<const Node*> stack;
-  RadiusSearchInto(query, radius, /*allowed=*/nullptr, &stack, &out, stats);
-  return out;
-}
-
-std::vector<SearchResult> BkTree::RadiusSearchIn(const BinaryCode& query,
-                                                 uint32_t radius,
-                                                 const CandidateSet& allowed,
-                                                 SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  std::vector<const Node*> stack;
-  RadiusSearchInto(query, radius, &allowed, &stack, &out, stats);
-  return out;
-}
-
-std::vector<SearchResult> BkTree::KnnSearchIn(const BinaryCode& query,
-                                              size_t k,
-                                              const CandidateSet& allowed,
-                                              SearchStats* stats) const {
-  return BestFirstKnn(query, k, &allowed, stats);
-}
-
-std::vector<std::vector<SearchResult>> BkTree::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    std::vector<const Node*> stack;  // reused across the shard's queries
-    for (size_t q = begin; q < end; ++q) {
-      RadiusSearchInto(queries[q], radius, /*allowed=*/nullptr, &stack,
-                       &out[q], stats != nullptr ? &(*stats)[q] : nullptr);
-    }
-  });
-  return out;
-}
-
-std::vector<SearchResult> BkTree::KnnSearch(const BinaryCode& query, size_t k,
-                                            SearchStats* stats) const {
-  return BestFirstKnn(query, k, /*allowed=*/nullptr, stats);
-}
-
-std::vector<SearchResult> BkTree::BestFirstKnn(const BinaryCode& query,
-                                               size_t k,
-                                               const CandidateSet* allowed,
-                                               SearchStats* stats) const {
-  // Best-first search: expand nodes in order of an optimistic bound on
-  // the distance their subtree can contain.  When the bound of the next
-  // frontier entry exceeds the current k-th best distance, the answer is
-  // complete.
-  std::vector<SearchResult> best;
-  SearchStats local;
-  if (root_ == nullptr || k == 0) {
-    if (stats != nullptr) *stats = local;
-    return best;
-  }
-
-  struct Frontier {
-    uint32_t bound;  // lower bound on distances within the subtree
-    const Node* node;
-    bool operator>(const Frontier& o) const { return bound > o.bound; }
-  };
-  std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>> queue;
-  queue.push({0, root_.get()});
-
-  auto worst = [&]() -> uint32_t {
-    return best.size() < k ? UINT32_MAX : best.back().distance;
-  };
-
-  while (!queue.empty()) {
-    const Frontier top = queue.top();
-    queue.pop();
-    if (top.bound > worst()) break;  // no subtree can improve the result
-    const Node* node = top.node;
-    ++local.buckets_probed;
-    const uint32_t d =
-        static_cast<uint32_t>(node->code.HammingDistance(query));
-    local.candidates += node->ids.size();
-    for (ItemId id : node->ids) {
-      if (allowed != nullptr && !allowed->Contains(id)) continue;
-      const SearchResult candidate{id, d};
-      if (best.size() < k || ResultLess(candidate, best.back())) {
-        best.insert(
-            std::lower_bound(best.begin(), best.end(), candidate, ResultLess),
-            candidate);
-        if (best.size() > k) best.pop_back();
-      }
-    }
-    for (const auto& [edge, child] : node->children) {
-      // Subtree at edge key e holds codes at distance within
-      // |d - e| of the query (triangle inequality, both directions).
-      const uint32_t bound = d > edge ? d - edge : edge - d;
-      if (bound <= worst()) queue.push({bound, child.get()});
-    }
-  }
-  local.results = best.size();
-  if (stats != nullptr) *stats = local;
-  return best;
 }
 
 size_t BkTree::Depth() const {

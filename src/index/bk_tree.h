@@ -24,34 +24,16 @@ namespace agoraeo::index {
 class BkTree : public HammingIndex {
  public:
   Status Add(ItemId id, const BinaryCode& code) override;
-  std::vector<SearchResult> RadiusSearch(
-      const BinaryCode& query, uint32_t radius,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(
-      const BinaryCode& query, size_t k,
-      SearchStats* stats = nullptr) const override;
-
-  /// Query-sharded batch radius search.  Each shard reuses one DFS
-  /// stack buffer across all of its queries, avoiding the per-query
-  /// allocation the single-query path pays.
-  std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-
-  /// Restricted searches traverse with the usual triangle-inequality
-  /// pruning and admit only allowlisted ids when collecting.
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
 
   /// Lazy ranked access: a resumable best-first traversal — nodes are
   /// expanded in order of their subtree's distance lower bound, and a
   /// hit is released only once no unexpanded subtree can beat it, so
   /// the pruned walk pauses between pages exactly where it stopped.
+  /// Radius walks prune every subtree whose bound exceeds the radius;
+  /// restricted walks admit only allowlisted ids.  A radius walk
+  /// without a limit is drained whole by every caller but a paged
+  /// cursor, so it runs the pruned depth-first search at open instead
+  /// (no heap operations) and streams the hits from distance buckets.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
 
@@ -72,19 +54,11 @@ class BkTree : public HammingIndex {
     std::map<uint32_t, std::unique_ptr<Node>> children;
   };
 
-  /// Radius search writing into caller-owned buffers; `stack` is the
-  /// DFS work list, cleared on entry so batch shards can reuse its
-  /// capacity across queries.  `allowed == nullptr` means unrestricted.
-  void RadiusSearchInto(const BinaryCode& query, uint32_t radius,
-                        const CandidateSet* allowed,
-                        std::vector<const Node*>* stack,
-                        std::vector<SearchResult>* out,
-                        SearchStats* stats) const;
-
-  /// Shared best-first k-NN (`allowed == nullptr` means unrestricted).
-  std::vector<SearchResult> BestFirstKnn(const BinaryCode& query, size_t k,
-                                         const CandidateSet* allowed,
-                                         SearchStats* stats) const;
+  /// The unbounded radius walk: pruned DFS into distance buckets.
+  std::unique_ptr<HitFrontier> RadiusScan(const BinaryCode& query,
+                                          uint32_t radius,
+                                          const CandidateSet* allowed,
+                                          SearchStats* stats) const;
 
   std::unique_ptr<Node> root_;
   size_t code_bits_ = 0;

@@ -13,6 +13,14 @@ constexpr size_t kPullChunk = 64;
 
 }  // namespace
 
+std::vector<SearchResult> Drain(HitFrontier& frontier, size_t n) {
+  std::vector<SearchResult> out;
+  while (out.size() < n) {
+    if (frontier.Next(n - out.size(), &out) == 0) break;
+  }
+  return out;
+}
+
 size_t MaterializedFrontier::Next(size_t n, std::vector<SearchResult>* out) {
   const size_t take = std::min(n, hits_.size() - pos_);
   out->insert(out->end(), hits_.begin() + pos_, hits_.begin() + pos_ + take);
@@ -20,26 +28,44 @@ size_t MaterializedFrontier::Next(size_t n, std::vector<SearchResult>* out) {
   return take;
 }
 
+DistanceBucketFrontier::DistanceBucketFrontier(std::vector<SearchResult> hits,
+                                               uint32_t max_distance)
+    : ends_(static_cast<size_t>(max_distance) + 1, 0) {
+  // Counting sort by distance: histogram, prefix sums, scatter.
+  for (const SearchResult& hit : hits) ++ends_[hit.distance];
+  size_t begin = 0;
+  for (size_t& end : ends_) {
+    begin += end;
+    end = begin;
+  }
+  std::vector<size_t> next(ends_.size());
+  for (size_t d = 0; d < ends_.size(); ++d) {
+    next[d] = d == 0 ? 0 : ends_[d - 1];
+  }
+  hits_.resize(hits.size());
+  for (const SearchResult& hit : hits) hits_[next[hit.distance]++] = hit;
+}
+
 size_t DistanceBucketFrontier::Next(size_t n, std::vector<SearchResult>* out) {
   size_t produced = 0;
-  while (produced < n && distance_ < buckets_.size()) {
-    std::vector<SearchResult>& bucket = buckets_[distance_];
-    if (pos_ == 0 && bucket.size() > 1) {
-      // Buckets are filled in scan order, not id order; sort on first
-      // touch (equal distances, so ResultLess is an id sort).
-      std::sort(bucket.begin(), bucket.end(), ResultLess);
+  while (produced < n && distance_ < ends_.size()) {
+    const size_t begin = distance_ == 0 ? 0 : ends_[distance_ - 1];
+    const size_t end = ends_[distance_];
+    if (pos_ == begin && end - begin > 1) {
+      // Groups hold scan order, not id order; sort on first touch
+      // (equal distances, so ResultLess is an id sort).
+      std::sort(hits_.begin() + begin, hits_.begin() + end, ResultLess);
     }
-    if (pos_ >= bucket.size()) {
-      std::vector<SearchResult>().swap(bucket);  // drained: drop storage
+    if (pos_ >= end) {
       ++distance_;
-      pos_ = 0;
       continue;
     }
-    const size_t take = std::min(n - produced, bucket.size() - pos_);
-    out->insert(out->end(), bucket.begin() + pos_, bucket.begin() + pos_ + take);
+    const size_t take = std::min(n - produced, end - pos_);
+    out->insert(out->end(), hits_.begin() + pos_, hits_.begin() + pos_ + take);
     pos_ += take;
     produced += take;
   }
+  if (distance_ >= ends_.size()) std::vector<SearchResult>().swap(hits_);
   return produced;
 }
 

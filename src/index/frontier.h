@@ -1,6 +1,7 @@
 #ifndef AGORAEO_INDEX_FRONTIER_H_
 #define AGORAEO_INDEX_FRONTIER_H_
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -11,25 +12,32 @@
 namespace agoraeo::index {
 
 /// How a frontier is opened: bounded by a radius (nullopt = rank the
-/// whole index) and optionally restricted to an allowlist.  `allowed`
-/// is borrowed — the caller must keep it alive for the frontier's whole
-/// lifetime (partition wrappers pin split allowlists themselves).
+/// whole index), optionally restricted to an allowlist, and optionally
+/// bounded in length.  `allowed` and `stats` are borrowed — the caller
+/// keeps them alive for the frontier's whole lifetime (partition
+/// wrappers pin split allowlists themselves).
 struct FrontierOptions {
   std::optional<uint32_t> radius;
   const CandidateSet* allowed = nullptr;
+  /// The most hits the consumer will ever pull (0 = unbounded); what
+  /// lies past it is unspecified.  A bounded frontier may end at
+  /// `limit` and need not buffer more than that many hits: k-NN opens
+  /// with limit k, so a pinned stream never holds the whole ranking.
+  size_t limit = 0;
+  /// Work counters the walk adds to as it proceeds (null = none).
+  SearchStats* stats = nullptr;
 };
 
 /// A lazy, resumable hit stream in canonical (distance, id) order — the
-/// ranked-access counterpart of RadiusSearch/KnnSearch.  Draining a
-/// frontier yields exactly what the corresponding eager search returns
-/// (RadiusSearch for a radius-bounded frontier, KnnSearch(size()) for a
-/// full-ranked one), but work is deferred: implementations expand probe
-/// rings, resume pruned traversals, or drain distance buckets only as
-/// far as the consumer actually pulls.
+/// one ranking primitive of the index stack.  Draining a frontier
+/// yields every (allowed) item within the radius, or every (allowed)
+/// item when no radius is set, up to the limit; work is deferred:
+/// implementations expand probe rings, resume pruned traversals, or
+/// drain distance buckets only as far as the consumer actually pulls.
 ///
 /// Frontiers are snapshots: once opened they never observe later index
 /// mutations (partition wrappers open them on pinned immutable sealed
-/// segments and materialise the small mutable tail up front).  They are
+/// segments and snapshot the small mutable tail up front).  They are
 /// single-consumer — callers serialise Next() themselves.
 class HitFrontier {
  public:
@@ -42,9 +50,12 @@ class HitFrontier {
   virtual size_t Next(size_t n, std::vector<SearchResult>* out) = 0;
 };
 
+/// Pulls up to `n` hits from `frontier` (all of them by default) — the
+/// list view of a frontier for callers that want one.
+std::vector<SearchResult> Drain(HitFrontier& frontier, size_t n = SIZE_MAX);
+
 /// A frontier over an already materialised (distance, id)-sorted hit
-/// list — the default for index kinds without a lazy override, the
-/// mutable-segment snapshot, and tests.
+/// list — bounded top-k scans, the mutable-segment snapshot, and tests.
 class MaterializedFrontier : public HitFrontier {
  public:
   explicit MaterializedFrontier(std::vector<SearchResult> hits)
@@ -57,23 +68,25 @@ class MaterializedFrontier : public HitFrontier {
   size_t pos_ = 0;
 };
 
-/// A frontier over per-distance hit buckets filled eagerly (one scan
-/// pass at open) but sorted lazily: bucket d is put into id order only
-/// when the consumer reaches distance d, so deep buckets a shallow page
-/// never touches are never sorted.  Slot d of `buckets` holds the hits
-/// at distance exactly d, in any order.
+/// A frontier over hits collected eagerly (one scan pass at open) but
+/// sorted lazily: the constructor groups them by distance with one
+/// counting pass, and each distance group is put into id order only
+/// when the consumer reaches it, so deep groups a shallow page never
+/// touches are never sorted.  `hits` may come in any order; every
+/// distance must be at most `max_distance`.
 class DistanceBucketFrontier : public HitFrontier {
  public:
-  explicit DistanceBucketFrontier(
-      std::vector<std::vector<SearchResult>> buckets)
-      : buckets_(std::move(buckets)) {}
+  DistanceBucketFrontier(std::vector<SearchResult> hits,
+                         uint32_t max_distance);
 
   size_t Next(size_t n, std::vector<SearchResult>* out) override;
 
  private:
-  std::vector<std::vector<SearchResult>> buckets_;
-  size_t distance_ = 0;  ///< bucket currently being drained
-  size_t pos_ = 0;       ///< next slot within that bucket
+  std::vector<SearchResult> hits_;  ///< grouped by ascending distance
+  /// ends_[d]: one past the last hit at distance d.
+  std::vector<size_t> ends_;
+  size_t distance_ = 0;  ///< group currently being drained
+  size_t pos_ = 0;       ///< next hit to emit
 };
 
 /// K-way merge of child frontiers into one (distance, id)-ordered

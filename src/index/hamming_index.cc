@@ -21,25 +21,6 @@ bool CandidateSet::Contains(ItemId id) const {
   return std::binary_search(ids_.begin(), ids_.end(), id);
 }
 
-std::vector<SearchResult> MergeHitLists(
-    std::vector<std::vector<SearchResult>>* lists, size_t k) {
-  std::vector<SearchResult> merged;
-  for (std::vector<SearchResult>& hits : *lists) {
-    if (hits.empty()) continue;
-    if (merged.empty()) {
-      merged = std::move(hits);
-      continue;
-    }
-    std::vector<SearchResult> next;
-    next.reserve(merged.size() + hits.size());
-    std::merge(merged.begin(), merged.end(), hits.begin(), hits.end(),
-               std::back_inserter(next), ResultLess);
-    merged = std::move(next);
-  }
-  if (k != 0 && merged.size() > k) merged.resize(k);
-  return merged;
-}
-
 Status HammingIndex::BatchAdd(const std::vector<ItemId>& ids,
                               const std::vector<BinaryCode>& codes,
                               ThreadPool* /*pool*/) {
@@ -52,106 +33,13 @@ Status HammingIndex::BatchAdd(const std::vector<ItemId>& ids,
   return Status::OK();
 }
 
-std::vector<SearchResult> HammingIndex::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  std::vector<SearchResult> out = RadiusSearch(query, radius, stats);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](const SearchResult& r) {
-                             return !allowed.Contains(r.id);
-                           }),
-            out.end());
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::vector<SearchResult> HammingIndex::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  // Rank everything, keep the first k allowed.  Exact but unbounded;
-  // implementations override with restricted traversals.
-  std::vector<SearchResult> all = KnnSearch(query, size(), stats);
-  std::vector<SearchResult> out;
-  out.reserve(std::min(k, allowed.size()));
-  for (const SearchResult& r : all) {
-    if (out.size() >= k) break;
-    if (allowed.Contains(r.id)) out.push_back(r);
-  }
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::unique_ptr<HitFrontier> HammingIndex::OpenFrontier(
-    const BinaryCode& query, const FrontierOptions& options) const {
-  // Materialise the eager search — always correct, never lazy.  A
-  // full-ranked frontier over an empty index is empty (KnnSearch(0)
-  // would also be, but skip the call for clarity).
-  std::vector<SearchResult> hits;
-  if (options.radius.has_value()) {
-    hits = options.allowed != nullptr
-               ? RadiusSearchIn(query, *options.radius, *options.allowed)
-               : RadiusSearch(query, *options.radius);
-  } else if (size() > 0) {
-    hits = options.allowed != nullptr
-               ? KnnSearchIn(query, size(), *options.allowed)
-               : KnnSearch(query, size());
-  }
-  return std::make_unique<MaterializedFrontier>(std::move(hits));
-}
-
-std::vector<std::vector<SearchResult>> HammingIndex::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
+std::vector<std::unique_ptr<HitFrontier>> HammingIndex::OpenFrontiers(
+    const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+    ThreadPool* pool) const {
+  std::vector<std::unique_ptr<HitFrontier>> out(queries.size());
   RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      out[i] = RadiusSearch(queries[i], radius,
-                            stats != nullptr ? &(*stats)[i] : nullptr);
-    }
-  });
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> HammingIndex::BatchKnnSearch(
-    const std::vector<BinaryCode>& queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = KnnSearch(queries[i], k,
-                         stats != nullptr ? &(*stats)[i] : nullptr);
-    }
-  });
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> HammingIndex::BatchRadiusSearchIn(
-    const std::vector<BinaryCode>& queries, uint32_t radius,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = RadiusSearchIn(queries[i], radius, allowed,
-                              stats != nullptr ? &(*stats)[i] : nullptr);
-    }
-  });
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> HammingIndex::BatchKnnSearchIn(
-    const std::vector<BinaryCode>& queries, size_t k,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = KnnSearchIn(queries[i], k, allowed,
-                           stats != nullptr ? &(*stats)[i] : nullptr);
+      out[i] = OpenFrontier(queries[i], options);
     }
   });
   return out;

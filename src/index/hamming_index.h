@@ -36,18 +36,6 @@ struct SearchResult {
 /// index implementations return, so they are comparable in tests.
 bool ResultLess(const SearchResult& a, const SearchResult& b);
 
-/// Merges per-partition (distance, id)-sorted hit lists into one list in
-/// the same canonical order — the shared gather step of every partition
-/// layer in the index stack: the sharded index gathers across shards,
-/// the segmented index across a shard's sealed + mutable segments.
-/// Partitions hold disjoint ids, so a pairwise merge reproduces exactly
-/// what one flat index over the union would return.  `k` of 0 keeps
-/// everything; otherwise the merged list is truncated to the k best (the
-/// k-NN overfetch merge: every partition returned its own top-k, and the
-/// global top-k is the head of the merged order).  Consumes `lists`.
-std::vector<SearchResult> MergeHitLists(
-    std::vector<std::vector<SearchResult>>* lists, size_t k);
-
 /// An allowlist of item ids for candidate-restricted searches (the
 /// pre-filter side of hybrid metadata ∧ similarity queries): the ids a
 /// search may return, held sorted for O(log n) membership tests.
@@ -67,12 +55,14 @@ class CandidateSet {
   std::vector<ItemId> ids_;
 };
 
-/// Counters describing the work one query performed; used by the
-/// benchmark harness to report candidate counts (experiment E3).
+/// Counters describing the work one frontier walk performed; used by
+/// the benchmark harness to report candidate counts (experiment E3).
+/// A walk only adds to them, and only as far as it has gone: the
+/// figures of a fully drained frontier are those of the whole search.
 struct SearchStats {
-  size_t buckets_probed = 0;    ///< hash buckets / cells examined
+  size_t buckets_probed = 0;    ///< hash buckets / tree nodes examined
   size_t candidates = 0;        ///< items whose distance was evaluated
-  size_t results = 0;           ///< items within the radius
+  size_t results = 0;           ///< hits collected for emission
 };
 
 /// Interface of a binary-code nearest-neighbour index.  All codes added
@@ -94,99 +84,37 @@ class HammingIndex {
                           const std::vector<BinaryCode>& codes,
                           ThreadPool* pool = nullptr);
 
-  /// All items within Hamming distance <= radius, ordered by
-  /// (distance, id).
-  virtual std::vector<SearchResult> RadiusSearch(
-      const BinaryCode& query, uint32_t radius,
-      SearchStats* stats = nullptr) const = 0;
-
-  /// The k nearest items by Hamming distance (ties by id), ordered by
-  /// (distance, id).  May return fewer than k when the index is small.
-  virtual std::vector<SearchResult> KnnSearch(
-      const BinaryCode& query, size_t k,
-      SearchStats* stats = nullptr) const = 0;
-
-  // --- candidate-restricted search ----------------------------------------
-  //
-  // The pre-filter leg of hybrid (metadata ∧ similarity) queries: the
-  // docstore filter produces an id allowlist, and the index searches
-  // only within it.  Both calls return exactly what filtering the
-  // unrestricted result down to `allowed` would — RadiusSearchIn(q, r,
-  // allowed) == {h ∈ RadiusSearch(q, r) : allowed.Contains(h.id)}, and
-  // KnnSearchIn returns the k nearest *allowed* items — in the same
-  // canonical (distance, id) order.
-
-  /// All allowed items within the radius.  The default filters a full
-  /// RadiusSearch; implementations override it to restrict the scan
-  /// itself (e.g. the linear scan walks only the allowlist).
-  virtual std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const;
-
-  /// The k nearest allowed items.  The default ranks every allowed item
-  /// (exact but O(n log n)); implementations override it with bounded
-  /// traversals.
-  virtual std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const;
-
-  /// Batch flavour of RadiusSearch: slot i of the returned vector holds
-  /// exactly what RadiusSearch(queries[i], radius) would return, in the
-  /// same canonical (distance, id) order.  When `pool` is non-null the
-  /// batch is sharded across its workers (implementations are read-only
-  /// and therefore safe to query concurrently); a null pool runs
-  /// sequentially.  When `stats` is non-null it is resized to the batch
-  /// size and per-query counters are written to the matching slot.
-  ///
-  /// The default implementation shards single queries; backends override
-  /// it when they can do better (e.g. the linear scan blocks over the
-  /// code array so one block of codes serves many queries from cache).
-  virtual std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const;
-
-  /// Batch flavour of KnnSearch with the same guarantees as
-  /// BatchRadiusSearch: slot i equals KnnSearch(queries[i], k).
-  virtual std::vector<std::vector<SearchResult>> BatchKnnSearch(
-      const std::vector<BinaryCode>& queries, size_t k,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const;
-
-  // --- batched candidate-restricted search --------------------------------
-  //
-  // The shared pass of micro-batched pre-filter hybrid queries: many
-  // query codes against one allowlist.  Slot i equals the corresponding
-  // single restricted call; sharding semantics match BatchRadiusSearch.
-
-  /// Slot i equals RadiusSearchIn(queries[i], radius, allowed).
-  virtual std::vector<std::vector<SearchResult>> BatchRadiusSearchIn(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const;
-
-  /// Slot i equals KnnSearchIn(queries[i], k, allowed).
-  virtual std::vector<std::vector<SearchResult>> BatchKnnSearchIn(
-      const std::vector<BinaryCode>& queries, size_t k,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const;
-
-  // --- ranked direct access ------------------------------------------------
+  // --- ranked access: the only search entry point -------------------------
 
   /// Opens a lazy (distance, id)-ordered hit stream (see
-  /// index/frontier.h).  Draining it yields exactly RadiusSearch[In]
-  /// when `options.radius` is set, and the full KnnSearch[In] ranking of
-  /// every (allowed) item otherwise — but implementations defer work to
-  /// Next() pulls where they can: the linear scan drains distance
-  /// buckets fed by one kernel pass, the hash tables walk probe rings
-  /// outward, the BK-tree resumes its pruned best-first traversal.  The
-  /// default materialises the eager search, which is always correct.
+  /// index/frontier.h).  A radius search pulls hits until the stream
+  /// ends; a k-NN search opens with `options.limit = k` and pulls k
+  /// hits; a restricted search passes `options.allowed`.  Drained, the
+  /// stream is every (allowed) item within the radius — or every
+  /// (allowed) item at all when no radius is set — in canonical order,
+  /// truncated to `options.limit` when one is set.  Implementations
+  /// defer work to Next() pulls where they can: the linear scan drains
+  /// distance buckets fed by one kernel pass, the hash tables walk
+  /// probe rings outward, the BK-tree resumes its pruned best-first
+  /// traversal.
   ///
-  /// The returned frontier borrows this index (and `options.allowed`);
-  /// the caller keeps both alive — partition wrappers instead return
-  /// self-contained frontiers pinning their sealed segments.
+  /// The returned frontier borrows this index (and `options.allowed`
+  /// and `options.stats`); the caller keeps them alive — partition
+  /// wrappers instead return self-contained frontiers pinning their
+  /// sealed segments.
   virtual std::unique_ptr<HitFrontier> OpenFrontier(
-      const BinaryCode& query, const FrontierOptions& options) const;
+      const BinaryCode& query, const FrontierOptions& options) const = 0;
+
+  /// Batched open: slot i equals OpenFrontier(queries[i], options).
+  /// The default is one open per query, sharded across `pool` (opens
+  /// that scan up front run in parallel); the linear scan overrides it
+  /// to fill every frontier from one cache-blocked kernel pass, and the
+  /// partition wrappers fan the batch out once per shard.
+  /// `options.stats` must be null: per-query work counters need single
+  /// opens.
+  virtual std::vector<std::unique_ptr<HitFrontier>> OpenFrontiers(
+      const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+      ThreadPool* pool = nullptr) const;
 
   virtual size_t size() const = 0;
   virtual std::string Name() const = 0;

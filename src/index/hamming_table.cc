@@ -5,51 +5,15 @@
 #include <functional>
 #include <queue>
 
-#include "index/batch_util.h"
 #include "index/frontier.h"
 
 namespace agoraeo::index {
 
 namespace {
 
-/// Enumerates every code within Hamming distance `radius` of `base`
-/// (including base itself) and invokes `visit` on each.  Recursive
-/// combination enumeration: flip positions are strictly increasing.
-void EnumerateWithinRadius(const BinaryCode& base, uint32_t radius,
-                           const std::function<void(const BinaryCode&)>& visit) {
-  BinaryCode current = base;
-  std::function<void(size_t, uint32_t)> recurse = [&](size_t start,
-                                                      uint32_t remaining) {
-    visit(current);
-    if (remaining == 0) return;
-    for (size_t i = start; i < base.size(); ++i) {
-      current.FlipBit(i);
-      recurse(i + 1, remaining - 1);
-      current.FlipBit(i);
-    }
-  };
-  recurse(0, radius);
-}
-
-/// Enumerates all 64-bit keys within `radius` of `base`, restricted to
-/// the low `bits` bits.
-void EnumerateWithinRadius64(uint64_t base, size_t bits, uint32_t radius,
-                             const std::function<void(uint64_t)>& visit) {
-  std::function<void(size_t, uint64_t, uint32_t)> recurse =
-      [&](size_t start, uint64_t value, uint32_t remaining) {
-        visit(value);
-        if (remaining == 0) return;
-        for (size_t i = start; i < bits; ++i) {
-          recurse(i + 1, value ^ (1ULL << i), remaining - 1);
-        }
-      };
-  recurse(0, base, radius);
-}
-
-/// Ring flavour of EnumerateWithinRadius: visits only the codes at
-/// distance EXACTLY `flips` from the current state of `scratch` (which
-/// is restored before returning) — the per-ring step of the lazy
-/// frontier, where ring r must not re-visit rings < r.
+/// Visits every code at distance EXACTLY `flips` from the current state
+/// of `scratch` (which is restored before returning) — the per-ring
+/// step of the ring walk, where ring r must not re-visit rings < r.
 void EnumerateExactRing(BinaryCode* scratch, uint32_t flips,
                         const std::function<void(const BinaryCode&)>& visit) {
   std::function<void(size_t, uint32_t)> recurse = [&](size_t start,
@@ -68,8 +32,8 @@ void EnumerateExactRing(BinaryCode* scratch, uint32_t flips,
   recurse(0, flips);
 }
 
-/// Ring flavour of EnumerateWithinRadius64: keys with EXACTLY `flips`
-/// of the low `bits` bits flipped relative to `base`.
+/// Visits every key with EXACTLY `flips` of the low `bits` bits flipped
+/// relative to `base`.
 void EnumerateExactRing64(uint64_t base, size_t bits, uint32_t flips,
                           const std::function<void(uint64_t)>& visit) {
   std::function<void(size_t, uint64_t, uint32_t)> recurse =
@@ -122,120 +86,42 @@ Status HammingHashTable::Add(ItemId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-std::vector<SearchResult> HammingHashTable::SearchBuckets(
-    const BinaryCode& query, uint32_t radius, const CandidateSet* allowed,
-    SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  SearchStats local;
-
-  auto collect = [&](const std::vector<ItemId>& items, uint32_t d) {
-    for (ItemId id : items) {
-      ++local.candidates;
-      if (allowed != nullptr && !allowed->Contains(id)) continue;
-      out.push_back({id, d});
-    }
-  };
-  const size_t probes = ProbeCount(code_bits_, radius);
-  if (probes <= buckets_.size() * 2) {
-    // Mask enumeration: probe every code within the radius.
-    EnumerateWithinRadius(query, radius, [&](const BinaryCode& probe) {
-      ++local.buckets_probed;
-      auto it = buckets_.find(probe);
-      if (it == buckets_.end()) return;
-      collect(it->second,
-              static_cast<uint32_t>(query.HammingDistance(probe)));
-    });
-  } else {
-    // Bucket scan: fewer non-empty buckets than probe codes.
-    for (const auto& [code, items] : buckets_) {
-      ++local.buckets_probed;
-      const uint32_t d = static_cast<uint32_t>(query.HammingDistance(code));
-      if (d > radius) continue;
-      collect(items, d);
-    }
-  }
-  std::sort(out.begin(), out.end(), ResultLess);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<SearchResult> HammingHashTable::RadiusSearch(
-    const BinaryCode& query, uint32_t radius, SearchStats* stats) const {
-  return SearchBuckets(query, radius, /*allowed=*/nullptr, stats);
-}
-
-std::vector<SearchResult> HammingHashTable::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  return SearchBuckets(query, radius, &allowed, stats);
-}
-
-std::vector<SearchResult> HammingHashTable::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  // Progressive radius expansion over the restricted search; complete
-  // when k allowed items were found, the whole allowlist was retrieved,
-  // or the radius covers the code space.
-  std::vector<SearchResult> out;
-  SearchStats local;
-  if (k > 0) {
-    for (uint32_t radius = 0; radius <= code_bits_; ++radius) {
-      SearchStats step;
-      out = SearchBuckets(query, radius, &allowed, &step);
-      local.buckets_probed += step.buckets_probed;
-      local.candidates += step.candidates;
-      if (out.size() >= k || out.size() == allowed.size()) break;
-    }
-  }
-  if (out.size() > k) out.resize(k);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<SearchResult> HammingHashTable::KnnSearch(const BinaryCode& query,
-                                                      size_t k,
-                                                      SearchStats* stats) const {
-  // Progressive radius expansion: results within radius r are complete
-  // before radius r+1 is explored, so the first k collected are exact.
-  std::vector<SearchResult> out;
-  SearchStats local;
-  for (uint32_t radius = 0; radius <= code_bits_; ++radius) {
-    SearchStats step;
-    out = RadiusSearch(query, radius, &step);
-    local.buckets_probed += step.buckets_probed;
-    local.candidates += step.candidates;
-    if (out.size() >= k || out.size() == num_items_) break;
-  }
-  if (out.size() > k) out.resize(k);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 namespace {
 
 /// Lazy ring walk over the single hash table: ring r (codes at distance
 /// exactly r) is enumerated only when the consumer drains past ring
-/// r-1, and once the cumulative probe count passes the same crossover
-/// the eager search uses, the remaining distances are collected in one
-/// bucketed scan.  Borrows the bucket map — the caller keeps the index
-/// alive (the segment layer pins it).
+/// r-1, and once ring r would cross the probe-count crossover the
+/// remaining distances are collected in one bucketed scan (a radius
+/// search past the crossover starts with that scan).  Borrows the
+/// bucket map — the caller keeps the index alive (the segment layer
+/// pins it).
 class HashRingFrontier : public HitFrontier {
  public:
   using BucketMap =
       std::unordered_map<BinaryCode, std::vector<ItemId>, BinaryCodeHash>;
 
   HashRingFrontier(const BucketMap* buckets, size_t code_bits,
-                   size_t num_items, const BinaryCode& query, uint32_t max_d,
-                   const CandidateSet* allowed)
+                   size_t num_items, const BinaryCode& query,
+                   const FrontierOptions& options)
       : buckets_(buckets),
         code_bits_(code_bits),
         num_items_(num_items),
         query_(query),
-        max_d_(max_d),
-        allowed_(allowed) {}
+        max_d_(options.radius.has_value()
+                   ? std::min<uint32_t>(*options.radius,
+                                        static_cast<uint32_t>(code_bits))
+                   : static_cast<uint32_t>(code_bits)),
+        allowed_(options.allowed),
+        limit_(options.limit),
+        stats_(options.stats) {
+    // A radius search decides probe vs scan once, from the probes the
+    // whole radius would cost; a k-NN walk decides ring by ring.
+    if (options.radius.has_value() && num_items_ > 0 &&
+        HammingHashTable::ProbeCount(code_bits_, *options.radius) >
+            buckets_->size() * 2) {
+      BuildTail();
+    }
+  }
 
   size_t Next(size_t n, std::vector<SearchResult>* out) override {
     size_t produced = 0;
@@ -272,34 +158,56 @@ class HashRingFrontier : public HitFrontier {
       BuildTail();
       return;
     }
+    size_t probes = 0;
+    size_t candidates = 0;
     BinaryCode scratch = query_;
     EnumerateExactRing(&scratch, r_, [&](const BinaryCode& probe) {
+      ++probes;
       auto it = buckets_->find(probe);
       if (it == buckets_->end()) return;
+      candidates += it->second.size();
       for (ItemId id : it->second) {
-        ++collected_;
         if (allowed_ != nullptr && !allowed_->Contains(id)) continue;
         ring_.push_back({id, r_});
       }
     });
+    collected_ += candidates;
     std::sort(ring_.begin(), ring_.end(), ResultLess);
+    if (stats_ != nullptr) {
+      stats_->buckets_probed += probes;
+      stats_->candidates += candidates;
+      stats_->results += ring_.size();
+    }
     ++r_;
   }
 
   /// One scan of every bucket for the remaining distances [r_, max_d_],
-  /// handed to a lazily-sorted bucket drain.
+  /// handed to a lazily-sorted distance-group drain.  A bounded walk
+  /// keeps only the `limit` nearest of them.
   void BuildTail() {
-    std::vector<std::vector<SearchResult>> tail_buckets(
-        static_cast<size_t>(max_d_) + 1);
+    std::vector<SearchResult> hits;
+    size_t candidates = 0;
     for (const auto& [code, items] : *buckets_) {
       const uint32_t d = static_cast<uint32_t>(query_.HammingDistance(code));
       if (d < r_ || d > max_d_) continue;
+      candidates += items.size();
       for (ItemId id : items) {
         if (allowed_ != nullptr && !allowed_->Contains(id)) continue;
-        tail_buckets[d].push_back({id, d});
+        hits.push_back({id, d});
       }
     }
-    tail_ = std::make_unique<DistanceBucketFrontier>(std::move(tail_buckets));
+    if (limit_ != 0 && hits.size() > limit_) {
+      std::nth_element(hits.begin(), hits.begin() + limit_, hits.end(),
+                       ResultLess);
+      hits.resize(limit_);
+      hits.shrink_to_fit();
+    }
+    if (stats_ != nullptr) {
+      stats_->buckets_probed += buckets_->size();
+      stats_->candidates += candidates;
+      stats_->results += hits.size();
+    }
+    tail_ = std::make_unique<DistanceBucketFrontier>(std::move(hits), max_d_);
   }
 
   const BucketMap* buckets_;
@@ -308,6 +216,8 @@ class HashRingFrontier : public HitFrontier {
   const BinaryCode query_;
   const uint32_t max_d_;
   const CandidateSet* allowed_;
+  const size_t limit_;
+  SearchStats* const stats_;
 
   uint32_t r_ = 0;          ///< next ring to enumerate
   size_t collected_ = 0;    ///< items found so far (pre-allowlist)
@@ -317,73 +227,12 @@ class HashRingFrontier : public HitFrontier {
   bool done_ = false;
 };
 
-/// Collapses duplicate query codes to one representative slot, runs
-/// `search_one(slot, stats_slot)` for each distinct code sharded across
-/// the pool, and fans results out to the duplicate slots.
-std::vector<std::vector<SearchResult>> DedupedBatch(
-    const std::vector<BinaryCode>& queries, ThreadPool* pool,
-    std::vector<SearchStats>* stats,
-    const std::function<std::vector<SearchResult>(size_t, SearchStats*)>&
-        search_one) {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-
-  std::unordered_map<BinaryCode, size_t, BinaryCodeHash> representative;
-  representative.reserve(queries.size());
-  std::vector<size_t> unique_slots;
-  unique_slots.reserve(queries.size());
-  std::vector<size_t> source(queries.size());  // slot -> representative slot
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] = representative.emplace(queries[i], i);
-    if (inserted) unique_slots.push_back(i);
-    source[i] = it->second;
-  }
-
-  RunSharded(unique_slots.size(), pool, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      const size_t slot = unique_slots[u];
-      out[slot] =
-          search_one(slot, stats != nullptr ? &(*stats)[slot] : nullptr);
-    }
-  });
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (source[i] == i) continue;
-    out[i] = out[source[i]];
-    if (stats != nullptr) (*stats)[i] = (*stats)[source[i]];
-  }
-  return out;
-}
-
 }  // namespace
 
 std::unique_ptr<HitFrontier> HammingHashTable::OpenFrontier(
     const BinaryCode& query, const FrontierOptions& options) const {
-  const uint32_t max_d =
-      options.radius.has_value()
-          ? std::min<uint32_t>(*options.radius,
-                               static_cast<uint32_t>(code_bits_))
-          : static_cast<uint32_t>(code_bits_);
   return std::make_unique<HashRingFrontier>(&buckets_, code_bits_, num_items_,
-                                            query, max_d, options.allowed);
-}
-
-std::vector<std::vector<SearchResult>> HammingHashTable::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return DedupedBatch(queries, pool, stats,
-                      [&](size_t slot, SearchStats* slot_stats) {
-                        return RadiusSearch(queries[slot], radius, slot_stats);
-                      });
-}
-
-std::vector<std::vector<SearchResult>> HammingHashTable::BatchKnnSearch(
-    const std::vector<BinaryCode>& queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return DedupedBatch(queries, pool, stats,
-                      [&](size_t slot, SearchStats* slot_stats) {
-                        return KnnSearch(queries[slot], k, slot_stats);
-                      });
+                                            query, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,113 +275,6 @@ Status MultiIndexHashing::Add(ItemId id, const BinaryCode& code) {
   return Status::OK();
 }
 
-std::vector<SearchResult> MultiIndexHashing::SearchSubstrings(
-    const BinaryCode& query, uint32_t radius, const CandidateSet* allowed,
-    SearchStats* stats) const {
-  SearchStats local;
-  std::vector<SearchResult> out;
-  if (codes_.empty()) {
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-  // Pigeonhole: ham(a, b) <= r implies some substring differs by at most
-  // floor(r / m).
-  const uint32_t sub_radius = radius / static_cast<uint32_t>(m_);
-
-  auto verify = [&](size_t pos) {
-    if (allowed != nullptr && !allowed->Contains(ids_[pos])) return;
-    const uint32_t d =
-        static_cast<uint32_t>(codes_[pos].HammingDistance(query));
-    if (d <= radius) out.push_back({ids_[pos], d});
-  };
-
-  // Adaptive fallback (same idea as HammingHashTable::RadiusSearch): when
-  // the mask enumeration would probe more keys than there are stored codes,
-  // a direct scan is strictly cheaper.  Without this cap, large radii on
-  // long substrings explode combinatorially (C(32, r/m) probes each).
-  size_t max_len = 0;
-  for (size_t j = 0; j < m_; ++j) {
-    size_t begin, len;
-    SubstringRange(j, &begin, &len);
-    max_len = std::max(max_len, len);
-  }
-  const size_t probes_per_table =
-      HammingHashTable::ProbeCount(max_len, sub_radius);
-  if (probes_per_table == SIZE_MAX ||
-      probes_per_table > codes_.size() + 1) {
-    for (size_t pos = 0; pos < codes_.size(); ++pos) {
-      ++local.candidates;
-      verify(pos);
-    }
-    local.buckets_probed = codes_.size();
-    std::sort(out.begin(), out.end(), ResultLess);
-    local.results = out.size();
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-
-  std::vector<bool> seen(codes_.size(), false);
-  for (size_t j = 0; j < m_; ++j) {
-    size_t begin, len;
-    SubstringRange(j, &begin, &len);
-    const uint64_t key = query.Substring(begin, len).LowWord();
-    EnumerateWithinRadius64(key, len, sub_radius, [&](uint64_t probe) {
-      ++local.buckets_probed;
-      auto it = tables_[j].find(probe);
-      if (it == tables_[j].end()) return;
-      for (uint32_t pos : it->second) {
-        if (seen[pos]) continue;
-        seen[pos] = true;
-        ++local.candidates;
-        verify(pos);
-      }
-    });
-  }
-  std::sort(out.begin(), out.end(), ResultLess);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<SearchResult> MultiIndexHashing::RadiusSearch(
-    const BinaryCode& query, uint32_t radius, SearchStats* stats) const {
-  return SearchSubstrings(query, radius, /*allowed=*/nullptr, stats);
-}
-
-std::vector<SearchResult> MultiIndexHashing::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  return SearchSubstrings(query, radius, &allowed, stats);
-}
-
-std::vector<SearchResult> MultiIndexHashing::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  SearchStats local;
-  if (k > 0) {
-    // Same whole-substring-radius expansion as KnnSearch, over the
-    // restricted search; the allowlist size bounds the retrievable set.
-    for (uint32_t radius = static_cast<uint32_t>(m_) - 1;
-         radius <= code_bits_ + m_; radius += static_cast<uint32_t>(m_)) {
-      SearchStats step;
-      const uint32_t capped =
-          std::min<uint32_t>(radius, static_cast<uint32_t>(code_bits_));
-      out = SearchSubstrings(query, capped, &allowed, &step);
-      local.buckets_probed += step.buckets_probed;
-      local.candidates += step.candidates;
-      if (out.size() >= k || out.size() == allowed.size() ||
-          capped == code_bits_) {
-        break;
-      }
-    }
-  }
-  if (out.size() > k) out.resize(k);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 namespace {
 
 /// Lazy substring-ring deepening over the multi-index tables.  Sub-ring
@@ -542,8 +284,9 @@ namespace {
 /// incrementally: after sub-ring s completes, any code at full distance
 /// D <= m*(s+1)-1 has some substring within distance floor(D/m) <= s of
 /// the query's, so it has been seen — everything parked at or below
-/// that bound is final.  Mirrors the eager path's verified-scan
-/// fallback when the enumeration would out-probe the stored codes.
+/// that bound is final.  Falls back to one verified scan when the
+/// enumeration would out-probe the stored codes, and stops deepening
+/// once the bound covers the radius.
 class SubRingFrontier : public HitFrontier {
  public:
   using Table = std::unordered_map<uint64_t, std::vector<uint32_t>>;
@@ -553,7 +296,8 @@ class SubRingFrontier : public HitFrontier {
                   const std::vector<BinaryCode>* codes, size_t m,
                   std::vector<std::pair<size_t, size_t>> ranges,
                   std::vector<uint64_t> keys, const BinaryCode& query,
-                  uint32_t max_d, const CandidateSet* allowed)
+                  uint32_t max_d, const CandidateSet* allowed,
+                  SearchStats* stats)
       : tables_(tables),
         ids_(ids),
         codes_(codes),
@@ -563,6 +307,7 @@ class SubRingFrontier : public HitFrontier {
         query_(query),
         max_d_(max_d),
         allowed_(allowed),
+        stats_(stats),
         seen_(codes->size(), false) {
     for (const auto& [begin, len] : ranges_) {
       max_len_ = std::max(max_len_, len);
@@ -589,13 +334,15 @@ class SubRingFrontier : public HitFrontier {
  private:
   void DeepenOneSubRing() {
     if (seen_count_ == codes_->size() ||
-        s_ > static_cast<uint32_t>(max_len_)) {
+        s_ > static_cast<uint32_t>(max_len_) ||
+        safe_bound_ >= static_cast<int64_t>(max_d_)) {
       done_deepening_ = true;
       return;
     }
     const size_t probes = HammingHashTable::ProbeCount(max_len_, s_);
     if (probes == SIZE_MAX || probes > codes_->size() + 1) {
       // Verified scan of everything not yet seen; completes discovery.
+      if (stats_ != nullptr) stats_->buckets_probed += codes_->size();
       for (size_t pos = 0; pos < codes_->size(); ++pos) {
         if (seen_[pos]) continue;
         seen_[pos] = true;
@@ -609,6 +356,7 @@ class SubRingFrontier : public HitFrontier {
       const auto [begin, len] = ranges_[j];
       if (s_ > len) continue;
       EnumerateExactRing64(keys_[j], len, s_, [&](uint64_t probe) {
+        if (stats_ != nullptr) ++stats_->buckets_probed;
         auto it = (*tables_)[j].find(probe);
         if (it == (*tables_)[j].end()) return;
         for (uint32_t pos : it->second) {
@@ -624,10 +372,13 @@ class SubRingFrontier : public HitFrontier {
   }
 
   void Verify(size_t pos) {
+    if (stats_ != nullptr) ++stats_->candidates;
     if (allowed_ != nullptr && !allowed_->Contains((*ids_)[pos])) return;
     const uint32_t d =
         static_cast<uint32_t>((*codes_)[pos].HammingDistance(query_));
-    if (d <= max_d_) pending_.push({(*ids_)[pos], d});
+    if (d > max_d_) return;
+    pending_.push({(*ids_)[pos], d});
+    if (stats_ != nullptr) ++stats_->results;
   }
 
   const std::vector<Table>* tables_;
@@ -639,6 +390,7 @@ class SubRingFrontier : public HitFrontier {
   const BinaryCode query_;
   const uint32_t max_d_;
   const CandidateSet* allowed_;
+  SearchStats* const stats_;
 
   size_t max_len_ = 0;
   std::vector<bool> seen_;
@@ -670,32 +422,8 @@ std::unique_ptr<HitFrontier> MultiIndexHashing::OpenFrontier(
   }
   return std::make_unique<SubRingFrontier>(&tables_, &ids_, &codes_, m_,
                                            std::move(ranges), std::move(keys),
-                                           query, max_d, options.allowed);
-}
-
-std::vector<SearchResult> MultiIndexHashing::KnnSearch(
-    const BinaryCode& query, size_t k, SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  SearchStats local;
-  // Expand by whole substring-radius steps (radius grows by m each step,
-  // the granularity at which the candidate set changes).
-  for (uint32_t radius = static_cast<uint32_t>(m_) - 1; radius <= code_bits_ + m_;
-       radius += static_cast<uint32_t>(m_)) {
-    SearchStats step;
-    const uint32_t capped =
-        std::min<uint32_t>(radius, static_cast<uint32_t>(code_bits_));
-    out = RadiusSearch(query, capped, &step);
-    local.buckets_probed += step.buckets_probed;
-    local.candidates += step.candidates;
-    if (out.size() >= k || out.size() == codes_.size() ||
-        capped == code_bits_) {
-      break;
-    }
-  }
-  if (out.size() > k) out.resize(k);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
+                                           query, max_d, options.allowed,
+                                           options.stats);
 }
 
 }  // namespace agoraeo::index

@@ -14,48 +14,22 @@ namespace agoraeo::index {
 /// retrieval probes "all images in the hash buckets that are within a
 /// small hamming radius of the query image".
 ///
-/// Radius-r lookup enumerates every code at distance <= r from the query
-/// (sum of C(bits, i) probes).  Because that blows up for larger radii,
-/// the implementation switches to scanning the non-empty buckets when
-/// they are fewer than the probe count — the behaviour stays exact, and
-/// experiment E3 charts the crossover.
+/// Lookup walks probe rings outward from the query code (ring r holds
+/// the C(bits, r) codes at distance exactly r).  Because that blows up
+/// for larger radii, a radius search whose sum of C(bits, i) probes
+/// exceeds twice the non-empty bucket count scans the buckets instead,
+/// decided up front — the behaviour stays exact, and experiment E3
+/// charts the crossover.
 class HammingHashTable : public HammingIndex {
  public:
   Status Add(ItemId id, const BinaryCode& code) override;
-  std::vector<SearchResult> RadiusSearch(const BinaryCode& query,
-                                         uint32_t radius,
-                                         SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(const BinaryCode& query, size_t k,
-                                      SearchStats* stats = nullptr) const override;
-
-  /// Batch searches that first collapse duplicate query codes (a
-  /// common shape for production batches over clustered codes): each
-  /// distinct code is probed once, sharded across the pool, and its
-  /// result is fanned out to every batch slot that asked for it.
-  std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearch(
-      const std::vector<BinaryCode>& queries, size_t k,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-
-  /// Restricted searches probe buckets exactly like the unrestricted
-  /// ones but admit only allowlisted ids; the restricted k-NN stops its
-  /// radius expansion as soon as the allowlist is exhausted.
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
 
   /// Lazy ranked access: walks probe rings outward (exact-distance mask
-  /// enumeration per ring), switching to one bucketed scan of the
-  /// remaining distances at the same probe-count crossover the eager
-  /// search uses.  Ring r is only enumerated when the consumer drains
-  /// past distance r-1.
+  /// enumeration per ring) and switches to one bucketed scan of the
+  /// remaining distances once the next ring would cross the probe-count
+  /// crossover; a radius search past the crossover scans from the
+  /// start.  Ring r is only enumerated when the consumer drains past
+  /// distance r-1.  Restricted walks admit only allowlisted ids.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
 
@@ -69,13 +43,6 @@ class HammingHashTable : public HammingIndex {
   static size_t ProbeCount(size_t bits, uint32_t radius);
 
  private:
-  /// Shared body of RadiusSearch / RadiusSearchIn (`allowed == nullptr`
-  /// means unrestricted).
-  std::vector<SearchResult> SearchBuckets(const BinaryCode& query,
-                                          uint32_t radius,
-                                          const CandidateSet* allowed,
-                                          SearchStats* stats) const;
-
   std::unordered_map<BinaryCode, std::vector<ItemId>, BinaryCodeHash> buckets_;
   size_t code_bits_ = 0;
   size_t num_items_ = 0;
@@ -96,23 +63,12 @@ class MultiIndexHashing : public HammingIndex {
       : m_(num_substrings) {}
 
   Status Add(ItemId id, const BinaryCode& code) override;
-  std::vector<SearchResult> RadiusSearch(const BinaryCode& query,
-                                         uint32_t radius,
-                                         SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(const BinaryCode& query, size_t k,
-                                      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
   /// Lazy ranked access: deepens the per-table substring probe rings one
   /// sub-distance at a time (each candidate verified against the full
   /// code once), releasing hits as soon as the pigeonhole bound proves
   /// them complete — after sub-ring s every code within full distance
   /// m·(s+1)-1 has been seen.  Falls back to one verified scan when the
-  /// enumeration would out-probe the stored codes, like the eager path.
+  /// enumeration would out-probe the stored codes.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
   size_t size() const override { return ids_.size(); }
@@ -123,13 +79,6 @@ class MultiIndexHashing : public HammingIndex {
  private:
   /// Bit range of substring j (balanced split).
   void SubstringRange(size_t j, size_t* begin, size_t* len) const;
-
-  /// Shared body of RadiusSearch / RadiusSearchIn (`allowed == nullptr`
-  /// means unrestricted).
-  std::vector<SearchResult> SearchSubstrings(const BinaryCode& query,
-                                             uint32_t radius,
-                                             const CandidateSet* allowed,
-                                             SearchStats* stats) const;
 
   size_t m_;
   size_t code_bits_ = 0;

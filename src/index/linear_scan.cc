@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <functional>
 #include <queue>
 
-#include "common/thread_pool.h"
 #include "index/batch_util.h"
 #include "index/frontier.h"
 
@@ -69,23 +67,22 @@ namespace {
 /// buffer handed to the kernel.
 constexpr size_t kCodeBlock = 256;
 
-/// Widens queries [begin, end) to the row stride with zero tails (zero
-/// XOR zero contributes nothing), row-major in one aligned buffer, so
-/// each kernel call reads a pattern shaped exactly like the rows.
-simd::AlignedWordBuffer PadQueries(const std::vector<BinaryCode>& queries,
-                                   size_t begin, size_t end, size_t stride) {
-  simd::AlignedWordBuffer padded((end - begin) * stride, 0);
-  for (size_t q = begin; q < end; ++q) {
+/// Widens `queries` to the row stride with zero tails (zero XOR zero
+/// contributes nothing), row-major in one aligned buffer, so each
+/// kernel call reads a pattern shaped exactly like the rows.
+simd::AlignedWordBuffer PadQueries(std::span<const BinaryCode> queries,
+                                   size_t stride) {
+  simd::AlignedWordBuffer padded(queries.size() * stride, 0);
+  for (size_t q = 0; q < queries.size(); ++q) {
     const std::vector<uint64_t>& words = queries[q].words();
-    std::copy(words.begin(), words.end(),
-              padded.begin() + (q - begin) * stride);
+    std::copy(words.begin(), words.end(), padded.begin() + q * stride);
   }
   return padded;
 }
 
 /// Sorted-insert into a top-k buffer ordered by (distance, id).  The
 /// buffer's worst element bounds admission once full, which preserves
-/// the exact single-query result under any scan order.
+/// the exact result under any scan order.
 inline void TopKInsert(std::vector<SearchResult>* best, size_t k,
                        const SearchResult& candidate) {
   if (best->size() >= k) {
@@ -97,303 +94,172 @@ inline void TopKInsert(std::vector<SearchResult>* best, size_t k,
       candidate);
 }
 
+/// The farthest distance a frontier opened with `options` can emit.
+uint32_t MaxDistance(const FrontierOptions& options, size_t code_bits) {
+  const uint32_t bits = static_cast<uint32_t>(code_bits);
+  return options.radius.has_value() ? std::min(*options.radius, bits) : bits;
+}
+
+/// Wraps one query's collected hits into its frontier: a bounded scan's
+/// sorted top-`limit` list as is, an unbounded scan's hits in
+/// per-distance buckets sorted only as the consumer reaches them.
+std::unique_ptr<HitFrontier> FinishScan(std::vector<SearchResult> hits,
+                                        const FrontierOptions& options,
+                                        size_t code_bits, size_t candidates) {
+  if (options.stats != nullptr) {
+    options.stats->candidates += candidates;
+    options.stats->results += hits.size();
+  }
+  if (options.limit != 0) {
+    return std::make_unique<MaterializedFrontier>(std::move(hits));
+  }
+  return std::make_unique<DistanceBucketFrontier>(
+      std::move(hits), MaxDistance(options, code_bits));
+}
+
+/// The hottest row loop, kept out of line: inlined into BlockedOpen
+/// its speed swung by up to 2x with the surrounding code's layout.
+[[gnu::noinline]] void AppendWithin(const uint32_t* dist, const ItemId* ids,
+                                    size_t count, uint32_t max_d,
+                                    std::vector<SearchResult>* hits) {
+  for (size_t j = 0; j < count; ++j) {
+    if (dist[j] <= max_d) hits->push_back({ids[j], dist[j]});
+  }
+}
+
 }  // namespace
 
-std::vector<SearchResult> LinearScanIndex::RadiusSearch(
-    const BinaryCode& query, uint32_t radius, SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  if (!ids_.empty()) {
-    assert(query.words().size() == words_per_code_);
-    const simd::HammingKernel* kernel = simd::ActiveKernel();
-    simd::CountDispatch(kernel);
-    simd::AlignedWordBuffer qpad(stride_, 0);
-    std::copy(query.words().begin(), query.words().end(), qpad.begin());
+void LinearScanIndex::BlockedOpen(std::span<const BinaryCode> queries,
+                                  const FrontierOptions& options,
+                                  const simd::HammingKernel* kernel,
+                                  std::unique_ptr<HitFrontier>* out) const {
+  const uint32_t max_d = MaxDistance(options, code_bits_);
+  const size_t limit = options.limit;
+  std::vector<std::vector<SearchResult>> hits(queries.size());
+  size_t candidates = 0;
+  if (options.allowed != nullptr) {
+    candidates = MaskedScan(queries, options, kernel, &hits);
+  } else if (!ids_.empty()) {
+    candidates = ids_.size();
+    if (limit == 0 && max_d >= code_bits_) {
+      // A full ranking keeps every row.
+      for (std::vector<SearchResult>& list : hits) list.reserve(ids_.size());
+    }
+    const simd::AlignedWordBuffer padded = PadQueries(queries, stride_);
     alignas(64) uint32_t dist[kCodeBlock];
     for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
       const size_t count = std::min(ids_.size() - block, kCodeBlock);
-      kernel->batch(flat_words_.data() + block * stride_, count, stride_,
-                    qpad.data(), dist);
-      for (size_t j = 0; j < count; ++j) {
-        if (dist[j] <= radius) out.push_back({ids_[block + j], dist[j]});
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(), ResultLess);
-  if (stats != nullptr) {
-    stats->buckets_probed = 0;
-    stats->candidates = ids_.size();
-    stats->results = out.size();
-  }
-  return out;
-}
-
-std::vector<SearchResult> LinearScanIndex::KnnSearch(const BinaryCode& query,
-                                                     size_t k,
-                                                     SearchStats* stats) const {
-  std::vector<SearchResult> best;
-  if (k != 0 && !ids_.empty()) {
-    assert(query.words().size() == words_per_code_);
-    const simd::HammingKernel* kernel = simd::ActiveKernel();
-    simd::CountDispatch(kernel);
-    simd::AlignedWordBuffer qpad(stride_, 0);
-    std::copy(query.words().begin(), query.words().end(), qpad.begin());
-    alignas(64) uint32_t dist[kCodeBlock];
-    for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
-      const size_t count = std::min(ids_.size() - block, kCodeBlock);
-      kernel->batch(flat_words_.data() + block * stride_, count, stride_,
-                    qpad.data(), dist);
-      for (size_t j = 0; j < count; ++j) {
-        TopKInsert(&best, k, {ids_[block + j], dist[j]});
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->buckets_probed = 0;
-    stats->candidates = ids_.size();
-    stats->results = best.size();
-  }
-  return best;
-}
-
-void LinearScanIndex::BlockedRadiusShard(
-    const std::vector<BinaryCode>& queries, size_t query_begin,
-    size_t query_end, uint32_t radius, const simd::HammingKernel* kernel,
-    std::vector<std::vector<SearchResult>>* out,
-    std::vector<SearchStats>* stats) const {
-  const simd::AlignedWordBuffer padded =
-      PadQueries(queries, query_begin, query_end, stride_);
-  alignas(64) uint32_t dist[kCodeBlock];
-  for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
-    const size_t count = std::min(ids_.size() - block, kCodeBlock);
-    const uint64_t* rows = flat_words_.data() + block * stride_;
-    for (size_t q = query_begin; q < query_end; ++q) {
-      kernel->batch(rows, count, stride_,
-                    padded.data() + (q - query_begin) * stride_, dist);
-      std::vector<SearchResult>& hits = (*out)[q];
-      for (size_t j = 0; j < count; ++j) {
-        if (dist[j] <= radius) hits.push_back({ids_[block + j], dist[j]});
-      }
-    }
-  }
-  for (size_t q = query_begin; q < query_end; ++q) {
-    std::sort((*out)[q].begin(), (*out)[q].end(), ResultLess);
-    if (stats != nullptr) {
-      (*stats)[q].candidates = ids_.size();
-      (*stats)[q].results = (*out)[q].size();
-    }
-  }
-}
-
-void LinearScanIndex::BlockedKnnShard(
-    const std::vector<BinaryCode>& queries, size_t query_begin,
-    size_t query_end, size_t k, const simd::HammingKernel* kernel,
-    std::vector<std::vector<SearchResult>>* out,
-    std::vector<SearchStats>* stats) const {
-  if (k == 0) {
-    if (stats != nullptr) {
-      for (size_t q = query_begin; q < query_end; ++q) {
-        (*stats)[q].candidates = ids_.size();
-      }
-    }
-    return;
-  }
-  const simd::AlignedWordBuffer padded =
-      PadQueries(queries, query_begin, query_end, stride_);
-  alignas(64) uint32_t dist[kCodeBlock];
-  for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
-    const size_t count = std::min(ids_.size() - block, kCodeBlock);
-    const uint64_t* rows = flat_words_.data() + block * stride_;
-    for (size_t q = query_begin; q < query_end; ++q) {
-      kernel->batch(rows, count, stride_,
-                    padded.data() + (q - query_begin) * stride_, dist);
-      std::vector<SearchResult>& best = (*out)[q];
-      for (size_t j = 0; j < count; ++j) {
-        TopKInsert(&best, k, {ids_[block + j], dist[j]});
-      }
-    }
-  }
-  if (stats != nullptr) {
-    for (size_t q = query_begin; q < query_end; ++q) {
-      (*stats)[q].candidates = ids_.size();
-      (*stats)[q].results = (*out)[q].size();
-    }
-  }
-}
-
-std::vector<std::vector<SearchResult>> LinearScanIndex::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  const simd::HammingKernel* kernel = simd::ActiveKernel();
-  if (!queries.empty() && !ids_.empty()) simd::CountDispatch(kernel);
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    BlockedRadiusShard(queries, begin, end, radius, kernel, &out, stats);
-  });
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> LinearScanIndex::BatchKnnSearch(
-    const std::vector<BinaryCode>& queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  std::vector<std::vector<SearchResult>> out(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
-  const simd::HammingKernel* kernel = simd::ActiveKernel();
-  if (!queries.empty() && !ids_.empty()) simd::CountDispatch(kernel);
-  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
-    BlockedKnnShard(queries, begin, end, k, kernel, &out, stats);
-  });
-  return out;
-}
-
-std::vector<SearchResult> LinearScanIndex::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  std::vector<SearchResult> out;
-  SearchStats local;
-  const size_t wpc = words_per_code_;
-  const uint64_t* qw = query.words().data();
-  const simd::HammingKernel* kernel = simd::ActiveKernel();
-  if (!ids_.empty() && allowed.size() != 0) simd::CountDispatch(kernel);
-  // Sparse allowlists pay |allowed| hash lookups + pair distances; dense
-  // ones are cheaper staged through the blocked batch kernel with a
-  // membership check.
-  if (allowed.size() * 4 < ids_.size()) {
-    for (ItemId id : allowed.ids()) {
-      auto it = pos_by_id_.find(id);
-      if (it == pos_by_id_.end()) continue;
-      ++local.candidates;
-      const uint32_t d = static_cast<uint32_t>(
-          kernel->pair(flat_words_.data() + it->second * stride_, qw, wpc));
-      if (d <= radius) out.push_back({id, d});
-    }
-  } else if (!ids_.empty()) {
-    simd::AlignedWordBuffer qpad(stride_, 0);
-    std::copy(query.words().begin(), query.words().end(), qpad.begin());
-    // Allowed rows are gathered into a contiguous staging block so the
-    // batch kernel still sees dense aligned rows despite the filter.
-    simd::AlignedWordBuffer stage(kCodeBlock * stride_);
-    size_t staged_rows[kCodeBlock];
-    alignas(64) uint32_t dist[kCodeBlock];
-    size_t count = 0;
-    auto flush = [&] {
-      kernel->batch(stage.data(), count, stride_, qpad.data(), dist);
-      for (size_t j = 0; j < count; ++j) {
-        if (dist[j] <= radius) out.push_back({ids_[staged_rows[j]], dist[j]});
-      }
-      count = 0;
-    };
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      if (!allowed.Contains(ids_[i])) continue;
-      ++local.candidates;
-      std::memcpy(stage.data() + count * stride_,
-                  flat_words_.data() + i * stride_,
-                  stride_ * sizeof(uint64_t));
-      staged_rows[count++] = i;
-      if (count == kCodeBlock) flush();
-    }
-    if (count > 0) flush();
-  }
-  std::sort(out.begin(), out.end(), ResultLess);
-  local.results = out.size();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<SearchResult> LinearScanIndex::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  std::vector<SearchResult> best;  // sorted top-k under (distance, id)
-  SearchStats local;
-  if (k == 0) {
-    if (stats != nullptr) *stats = local;
-    return best;
-  }
-  const size_t wpc = words_per_code_;
-  const uint64_t* qw = query.words().data();
-  const simd::HammingKernel* kernel = simd::ActiveKernel();
-  if (!ids_.empty() && allowed.size() != 0) simd::CountDispatch(kernel);
-  if (allowed.size() * 4 < ids_.size()) {
-    for (ItemId id : allowed.ids()) {
-      auto it = pos_by_id_.find(id);
-      if (it == pos_by_id_.end()) continue;
-      ++local.candidates;
-      const uint32_t d = static_cast<uint32_t>(
-          kernel->pair(flat_words_.data() + it->second * stride_, qw, wpc));
-      TopKInsert(&best, k, {id, d});
-    }
-  } else if (!ids_.empty()) {
-    simd::AlignedWordBuffer qpad(stride_, 0);
-    std::copy(query.words().begin(), query.words().end(), qpad.begin());
-    simd::AlignedWordBuffer stage(kCodeBlock * stride_);
-    size_t staged_rows[kCodeBlock];
-    alignas(64) uint32_t dist[kCodeBlock];
-    size_t count = 0;
-    auto flush = [&] {
-      kernel->batch(stage.data(), count, stride_, qpad.data(), dist);
-      for (size_t j = 0; j < count; ++j) {
-        TopKInsert(&best, k, {ids_[staged_rows[j]], dist[j]});
-      }
-      count = 0;
-    };
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      if (!allowed.Contains(ids_[i])) continue;
-      ++local.candidates;
-      std::memcpy(stage.data() + count * stride_,
-                  flat_words_.data() + i * stride_,
-                  stride_ * sizeof(uint64_t));
-      staged_rows[count++] = i;
-      if (count == kCodeBlock) flush();
-    }
-    if (count > 0) flush();
-  }
-  local.results = best.size();
-  if (stats != nullptr) *stats = local;
-  return best;
-}
-
-std::unique_ptr<HitFrontier> LinearScanIndex::OpenFrontier(
-    const BinaryCode& query, const FrontierOptions& options) const {
-  const uint32_t max_d =
-      options.radius.has_value()
-          ? std::min<uint32_t>(*options.radius,
-                               static_cast<uint32_t>(code_bits_))
-          : static_cast<uint32_t>(code_bits_);
-  std::vector<std::vector<SearchResult>> buckets;
-  const CandidateSet* allowed = options.allowed;
-  if (!ids_.empty() && (allowed == nullptr || !allowed->empty())) {
-    assert(query.words().size() == words_per_code_);
-    buckets.resize(static_cast<size_t>(max_d) + 1);
-    const simd::HammingKernel* kernel = simd::ActiveKernel();
-    simd::CountDispatch(kernel);
-    if (allowed != nullptr && allowed->size() * 4 < ids_.size()) {
-      // Sparse allowlist: pair distances for just the allowed rows.
-      const uint64_t* qw = query.words().data();
-      for (ItemId id : allowed->ids()) {
-        auto it = pos_by_id_.find(id);
-        if (it == pos_by_id_.end()) continue;
-        const uint32_t d = static_cast<uint32_t>(kernel->pair(
-            flat_words_.data() + it->second * stride_, qw, words_per_code_));
-        if (d <= max_d) buckets[d].push_back({id, d});
-      }
-    } else {
-      simd::AlignedWordBuffer qpad(stride_, 0);
-      std::copy(query.words().begin(), query.words().end(), qpad.begin());
-      alignas(64) uint32_t dist[kCodeBlock];
-      for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
-        const size_t count = std::min(ids_.size() - block, kCodeBlock);
-        kernel->batch(flat_words_.data() + block * stride_, count, stride_,
-                      qpad.data(), dist);
-        for (size_t j = 0; j < count; ++j) {
-          if (dist[j] > max_d) continue;
-          const ItemId id = ids_[block + j];
-          if (allowed != nullptr && !allowed->Contains(id)) continue;
-          buckets[dist[j]].push_back({id, dist[j]});
+      const uint64_t* rows = flat_words_.data() + block * stride_;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        kernel->batch(rows, count, stride_, padded.data() + q * stride_, dist);
+        // Bounded and unbounded scans get separate row loops: a branch
+        // on the bound inside the loop costs more than the compare.
+        std::vector<SearchResult>& list = hits[q];
+        if (limit == 0) {
+          AppendWithin(dist, ids_.data() + block, count, max_d, &list);
+        } else {
+          for (size_t j = 0; j < count; ++j) {
+            if (dist[j] <= max_d) {
+              TopKInsert(&list, limit, {ids_[block + j], dist[j]});
+            }
+          }
         }
       }
     }
   }
-  return std::make_unique<DistanceBucketFrontier>(std::move(buckets));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    out[q] = FinishScan(std::move(hits[q]), options, code_bits_, candidates);
+  }
+}
+
+size_t LinearScanIndex::MaskedScan(
+    std::span<const BinaryCode> queries, const FrontierOptions& options,
+    const simd::HammingKernel* kernel,
+    std::vector<std::vector<SearchResult>>* hits) const {
+  const CandidateSet& allowed = *options.allowed;
+  if (ids_.empty() || allowed.empty()) return 0;
+  const uint32_t max_d = MaxDistance(options, code_bits_);
+  const size_t limit = options.limit;
+  size_t candidates = 0;
+  const simd::AlignedWordBuffer padded = PadQueries(queries, stride_);
+  alignas(64) uint32_t dist[kCodeBlock];
+  bool keep[kCodeBlock];
+  for (size_t block = 0; block < ids_.size(); block += kCodeBlock) {
+    const size_t count = std::min(ids_.size() - block, kCodeBlock);
+    // One membership test per row, shared by every query.
+    size_t kept = 0;
+    for (size_t j = 0; j < count; ++j) {
+      keep[j] = allowed.Contains(ids_[block + j]);
+      kept += keep[j] ? 1 : 0;
+    }
+    if (kept == 0) continue;
+    candidates += kept;
+    const uint64_t* rows = flat_words_.data() + block * stride_;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      kernel->batch(rows, count, stride_, padded.data() + q * stride_, dist);
+      std::vector<SearchResult>& list = (*hits)[q];
+      for (size_t j = 0; j < count; ++j) {
+        if (!keep[j] || dist[j] > max_d) continue;
+        if (limit == 0) {
+          list.push_back({ids_[block + j], dist[j]});
+        } else {
+          TopKInsert(&list, limit, {ids_[block + j], dist[j]});
+        }
+      }
+    }
+  }
+  return candidates;
+}
+
+std::unique_ptr<HitFrontier> LinearScanIndex::OpenFrontier(
+    const BinaryCode& query, const FrontierOptions& options) const {
+  const CandidateSet* allowed = options.allowed;
+  const simd::HammingKernel* kernel = simd::ActiveKernel();
+  if (!ids_.empty() && (allowed == nullptr || !allowed->empty())) {
+    assert(query.words().size() == words_per_code_);
+    simd::CountDispatch(kernel);
+  }
+  if (SparseAllowlist(allowed)) {
+    // Pair distances for just the allowed rows.
+    const uint32_t max_d = MaxDistance(options, code_bits_);
+    std::vector<SearchResult> hits;
+    size_t candidates = 0;
+    const uint64_t* qw = query.words().data();
+    for (ItemId id : allowed->ids()) {
+      auto it = pos_by_id_.find(id);
+      if (it == pos_by_id_.end()) continue;
+      ++candidates;
+      const uint32_t d = static_cast<uint32_t>(kernel->pair(
+          flat_words_.data() + it->second * stride_, qw, words_per_code_));
+      if (d > max_d) continue;
+      if (options.limit != 0) {
+        TopKInsert(&hits, options.limit, {id, d});
+      } else {
+        hits.push_back({id, d});
+      }
+    }
+    return FinishScan(std::move(hits), options, code_bits_, candidates);
+  }
+  std::unique_ptr<HitFrontier> out;
+  BlockedOpen(std::span<const BinaryCode>(&query, 1), options, kernel, &out);
+  return out;
+}
+
+std::vector<std::unique_ptr<HitFrontier>> LinearScanIndex::OpenFrontiers(
+    const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+    ThreadPool* pool) const {
+  assert(options.stats == nullptr);
+  if (SparseAllowlist(options.allowed)) {
+    return HammingIndex::OpenFrontiers(queries, options, pool);
+  }
+  std::vector<std::unique_ptr<HitFrontier>> out(queries.size());
+  const simd::HammingKernel* kernel = simd::ActiveKernel();
+  if (!queries.empty() && !ids_.empty()) simd::CountDispatch(kernel);
+  RunSharded(queries.size(), pool, [&](size_t begin, size_t end) {
+    BlockedOpen(std::span<const BinaryCode>(queries).subspan(begin, end - begin),
+                options, kernel, out.data() + begin);
+  });
+  return out;
 }
 
 void FloatLinearScan::Add(ItemId id, const Tensor& vec) {

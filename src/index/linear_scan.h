@@ -1,6 +1,7 @@
 #ifndef AGORAEO_INDEX_LINEAR_SCAN_H_
 #define AGORAEO_INDEX_LINEAR_SCAN_H_
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,57 +29,48 @@ class LinearScanIndex : public HammingIndex {
   Status BatchAdd(const std::vector<ItemId>& ids,
                   const std::vector<BinaryCode>& codes,
                   ThreadPool* pool = nullptr) override;
-  std::vector<SearchResult> RadiusSearch(const BinaryCode& query,
-                                         uint32_t radius,
-                                         SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(const BinaryCode& query, size_t k,
-                                      SearchStats* stats = nullptr) const override;
-
-  /// Cache-blocked batch scan: queries are sharded across the pool, and
-  /// each shard walks the code array in blocks so one block of codes
-  /// stays cache-resident while it serves every query of the shard.
-  std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearch(
-      const std::vector<BinaryCode>& queries, size_t k,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-
-  /// Candidate-driven restricted searches: for a selective allowlist the
-  /// scan touches only the allowed items' codes (O(|allowed|) popcounts
-  /// instead of O(n)); a dense allowlist falls back to the full scan
-  /// with a membership check.
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
 
   /// Lazy ranked access: one blocked kernel pass at open computes every
-  /// (allowed) distance into per-distance buckets; buckets are id-sorted
-  /// and drained only as far as the consumer actually pulls, so a page
-  /// of near hits never pays for ordering the far tail.
+  /// (allowed) distance.  Unbounded frontiers park the hits in
+  /// per-distance buckets that are id-sorted and drained only as far
+  /// as the consumer pulls, so a page of near hits never pays for
+  /// ordering the far tail; bounded ones keep a sorted top-`limit`
+  /// list.  A selective allowlist is scanned row by row (O(|allowed|)
+  /// popcounts instead of O(n)); a dense one takes the full blocked
+  /// pass with a membership check.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
+
+  /// Cache-blocked batch open: queries are sharded across the pool, and
+  /// each shard walks the code array in blocks so one block of codes
+  /// stays cache-resident while it serves every query of the shard.
+  std::vector<std::unique_ptr<HitFrontier>> OpenFrontiers(
+      const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+      ThreadPool* pool = nullptr) const override;
 
   size_t size() const override { return ids_.size(); }
   std::string Name() const override { return "LinearScan"; }
 
  private:
-  /// Runs the blocked kernel for queries [query_begin, query_end).
-  void BlockedRadiusShard(const std::vector<BinaryCode>& queries,
-                          size_t query_begin, size_t query_end,
-                          uint32_t radius, const simd::HammingKernel* kernel,
-                          std::vector<std::vector<SearchResult>>* out,
-                          std::vector<SearchStats>* stats) const;
-  void BlockedKnnShard(const std::vector<BinaryCode>& queries,
-                       size_t query_begin, size_t query_end, size_t k,
-                       const simd::HammingKernel* kernel,
-                       std::vector<std::vector<SearchResult>>* out,
-                       std::vector<SearchStats>* stats) const;
+  /// Whether `allowed` is selective enough to scan row by row.
+  bool SparseAllowlist(const CandidateSet* allowed) const {
+    return allowed != nullptr && allowed->size() * 4 < ids_.size();
+  }
+
+  /// Opens one frontier per query of `queries` from one blocked pass
+  /// over the code array, writing them to `out` in query order.
+  void BlockedOpen(std::span<const BinaryCode> queries,
+                   const FrontierOptions& options,
+                   const simd::HammingKernel* kernel,
+                   std::unique_ptr<HitFrontier>* out) const;
+
+  /// BlockedOpen's pass for a dense allowlist: rows are masked once per
+  /// block, and each query collects its allowed hits into `hits`.
+  /// Returns the number of allowed rows scanned.
+  size_t MaskedScan(std::span<const BinaryCode> queries,
+                    const FrontierOptions& options,
+                    const simd::HammingKernel* kernel,
+                    std::vector<std::vector<SearchResult>>* hits) const;
 
   std::vector<ItemId> ids_;
   /// ItemId -> row position, for the candidate-driven restricted scans

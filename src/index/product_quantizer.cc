@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "index/frontier.h"
+
 namespace agoraeo::index {
 
 namespace {
@@ -225,7 +227,12 @@ void TwoStageRetriever::AddFeature(ItemId id, const Tensor& feature) {
 std::vector<FloatSearchResult> TwoStageRetriever::Search(
     const BinaryCode& query_code, const Tensor& query_feature, size_t k,
     size_t shortlist) const {
-  const auto stage1 = hamming_->KnnSearch(query_code, shortlist);
+  FrontierOptions options;
+  options.limit = shortlist;
+  const std::vector<SearchResult> stage1 =
+      shortlist == 0 ? std::vector<SearchResult>{}
+                     : Drain(*hamming_->OpenFrontier(query_code, options),
+                             shortlist);
   std::vector<FloatSearchResult> reranked;
   reranked.reserve(stage1.size());
   for (const SearchResult& hit : stage1) {

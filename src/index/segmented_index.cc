@@ -6,15 +6,6 @@
 
 namespace agoraeo::index {
 
-namespace {
-
-void AccumulateStats(const SearchStats& part, SearchStats* total) {
-  total->buckets_probed += part.buckets_probed;
-  total->candidates += part.candidates;
-}
-
-}  // namespace
-
 SegmentedHammingIndex::SegmentedHammingIndex(SegmentFactory factory,
                                              size_t seal_threshold,
                                              size_t compact_threshold)
@@ -139,197 +130,38 @@ Status SegmentedHammingIndex::BatchAdd(const std::vector<ItemId>& ids,
   return Status::OK();
 }
 
-std::vector<SearchResult> SegmentedHammingIndex::GatherSegments(
-    size_t k, SearchStats* stats,
-    const std::function<std::vector<SearchResult>(const HammingIndex&,
-                                                  SearchStats*)>&
-        query_segment) const {
-  if (stats != nullptr) *stats = SearchStats{};
-  std::vector<std::vector<SearchResult>> per_segment;
-  std::shared_ptr<const SegmentList> sealed;
-  {
-    // Pin the view: the sealed list is loaded in the same critical
-    // section the mutable tail is queried in, so a concurrent seal
-    // cannot make an item appear in both (or neither).
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sealed = sealed_.load();
-    if (mutable_->size() > 0) {
-      SearchStats seg_stats;
-      per_segment.push_back(
-          query_segment(*mutable_, stats != nullptr ? &seg_stats : nullptr));
-      if (stats != nullptr) AccumulateStats(seg_stats, stats);
-    }
-  }
-  // The bulk of the data: sealed segments, scanned with no lock held.
-  per_segment.reserve(per_segment.size() + sealed->size());
-  for (const auto& segment : *sealed) {
-    SearchStats seg_stats;
-    per_segment.push_back(query_segment(*segment.index,
-                                        stats != nullptr ? &seg_stats : nullptr));
-    if (stats != nullptr) AccumulateStats(seg_stats, stats);
-  }
-  std::vector<SearchResult> out = MergeHitLists(&per_segment, k);
-  if (stats != nullptr) stats->results = out.size();
-  return out;
+std::shared_ptr<const SegmentedHammingIndex::SegmentList>
+SegmentedHammingIndex::PinSegments(
+    const std::function<void(const HammingIndex&)>& open_mutable) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  if (mutable_->size() > 0) open_mutable(*mutable_);
+  return sealed_.load();
 }
 
-std::vector<SearchResult> SegmentedHammingIndex::RadiusSearch(
-    const BinaryCode& query, uint32_t radius, SearchStats* stats) const {
-  return GatherSegments(
-      0, stats, [&](const HammingIndex& segment, SearchStats* seg_stats) {
-        return segment.RadiusSearch(query, radius, seg_stats);
-      });
+namespace {
+
+/// Snapshots a mutable-segment frontier: the segment keeps changing
+/// after the lock drops, so its hits (at most `limit` of them) are
+/// drained up front.  The tail is small by construction (it seals at
+/// seal_threshold).
+std::unique_ptr<HitFrontier> SnapshotTail(std::unique_ptr<HitFrontier> live,
+                                          size_t limit) {
+  return std::make_unique<MaterializedFrontier>(
+      Drain(*live, limit == 0 ? SIZE_MAX : limit));
 }
 
-std::vector<SearchResult> SegmentedHammingIndex::KnnSearch(
-    const BinaryCode& query, size_t k, SearchStats* stats) const {
-  return GatherSegments(
-      k, stats, [&](const HammingIndex& segment, SearchStats* seg_stats) {
-        return segment.KnnSearch(query, k, seg_stats);
-      });
-}
-
-std::vector<SearchResult> SegmentedHammingIndex::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  // Segments are time-partitioned, not id-routed, so the allowlist
-  // cannot be split — each segment filters against the full set.
-  return GatherSegments(
-      0, stats, [&](const HammingIndex& segment, SearchStats* seg_stats) {
-        return segment.RadiusSearchIn(query, radius, allowed, seg_stats);
-      });
-}
-
-std::vector<SearchResult> SegmentedHammingIndex::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  return GatherSegments(
-      k, stats, [&](const HammingIndex& segment, SearchStats* seg_stats) {
-        return segment.KnnSearchIn(query, k, allowed, seg_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> SegmentedHammingIndex::
-    GatherSegmentsBatch(
-        size_t num_queries, size_t k, std::vector<SearchStats>* stats,
-        const std::function<std::vector<std::vector<SearchResult>>(
-            const HammingIndex&, std::vector<SearchStats>*)>& run_segment)
-        const {
-  if (stats != nullptr) stats->assign(num_queries, SearchStats{});
-  std::vector<std::vector<std::vector<SearchResult>>> per_segment;
-  std::vector<std::vector<SearchStats>> per_segment_stats;
-  std::shared_ptr<const SegmentList> sealed;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sealed = sealed_.load();
-    if (mutable_->size() > 0) {
-      std::vector<SearchStats> seg_stats;
-      per_segment.push_back(
-          run_segment(*mutable_, stats != nullptr ? &seg_stats : nullptr));
-      if (stats != nullptr) per_segment_stats.push_back(std::move(seg_stats));
-    }
-  }
-  per_segment.reserve(per_segment.size() + sealed->size());
-  for (const auto& segment : *sealed) {
-    std::vector<SearchStats> seg_stats;
-    per_segment.push_back(
-        run_segment(*segment.index, stats != nullptr ? &seg_stats : nullptr));
-    if (stats != nullptr) per_segment_stats.push_back(std::move(seg_stats));
-  }
-
-  // Gather: merge every query slot across segments.
-  std::vector<std::vector<SearchResult>> out(num_queries);
-  std::vector<std::vector<SearchResult>> slot(per_segment.size());
-  for (size_t i = 0; i < num_queries; ++i) {
-    for (size_t s = 0; s < per_segment.size(); ++s) {
-      slot[s] = std::move(per_segment[s][i]);
-      if (stats != nullptr && i < per_segment_stats[s].size()) {
-        AccumulateStats(per_segment_stats[s][i], &(*stats)[i]);
-      }
-    }
-    out[i] = MergeHitLists(&slot, k);
-    if (stats != nullptr) (*stats)[i].results = out[i].size();
-  }
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> SegmentedHammingIndex::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  // The pool is forwarded into each segment's batch kernel (which
-  // shards queries across it); segments themselves run sequentially —
-  // nested parallelism belongs to the shard layer above.
-  return GatherSegmentsBatch(
-      queries.size(), 0, stats,
-      [&](const HammingIndex& segment, std::vector<SearchStats>* seg_stats) {
-        return segment.BatchRadiusSearch(queries, radius, pool, seg_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> SegmentedHammingIndex::BatchKnnSearch(
-    const std::vector<BinaryCode>& queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return GatherSegmentsBatch(
-      queries.size(), k, stats,
-      [&](const HammingIndex& segment, std::vector<SearchStats>* seg_stats) {
-        return segment.BatchKnnSearch(queries, k, pool, seg_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>>
-SegmentedHammingIndex::BatchRadiusSearchIn(
-    const std::vector<BinaryCode>& queries, uint32_t radius,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return GatherSegmentsBatch(
-      queries.size(), 0, stats,
-      [&](const HammingIndex& segment, std::vector<SearchStats>* seg_stats) {
-        return segment.BatchRadiusSearchIn(queries, radius, allowed, pool,
-                                           seg_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> SegmentedHammingIndex::BatchKnnSearchIn(
-    const std::vector<BinaryCode>& queries, size_t k,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return GatherSegmentsBatch(
-      queries.size(), k, stats,
-      [&](const HammingIndex& segment, std::vector<SearchStats>* seg_stats) {
-        return segment.BatchKnnSearchIn(queries, k, allowed, pool, seg_stats);
-      });
-}
+}  // namespace
 
 std::unique_ptr<HitFrontier> SegmentedHammingIndex::OpenFrontier(
     const BinaryCode& query, const FrontierOptions& options) const {
   auto merge = std::make_unique<MergingFrontier>();
-  std::shared_ptr<const SegmentList> sealed;
-  {
-    // Same pinning protocol as GatherSegments: the sealed list is
-    // loaded in the critical section the mutable tail is snapshotted
-    // in, so a concurrent seal cannot make an item appear twice (or
-    // vanish) in the frontier's view.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sealed = sealed_.load();
-    if (mutable_->size() > 0) {
-      // The mutable tail is small by construction (it seals at
-      // seal_threshold); materialise it eagerly — lazy streaming from
-      // a segment that keeps mutating would not be a snapshot.
-      std::vector<SearchResult> hits;
-      if (options.radius.has_value()) {
-        hits = options.allowed != nullptr
-                   ? mutable_->RadiusSearchIn(query, *options.radius,
-                                              *options.allowed)
-                   : mutable_->RadiusSearch(query, *options.radius);
-      } else {
-        hits = options.allowed != nullptr
-                   ? mutable_->KnnSearchIn(query, mutable_->size(),
-                                           *options.allowed)
-                   : mutable_->KnnSearch(query, mutable_->size());
-      }
-      merge->AddChild(std::make_unique<MaterializedFrontier>(std::move(hits)));
-    }
-  }
+  // Segments are time-partitioned, not id-routed, so the allowlist
+  // cannot be split — each segment filters against the full set.
+  const std::shared_ptr<const SegmentList> sealed =
+      PinSegments([&](const HammingIndex& tail) {
+        merge->AddChild(
+            SnapshotTail(tail.OpenFrontier(query, options), options.limit));
+      });
   for (const SealedSegment& segment : *sealed) {
     merge->AddChild(segment.index->OpenFrontier(query, options));
     merge->AddPin(segment.index);  // the lazy child borrows the segment
@@ -337,26 +169,43 @@ std::unique_ptr<HitFrontier> SegmentedHammingIndex::OpenFrontier(
   return merge;
 }
 
+std::vector<std::unique_ptr<HitFrontier>> SegmentedHammingIndex::OpenFrontiers(
+    const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+    ThreadPool* pool) const {
+  std::vector<std::unique_ptr<MergingFrontier>> merges(queries.size());
+  for (auto& merge : merges) merge = std::make_unique<MergingFrontier>();
+  auto add_children = [&](std::vector<std::unique_ptr<HitFrontier>> children,
+                          bool snapshot) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      merges[q]->AddChild(snapshot ? SnapshotTail(std::move(children[q]),
+                                                  options.limit)
+                                   : std::move(children[q]));
+    }
+  };
+  const std::shared_ptr<const SegmentList> sealed =
+      PinSegments([&](const HammingIndex& tail) {
+        add_children(tail.OpenFrontiers(queries, options, pool), true);
+      });
+  for (const SealedSegment& segment : *sealed) {
+    add_children(segment.index->OpenFrontiers(queries, options, pool), false);
+    for (auto& merge : merges) merge->AddPin(segment.index);
+  }
+  return {std::make_move_iterator(merges.begin()),
+          std::make_move_iterator(merges.end())};
+}
+
 size_t SegmentedHammingIndex::size() const {
   size_t total = 0;
-  std::shared_ptr<const SegmentList> sealed;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sealed = sealed_.load();
-    total = mutable_->size();
-  }
+  const std::shared_ptr<const SegmentList> sealed =
+      PinSegments([&](const HammingIndex& tail) { total = tail.size(); });
   for (const auto& segment : *sealed) total += segment.index->size();
   return total;
 }
 
 SegmentedIndexStats SegmentedHammingIndex::Stats() const {
   SegmentedIndexStats stats;
-  std::shared_ptr<const SegmentList> sealed;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    sealed = sealed_.load();
-    stats.mutable_items = mutable_->size();
-  }
+  const std::shared_ptr<const SegmentList> sealed = PinSegments(
+      [&](const HammingIndex& tail) { stats.mutable_items = tail.size(); });
   stats.num_sealed = sealed->size();
   for (const auto& segment : *sealed) {
     stats.sealed_items += segment.index->size();

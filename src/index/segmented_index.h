@@ -46,9 +46,9 @@ struct SegmentedIndexStats {
 ///     installed.  O(segments) pointer copies; no data moves.
 ///
 /// Reads gather across segments exactly like the sharded index gathers
-/// across shards — per-segment (distance, id)-sorted lists merged by
-/// MergeHitLists — so results are byte-identical to one flat index over
-/// the same items.  `seal_threshold` of 0 never auto-seals: everything
+/// across shards — per-segment frontiers k-way merged by a
+/// MergingFrontier — so results are byte-identical to one flat index
+/// over the same items.  `seal_threshold` of 0 never auto-seals: everything
 /// stays in the mutable segment and the structure degenerates to the
 /// plain locked index it replaced (the pre-segment behaviour).
 class SegmentedHammingIndex : public HammingIndex {
@@ -65,8 +65,8 @@ class SegmentedHammingIndex : public HammingIndex {
   /// per item; the merge itself runs under the writer lock (readers on
   /// the old pinned list are unaffected) and rebuilds one segment with
   /// a single BatchAdd.  Results are unchanged by construction: every
-  /// segment kind returns (distance, id)-sorted hits and MergeHitLists
-  /// is associative over segment boundaries.
+  /// segment kind streams (distance, id)-sorted hits and the k-way
+  /// merge is associative over segment boundaries.
   explicit SegmentedHammingIndex(SegmentFactory factory,
                                  size_t seal_threshold = 0,
                                  size_t compact_threshold = 0);
@@ -80,44 +80,21 @@ class SegmentedHammingIndex : public HammingIndex {
                   const std::vector<BinaryCode>& codes,
                   ThreadPool* pool = nullptr) override;
 
-  std::vector<SearchResult> RadiusSearch(
-      const BinaryCode& query, uint32_t radius,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(
-      const BinaryCode& query, size_t k,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-
-  std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearch(
-      const std::vector<BinaryCode>& queries, size_t k,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchRadiusSearchIn(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearchIn(
-      const std::vector<BinaryCode>& queries, size_t k,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-
   /// Lazy ranked access with snapshot semantics: the sealed-segment
-  /// list is pinned and the small mutable tail materialised in one
-  /// critical section (the same protocol as GatherSegments), so the
-  /// frontier never observes later ingest however long it lives.  The
-  /// returned frontier owns shared_ptr pins on every sealed segment it
-  /// streams from and is safe to hold across seals and compactions.
+  /// list is pinned and the small mutable tail snapshotted in one
+  /// critical section — the tail by draining that segment's own
+  /// frontier to `options.limit` — so the frontier never observes
+  /// later ingest however long it lives.  The returned frontier owns
+  /// shared_ptr pins on every sealed segment it streams from and is
+  /// safe to hold across seals and compactions.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
+
+  /// Batched flavour: one batched open per segment (the pool is handed
+  /// to each segment's own batched open), merged per query.
+  std::vector<std::unique_ptr<HitFrontier>> OpenFrontiers(
+      const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+      ThreadPool* pool = nullptr) const override;
 
   size_t size() const override;
   /// Transparent: the wrapped kind's name, so observability strings
@@ -155,23 +132,12 @@ class SegmentedHammingIndex : public HammingIndex {
   /// compact_threshold_; called under the exclusive lock after a seal.
   void MaybeCompactLocked(std::shared_ptr<SegmentList>* next);
 
-  /// The shared read protocol: runs `query_segment` against the mutable
-  /// segment under the shared lock (pinning the sealed list in the same
-  /// critical section), then against every sealed segment lock-free,
-  /// and merges the per-segment lists with MergeHitLists(k).
-  std::vector<SearchResult> GatherSegments(
-      size_t k, SearchStats* stats,
-      const std::function<std::vector<SearchResult>(const HammingIndex&,
-                                                    SearchStats*)>&
-          query_segment) const;
-
-  /// Batch flavour of GatherSegments: `run_segment` produces one
-  /// segment's full per-query result matrix; slots are merged across
-  /// segments at the gather point.
-  std::vector<std::vector<SearchResult>> GatherSegmentsBatch(
-      size_t num_queries, size_t k, std::vector<SearchStats>* stats,
-      const std::function<std::vector<std::vector<SearchResult>>(
-          const HammingIndex&, std::vector<SearchStats>*)>& run_segment) const;
+  /// The shared read protocol: under the shared lock, pins the sealed
+  /// list and runs `open_mutable` against the mutable segment (skipped
+  /// when it is empty) — so a concurrent seal cannot make an item
+  /// appear in both views, or in neither — and returns the pinned list.
+  std::shared_ptr<const SegmentList> PinSegments(
+      const std::function<void(const HammingIndex&)>& open_mutable) const;
 
   SegmentFactory factory_;
   size_t seal_threshold_;

@@ -26,11 +26,6 @@ uint64_t NowNanos() {
           .count());
 }
 
-void AccumulateStats(const SearchStats& shard, SearchStats* total) {
-  total->buckets_probed += shard.buckets_probed;
-  total->candidates += shard.candidates;
-}
-
 }  // namespace
 
 ShardedHammingIndex::ShardedHammingIndex(size_t num_shards,
@@ -128,218 +123,73 @@ void ShardedHammingIndex::ForEachShard(
   }
 }
 
-std::vector<SearchResult> ShardedHammingIndex::RadiusSearch(
-    const BinaryCode& query, uint32_t radius, SearchStats* stats) const {
-  single_fanouts_.fetch_add(1);
-  if (stats != nullptr) *stats = SearchStats{};
-  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SearchStats shard_stats;
-    obs::ScopedTimer scan_timer(scan_histogram_);
-    per_shard[s] = shards_[s]->RadiusSearch(
-        query, radius, stats != nullptr ? &shard_stats : nullptr);
-    if (stats != nullptr) AccumulateStats(shard_stats, stats);
-  }
-  const uint64_t merge_begin = NowNanos();
-  std::vector<SearchResult> out = MergeHitLists(&per_shard, 0);
-  merge_nanos_.fetch_add(NowNanos() - merge_begin);
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::vector<SearchResult> ShardedHammingIndex::KnnSearch(
-    const BinaryCode& query, size_t k, SearchStats* stats) const {
-  single_fanouts_.fetch_add(1);
-  if (stats != nullptr) *stats = SearchStats{};
-  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SearchStats shard_stats;
-    obs::ScopedTimer scan_timer(scan_histogram_);
-    per_shard[s] = shards_[s]->KnnSearch(
-        query, k, stats != nullptr ? &shard_stats : nullptr);
-    if (stats != nullptr) AccumulateStats(shard_stats, stats);
-  }
-  const uint64_t merge_begin = NowNanos();
-  std::vector<SearchResult> out = MergeHitLists(&per_shard, k);
-  merge_nanos_.fetch_add(NowNanos() - merge_begin);
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::vector<SearchResult> ShardedHammingIndex::RadiusSearchIn(
-    const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  single_fanouts_.fetch_add(1);
-  if (stats != nullptr) *stats = SearchStats{};
-  const std::vector<CandidateSet> split = SplitAllowlist(allowed);
-  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (split[s].empty()) continue;  // no allowed id routes here
-    SearchStats shard_stats;
-    obs::ScopedTimer scan_timer(scan_histogram_);
-    per_shard[s] = shards_[s]->RadiusSearchIn(
-        query, radius, split[s], stats != nullptr ? &shard_stats : nullptr);
-    if (stats != nullptr) AccumulateStats(shard_stats, stats);
-  }
-  const uint64_t merge_begin = NowNanos();
-  std::vector<SearchResult> out = MergeHitLists(&per_shard, 0);
-  merge_nanos_.fetch_add(NowNanos() - merge_begin);
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::vector<SearchResult> ShardedHammingIndex::KnnSearchIn(
-    const BinaryCode& query, size_t k, const CandidateSet& allowed,
-    SearchStats* stats) const {
-  single_fanouts_.fetch_add(1);
-  if (stats != nullptr) *stats = SearchStats{};
-  const std::vector<CandidateSet> split = SplitAllowlist(allowed);
-  std::vector<std::vector<SearchResult>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (split[s].empty()) continue;
-    SearchStats shard_stats;
-    obs::ScopedTimer scan_timer(scan_histogram_);
-    per_shard[s] = shards_[s]->KnnSearchIn(
-        query, k, split[s], stats != nullptr ? &shard_stats : nullptr);
-    if (stats != nullptr) AccumulateStats(shard_stats, stats);
-  }
-  const uint64_t merge_begin = NowNanos();
-  std::vector<SearchResult> out = MergeHitLists(&per_shard, k);
-  merge_nanos_.fetch_add(NowNanos() - merge_begin);
-  if (stats != nullptr) stats->results = out.size();
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> ShardedHammingIndex::ScatterGatherBatch(
-    size_t num_queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats,
-    const std::function<std::vector<std::vector<SearchResult>>(
-        size_t, std::vector<SearchStats>*)>& run_shard) const {
-  batch_fanouts_.fetch_add(1);
-  fanout_tasks_.fetch_add(shards_.size());
-  if (stats != nullptr) stats->assign(num_queries, SearchStats{});
-
-  // Scatter: one task per shard per batch.  Each task runs the whole
-  // query batch against its shard sequentially (null inner pool), so
-  // parallelism is purely across shards — no nested sharding.
-  std::vector<std::vector<std::vector<SearchResult>>> per_shard(
-      shards_.size());
-  std::vector<std::vector<SearchStats>> per_shard_stats(
-      stats != nullptr ? shards_.size() : 0);
-  ForEachShard(pool, [&](size_t s) {
-    obs::ScopedTimer scan_timer(scan_histogram_);
-    per_shard[s] =
-        run_shard(s, stats != nullptr ? &per_shard_stats[s] : nullptr);
-  });
-
-  // Gather: merge every query slot across shards.
-  const uint64_t merge_begin = NowNanos();
-  std::vector<std::vector<SearchResult>> out(num_queries);
-  std::vector<std::vector<SearchResult>> slot(shards_.size());
-  for (size_t i = 0; i < num_queries; ++i) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      slot[s] = per_shard[s].empty() ? std::vector<SearchResult>{}
-                                     : std::move(per_shard[s][i]);
-      if (stats != nullptr && !per_shard_stats[s].empty()) {
-        AccumulateStats(per_shard_stats[s][i], &(*stats)[i]);
-      }
-    }
-    out[i] = MergeHitLists(&slot, k);
-    if (stats != nullptr) (*stats)[i].results = out[i].size();
-  }
-  merge_nanos_.fetch_add(NowNanos() - merge_begin);
-  return out;
-}
-
-std::vector<std::vector<SearchResult>> ShardedHammingIndex::BatchRadiusSearch(
-    const std::vector<BinaryCode>& queries, uint32_t radius, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return ScatterGatherBatch(
-      queries.size(), 0, pool, stats,
-      [&](size_t s, std::vector<SearchStats>* shard_stats) {
-        return shards_[s]->BatchRadiusSearch(queries, radius, nullptr,
-                                             shard_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> ShardedHammingIndex::BatchKnnSearch(
-    const std::vector<BinaryCode>& queries, size_t k, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  return ScatterGatherBatch(
-      queries.size(), k, pool, stats,
-      [&](size_t s, std::vector<SearchStats>* shard_stats) {
-        return shards_[s]->BatchKnnSearch(queries, k, nullptr, shard_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> ShardedHammingIndex::BatchRadiusSearchIn(
-    const std::vector<BinaryCode>& queries, uint32_t radius,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  // The allowlist splits ONCE per batched pass (not per query) — the
-  // micro-batched hybrid path shares one allowlist across the batch.
-  const auto split =
-      std::make_shared<const std::vector<CandidateSet>>(
-          SplitAllowlist(allowed));
-  return ScatterGatherBatch(
-      queries.size(), 0, pool, stats,
-      [&queries, radius, split, this](size_t s,
-                                      std::vector<SearchStats>* shard_stats) {
-        if ((*split)[s].empty()) {
-          if (shard_stats != nullptr) {
-            shard_stats->assign(queries.size(), SearchStats{});
-          }
-          return std::vector<std::vector<SearchResult>>(queries.size());
-        }
-        return shards_[s]->BatchRadiusSearchIn(queries, radius, (*split)[s],
-                                               nullptr, shard_stats);
-      });
-}
-
-std::vector<std::vector<SearchResult>> ShardedHammingIndex::BatchKnnSearchIn(
-    const std::vector<BinaryCode>& queries, size_t k,
-    const CandidateSet& allowed, ThreadPool* pool,
-    std::vector<SearchStats>* stats) const {
-  const auto split =
-      std::make_shared<const std::vector<CandidateSet>>(
-          SplitAllowlist(allowed));
-  return ScatterGatherBatch(
-      queries.size(), k, pool, stats,
-      [&queries, k, split, this](size_t s,
-                                 std::vector<SearchStats>* shard_stats) {
-        if ((*split)[s].empty()) {
-          if (shard_stats != nullptr) {
-            shard_stats->assign(queries.size(), SearchStats{});
-          }
-          return std::vector<std::vector<SearchResult>>(queries.size());
-        }
-        return shards_[s]->BatchKnnSearchIn(queries, k, (*split)[s], nullptr,
-                                            shard_stats);
-      });
-}
-
 std::unique_ptr<HitFrontier> ShardedHammingIndex::OpenFrontier(
     const BinaryCode& query, const FrontierOptions& options) const {
   single_fanouts_.fetch_add(1);
   auto merge = std::make_unique<MergingFrontier>();
+  std::shared_ptr<const std::vector<CandidateSet>> split;
   if (options.allowed != nullptr) {
-    // Split once by routing (like the batched *In paths) and pin the
-    // split inside the frontier — the per-shard children borrow it.
-    auto split = std::make_shared<const std::vector<CandidateSet>>(
+    // Split once by routing and pin the split inside the frontier —
+    // the per-shard children borrow it.
+    split = std::make_shared<const std::vector<CandidateSet>>(
         SplitAllowlist(*options.allowed));
     merge->AddPin(split);
-    for (size_t s = 0; s < shards_.size(); ++s) {
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    FrontierOptions shard_options = options;
+    if (split != nullptr) {
       if ((*split)[s].empty()) continue;  // no allowed id routes here
-      FrontierOptions shard_options = options;
       shard_options.allowed = &(*split)[s];
-      merge->AddChild(shards_[s]->OpenFrontier(query, shard_options));
     }
-  } else {
-    for (const auto& shard : shards_) {
-      merge->AddChild(shard->OpenFrontier(query, options));
-    }
+    obs::ScopedTimer scan_timer(scan_histogram_);
+    merge->AddChild(shards_[s]->OpenFrontier(query, shard_options));
   }
   return merge;
+}
+
+std::vector<std::unique_ptr<HitFrontier>> ShardedHammingIndex::OpenFrontiers(
+    const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+    ThreadPool* pool) const {
+  batch_fanouts_.fetch_add(1);
+  fanout_tasks_.fetch_add(shards_.size());
+  // The allowlist splits ONCE per batched open (not per query) — the
+  // micro-batched hybrid path shares one allowlist across the batch.
+  std::shared_ptr<const std::vector<CandidateSet>> split;
+  if (options.allowed != nullptr) {
+    split = std::make_shared<const std::vector<CandidateSet>>(
+        SplitAllowlist(*options.allowed));
+  }
+  // Scatter: one task per shard per batch.  Each task opens the whole
+  // batch on its shard with no inner pool, so parallelism is purely
+  // across shards — no nested sharding.
+  std::vector<std::vector<std::unique_ptr<HitFrontier>>> per_shard(
+      shards_.size());
+  ForEachShard(pool, [&](size_t s) {
+    FrontierOptions shard_options = options;
+    if (split != nullptr) {
+      if ((*split)[s].empty()) return;
+      shard_options.allowed = &(*split)[s];
+    }
+    obs::ScopedTimer scan_timer(scan_histogram_);
+    per_shard[s] = shards_[s]->OpenFrontiers(queries, shard_options, nullptr);
+  });
+
+  // Gather: one k-way merge per query over every shard's frontier.
+  const uint64_t merge_begin = NowNanos();
+  std::vector<std::unique_ptr<HitFrontier>> out;
+  out.reserve(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto merge = std::make_unique<MergingFrontier>();
+    if (split != nullptr) merge->AddPin(split);
+    for (auto& shard_frontiers : per_shard) {
+      if (!shard_frontiers.empty()) {
+        merge->AddChild(std::move(shard_frontiers[q]));
+      }
+    }
+    out.push_back(std::move(merge));
+  }
+  merge_nanos_.fetch_add(NowNanos() - merge_begin);
+  return out;
 }
 
 size_t ShardedHammingIndex::size() const {

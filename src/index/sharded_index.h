@@ -25,10 +25,10 @@ struct ShardedIndexStats {
   uint64_t compactions = 0;            ///< sealed-segment merges across shards
   uint64_t sealed_items = 0;           ///< items served lock-free from sealed segments
   uint64_t mutable_items = 0;          ///< items still in mutable segments
-  uint64_t single_fanouts = 0;         ///< single-query scatter–gather passes
-  uint64_t batch_fanouts = 0;          ///< batched passes fanned across shards
+  uint64_t single_fanouts = 0;         ///< single-query frontier opens
+  uint64_t batch_fanouts = 0;          ///< batched opens fanned across shards
   uint64_t fanout_tasks = 0;           ///< per-shard tasks those batches issued
-  uint64_t merge_nanos = 0;            ///< time spent gathering/merging results
+  uint64_t merge_nanos = 0;            ///< time spent gathering shard frontiers
 };
 
 /// The partition layer of the index stack: wraps N independent
@@ -37,18 +37,17 @@ struct ShardedIndexStats {
 ///
 /// Routing is id-stable: shard(id) = mix64(id) % N, so an item lives on
 /// exactly one shard for the index lifetime and candidate allowlists can
-/// be split per shard without consulting the data.  Every search
+/// be split per shard without consulting the data.  Every open
 /// scatters to all shards and gathers with the canonical (distance, id)
-/// merge, so results are identical to an unsharded index over the same
-/// items:
-///   - RadiusSearch: per-shard sorted results are k-way merged.
-///   - KnnSearch: each shard returns its own top-k (the global top-k is
-///     a subset of the union), merged and truncated at the gather point.
-///   - *In flavours: the allowlist is split per shard by routing, so a
+/// k-way merge, so results are identical to an unsharded index over
+/// the same items:
+///   - A bounded (k-NN) open bounds every shard at the same limit: the
+///     global top-k is a subset of the union of per-shard top-k.
+///   - Restricted opens split the allowlist per shard by routing, so a
 ///     shard only tests membership against ids it can actually hold.
-///   - Batch* flavours: ONE task per shard per batch — each task runs
-///     the whole query batch against its shard (sequentially, so there
-///     is no nested sharding) — which is what lets the execution
+///   - Batched opens issue ONE task per shard per batch — each task
+///     opens the whole query batch against its shard (sequentially, so
+///     there is no nested sharding) — which is what lets the execution
 ///     engine's fused micro-batches use multiple cores inside a single
 ///     index pass.  A null pool degrades to a sequential shard loop.
 ///
@@ -80,36 +79,6 @@ class ShardedHammingIndex : public HammingIndex {
                   const std::vector<BinaryCode>& codes,
                   ThreadPool* pool = nullptr) override;
 
-  std::vector<SearchResult> RadiusSearch(
-      const BinaryCode& query, uint32_t radius,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearch(
-      const BinaryCode& query, size_t k,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> RadiusSearchIn(
-      const BinaryCode& query, uint32_t radius, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-  std::vector<SearchResult> KnnSearchIn(
-      const BinaryCode& query, size_t k, const CandidateSet& allowed,
-      SearchStats* stats = nullptr) const override;
-
-  std::vector<std::vector<SearchResult>> BatchRadiusSearch(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearch(
-      const std::vector<BinaryCode>& queries, size_t k,
-      ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchRadiusSearchIn(
-      const std::vector<BinaryCode>& queries, uint32_t radius,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-  std::vector<std::vector<SearchResult>> BatchKnnSearchIn(
-      const std::vector<BinaryCode>& queries, size_t k,
-      const CandidateSet& allowed, ThreadPool* pool = nullptr,
-      std::vector<SearchStats>* stats = nullptr) const override;
-
   /// Lazy ranked access: a k-way merge over per-shard frontiers, each
   /// pulled in small chunks — page N of the global ranking costs an
   /// O(k·log shards) heap resume instead of every shard overfetching
@@ -117,6 +86,12 @@ class ShardedHammingIndex : public HammingIndex {
   /// split is pinned inside the returned frontier).
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
+
+  /// Batched flavour: one task per shard opens the whole batch on its
+  /// shard; slot i merges every shard's frontier for query i.
+  std::vector<std::unique_ptr<HitFrontier>> OpenFrontiers(
+      const std::vector<BinaryCode>& queries, const FrontierOptions& options,
+      ThreadPool* pool = nullptr) const override;
 
   size_t size() const override;
   std::string Name() const override;
@@ -153,15 +128,6 @@ class ShardedHammingIndex : public HammingIndex {
   /// all shards finish.
   void ForEachShard(ThreadPool* pool,
                     const std::function<void(size_t)>& task) const;
-
-  /// The shared scatter–gather core of the four Batch* overrides:
-  /// `run_shard(s)` produces shard s's full per-query result matrix
-  /// (and per-query stats when `stats` is non-null).
-  std::vector<std::vector<SearchResult>> ScatterGatherBatch(
-      size_t num_queries, size_t k, ThreadPool* pool,
-      std::vector<SearchStats>* stats,
-      const std::function<std::vector<std::vector<SearchResult>>(
-          size_t, std::vector<SearchStats>*)>& run_shard) const;
 
   std::vector<std::unique_ptr<SegmentedHammingIndex>> shards_;
   size_t seal_threshold_ = 0;

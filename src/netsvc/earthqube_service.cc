@@ -46,20 +46,6 @@ StatusOr<int64_t> NonNegativeField(const Document& doc, const std::string& key,
   return v->as_int64();
 }
 
-/// Maps a facade error onto the shared JSON error envelope.  Cursor
-/// rejections get their own code (410 Gone) so paging clients can tell
-/// "restart from page 0" apart from "fix your request".
-HttpResponse FromStatus(const Status& status) {
-  if (status.IsNotFound()) return HttpResponse::NotFound(status.message());
-  if (earthqube::IsCursorRejection(status)) {
-    return HttpResponse::Error(410, "cursor_expired", status.message());
-  }
-  if (status.IsInvalidArgument()) {
-    return HttpResponse::BadRequest(status.message());
-  }
-  return HttpResponse::InternalError(status.message());
-}
-
 StatusOr<GeoQuery> GeoFromJson(const Document& geo) {
   if (geo.Has("rect")) {
     const Value* rect = geo.Get("rect");
@@ -171,6 +157,19 @@ std::string LabelStatisticsToJson(const earthqube::LabelStatistics& stats) {
 }
 
 }  // namespace
+
+HttpResponse FromStatus(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kNotFound:
+      return HttpResponse::NotFound(status.message());
+    case StatusCode::kCursorExpired:
+      return HttpResponse::Error(410, "cursor_expired", status.message());
+    case StatusCode::kInvalidArgument:
+      return HttpResponse::BadRequest(status.message());
+    default:
+      return HttpResponse::InternalError(status.message());
+  }
+}
 
 StatusOr<EarthQubeQuery> EarthQubeService::QueryFromJson(
     const Document& body) {

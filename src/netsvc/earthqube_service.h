@@ -12,6 +12,12 @@
 
 namespace agoraeo::netsvc {
 
+/// Maps a facade error onto the shared JSON error envelope by status
+/// code: NotFound 404, CursorExpired 410 `cursor_expired` (so paging
+/// clients can tell "restart from page 0" apart from "fix your
+/// request"), InvalidArgument 400, anything else 500.
+HttpResponse FromStatus(const Status& status);
+
 /// The HTTP face of the EarthQube back end — the middle tier of the
 /// paper's three-tier architecture.  Registers JSON endpoints on an
 /// HttpServer and translates between the wire format and the EarthQube

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "cbir_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
 #include "earthqube/earthqube.h"
@@ -480,7 +481,7 @@ TEST_F(EarthQubeTest, BatchSimilarMatchesSequentialQueries) {
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
-    auto single = system_->cbir()->QueryByName(names[i], kRadius);
+    auto single = RadiusByName(*system_->cbir(), names[i], kRadius);
     ASSERT_TRUE(single.ok());
     ASSERT_EQ((*batch)[i].size(), single->size()) << "query " << i;
     for (size_t j = 0; j < single->size(); ++j) {
@@ -501,7 +502,7 @@ TEST_F(EarthQubeTest, BatchNearestMatchesSequentialKnn) {
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
-    auto single = system_->cbir()->KnnByName(names[i], kK);
+    auto single = KnnByName(*system_->cbir(), names[i], kK);
     ASSERT_TRUE(single.ok());
     ASSERT_EQ((*batch)[i].size(), single->size()) << "query " << i;
     for (size_t j = 0; j < single->size(); ++j) {
@@ -528,7 +529,7 @@ TEST_F(EarthQubeTest, BatchQueriesEdgeCases) {
   EXPECT_TRUE(empty->empty());
   // k == 0 asks for no neighbours and must return none (not the k+1
   // self-match overfetch leaking through).
-  auto zero_knn = system_->cbir()->KnnByName(archive_->patches[0].name, 0);
+  auto zero_knn = KnnByName(*system_->cbir(), archive_->patches[0].name, 0);
   ASSERT_TRUE(zero_knn.ok());
   EXPECT_TRUE(zero_knn->empty());
   auto zero_batch = system_->BatchNearestToArchiveImages(
@@ -539,32 +540,41 @@ TEST_F(EarthQubeTest, BatchQueriesEdgeCases) {
   EXPECT_TRUE((*zero_batch)[1].empty());
 }
 
-TEST_F(EarthQubeTest, CbirQueryBatchAmortizedInferenceMatchesSingle) {
-  // Batch query-by-feature: one forward pass for the matrix must yield
-  // exactly the per-row single-query results.
+TEST_F(EarthQubeTest, CbirBatchedStreamsMatchSingleStreams) {
+  // Batch query-by-feature: one forward pass for the matrix and one
+  // batched open must yield exactly the per-row single-stream results.
   constexpr size_t kBatch = 5;
   const size_t dim = features_->shape()[1];
   Tensor batch_features({kBatch, dim});
   for (size_t q = 0; q < kBatch; ++q) {
     batch_features.SetRow(q, features_->Row(q * 13));
   }
-  CbirService* cbir = system_->cbir();
-  auto batch = cbir->QueryBatch(batch_features, /*radius=*/8);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), kBatch);
+  const CbirService* cbir = system_->cbir();
+  auto codes = cbir->HashFeatures(batch_features);
+  ASSERT_TRUE(codes.ok());
+  ASSERT_EQ(codes->size(), kBatch);
+  auto streams = cbir->OpenStreams(*codes, /*radius=*/8u,
+                                   std::vector<size_t>(kBatch, 0), nullptr,
+                                   std::vector<std::string>(kBatch));
+  ASSERT_EQ(streams.size(), kBatch);
   for (size_t q = 0; q < kBatch; ++q) {
-    const auto single = cbir->QueryByFeature(features_->Row(q * 13), 8);
-    ASSERT_EQ((*batch)[q].size(), single.size()) << "query " << q;
+    Tensor row({1, dim});
+    row.SetRow(0, features_->Row(q * 13));
+    auto one = cbir->HashFeatures(row);
+    ASSERT_TRUE(one.ok());
+    const auto batched = DrainStream(*streams[q]);
+    const auto single =
+        DrainStream(*cbir->OpenStream(one->front(), 8u, 0, nullptr));
+    ASSERT_EQ(batched.size(), single.size()) << "query " << q;
     for (size_t j = 0; j < single.size(); ++j) {
-      EXPECT_EQ((*batch)[q][j].patch_name, single[j].patch_name)
+      EXPECT_EQ(batched[j].patch_name, single[j].patch_name)
           << "query " << q << " hit " << j;
-      EXPECT_EQ((*batch)[q][j].hamming_distance, single[j].hamming_distance)
+      EXPECT_EQ(batched[j].hamming_distance, single[j].hamming_distance)
           << "query " << q << " hit " << j;
     }
   }
   // Shape validation: rank-1 input is rejected.
-  EXPECT_TRUE(
-      cbir->QueryBatch(features_->Row(0), 8).status().IsInvalidArgument());
+  EXPECT_TRUE(cbir->HashFeatures(features_->Row(0)).status().IsInvalidArgument());
 }
 
 TEST_F(EarthQubeTest, QueryByNewExample) {
@@ -735,9 +745,9 @@ TEST(QueryRequestTest, CursorRoundTrip) {
   EXPECT_EQ(decoded->page, 7u);
   EXPECT_EQ(decoded->page_size, 25u);
 
-  EXPECT_TRUE(DecodeCursor("not base64!").status().IsInvalidArgument());
-  EXPECT_TRUE(DecodeCursor("aGVsbG8=").status().IsInvalidArgument());
-  EXPECT_TRUE(DecodeCursor("").status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeCursor("not base64!").status().IsCursorExpired());
+  EXPECT_TRUE(DecodeCursor("aGVsbG8=").status().IsCursorExpired());
+  EXPECT_TRUE(DecodeCursor("").status().IsCursorExpired());
 }
 
 TEST(QueryRequestTest, CursorPageWindowOverflowRejected) {
@@ -747,11 +757,10 @@ TEST(QueryRequestTest, CursorPageWindowOverflowRejected) {
   const uint64_t kMax = std::numeric_limits<uint64_t>::max();
   const auto wrapped =
       DecodeCursor(EncodeCursor({kMax - 1, 1, "deadbeefdeadbeef"}));
-  EXPECT_TRUE(wrapped.status().IsInvalidArgument());
-  EXPECT_TRUE(IsCursorRejection(wrapped.status()));
+  EXPECT_TRUE(wrapped.status().IsCursorExpired());
 
   const auto wide = DecodeCursor(EncodeCursor({2, kMax / 2}));
-  EXPECT_TRUE(wide.status().IsInvalidArgument());
+  EXPECT_TRUE(wide.status().IsCursorExpired());
 
   // The same window is rejected when it arrives as raw request fields.
   QueryRequest overflow;
@@ -764,17 +773,17 @@ TEST(QueryRequestTest, CursorPageWindowOverflowRejected) {
   EXPECT_TRUE(overflow.Validate().ok());
 }
 
-TEST(QueryRequestTest, CursorRejectionRequiresCursorTag) {
-  // Every decoder failure maps to the 410 cursor_expired envelope...
-  EXPECT_TRUE(IsCursorRejection(DecodeCursor("not base64!").status()));
-  EXPECT_TRUE(IsCursorRejection(DecodeCursor("aGVsbG8=").status()));
-  // ...but an unrelated InvalidArgument that merely mentions base64
-  // (e.g. a cluster wire blob failing to decode) must stay a plain 400.
-  EXPECT_FALSE(IsCursorRejection(
-      Status::InvalidArgument("payload is not valid base64")));
-  EXPECT_FALSE(IsCursorRejection(Status::InvalidArgument("cursor")));
-  EXPECT_FALSE(
-      IsCursorRejection(Status::NotFound("cursor: page window out of range")));
+TEST(QueryRequestTest, CursorRejectionsAreTyped) {
+  // Every decoder failure is typed kCursorExpired (the 410 envelope),
+  // whatever its message says...
+  for (const char* token : {"not base64!", "aGVsbG8=", ""}) {
+    const Status status = DecodeCursor(token).status();
+    EXPECT_EQ(status.code(), StatusCode::kCursorExpired) << token;
+    EXPECT_EQ(std::string(StatusCodeToString(status.code())), "CursorExpired");
+  }
+  // ...and the message text classifies nothing: an InvalidArgument that
+  // happens to carry the decoder's "cursor: " prefix stays one.
+  EXPECT_FALSE(Status::InvalidArgument("cursor: malformed").IsCursorExpired());
 }
 
 // ---------------------------------------------------------------------------

@@ -224,6 +224,47 @@ TEST(ExecEngineTest, DistinctMissesShareOneBatchedIndexPass) {
   }
 }
 
+TEST(ExecEngineTest, MicroBatchedPagesOfOneRankingShareOneHandle) {
+  // Pages of one ranking in one micro-batch are distinct flights (their
+  // fingerprints differ by page) but one ranking: they share one ranked
+  // handle, opened once, and each page matches a lone execution.
+  EngineFixture fixture;
+  EarthQube& system = fixture.system();
+  ExecutionEngine* engine = system.exec_engine();
+  EngineFixture reference_fixture;
+
+  QueryRequest base =
+      NameRadiusRequest(fixture.archive().patches[5].name, /*radius=*/12);
+  base.page_size = 4;
+  std::vector<QueryRequest> requests;
+  for (size_t page : {0u, 1u, 2u}) {
+    QueryRequest paged = base;
+    paged.page = page;
+    requests.push_back(paged);
+  }
+  QueryRequest unpaged = base;
+  unpaged.page_size = 0;
+  requests.push_back(unpaged);
+
+  const uint64_t registered_before =
+      system.ranked_access()->Stats().registered;
+  engine->Pause();
+  std::vector<ExecutionEngine::Ticket> tickets;
+  for (const QueryRequest& request : requests) {
+    tickets.push_back(engine->Submit(request));
+  }
+  engine->Resume();
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    auto response = tickets[i].Get();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    auto alone = reference_fixture.system().Execute(requests[i]);
+    ASSERT_TRUE(alone.ok());
+    ExpectSameResponse(*response, *alone);
+  }
+  EXPECT_EQ(engine->Stats().batches, 1u);
+  EXPECT_EQ(system.ranked_access()->Stats().registered, registered_before + 1);
+}
+
 TEST(ExecEngineTest, HybridPreFilterMissesShareOneRestrictedPass) {
   EngineFixture fixture;
   ExecutionEngine* engine = fixture.system().exec_engine();

@@ -13,6 +13,7 @@
 #include "index/ivf_index.h"
 #include "index/product_quantizer.h"
 #include "index/linear_scan.h"
+#include "frontier_test_util.h"
 
 namespace agoraeo::index {
 namespace {
@@ -43,14 +44,14 @@ TEST(LinearScanTest, RadiusSearchExact) {
   ASSERT_TRUE(idx.Add(1, Perturb(query, 3, &rng)).ok());    // d = 3
   ASSERT_TRUE(idx.Add(2, Perturb(query, 10, &rng)).ok());   // d = 10
 
-  auto r2 = idx.RadiusSearch(query, 2);
+  auto r2 = DrainRadius(idx, query, 2);
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_EQ(r2[0].id, 0u);
-  auto r5 = idx.RadiusSearch(query, 5);
+  auto r5 = DrainRadius(idx, query, 5);
   ASSERT_EQ(r5.size(), 2u);
   EXPECT_EQ(r5[1].id, 1u);
   EXPECT_EQ(r5[1].distance, 3u);
-  auto r64 = idx.RadiusSearch(query, 64);
+  auto r64 = DrainRadius(idx, query, 64);
   EXPECT_EQ(r64.size(), 3u);
 }
 
@@ -62,7 +63,7 @@ TEST(LinearScanTest, KnnOrderedAndTiedById) {
   ASSERT_TRUE(idx.Add(5, one).ok());
   ASSERT_TRUE(idx.Add(3, one).ok());  // same distance, lower id
   ASSERT_TRUE(idx.Add(9, zero).ok());
-  auto knn = idx.KnnSearch(zero, 3);
+  auto knn = DrainKnn(idx, zero, 3);
   ASSERT_EQ(knn.size(), 3u);
   EXPECT_EQ(knn[0].id, 9u);
   EXPECT_EQ(knn[0].distance, 0u);
@@ -74,7 +75,7 @@ TEST(LinearScanTest, KnnFewerThanK) {
   LinearScanIndex idx;
   Rng rng(2);
   ASSERT_TRUE(idx.Add(0, RandomCode(32, &rng)).ok());
-  EXPECT_EQ(idx.KnnSearch(RandomCode(32, &rng), 10).size(), 1u);
+  EXPECT_EQ(DrainKnn(idx, RandomCode(32, &rng), 10).size(), 1u);
 }
 
 TEST(LinearScanTest, RejectsMismatchedLengths) {
@@ -109,7 +110,7 @@ TEST(HammingHashTableTest, ExactLookupRadiusZero) {
   ASSERT_TRUE(idx.Add(1, a).ok());
   ASSERT_TRUE(idx.Add(2, a).ok());  // same bucket
   ASSERT_TRUE(idx.Add(3, b).ok());
-  auto hits = idx.RadiusSearch(a, 0);
+  auto hits = DrainRadius(idx, a, 0);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].id, 1u);
   EXPECT_EQ(hits[1].id, 2u);
@@ -131,13 +132,25 @@ TEST(HammingHashTableTest, StatsReportProbeStrategy) {
   for (ItemId i = 0; i < 100; ++i) {
     ASSERT_TRUE(idx.Add(i, RandomCode(32, &rng)).ok());
   }
-  // Small radius: mask enumeration (probes = 1 + 32 = 33).
-  SearchStats stats;
-  idx.RadiusSearch(RandomCode(32, &rng), 1, &stats);
-  EXPECT_EQ(stats.buckets_probed, 33u);
-  // Large radius: bucket scan (probes = number of buckets).
-  idx.RadiusSearch(RandomCode(32, &rng), 20, &stats);
-  EXPECT_EQ(stats.buckets_probed, idx.num_buckets());
+  // Small radius: mask enumeration, ring by ring as the walk is
+  // drained (probes = 1 + 32 = 33).
+  SearchStats small;
+  FrontierOptions options;
+  options.radius = 1;
+  options.stats = &small;
+  auto frontier = idx.OpenFrontier(RandomCode(32, &rng), options);
+  EXPECT_EQ(small.buckets_probed, 0u);  // nothing probed before a pull
+  Drain(*frontier);
+  EXPECT_EQ(small.buckets_probed, 33u);
+  // A radius past the crossover scans every bucket, chosen up front at
+  // open rather than after enumerating the cheap rings first.
+  SearchStats large;
+  options.radius = 20;
+  options.stats = &large;
+  frontier = idx.OpenFrontier(RandomCode(32, &rng), options);
+  EXPECT_EQ(large.buckets_probed, idx.num_buckets());
+  Drain(*frontier);
+  EXPECT_EQ(large.buckets_probed, idx.num_buckets());
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +166,7 @@ TEST(MultiIndexHashingTest, SubstringGuarantee) {
     BinaryCode base = RandomCode(128, &rng);
     BinaryCode far = Perturb(base, r, &rng);
     ASSERT_TRUE(idx.Add(1, far).ok());
-    auto hits = idx.RadiusSearch(base, r);
+    auto hits = DrainRadius(idx, base, r);
     ASSERT_EQ(hits.size(), 1u) << "radius " << r;
     EXPECT_EQ(hits[0].distance, r);
   }
@@ -171,7 +184,7 @@ TEST(MultiIndexHashingTest, UnevenSplitWorks) {
   BinaryCode base = RandomCode(64, &rng);
   ASSERT_TRUE(idx.Add(0, base).ok());
   ASSERT_TRUE(idx.Add(1, Perturb(base, 5, &rng)).ok());
-  auto hits = idx.RadiusSearch(base, 6);
+  auto hits = DrainRadius(idx, base, 6);
   EXPECT_EQ(hits.size(), 2u);
 }
 
@@ -192,19 +205,21 @@ TEST_P(IndexEquivalenceTest, AllIndexesReturnIdenticalRadiusResults) {
   const auto& params = GetParam();
   Rng rng(1000 + params.bits + params.radius);
 
-  LinearScanIndex reference;
+  LinearScanIndex scan;
   HammingHashTable table;
   MultiIndexHashing mih(4);
   BkTree bk;
 
   // Clustered codes so radius searches have non-trivial results.
+  std::vector<std::pair<ItemId, BinaryCode>> items;
   std::vector<BinaryCode> centers;
   for (int c = 0; c < 5; ++c) centers.push_back(RandomCode(params.bits, &rng));
   for (ItemId i = 0; i < params.n_items; ++i) {
     const BinaryCode code = Perturb(
         centers[i % centers.size()],
         rng.UniformInt(static_cast<uint32_t>(params.bits / 8)), &rng);
-    ASSERT_TRUE(reference.Add(i, code).ok());
+    items.emplace_back(i, code);
+    ASSERT_TRUE(scan.Add(i, code).ok());
     ASSERT_TRUE(table.Add(i, code).ok());
     ASSERT_TRUE(mih.Add(i, code).ok());
     ASSERT_TRUE(bk.Add(i, code).ok());
@@ -214,10 +229,12 @@ TEST_P(IndexEquivalenceTest, AllIndexesReturnIdenticalRadiusResults) {
     const BinaryCode query =
         Perturb(centers[static_cast<size_t>(q) % centers.size()],
                 rng.UniformInt(4), &rng);
-    const auto expected = reference.RadiusSearch(query, params.radius);
-    const auto from_table = table.RadiusSearch(query, params.radius);
-    const auto from_mih = mih.RadiusSearch(query, params.radius);
-    const auto from_bk = bk.RadiusSearch(query, params.radius);
+    const auto expected = BruteForce(items, query, params.radius);
+    const auto from_scan = DrainRadius(scan, query, params.radius);
+    const auto from_table = DrainRadius(table, query, params.radius);
+    const auto from_mih = DrainRadius(mih, query, params.radius);
+    const auto from_bk = DrainRadius(bk, query, params.radius);
+    EXPECT_EQ(from_scan, expected) << "linear scan, query " << q;
     EXPECT_EQ(from_table, expected) << "hash table, query " << q;
     EXPECT_EQ(from_mih, expected) << "MIH, query " << q;
     EXPECT_EQ(from_bk, expected) << "BK-tree, query " << q;
@@ -228,17 +245,19 @@ TEST_P(IndexEquivalenceTest, KnnMatchesReferenceDistances) {
   const auto& params = GetParam();
   Rng rng(2000 + params.bits + params.radius);
 
-  LinearScanIndex reference;
+  LinearScanIndex scan;
   HammingHashTable table;
   MultiIndexHashing mih(4);
   BkTree bk;
+  std::vector<std::pair<ItemId, BinaryCode>> items;
   std::vector<BinaryCode> centers;
   for (int c = 0; c < 4; ++c) centers.push_back(RandomCode(params.bits, &rng));
   for (ItemId i = 0; i < params.n_items; ++i) {
     const BinaryCode code =
         Perturb(centers[i % centers.size()],
                 rng.UniformInt(static_cast<uint32_t>(params.bits / 6)), &rng);
-    ASSERT_TRUE(reference.Add(i, code).ok());
+    items.emplace_back(i, code);
+    ASSERT_TRUE(scan.Add(i, code).ok());
     ASSERT_TRUE(table.Add(i, code).ok());
     ASSERT_TRUE(mih.Add(i, code).ok());
     ASSERT_TRUE(bk.Add(i, code).ok());
@@ -246,14 +265,15 @@ TEST_P(IndexEquivalenceTest, KnnMatchesReferenceDistances) {
   const size_t k = 7;
   for (int q = 0; q < 5; ++q) {
     const BinaryCode query = RandomCode(params.bits, &rng);
-    const auto expected = reference.KnnSearch(query, k);
-    const auto from_table = table.KnnSearch(query, k);
-    const auto from_mih = mih.KnnSearch(query, k);
+    const auto expected = BruteForce(items, query, std::nullopt, nullptr, k);
+    EXPECT_EQ(DrainKnn(scan, query, k), expected) << "linear scan knn, query " << q;
+    const auto from_table = DrainKnn(table, query, k);
+    const auto from_mih = DrainKnn(mih, query, k);
     // Distances must agree exactly (ids may differ only on equal
     // distance; our tie-break is deterministic so full equality holds).
     EXPECT_EQ(from_table, expected) << "hash table knn, query " << q;
     EXPECT_EQ(from_mih, expected) << "MIH knn, query " << q;
-    EXPECT_EQ(bk.KnnSearch(query, k), expected) << "BK knn, query " << q;
+    EXPECT_EQ(DrainKnn(bk, query, k), expected) << "BK knn, query " << q;
   }
 }
 
@@ -313,14 +333,14 @@ TEST(RestrictedSearchTest, RadiusSearchInEqualsPostFilteredRadiusSearch) {
     for (int q = 0; q < 8; ++q) {
       const BinaryCode query = RandomCode(kBits, &rng);
       for (HammingIndex* idx : kinds.all) {
-        auto expected = idx->RadiusSearch(query, 8);
+        auto expected = DrainRadius(*idx, query, 8);
         expected.erase(
             std::remove_if(expected.begin(), expected.end(),
                            [&](const SearchResult& r) {
                              return !allowed.Contains(r.id);
                            }),
             expected.end());
-        EXPECT_EQ(idx->RadiusSearchIn(query, 8, allowed), expected)
+        EXPECT_EQ(DrainRadius(*idx, query, 8, &allowed), expected)
             << idx->Name() << " density " << density << " query " << q;
       }
     }
@@ -343,14 +363,14 @@ TEST(RestrictedSearchTest, KnnSearchInReturnsNearestAllowed) {
       const BinaryCode query = RandomCode(kBits, &rng);
       // Reference: rank everything, keep the first k allowed.
       const size_t k = 9;
-      auto ranked = kinds.scan.KnnSearch(query, kItems);
+      auto ranked = DrainKnn(kinds.scan, query, kItems);
       std::vector<SearchResult> expected;
       for (const SearchResult& r : ranked) {
         if (expected.size() >= k) break;
         if (allowed.Contains(r.id)) expected.push_back(r);
       }
       for (HammingIndex* idx : kinds.all) {
-        EXPECT_EQ(idx->KnnSearchIn(query, k, allowed), expected)
+        EXPECT_EQ(DrainKnn(*idx, query, k, &allowed), expected)
             << idx->Name() << " density " << density << " query " << q;
       }
     }
@@ -370,13 +390,13 @@ TEST(RestrictedSearchTest, EmptyAndFullAllowlists) {
 
   const BinaryCode query = RandomCode(kBits, &rng);
   for (HammingIndex* idx : kinds.all) {
-    EXPECT_TRUE(idx->RadiusSearchIn(query, 6, none).empty()) << idx->Name();
-    EXPECT_TRUE(idx->KnnSearchIn(query, 5, none).empty()) << idx->Name();
+    EXPECT_TRUE(DrainRadius(*idx, query, 6, &none).empty()) << idx->Name();
+    EXPECT_TRUE(DrainKnn(*idx, query, 5, &none).empty()) << idx->Name();
     // A full allowlist restricts nothing.
-    EXPECT_EQ(idx->RadiusSearchIn(query, 6, all_ids),
-              idx->RadiusSearch(query, 6))
+    EXPECT_EQ(DrainRadius(*idx, query, 6, &all_ids),
+              DrainRadius(*idx, query, 6))
         << idx->Name();
-    EXPECT_EQ(idx->KnnSearchIn(query, 5, all_ids), idx->KnnSearch(query, 5))
+    EXPECT_EQ(DrainKnn(*idx, query, 5, &all_ids), DrainKnn(*idx, query, 5))
         << idx->Name();
   }
 }
@@ -388,14 +408,14 @@ TEST(IndexStressTest, EmptyIndexReturnsNothing) {
   BkTree bk;
   Rng rng(9);
   const BinaryCode query = RandomCode(64, &rng);
-  EXPECT_TRUE(table.RadiusSearch(query, 5).empty());
-  EXPECT_TRUE(mih.RadiusSearch(query, 5).empty());
-  EXPECT_TRUE(scan.RadiusSearch(query, 5).empty());
-  EXPECT_TRUE(bk.RadiusSearch(query, 5).empty());
-  EXPECT_TRUE(table.KnnSearch(query, 3).empty());
-  EXPECT_TRUE(mih.KnnSearch(query, 3).empty());
-  EXPECT_TRUE(scan.KnnSearch(query, 3).empty());
-  EXPECT_TRUE(bk.KnnSearch(query, 3).empty());
+  EXPECT_TRUE(DrainRadius(table, query, 5).empty());
+  EXPECT_TRUE(DrainRadius(mih, query, 5).empty());
+  EXPECT_TRUE(DrainRadius(scan, query, 5).empty());
+  EXPECT_TRUE(DrainRadius(bk, query, 5).empty());
+  EXPECT_TRUE(DrainKnn(table, query, 3).empty());
+  EXPECT_TRUE(DrainKnn(mih, query, 3).empty());
+  EXPECT_TRUE(DrainKnn(scan, query, 3).empty());
+  EXPECT_TRUE(DrainKnn(bk, query, 3).empty());
 }
 
 TEST(IndexStressTest, DuplicateCodesAllReturned) {
@@ -403,14 +423,14 @@ TEST(IndexStressTest, DuplicateCodesAllReturned) {
   Rng rng(10);
   const BinaryCode code = RandomCode(64, &rng);
   for (ItemId i = 0; i < 50; ++i) ASSERT_TRUE(table.Add(i, code).ok());
-  EXPECT_EQ(table.RadiusSearch(code, 0).size(), 50u);
+  EXPECT_EQ(DrainRadius(table, code, 0).size(), 50u);
   EXPECT_EQ(table.num_buckets(), 1u);
-  EXPECT_EQ(table.KnnSearch(code, 10).size(), 10u);
+  EXPECT_EQ(DrainKnn(table, code, 10).size(), 10u);
 }
 
 
 // ---------------------------------------------------------------------------
-// Batch search (BatchRadiusSearch / BatchKnnSearch)
+// Batched opens (OpenFrontiers)
 // ---------------------------------------------------------------------------
 
 /// All four HammingIndex kinds loaded with identical clustered codes.
@@ -458,14 +478,14 @@ TEST(BatchSearchTest, BatchEqualsSequentialForEveryKind) {
   constexpr uint32_t kRadius = 8;
   constexpr size_t kK = 9;
   for (auto& idx : set.indexes) {
-    const auto batch_radius = idx->BatchRadiusSearch(set.queries, kRadius);
-    const auto batch_knn = idx->BatchKnnSearch(set.queries, kK);
+    const auto batch_radius = DrainRadiusBatch(*idx, set.queries, kRadius);
+    const auto batch_knn = DrainKnnBatch(*idx, set.queries, kK);
     ASSERT_EQ(batch_radius.size(), set.queries.size()) << idx->Name();
     ASSERT_EQ(batch_knn.size(), set.queries.size()) << idx->Name();
     for (size_t q = 0; q < set.queries.size(); ++q) {
-      EXPECT_EQ(batch_radius[q], idx->RadiusSearch(set.queries[q], kRadius))
+      EXPECT_EQ(batch_radius[q], DrainRadius(*idx, set.queries[q], kRadius))
           << idx->Name() << " radius, query " << q;
-      EXPECT_EQ(batch_knn[q], idx->KnnSearch(set.queries[q], kK))
+      EXPECT_EQ(batch_knn[q], DrainKnn(*idx, set.queries[q], kK))
           << idx->Name() << " knn, query " << q;
     }
   }
@@ -488,14 +508,14 @@ TEST(BatchSearchTest, BatchedRestrictedEqualsSequentialRestricted) {
   for (auto& idx : set.indexes) {
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       const auto batch_radius =
-          idx->BatchRadiusSearchIn(set.queries, kRadius, allowed, p);
-      const auto batch_knn = idx->BatchKnnSearchIn(set.queries, kK, allowed, p);
+          DrainRadiusBatch(*idx, set.queries, kRadius, p, &allowed);
+      const auto batch_knn = DrainKnnBatch(*idx, set.queries, kK, p, &allowed);
       ASSERT_EQ(batch_radius.size(), set.queries.size()) << idx->Name();
       for (size_t q = 0; q < set.queries.size(); ++q) {
         EXPECT_EQ(batch_radius[q],
-                  idx->RadiusSearchIn(set.queries[q], kRadius, allowed))
+                  DrainRadius(*idx, set.queries[q], kRadius, &allowed))
             << idx->Name() << " restricted radius, query " << q;
-        EXPECT_EQ(batch_knn[q], idx->KnnSearchIn(set.queries[q], kK, allowed))
+        EXPECT_EQ(batch_knn[q], DrainKnn(*idx, set.queries[q], kK, &allowed))
             << idx->Name() << " restricted knn, query " << q;
       }
     }
@@ -507,11 +527,9 @@ TEST(BatchSearchTest, EmptyBatchReturnsEmpty) {
   const std::vector<BinaryCode> empty;
   ThreadPool pool(2);
   for (auto& idx : set.indexes) {
-    std::vector<SearchStats> stats;
-    EXPECT_TRUE(idx->BatchRadiusSearch(empty, 5, &pool, &stats).empty())
+    EXPECT_TRUE(DrainRadiusBatch(*idx, empty, 5, &pool).empty())
         << idx->Name();
-    EXPECT_TRUE(stats.empty());
-    EXPECT_TRUE(idx->BatchKnnSearch(empty, 3, &pool).empty()) << idx->Name();
+    EXPECT_TRUE(DrainKnnBatch(*idx, empty, 3, &pool).empty()) << idx->Name();
   }
 }
 
@@ -520,14 +538,14 @@ TEST(BatchSearchTest, ResultsIndependentOfThreadCount) {
   constexpr uint32_t kRadius = 10;
   constexpr size_t kK = 6;
   for (auto& idx : set.indexes) {
-    const auto expected_radius = idx->BatchRadiusSearch(set.queries, kRadius);
-    const auto expected_knn = idx->BatchKnnSearch(set.queries, kK);
+    const auto expected_radius = DrainRadiusBatch(*idx, set.queries, kRadius);
+    const auto expected_knn = DrainKnnBatch(*idx, set.queries, kK);
     for (size_t threads : {1, 2, 4, 8}) {
       ThreadPool pool(threads);
-      EXPECT_EQ(idx->BatchRadiusSearch(set.queries, kRadius, &pool),
+      EXPECT_EQ(DrainRadiusBatch(*idx, set.queries, kRadius, &pool),
                 expected_radius)
           << idx->Name() << " radius with " << threads << " threads";
-      EXPECT_EQ(idx->BatchKnnSearch(set.queries, kK, &pool), expected_knn)
+      EXPECT_EQ(DrainKnnBatch(*idx, set.queries, kK, &pool), expected_knn)
           << idx->Name() << " knn with " << threads << " threads";
     }
   }
@@ -544,8 +562,8 @@ TEST(BatchSearchTest, TieOrderingIsCanonicalAcrossKinds) {
   ThreadPool pool(3);
   auto& reference = set.indexes[0];
   const auto expected_radius =
-      reference->BatchRadiusSearch(set.queries, kRadius);
-  const auto expected_knn = reference->BatchKnnSearch(set.queries, kK);
+      DrainRadiusBatch(*reference, set.queries, kRadius);
+  const auto expected_knn = DrainKnnBatch(*reference, set.queries, kK);
   for (size_t q = 0; q < set.queries.size(); ++q) {
     // The reference result itself must be (distance, id) sorted.
     EXPECT_TRUE(std::is_sorted(expected_radius[q].begin(),
@@ -557,16 +575,16 @@ TEST(BatchSearchTest, TieOrderingIsCanonicalAcrossKinds) {
   }
   for (size_t i = 1; i < set.indexes.size(); ++i) {
     auto& idx = set.indexes[i];
-    EXPECT_EQ(idx->BatchRadiusSearch(set.queries, kRadius, &pool),
+    EXPECT_EQ(DrainRadiusBatch(*idx, set.queries, kRadius, &pool),
               expected_radius)
         << idx->Name();
-    EXPECT_EQ(idx->BatchKnnSearch(set.queries, kK, &pool), expected_knn)
+    EXPECT_EQ(DrainKnnBatch(*idx, set.queries, kK, &pool), expected_knn)
         << idx->Name();
     for (size_t q = 0; q < set.queries.size(); ++q) {
-      EXPECT_EQ(idx->RadiusSearch(set.queries[q], kRadius),
+      EXPECT_EQ(DrainRadius(*idx, set.queries[q], kRadius),
                 expected_radius[q])
           << idx->Name() << " single-query radius, query " << q;
-      EXPECT_EQ(idx->KnnSearch(set.queries[q], kK), expected_knn[q])
+      EXPECT_EQ(DrainKnn(*idx, set.queries[q], kK), expected_knn[q])
           << idx->Name() << " single-query knn, query " << q;
     }
   }
@@ -580,14 +598,14 @@ TEST(BatchSearchTest, ConcurrentBatchesShareOnePool) {
   IndexSet set = BuildIndexSet(64, 300, 16, 77);
   constexpr uint32_t kRadius = 8;
   auto& idx = set.indexes[0];  // LinearScan: sharded override
-  const auto expected = idx->BatchRadiusSearch(set.queries, kRadius);
+  const auto expected = DrainRadiusBatch(*idx, set.queries, kRadius);
   ThreadPool shared_pool(4);
   std::vector<std::thread> callers;
   std::vector<int> ok(6, 0);
   for (size_t c = 0; c < ok.size(); ++c) {
     callers.emplace_back([&, c] {
       for (int round = 0; round < 5; ++round) {
-        if (idx->BatchRadiusSearch(set.queries, kRadius, &shared_pool) !=
+        if (DrainRadiusBatch(*idx, set.queries, kRadius, &shared_pool) !=
             expected) {
           return;  // leaves ok[c] == 0
         }
@@ -601,22 +619,18 @@ TEST(BatchSearchTest, ConcurrentBatchesShareOnePool) {
   }
 }
 
-TEST(BatchSearchTest, BatchStatsMatchSingleQueryCounters) {
+TEST(BatchSearchTest, DrainedStatsCountReturnedHits) {
   IndexSet set = BuildIndexSet(64, 200, 7, 75);
   constexpr uint32_t kRadius = 7;
   for (auto& idx : set.indexes) {
-    std::vector<SearchStats> batch_stats;
-    const auto batch =
-        idx->BatchRadiusSearch(set.queries, kRadius, nullptr, &batch_stats);
-    ASSERT_EQ(batch_stats.size(), set.queries.size()) << idx->Name();
+    const auto batch = DrainRadiusBatch(*idx, set.queries, kRadius);
     for (size_t q = 0; q < set.queries.size(); ++q) {
-      EXPECT_EQ(batch_stats[q].results, batch[q].size())
-          << idx->Name() << " query " << q;
       SearchStats single;
-      idx->RadiusSearch(set.queries[q], kRadius, &single);
-      EXPECT_EQ(batch_stats[q].results, single.results)
-          << idx->Name() << " query " << q;
-      EXPECT_EQ(batch_stats[q].candidates, single.candidates)
+      const auto hits =
+          DrainRadius(*idx, set.queries[q], kRadius, nullptr, &single);
+      EXPECT_EQ(hits, batch[q]) << idx->Name() << " query " << q;
+      EXPECT_EQ(single.results, hits.size()) << idx->Name() << " query " << q;
+      EXPECT_GE(single.candidates, hits.size())
           << idx->Name() << " query " << q;
     }
   }
@@ -634,7 +648,7 @@ TEST(BkTreeTest, DuplicateCodesShareOneNode) {
   ASSERT_TRUE(bk.Add(2, code).ok());
   EXPECT_EQ(bk.size(), 2u);
   EXPECT_EQ(bk.Depth(), 1u);
-  auto hits = bk.RadiusSearch(code, 0);
+  auto hits = DrainRadius(bk, code, 0);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].distance, 0u);
   EXPECT_EQ(hits[1].distance, 0u);
@@ -660,7 +674,7 @@ TEST(BkTreeTest, PruningVisitsFewerNodesThanScanAtSmallRadius) {
     ASSERT_TRUE(scan.Add(i, code).ok());
   }
   SearchStats bk_stats;
-  const auto hits = bk.RadiusSearch(centers[0], 4, &bk_stats);
+  const auto hits = DrainRadius(bk, centers[0], 4, nullptr, &bk_stats);
   EXPECT_FALSE(hits.empty());
   // Triangle-inequality pruning must skip a large share of the nodes.
   EXPECT_LT(bk_stats.buckets_probed, 2000u / 2);
@@ -833,7 +847,7 @@ TEST(TwoStageTest, RerankingImprovesOverPureHamming) {
     std::set<ItemId> truth_ids;
     for (const auto& t : truth) truth_ids.insert(t.id);
 
-    const auto hamming_only = table.KnnSearch(qc, 10);
+    const auto hamming_only = DrainKnn(table, qc, 10);
     for (const auto& h : hamming_only) {
       hamming_correct += truth_ids.count(h.id);
     }

@@ -11,6 +11,8 @@
 #include <set>
 #include <thread>
 
+#include "cbir_test_util.h"
+#include "frontier_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
 #include "earthqube/earthqube.h"
@@ -254,11 +256,11 @@ TEST_F(ScenarioTest, HashTableRetrievalMatchesLinearScan) {
   }
   for (size_t q = 0; q < 10; ++q) {
     const std::string& name = names[q * 11];
-    auto via_service = cbir->QueryByName(name, /*radius=*/6);
+    auto via_service = RadiusByName(*cbir, name, /*radius=*/6);
     ASSERT_TRUE(via_service.ok());
     auto code = cbir->CodeOf(name);
     ASSERT_TRUE(code.ok());
-    auto via_scan = reference.RadiusSearch(*code, 6);
+    auto via_scan = DrainRadius(reference, *code, 6);
     // The service excludes the query itself; align the reference.
     std::vector<std::string> scan_names;
     for (const auto& hit : via_scan) {

@@ -815,7 +815,24 @@ TEST(QueryRequestFromJsonTest, DefaultsAndCursor) {
 
   auto bad = EarthQubeService::QueryRequestFromJson(
       *json::ParseObject(R"({"panel":{},"cursor":"garbage!"})"));
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
+  EXPECT_TRUE(bad.status().IsCursorExpired());
+}
+
+TEST(FromStatusTest, CursorClassificationFollowsTheStatusCode) {
+  // The 410 envelope keys on the typed code, never on message text: a
+  // plain InvalidArgument worded like a cursor rejection stays a 400...
+  const HttpResponse plain =
+      FromStatus(Status::InvalidArgument("cursor: malformed"));
+  EXPECT_EQ(plain.status_code, 400) << plain.body;
+  // ...and a kCursorExpired status answers 410 whatever it says.
+  const HttpResponse expired =
+      FromStatus(Status::CursorExpired("handle evicted"));
+  EXPECT_EQ(expired.status_code, 410) << expired.body;
+  auto body = json::ParseObject(expired.body);
+  ASSERT_TRUE(body.ok()) << expired.body;
+  EXPECT_EQ(body->GetPath("error.code")->as_string(), "cursor_expired");
+  EXPECT_EQ(FromStatus(Status::NotFound("x")).status_code, 404);
+  EXPECT_EQ(FromStatus(Status::Internal("x")).status_code, 500);
 }
 
 // --- v2 endpoint over the wire ------------------------------------------------

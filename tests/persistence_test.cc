@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "cbir_test_util.h"
 #include "bigearthnet/feature_extractor.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -25,6 +26,7 @@
 #include "index/segmented_index.h"
 #include "index/sharded_index.h"
 #include "milan/milan_model.h"
+#include "frontier_test_util.h"
 
 namespace agoraeo::index {
 namespace {
@@ -92,22 +94,22 @@ TEST(SegmentedIndex, ParityAcrossKindsAndThresholds) {
         EXPECT_GE(segmented.Stats().num_sealed, kItems - 1);
       }
       for (const BinaryCode& q : queries) {
-        EXPECT_EQ(segmented.RadiusSearch(q, 8), plain->RadiusSearch(q, 8));
-        EXPECT_EQ(segmented.RadiusSearch(q, 16), plain->RadiusSearch(q, 16));
-        EXPECT_EQ(segmented.KnnSearch(q, 10), plain->KnnSearch(q, 10));
-        EXPECT_EQ(segmented.RadiusSearchIn(q, 12, allowed),
-                  plain->RadiusSearchIn(q, 12, allowed));
-        EXPECT_EQ(segmented.KnnSearchIn(q, 7, allowed),
-                  plain->KnnSearchIn(q, 7, allowed));
+        EXPECT_EQ(DrainRadius(segmented, q, 8), DrainRadius(*plain, q, 8));
+        EXPECT_EQ(DrainRadius(segmented, q, 16), DrainRadius(*plain, q, 16));
+        EXPECT_EQ(DrainKnn(segmented, q, 10), DrainKnn(*plain, q, 10));
+        EXPECT_EQ(DrainRadius(segmented, q, 12, &allowed),
+                  DrainRadius(*plain, q, 12, &allowed));
+        EXPECT_EQ(DrainKnn(segmented, q, 7, &allowed),
+                  DrainKnn(*plain, q, 7, &allowed));
       }
-      EXPECT_EQ(segmented.BatchRadiusSearch(queries, 10, &pool),
-                plain->BatchRadiusSearch(queries, 10, nullptr));
-      EXPECT_EQ(segmented.BatchKnnSearch(queries, 5, &pool),
-                plain->BatchKnnSearch(queries, 5, nullptr));
-      EXPECT_EQ(segmented.BatchRadiusSearchIn(queries, 12, allowed, &pool),
-                plain->BatchRadiusSearchIn(queries, 12, allowed, nullptr));
-      EXPECT_EQ(segmented.BatchKnnSearchIn(queries, 6, allowed, &pool),
-                plain->BatchKnnSearchIn(queries, 6, allowed, nullptr));
+      EXPECT_EQ(DrainRadiusBatch(segmented, queries, 10, &pool),
+                DrainRadiusBatch(*plain, queries, 10, nullptr));
+      EXPECT_EQ(DrainKnnBatch(segmented, queries, 5, &pool),
+                DrainKnnBatch(*plain, queries, 5, nullptr));
+      EXPECT_EQ(DrainRadiusBatch(segmented, queries, 12, &pool, &allowed),
+                DrainRadiusBatch(*plain, queries, 12, nullptr, &allowed));
+      EXPECT_EQ(DrainKnnBatch(segmented, queries, 6, &pool, &allowed),
+                DrainKnnBatch(*plain, queries, 6, nullptr, &allowed));
     }
   }
 }
@@ -146,17 +148,17 @@ TEST(SegmentedIndex, CompactionBoundsSegmentsAndKeepsParity) {
     EXPECT_EQ(stats.sealed_items + stats.mutable_items, kItems);
 
     for (const BinaryCode& q : queries) {
-      EXPECT_EQ(segmented.RadiusSearch(q, 12), plain->RadiusSearch(q, 12));
-      EXPECT_EQ(segmented.KnnSearch(q, 9), plain->KnnSearch(q, 9));
-      EXPECT_EQ(segmented.RadiusSearchIn(q, 12, allowed),
-                plain->RadiusSearchIn(q, 12, allowed));
-      EXPECT_EQ(segmented.KnnSearchIn(q, 6, allowed),
-                plain->KnnSearchIn(q, 6, allowed));
+      EXPECT_EQ(DrainRadius(segmented, q, 12), DrainRadius(*plain, q, 12));
+      EXPECT_EQ(DrainKnn(segmented, q, 9), DrainKnn(*plain, q, 9));
+      EXPECT_EQ(DrainRadius(segmented, q, 12, &allowed),
+                DrainRadius(*plain, q, 12, &allowed));
+      EXPECT_EQ(DrainKnn(segmented, q, 6, &allowed),
+                DrainKnn(*plain, q, 6, &allowed));
     }
-    EXPECT_EQ(segmented.BatchKnnSearch(queries, 7, &pool),
-              plain->BatchKnnSearch(queries, 7, nullptr));
-    EXPECT_EQ(segmented.BatchRadiusSearchIn(queries, 10, allowed, &pool),
-              plain->BatchRadiusSearchIn(queries, 10, allowed, nullptr));
+    EXPECT_EQ(DrainKnnBatch(segmented, queries, 7, &pool),
+              DrainKnnBatch(*plain, queries, 7, nullptr));
+    EXPECT_EQ(DrainRadiusBatch(segmented, queries, 10, &pool, &allowed),
+              DrainRadiusBatch(*plain, queries, 10, nullptr, &allowed));
 
     // BatchAdd crosses several seal boundaries in one locked pass; the
     // compactor must keep up there too.
@@ -171,8 +173,8 @@ TEST(SegmentedIndex, CompactionBoundsSegmentsAndKeepsParity) {
     ASSERT_EQ(segmented.size(), plain->size());
     EXPECT_LE(segmented.Stats().num_sealed, 3u);
     for (const BinaryCode& q : queries) {
-      EXPECT_EQ(segmented.KnnSearch(q, 11), plain->KnnSearch(q, 11));
-      EXPECT_EQ(segmented.RadiusSearch(q, 14), plain->RadiusSearch(q, 14));
+      EXPECT_EQ(DrainKnn(segmented, q, 11), DrainKnn(*plain, q, 11));
+      EXPECT_EQ(DrainRadius(segmented, q, 14), DrainRadius(*plain, q, 14));
     }
   }
 }
@@ -249,8 +251,8 @@ TEST(SegmentedIndex, ConcurrentIngestAndQueryHammer) {
       Rng rng(200 + r);
       for (size_t i = 0; i < 120; ++i) {
         const BinaryCode q = RandomCode(kBits, &rng);
-        auto radius_hits = segmented.RadiusSearch(q, 12);
-        auto knn_hits = segmented.KnnSearch(q, 5);
+        auto radius_hits = DrainRadius(segmented, q, 12);
+        auto knn_hits = DrainKnn(segmented, q, 5);
         // Results must always be canonically ordered, even mid-seal.
         EXPECT_TRUE(std::is_sorted(radius_hits.begin(), radius_hits.end(),
                                    ResultLess));
@@ -289,7 +291,7 @@ TEST(ShardedIndex, ConcurrentSealRotateAndBatchedQueries) {
       for (size_t i = 0; i < 40; ++i) {
         std::vector<BinaryCode> queries;
         for (size_t q = 0; q < 8; ++q) queries.push_back(RandomCode(kBits, &rng));
-        const auto batch = sharded.BatchRadiusSearch(queries, 10, &pool);
+        const auto batch = DrainRadiusBatch(sharded, queries, 10, &pool);
         for (const auto& slot : batch) {
           EXPECT_TRUE(std::is_sorted(slot.begin(), slot.end(), ResultLess));
         }
@@ -587,8 +589,8 @@ void ExpectServiceParity(const CbirService& recovered,
     ASSERT_TRUE(code_b.ok()) << name;
     EXPECT_EQ(code_a.value(), code_b.value()) << name;
 
-    auto radius_a = recovered.QueryByName(name, 10);
-    auto radius_b = twin.QueryByName(name, 10);
+    auto radius_a = RadiusByName(recovered, name, 10);
+    auto radius_b = RadiusByName(twin, name, 10);
     ASSERT_TRUE(radius_a.ok() && radius_b.ok());
     ASSERT_EQ(radius_a->size(), radius_b->size()) << name;
     for (size_t i = 0; i < radius_a->size(); ++i) {
@@ -597,8 +599,8 @@ void ExpectServiceParity(const CbirService& recovered,
                 (*radius_b)[i].hamming_distance);
     }
 
-    auto knn_a = recovered.KnnByName(name, 8);
-    auto knn_b = twin.KnnByName(name, 8);
+    auto knn_a = KnnByName(recovered, name, 8);
+    auto knn_b = KnnByName(twin, name, 8);
     ASSERT_TRUE(knn_a.ok() && knn_b.ok());
     ASSERT_EQ(knn_a->size(), knn_b->size()) << name;
     for (size_t i = 0; i < knn_a->size(); ++i) {
@@ -789,8 +791,8 @@ TEST(PersistenceService, CrashMidBatchRecoversToLastIntactBatch) {
       ASSERT_EQ(twin->num_indexed(), 60u);
       for (size_t i : {size_t{0}, size_t{17}, size_t{59}}) {
         const std::string name = "patch_" + std::to_string(i);
-        auto knn_a = recovered->KnnByName(name, 10);
-        auto knn_b = twin->KnnByName(name, 10);
+        auto knn_a = KnnByName(*recovered, name, 10);
+        auto knn_b = KnnByName(*twin, name, 10);
         ASSERT_TRUE(knn_a.ok() && knn_b.ok());
         ASSERT_EQ(knn_a->size(), knn_b->size());
         for (size_t j = 0; j < knn_a->size(); ++j) {

@@ -13,6 +13,7 @@
 #include "index/linear_scan.h"
 #include "index/segmented_index.h"
 #include "index/sharded_index.h"
+#include "frontier_test_util.h"
 
 namespace agoraeo::index {
 namespace {
@@ -24,7 +25,7 @@ BinaryCode RandomCode(size_t bits, Rng* rng) {
 }
 
 /// Drains a frontier completely, pulling in chunks of `chunk`.
-std::vector<SearchResult> Drain(HitFrontier* frontier, size_t chunk) {
+std::vector<SearchResult> DrainInChunks(HitFrontier* frontier, size_t chunk) {
   std::vector<SearchResult> out;
   while (true) {
     const size_t got = frontier->Next(chunk, &out);
@@ -75,50 +76,77 @@ class FrontierExactnessTest : public ::testing::Test {
 
   void Populate(HammingIndex* index, Rng* rng) {
     query_ = RandomCode(kBits, rng);
+    items_.clear();
     for (size_t i = 0; i < kItems; ++i) {
       // Mix of near and far codes (plus exact duplicates of the query)
       // so every distance bucket from 0 outward is exercised.
       BinaryCode code = rng->Bernoulli(0.05) ? query_ : RandomCode(kBits, rng);
       ASSERT_TRUE(index->Add(i, code).ok());
+      items_.emplace_back(i, code);
     }
   }
 
   BinaryCode query_;
+  /// What was added, for the brute-force reference ranking.
+  std::vector<std::pair<ItemId, BinaryCode>> items_;
 };
 
-TEST_F(FrontierExactnessTest, FullRankedMatchesEagerKnn) {
+TEST_F(FrontierExactnessTest, FullRankedMatchesBruteForce) {
   for (const IndexVariant& variant : AllVariants()) {
     SCOPED_TRACE(variant.name);
     Rng rng(7);
     auto index = variant.make();
     Populate(index.get(), &rng);
-    const std::vector<SearchResult> eager =
-        index->KnnSearch(query_, index->size());
+    const std::vector<SearchResult> expected =
+        BruteForce(items_, query_, std::nullopt);
     for (size_t chunk : {1u, 7u, 50u, 1000u}) {
       auto frontier = index->OpenFrontier(query_, FrontierOptions{});
-      EXPECT_EQ(Drain(frontier.get(), chunk), eager) << "chunk=" << chunk;
+      EXPECT_EQ(DrainInChunks(frontier.get(), chunk), expected)
+          << "chunk=" << chunk;
     }
   }
 }
 
-TEST_F(FrontierExactnessTest, RadiusBoundedMatchesEagerRadius) {
+TEST_F(FrontierExactnessTest, BoundedMatchesBruteForceTopK) {
+  for (const IndexVariant& variant : AllVariants()) {
+    SCOPED_TRACE(variant.name);
+    Rng rng(5);
+    auto index = variant.make();
+    Populate(index.get(), &rng);
+    for (size_t k : {1u, 7u, 50u, 1000u}) {
+      FrontierOptions options;
+      options.limit = k;
+      auto frontier = index->OpenFrontier(query_, options);
+      EXPECT_EQ(Drain(*frontier, k),
+                BruteForce(items_, query_, std::nullopt, nullptr, k))
+          << "k=" << k;
+      options.radius = 28;
+      frontier = index->OpenFrontier(query_, options);
+      EXPECT_EQ(Drain(*frontier, k),
+                BruteForce(items_, query_, 28u, nullptr, k))
+          << "radius 28, k=" << k;
+    }
+  }
+}
+
+TEST_F(FrontierExactnessTest, RadiusBoundedMatchesBruteForce) {
   for (const IndexVariant& variant : AllVariants()) {
     SCOPED_TRACE(variant.name);
     Rng rng(11);
     auto index = variant.make();
     Populate(index.get(), &rng);
     for (uint32_t radius : {0u, 3u, 12u, 28u, 64u}) {
-      const std::vector<SearchResult> eager =
-          index->RadiusSearch(query_, radius);
       FrontierOptions options;
       options.radius = radius;
       auto frontier = index->OpenFrontier(query_, options);
-      EXPECT_EQ(Drain(frontier.get(), 13), eager) << "radius=" << radius;
+      EXPECT_EQ(DrainInChunks(frontier.get(), 13),
+                BruteForce(items_, query_, radius))
+          << "radius=" << radius;
     }
   }
 }
 
-TEST_F(FrontierExactnessTest, RestrictedMatchesEagerIn) {
+TEST_F(FrontierExactnessTest, RestrictedMatchesBruteForce) {
   for (const IndexVariant& variant : AllVariants()) {
     SCOPED_TRACE(variant.name);
     Rng rng(13);
@@ -138,16 +166,16 @@ TEST_F(FrontierExactnessTest, RestrictedMatchesEagerIn) {
         options.radius = 20;
         options.allowed = &allowed;
         auto frontier = index->OpenFrontier(query_, options);
-        EXPECT_EQ(Drain(frontier.get(), 9),
-                  index->RadiusSearchIn(query_, 20, allowed))
+        EXPECT_EQ(DrainInChunks(frontier.get(), 9),
+                  BruteForce(items_, query_, 20u, &allowed))
             << "allow=" << allow_count;
       }
       {
         FrontierOptions options;
         options.allowed = &allowed;
         auto frontier = index->OpenFrontier(query_, options);
-        EXPECT_EQ(Drain(frontier.get(), 9),
-                  index->KnnSearchIn(query_, index->size(), allowed))
+        EXPECT_EQ(DrainInChunks(frontier.get(), 9),
+                  BruteForce(items_, query_, std::nullopt, &allowed))
             << "allow=" << allow_count;
       }
     }
@@ -178,7 +206,7 @@ TEST(FrontierSnapshotTest, SegmentedFrontierIgnoresLaterIngest) {
   for (size_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(index.Add(i, RandomCode(64, &rng)).ok());
   }
-  const std::vector<SearchResult> before = index.KnnSearch(query, 100);
+  const std::vector<SearchResult> before = DrainKnn(index, query, 100);
 
   auto frontier = index.OpenFrontier(query, FrontierOptions{});
   std::vector<SearchResult> streamed;
@@ -206,7 +234,7 @@ TEST(FrontierSnapshotTest, ShardedFrontierIgnoresLaterIngest) {
   for (size_t i = 0; i < 120; ++i) {
     ASSERT_TRUE(index.Add(i, RandomCode(64, &rng)).ok());
   }
-  const std::vector<SearchResult> before = index.KnnSearch(query, 120);
+  const std::vector<SearchResult> before = DrainKnn(index, query, 120);
 
   auto frontier = index.OpenFrontier(query, FrontierOptions{});
   std::vector<SearchResult> streamed;
@@ -217,8 +245,8 @@ TEST(FrontierSnapshotTest, ShardedFrontierIgnoresLaterIngest) {
   while (frontier->Next(33, &streamed) > 0) {
   }
   // The sealed portion is pinned; only what was still in mutable
-  // segments at open time is snapshotted eagerly — either way the
-  // stream must equal the pre-ingest eager ranking.
+  // segments at open time is snapshotted at open — either way the
+  // stream must equal the pre-ingest ranking.
   EXPECT_EQ(streamed, before);
 }
 
@@ -236,17 +264,16 @@ TEST(MergingFrontierTest, MergesDisjointChildrenInCanonicalOrder) {
       std::make_unique<MaterializedFrontier>(std::vector<SearchResult>{}));
   const std::vector<SearchResult> expected = {
       {1, 0}, {2, 1}, {5, 2}, {6, 2}, {7, 2}, {8, 3}, {9, 9}};
-  EXPECT_EQ(Drain(&merge, 2), expected);
+  EXPECT_EQ(DrainInChunks(&merge, 2), expected);
 }
 
 TEST(DistanceBucketFrontierTest, SortsBucketsLazilyById) {
-  std::vector<std::vector<SearchResult>> buckets(4);
-  buckets[1] = {{9, 1}, {3, 1}, {7, 1}};  // deliberately unsorted
-  buckets[3] = {{2, 3}, {1, 3}};
-  DistanceBucketFrontier frontier(std::move(buckets));
+  // Deliberately unsorted, distances interleaved, an empty group at 2.
+  DistanceBucketFrontier frontier(
+      {{2, 3}, {9, 1}, {3, 1}, {1, 3}, {7, 1}}, /*max_distance=*/3);
   const std::vector<SearchResult> expected = {
       {3, 1}, {7, 1}, {9, 1}, {1, 3}, {2, 3}};
-  EXPECT_EQ(Drain(&frontier, 1), expected);
+  EXPECT_EQ(DrainInChunks(&frontier, 1), expected);
 }
 
 }  // namespace
@@ -473,8 +500,10 @@ std::string Serialize(const QueryResponse& response) {
 
 /// Walks every page of `base` twice per page: once resuming the pinned
 /// handle (warm) and once from scratch (handles cleared), asserting the
-/// serialised wire bytes are identical.  Returns the concatenated hit
-/// names of the whole walk.
+/// serialised wire bytes are identical.  Then runs `base` unpaged
+/// (page_size 0) and asserts it returns exactly the concatenated walk,
+/// with no cursor and no handle registered.  Returns the concatenated
+/// hit names of the whole walk.
 std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
   std::vector<std::string> names;
   const uint64_t hits_before = system.ranked_access()->Stats().hits;
@@ -501,6 +530,24 @@ std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
   // Pages 1.. of the warm walk resumed the handle registered by the
   // previous page's cold execution.
   EXPECT_GE(system.ranked_access()->Stats().hits - hits_before, pages - 1);
+
+  QueryRequest unpaged = base;
+  unpaged.page = 0;
+  unpaged.page_size = 0;
+  const uint64_t registered_before = system.ranked_access()->Stats().registered;
+  auto whole = system.Execute(unpaged);
+  EXPECT_TRUE(whole.ok()) << whole.status().message();
+  if (whole.ok()) {
+    std::vector<std::string> whole_names;
+    for (const CbirResult& hit : whole->hits) {
+      whole_names.push_back(hit.patch_name);
+    }
+    EXPECT_EQ(whole_names, names) << "unpaged != concatenated paged walk";
+    EXPECT_TRUE(whole->cursor.empty());
+    EXPECT_FALSE(whole->windowed);
+  }
+  EXPECT_EQ(system.ranked_access()->Stats().registered, registered_before)
+      << "an unpaged request must not pin a handle";
   return names;
 }
 
@@ -559,6 +606,54 @@ TEST(RankedPagingAuditTest, ResumedPagesMatchReExecutionAcrossVariants) {
       }
     }
   }
+}
+
+TEST(RankedPagingAuditTest, UnpagedPostFilterKnnCountsRawRankOfKthSurvivor) {
+  // docs_examined of an unpaged post-filter k-NN is the raw rank of the
+  // k-th filter survivor: the join cost of exactly the rows returned,
+  // as on the paged walk.
+  PagingFixture fixture(CbirIndexKind::kHashTable);
+  EarthQube& system = fixture.system();
+  const std::string& subject = fixture.archive().patches[0].name;
+  EarthQubeQuery panel;
+  panel.satellites = {"S2A"};
+  constexpr size_t kK = 20;
+
+  // The filter's members and the unrestricted ranking, independently.
+  QueryRequest members;
+  members.panel = panel;
+  members.page_size = 0;
+  auto matched = system.Execute(members);
+  ASSERT_TRUE(matched.ok());
+  std::set<std::string> survivors;
+  for (const ResultEntry& entry : matched->panel.entries()) {
+    survivors.insert(entry.name);
+  }
+  QueryRequest ranking;
+  ranking.similarity = SimilaritySpec::NameKnn(subject, 1000);
+  ranking.projection = Projection::kHitsOnly;
+  ranking.page_size = 0;
+  auto ranked = system.Execute(ranking);
+  ASSERT_TRUE(ranked.ok());
+  size_t raw_rank = 0;
+  size_t found = 0;
+  for (const CbirResult& hit : ranked->hits) {
+    ++raw_rank;
+    if (survivors.count(hit.patch_name) != 0 && ++found == kK) break;
+  }
+  ASSERT_EQ(found, kK);
+  ASSERT_GT(raw_rank, 2 * kK) << "filter too loose to need over-fetching";
+
+  QueryRequest post;
+  post.panel = panel;
+  post.similarity = SimilaritySpec::NameKnn(subject, kK);
+  post.planner = PlannerMode::kForcePostFilter;
+  post.projection = Projection::kHitsOnly;
+  post.page_size = 0;
+  auto response = system.Execute(post);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->hits.size(), kK);
+  EXPECT_EQ(response->query_stats.docs_examined, raw_rank);
 }
 
 TEST(RankedPagingAuditTest, IngestMidPaginationFallsBackToReExecution) {

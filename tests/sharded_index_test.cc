@@ -12,6 +12,7 @@
 #include "index/hamming_table.h"
 #include "index/linear_scan.h"
 #include "index/sharded_index.h"
+#include "frontier_test_util.h"
 
 namespace agoraeo::index {
 namespace {
@@ -87,12 +88,12 @@ TEST(ShardedIndexTest, SingleQueryParityAllKinds) {
     for (const auto& idx : f.sharded) {
       ASSERT_EQ(idx->size(), f.plain->size());
       for (const BinaryCode& q : f.queries) {
-        EXPECT_EQ(idx->RadiusSearch(q, 12), f.plain->RadiusSearch(q, 12));
-        EXPECT_EQ(idx->KnnSearch(q, 9), f.plain->KnnSearch(q, 9));
-        EXPECT_EQ(idx->RadiusSearchIn(q, 14, f.allowed),
-                  f.plain->RadiusSearchIn(q, 14, f.allowed));
-        EXPECT_EQ(idx->KnnSearchIn(q, 7, f.allowed),
-                  f.plain->KnnSearchIn(q, 7, f.allowed));
+        EXPECT_EQ(DrainRadius(*idx, q, 12), DrainRadius(*f.plain, q, 12));
+        EXPECT_EQ(DrainKnn(*idx, q, 9), DrainKnn(*f.plain, q, 9));
+        EXPECT_EQ(DrainRadius(*idx, q, 14, &f.allowed),
+                  DrainRadius(*f.plain, q, 14, &f.allowed));
+        EXPECT_EQ(DrainKnn(*idx, q, 7, &f.allowed),
+                  DrainKnn(*f.plain, q, 7, &f.allowed));
       }
     }
   }
@@ -102,18 +103,18 @@ TEST(ShardedIndexTest, BatchParityAllKindsPooledAndSequential) {
   ThreadPool pool(4);
   for (Kind kind : kAllKinds) {
     ParityFixture f(kind, 250, 64, 23);
-    const auto want_radius = f.plain->BatchRadiusSearch(f.queries, 12);
-    const auto want_knn = f.plain->BatchKnnSearch(f.queries, 8);
+    const auto want_radius = DrainRadiusBatch(*f.plain, f.queries, 12);
+    const auto want_knn = DrainKnnBatch(*f.plain, f.queries, 8);
     const auto want_radius_in =
-        f.plain->BatchRadiusSearchIn(f.queries, 14, f.allowed);
-    const auto want_knn_in = f.plain->BatchKnnSearchIn(f.queries, 6, f.allowed);
+        DrainRadiusBatch(*f.plain, f.queries, 14, nullptr, &f.allowed);
+    const auto want_knn_in = DrainKnnBatch(*f.plain, f.queries, 6, nullptr, &f.allowed);
     for (const auto& idx : f.sharded) {
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        EXPECT_EQ(idx->BatchRadiusSearch(f.queries, 12, p), want_radius);
-        EXPECT_EQ(idx->BatchKnnSearch(f.queries, 8, p), want_knn);
-        EXPECT_EQ(idx->BatchRadiusSearchIn(f.queries, 14, f.allowed, p),
+        EXPECT_EQ(DrainRadiusBatch(*idx, f.queries, 12, p), want_radius);
+        EXPECT_EQ(DrainKnnBatch(*idx, f.queries, 8, p), want_knn);
+        EXPECT_EQ(DrainRadiusBatch(*idx, f.queries, 14, p, &f.allowed),
                   want_radius_in);
-        EXPECT_EQ(idx->BatchKnnSearchIn(f.queries, 6, f.allowed, p),
+        EXPECT_EQ(DrainKnnBatch(*idx, f.queries, 6, p, &f.allowed),
                   want_knn_in);
       }
     }
@@ -137,7 +138,7 @@ TEST(ShardedIndexTest, BatchAddParityAndParallelIngest) {
   ASSERT_EQ(sharded.size(), plain->size());
   for (size_t q = 0; q < 8; ++q) {
     const BinaryCode query = RandomCode(64, &rng);
-    EXPECT_EQ(sharded.RadiusSearch(query, 14), plain->RadiusSearch(query, 14));
+    EXPECT_EQ(DrainRadius(sharded, query, 14), DrainRadius(*plain, query, 14));
   }
   // Every item routed to exactly one shard; sizes sum to the total.
   const ShardedIndexStats stats = sharded.Stats();
@@ -206,8 +207,8 @@ TEST(ShardedIndexTest, StatsCountFanoutsAndName) {
   EXPECT_EQ(idx.Name(), "sharded(HammingHashTable, 3)");
 
   const ShardedIndexStats before = idx.Stats();
-  (void)idx.BatchRadiusSearch(f.queries, 10, &pool);
-  (void)idx.RadiusSearch(f.queries[0], 10);
+  (void)DrainRadiusBatch(idx, f.queries, 10, &pool);
+  (void)DrainRadius(idx, f.queries[0], 10);
   const ShardedIndexStats after = idx.Stats();
   EXPECT_EQ(after.batch_fanouts, before.batch_fanouts + 1);
   EXPECT_EQ(after.fanout_tasks, before.fanout_tasks + 3);
@@ -217,8 +218,8 @@ TEST(ShardedIndexTest, StatsCountFanoutsAndName) {
 TEST(ShardedIndexTest, StatsAggregateAcrossShards) {
   ParityFixture f(Kind::kLinearScan, 200, 64, 53);
   SearchStats plain_stats, sharded_stats;
-  (void)f.plain->RadiusSearch(f.queries[0], 12, &plain_stats);
-  (void)f.sharded[2]->RadiusSearch(f.queries[0], 12, &sharded_stats);
+  (void)DrainRadius(*f.plain, f.queries[0], 12, nullptr, &plain_stats);
+  (void)DrainRadius(*f.sharded[2], f.queries[0], 12, nullptr, &sharded_stats);
   // The linear scan evaluates every item exactly once whether the items
   // live in one partition or eight.
   EXPECT_EQ(sharded_stats.candidates, plain_stats.candidates);
@@ -261,11 +262,11 @@ TEST(ShardedIndexTest, ConcurrentIngestQueryHammer) {
       Rng rng(200 + r);
       while (!stop.load()) {
         const BinaryCode query = RandomCode(64, &rng);
-        const auto radius_hits = idx.RadiusSearch(query, 20);
+        const auto radius_hits = DrainRadius(idx, query, 20);
         for (size_t i = 1; i < radius_hits.size(); ++i) {
           ASSERT_TRUE(ResultLess(radius_hits[i - 1], radius_hits[i]));
         }
-        const auto knn_hits = idx.KnnSearch(query, 5);
+        const auto knn_hits = DrainKnn(idx, query, 5);
         ASSERT_LE(knn_hits.size(), 5u);
         (void)idx.size();
       }

@@ -13,6 +13,7 @@
 #include "index/linear_scan.h"
 #include "index/segmented_index.h"
 #include "index/sharded_index.h"
+#include "frontier_test_util.h"
 
 namespace agoraeo::simd {
 namespace {
@@ -75,8 +76,8 @@ TEST(KernelRegistryTest, DispatchCountsAdvanceWithScans) {
     ASSERT_TRUE(idx.Add(id, code).ok());
   }
   BinaryCode query(128);
-  idx.RadiusSearch(query, 8);
-  idx.KnnSearch(query, 3);
+  DrainRadius(idx, query, 8);
+  DrainKnn(idx, query, 3);
   EXPECT_GE(DispatchCount(scalar_index), before + 2);
 }
 
@@ -205,16 +206,16 @@ TEST(KernelIndexMatrixTest, AllKernelsMatchScalarThroughFullStack) {
 
   auto run = [&](HammingIndex* idx) {
     Expected e;
-    e.radius = Flat(idx->RadiusSearch(queries[0], kRadius));
-    e.knn = Flat(idx->KnnSearch(queries[0], kK));
-    e.radius_sparse = Flat(idx->RadiusSearchIn(queries[0], kRadius, sparse));
-    e.radius_dense = Flat(idx->RadiusSearchIn(queries[0], kRadius, dense));
-    e.knn_sparse = Flat(idx->KnnSearchIn(queries[0], kK, sparse));
-    e.knn_dense = Flat(idx->KnnSearchIn(queries[0], kK, dense));
-    for (const auto& hits : idx->BatchRadiusSearch(queries, kRadius)) {
+    e.radius = Flat(DrainRadius(*idx, queries[0], kRadius));
+    e.knn = Flat(DrainKnn(*idx, queries[0], kK));
+    e.radius_sparse = Flat(DrainRadius(*idx, queries[0], kRadius, &sparse));
+    e.radius_dense = Flat(DrainRadius(*idx, queries[0], kRadius, &dense));
+    e.knn_sparse = Flat(DrainKnn(*idx, queries[0], kK, &sparse));
+    e.knn_dense = Flat(DrainKnn(*idx, queries[0], kK, &dense));
+    for (const auto& hits : DrainRadiusBatch(*idx, queries, kRadius)) {
       e.batch_radius.push_back(Flat(hits));
     }
-    for (const auto& hits : idx->BatchKnnSearch(queries, kK)) {
+    for (const auto& hits : DrainKnnBatch(*idx, queries, kK)) {
       e.batch_knn.push_back(Flat(hits));
     }
     return e;
@@ -281,7 +282,7 @@ TEST(LinearScanBatchAddTest, RejectsMixedWidthBatchAtomically) {
                                      RandomCode(128, &rng)};
   ASSERT_TRUE(idx.BatchAdd(ids, uniform).ok());
   EXPECT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.RadiusSearch(uniform[1], 0).size(), 1u);
+  EXPECT_EQ(DrainRadius(idx, uniform[1], 0).size(), 1u);
 }
 
 TEST(LinearScanBatchAddTest, RejectsEmptyCodeInBatch) {
