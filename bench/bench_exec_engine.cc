@@ -5,15 +5,15 @@
 /// miss — the configuration where the engine itself (not the cache)
 /// has to win.  Three engine configurations are compared:
 ///
-///   engine off          — the synchronous per-caller path
+///   plain engine        — every request its own flight (no coalescing,
+///                         no micro-batching)
 ///   coalesce only       — singleflight on identical in-flight misses
 ///   coalesce + batch    — plus micro-batched index passes for
 ///                         distinct compatible misses
 ///
-/// The headline is coalesce+batch vs engine-off at 32 clients (the
-/// acceptance bar is >= 1.5x on this cold-cache mix).  An untimed
-/// audit verifies engine responses are byte-identical to the
-/// synchronous path across the whole pool.
+/// The headline is coalesce+batch vs the plain engine at 32 clients.
+/// An untimed audit verifies coalesced and micro-batched responses are
+/// byte-identical to the plain engine's across the whole pool.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -60,7 +60,7 @@ class ZipfianSampler {
   std::vector<double> cdf_;
 };
 
-enum class Mode { kEngineOff, kCoalesceOnly, kCoalescePlusBatch };
+enum class Mode { kPlainEngine, kCoalesceOnly, kCoalescePlusBatch };
 
 struct EngineBenchContext {
   std::unique_ptr<earthqube::EarthQube> system;
@@ -111,8 +111,7 @@ EngineBenchContext* GetContext(Mode mode) {
   // absorb the Zipfian head and measure the cache, not the engine.
   config.cache.enable_response_cache = false;
   config.cache.enable_negative_cache = false;
-  config.exec.enable = mode != Mode::kEngineOff;
-  config.exec.coalesce = true;
+  config.exec.coalesce = mode != Mode::kPlainEngine;
   config.exec.micro_batch = mode == Mode::kCoalescePlusBatch;
   ctx->system = std::make_unique<earthqube::EarthQube>(config);
   if (!ctx->system->IngestArchive(fixture.archive).ok()) std::abort();
@@ -137,9 +136,7 @@ void RunClosedLoop(benchmark::State& state, Mode mode) {
   earthqube::EarthQube& system = *ctx->system;
   const size_t clients = static_cast<size_t>(state.range(0));
 
-  const earthqube::ExecStats before =
-      system.exec_engine() != nullptr ? system.exec_engine()->Stats()
-                                      : earthqube::ExecStats{};
+  const earthqube::ExecStats before = system.exec_engine().Stats();
   uint64_t round = 0;
   for (auto _ : state) {
     ++round;
@@ -160,21 +157,19 @@ void RunClosedLoop(benchmark::State& state, Mode mode) {
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * clients * kOpsPerClient));
-  if (system.exec_engine() != nullptr) {
-    const earthqube::ExecStats after = system.exec_engine()->Stats();
-    state.counters["coalesced"] =
-        static_cast<double>(after.coalesced - before.coalesced);
-    state.counters["batches"] =
-        static_cast<double>(after.batches - before.batches);
-    state.counters["batched_flights"] =
-        static_cast<double>(after.batched_flights - before.batched_flights);
-    state.counters["flights"] =
-        static_cast<double>(after.flights - before.flights);
-  }
+  const earthqube::ExecStats after = system.exec_engine().Stats();
+  state.counters["coalesced"] =
+      static_cast<double>(after.coalesced - before.coalesced);
+  state.counters["batches"] =
+      static_cast<double>(after.batches - before.batches);
+  state.counters["batched_flights"] =
+      static_cast<double>(after.batched_flights - before.batched_flights);
+  state.counters["flights"] =
+      static_cast<double>(after.flights - before.flights);
 }
 
-void BM_ClosedLoopEngineOff(benchmark::State& state) {
-  RunClosedLoop(state, Mode::kEngineOff);
+void BM_ClosedLoopPlainEngine(benchmark::State& state) {
+  RunClosedLoop(state, Mode::kPlainEngine);
 }
 void BM_ClosedLoopCoalesceOnly(benchmark::State& state) {
   RunClosedLoop(state, Mode::kCoalesceOnly);
@@ -183,7 +178,7 @@ void BM_ClosedLoopCoalescePlusBatch(benchmark::State& state) {
   RunClosedLoop(state, Mode::kCoalescePlusBatch);
 }
 
-BENCHMARK(BM_ClosedLoopEngineOff)
+BENCHMARK(BM_ClosedLoopPlainEngine)
     ->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -197,17 +192,17 @@ BENCHMARK(BM_ClosedLoopCoalescePlusBatch)
     ->UseRealTime();
 
 /// Parity audit (not timed): every pool request must produce the same
-/// caller-visible response through the engine (both configurations)
-/// and through the synchronous path.
-void VerifyEngineMatchesSync() {
-  EngineBenchContext* off = GetContext(Mode::kEngineOff);
+/// caller-visible response through the coalescing, micro-batching
+/// engine and through the plain one.
+void VerifySharedMatchesPlain() {
+  EngineBenchContext* plain = GetContext(Mode::kPlainEngine);
   EngineBenchContext* batch = GetContext(Mode::kCoalescePlusBatch);
-  for (size_t i = 0; i < off->pool.size(); ++i) {
-    const auto sync_response = off->system->Execute(off->pool[i]);
-    const auto engine_response = batch->system->Execute(batch->pool[i]);
-    if (!sync_response.ok() || !engine_response.ok()) std::abort();
-    const auto& a = *sync_response;
-    const auto& b = *engine_response;
+  for (size_t i = 0; i < plain->pool.size(); ++i) {
+    const auto plain_response = plain->system->Execute(plain->pool[i]);
+    const auto shared_response = batch->system->Execute(batch->pool[i]);
+    if (!plain_response.ok() || !shared_response.ok()) std::abort();
+    const auto& a = *plain_response;
+    const auto& b = *shared_response;
     bool same = a.hits.size() == b.hits.size() && a.cursor == b.cursor &&
                 a.plan.description == b.plan.description &&
                 a.query_stats.plan == b.query_stats.plan;
@@ -217,13 +212,14 @@ void VerifyEngineMatchesSync() {
     }
     if (!same) {
       std::fprintf(stderr,
-                   "engine/sync response mismatch for pool request %zu\n", i);
+                   "shared/plain response mismatch for pool request %zu\n",
+                   i);
       std::abort();
     }
   }
   std::printf("parity audit: %zu pool requests byte-identical through the "
-              "engine vs the synchronous path\n",
-              off->pool.size());
+              "coalescing, micro-batching engine vs the plain engine\n",
+              plain->pool.size());
 }
 
 }  // namespace
@@ -232,6 +228,6 @@ void VerifyEngineMatchesSync() {
 int main(int argc, char** argv) {
   const int rc =
       agoraeo::bench::RunBenchmarksWithJson("exec_engine", argc, argv);
-  if (rc == 0) agoraeo::bench::VerifyEngineMatchesSync();
+  if (rc == 0) agoraeo::bench::VerifySharedMatchesPlain();
   return rc;
 }

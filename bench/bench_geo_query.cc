@@ -31,7 +31,7 @@ void RunGeoQuery(benchmark::State& state, const GeoQuery& geo, bool indexed) {
   size_t matches = 0, examined = 0, iters = 0;
   std::string plan;
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
     matches += response->panel.total();

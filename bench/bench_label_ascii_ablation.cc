@@ -42,7 +42,7 @@ void RunAblation(benchmark::State& state, LabelEncoding encoding,
   query.label_filter = LabelFilter::AtLeastAndMore(QueryLabels());
   size_t matches = 0, iters = 0;
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
     matches += response->panel.total();

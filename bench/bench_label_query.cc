@@ -42,7 +42,7 @@ void RunLabelQuery(benchmark::State& state, earthqube::LabelOperator op,
   size_t matches = 0, iters = 0;
   std::string plan;
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
     matches += response->panel.total();

@@ -180,14 +180,14 @@ void BM_CursorResumePage(benchmark::State& state) {
   const size_t depth = static_cast<size_t>(state.range(0));
   SystemContext* ctx = GetSystemContext();
   // Warm the handle the way a paging client does: walk to the page.
-  ctx->system->ranked_access()->Clear();
+  ctx->system->ranked_access().Clear();
   for (size_t page = 0; page < depth; ++page) ExecutePage(ctx, page);
   size_t window = 0;
   for (auto _ : state) window = ExecutePage(ctx, depth);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.counters["depth"] = static_cast<double>(depth);
   state.counters["window"] = static_cast<double>(window);
-  const auto stats = ctx->system->ranked_access()->Stats();
+  const auto stats = ctx->system->ranked_access().Stats();
   state.counters["resume_hits"] = static_cast<double>(stats.hits);
 }
 
@@ -198,7 +198,7 @@ void BM_ColdRerunPage(benchmark::State& state) {
   for (auto _ : state) {
     // A stateless server holds no handle: every page re-executes the
     // ranking from hit 0 up through the requested window.
-    ctx->system->ranked_access()->Clear();
+    ctx->system->ranked_access().Clear();
     window = ExecutePage(ctx, depth);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -211,7 +211,7 @@ void BM_WalkResume(benchmark::State& state) {
   SystemContext* ctx = GetSystemContext();
   size_t rows = 0;
   for (auto _ : state) {
-    ctx->system->ranked_access()->Clear();  // each walk starts cold
+    ctx->system->ranked_access().Clear();  // each walk starts cold
     rows = 0;
     for (size_t page = 0; page < pages; ++page) rows += ExecutePage(ctx, page);
   }
@@ -227,7 +227,7 @@ void BM_WalkRerun(benchmark::State& state) {
   for (auto _ : state) {
     rows = 0;
     for (size_t page = 0; page < pages; ++page) {
-      ctx->system->ranked_access()->Clear();
+      ctx->system->ranked_access().Clear();
       rows += ExecutePage(ctx, page);
     }
   }

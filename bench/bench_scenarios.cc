@@ -58,7 +58,7 @@ void BM_Scenario_LabelExploration(benchmark::State& state) {
                 *LabelIdFromName("Water bodies")}));
   size_t matches = 0, labels_discovered = 0, iters = 0;
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     matches += response->panel.total();
     labels_discovered += response->statistics.bars().size();
@@ -77,10 +77,11 @@ void BM_Scenario_SpatialCbir(benchmark::State& state) {
   geo_query.geo = GeoQuery::Rect({{37.0, -9.5}, {38.5, -7.8}});
   size_t similar_found = 0, iters = 0;
   for (auto _ : state) {
-    auto geo_response = system->Search(geo_query);
+    auto geo_response = system->Execute(PanelRequest(geo_query));
     if (!geo_response.ok() || geo_response->panel.total() == 0) std::abort();
     const std::string& name = geo_response->panel.entries()[0].name;
-    auto cbir_response = system->NearestToArchiveImage(name, 20);
+    auto cbir_response = system->Execute(
+        SimilarRequest(earthqube::SimilaritySpec::NameKnn(name, 20)));
     if (!cbir_response.ok()) std::abort();
     similar_found += cbir_response->panel.total();
     benchmark::DoNotOptimize(cbir_response);
@@ -107,8 +108,9 @@ void BM_Scenario_QueryByNewExample(benchmark::State& state) {
   }
   size_t found = 0, iters = 0, u = 0;
   for (auto _ : state) {
-    auto response =
-        system->SimilarToUploadedImage(uploads[u % uploads.size()], 14, 50);
+    auto response = system->Execute(SimilarRequest(
+        earthqube::SimilaritySpec::PatchRadius(uploads[u % uploads.size()], 14,
+                                               50)));
     if (!response.ok()) std::abort();
     found += response->panel.total();
     benchmark::DoNotOptimize(response);

@@ -69,7 +69,7 @@ void BM_InProcess_LabelSearch(benchmark::State& state) {
       fixture, true, earthqube::LabelEncoding::kAsciiCompressed);
   const auto query = InProcessLabelQuery();
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
   }
@@ -91,7 +91,7 @@ void BM_InProcess_DateSearch(benchmark::State& state) {
       fixture, true, earthqube::LabelEncoding::kAsciiCompressed);
   const auto query = InProcessDateQuery();
   for (auto _ : state) {
-    auto response = system->Search(query);
+    auto response = system->Execute(PanelRequest(query));
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
   }

@@ -107,6 +107,20 @@ milan::MilanModel* GetTrainedMilan(const ArchiveFixture& fixture,
   return inserted->second.get();
 }
 
+earthqube::QueryRequest PanelRequest(const earthqube::EarthQubeQuery& query) {
+  earthqube::QueryRequest request;
+  request.panel = query;
+  request.page_size = 0;
+  return request;
+}
+
+earthqube::QueryRequest SimilarRequest(earthqube::SimilaritySpec spec) {
+  earthqube::QueryRequest request;
+  request.similarity = std::move(spec);
+  request.page_size = 0;
+  return request;
+}
+
 earthqube::EarthQube* GetEarthQube(const ArchiveFixture& fixture,
                                    bool build_indexes,
                                    earthqube::LabelEncoding encoding) {

@@ -59,6 +59,11 @@ earthqube::EarthQube* GetEarthQube(const ArchiveFixture& fixture,
                                    bool build_indexes,
                                    earthqube::LabelEncoding encoding);
 
+/// Unpaged requests (the whole result in one response, full panel): a
+/// query-panel submission and a similarity search.
+earthqube::QueryRequest PanelRequest(const earthqube::EarthQubeQuery& query);
+earthqube::QueryRequest SimilarRequest(earthqube::SimilaritySpec spec);
+
 /// Radius search through the frontier API: every hit within `radius`,
 /// drained from one open (`stats`, optional, receives the walk's work).
 std::vector<index::SearchResult> RadiusHits(const index::HammingIndex& idx,

@@ -36,10 +36,12 @@ int main() {
   const bigearthnet::LabelSet pollution_risk(
       {*bigearthnet::LabelIdFromName("Industrial or commercial units"),
        *bigearthnet::LabelIdFromName("Water bodies")});
-  earthqube::EarthQubeQuery query;
-  query.label_filter = earthqube::LabelFilter::AtLeastAndMore(pollution_risk);
+  earthqube::QueryRequest request;
+  request.panel.emplace().label_filter =
+      earthqube::LabelFilter::AtLeastAndMore(pollution_risk);
+  request.page_size = 0;  // the whole result panel in one response
 
-  auto response = system.Search(query);
+  auto response = system.Execute(request);
   if (!response.ok()) {
     std::fprintf(stderr, "search failed: %s\n",
                  response.status().ToString().c_str());

@@ -76,7 +76,11 @@ int main() {
     bigearthnet::Patch upload = fresh_gen.SynthesizePatch(truth);
     upload.meta.name = "upload_" + std::to_string(u);
 
-    auto response = system.SimilarToUploadedImage(upload, /*radius=*/14, 25);
+    earthqube::QueryRequest request;
+    request.similarity =
+        earthqube::SimilaritySpec::PatchRadius(upload, /*radius=*/14, 25);
+    request.page_size = 0;  // every retrieved image in one response
+    auto response = system.Execute(request);
     if (!response.ok()) {
       std::fprintf(stderr, "upload %zu failed: %s\n", u,
                    response.status().ToString().c_str());

@@ -93,19 +93,22 @@ int main() {
 
   // --- 5a. Label query -------------------------------------------------------
   std::printf("== 5a. label query: images with coniferous forest\n");
-  earthqube::EarthQubeQuery label_query;
-  label_query.label_filter = earthqube::LabelFilter::Some(
+  earthqube::QueryRequest label_query;
+  label_query.panel.emplace().label_filter = earthqube::LabelFilter::Some(
       bigearthnet::LabelSet({*bigearthnet::LabelIdFromName("Coniferous forest")}));
-  auto label_response = system.Search(label_query);
+  label_query.page_size = 0;  // the whole result panel in one response
+  auto label_response = system.Execute(label_query);
   if (!label_response.ok()) return 1;
   std::printf("   %zu matches (plan: %s)\n", label_response->panel.total(),
               label_response->query_stats.plan.c_str());
 
   // --- 5b. Geo query -----------------------------------------------------------
   std::printf("== 5b. geospatial query: a rectangle over Switzerland\n");
-  earthqube::EarthQubeQuery geo_query;
-  geo_query.geo = earthqube::GeoQuery::Rect({{46.0, 6.5}, {47.5, 10.0}});
-  auto geo_response = system.Search(geo_query);
+  earthqube::QueryRequest geo_query;
+  geo_query.panel.emplace().geo =
+      earthqube::GeoQuery::Rect({{46.0, 6.5}, {47.5, 10.0}});
+  geo_query.page_size = 0;
+  auto geo_response = system.Execute(geo_query);
   if (!geo_response.ok()) return 1;
   std::printf("   %zu matches (plan: %s)\n", geo_response->panel.total(),
               geo_response->query_stats.plan.c_str());
@@ -115,7 +118,10 @@ int main() {
   std::printf("== 5c. similarity search for %s\n", query_image.c_str());
   std::printf("   query labels: %s\n",
               archive.patches[7].labels.ToString().c_str());
-  auto similar = system.NearestToArchiveImage(query_image, 5);
+  earthqube::QueryRequest similar_query;
+  similar_query.similarity = earthqube::SimilaritySpec::NameKnn(query_image, 5);
+  similar_query.page_size = 0;
+  auto similar = system.Execute(similar_query);
   if (!similar.ok()) return 1;
   for (const auto& entry : similar->panel.entries()) {
     std::printf("   -> %-42s [%s]\n", entry.name.c_str(),

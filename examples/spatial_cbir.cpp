@@ -57,9 +57,11 @@ int main() {
 
   // --- 1. Geospatial query: SW tip of Portugal. -----------------------------
   std::printf("step 1: rectangle over the southwestern tip of Portugal\n");
-  earthqube::EarthQubeQuery geo_query;
-  geo_query.geo = earthqube::GeoQuery::Rect({{37.0, -9.5}, {38.5, -7.8}});
-  auto geo_response = system.Search(geo_query);
+  earthqube::QueryRequest geo_query;
+  geo_query.panel.emplace().geo =
+      earthqube::GeoQuery::Rect({{37.0, -9.5}, {38.5, -7.8}});
+  geo_query.page_size = 0;  // the whole result panel in one response
+  auto geo_response = system.Execute(geo_query);
   if (!geo_response.ok() || geo_response->panel.total() == 0) {
     std::fprintf(stderr, "no images in the query area\n");
     return 1;
@@ -95,7 +97,10 @@ int main() {
   if (!meta.ok()) return 1;
   std::printf("\nstep 3: CBIR from %s\n  labels: %s\n", selected.c_str(),
               meta->labels.ToString().c_str());
-  auto similar = system.NearestToArchiveImage(selected, 15);
+  earthqube::QueryRequest similar_query;
+  similar_query.similarity = earthqube::SimilaritySpec::NameKnn(selected, 15);
+  similar_query.page_size = 0;
+  auto similar = system.Execute(similar_query);
   if (!similar.ok()) return 1;
 
   std::set<std::string> countries;

@@ -22,7 +22,7 @@ using namespace agoraeo;
 namespace {
 
 void PrintStats(const earthqube::EarthQube& system, const char* moment) {
-  const earthqube::ExecStats s = system.exec_engine()->Stats();
+  const earthqube::ExecStats s = system.exec_engine().Stats();
   std::printf(
       "[%s]\n  submitted %llu | coalesced %llu | flights %llu | direct %llu "
       "| batches %llu (%llu flights) | cache hits %llu | negative hits %llu\n",
@@ -95,16 +95,11 @@ int main() {
 
   // --- 2. Micro-batching: a deterministic burst of distinct queries. -------
   {
-    earthqube::ExecutionEngine* engine = system.exec_engine();
-    engine->Pause();  // admit the whole burst before any executes
-    std::vector<earthqube::ExecutionEngine::Ticket> tickets;
-    for (int i = 0; i < 12; ++i) {
-      tickets.push_back(engine->Submit(RadiusRequest(names[i * 101])));
-    }
-    engine->Resume();
-    for (auto& ticket : tickets) {
-      if (!ticket.Get().ok()) return 1;
-    }
+    std::vector<earthqube::QueryRequest> burst;
+    for (int i = 0; i < 12; ++i) burst.push_back(RadiusRequest(names[i * 101]));
+    // One admission gate for the batch: the whole burst is admitted
+    // before any of it executes.
+    if (!system.ExecuteBatch(burst).ok()) return 1;
     PrintStats(system, "after a 12-query distinct burst (one batched pass)");
   }
 

@@ -29,7 +29,7 @@ using namespace agoraeo;
 namespace {
 
 /// Pretty-prints the interesting parts of a /api/search response.
-void PrintSearchResponse(const char* title, const std::string& body) {
+void PrintResults(const char* title, const std::string& body) {
   auto parsed = json::ParseObject(body);
   if (!parsed.ok()) {
     std::printf("   (unparseable response: %s)\n", body.c_str());
@@ -119,20 +119,20 @@ int main() {
                     R"({"labels":{"operator":"at_least_and_more",)"
                     R"("names":["Industrial or commercial units",)"
                     R"("Water bodies"]},"limit":50})");
-  PrintSearchResponse("label search", s1->body);
+  PrintResults("label search", s1->body);
 
   std::printf("\n== UI tier: August 2017 acquisitions (date-range index)\n");
   auto s2 = ui.Post(port, "/api/search",
                     R"({"date_range":{"begin":"2017-08-01",)"
                     R"("end":"2017-08-31"},"limit":40})");
-  PrintSearchResponse("date search", s2->body);
+  PrintResults("date search", s2->body);
 
   std::printf("\n== UI tier: similarity search from an archive image\n");
   docstore::Document req;
   req.Set("name", docstore::Value(archive->patches[10].name));
   req.Set("k", docstore::Value(5));
   auto s3 = ui.Post(port, "/api/similar/by_name", json::Serialize(req));
-  PrintSearchResponse("similar images", s3->body);
+  PrintResults("similar images", s3->body);
 
   std::printf("\n== UI tier: patch metadata + feedback\n");
   auto meta = ui.Get(

@@ -8,7 +8,8 @@ using docstore::Document;
 using docstore::Value;
 using earthqube::EarthQube;
 using earthqube::EarthQubeQuery;
-using earthqube::SearchResponse;
+using earthqube::QueryRequest;
+using earthqube::QueryResponse;
 
 namespace {
 
@@ -67,22 +68,23 @@ Status RegisterEarthQubeOperators(EarthQube* system,
   AGORAEO_RETURN_IF_ERROR(registry->Register(
       "earthqube.search",
       [system](const std::any&, const Document& params) -> StatusOr<std::any> {
-        AGORAEO_ASSIGN_OR_RETURN(EarthQubeQuery query,
-                                 QueryFromParams(params));
-        AGORAEO_ASSIGN_OR_RETURN(SearchResponse response,
-                                 system->Search(query));
+        QueryRequest request;
+        AGORAEO_ASSIGN_OR_RETURN(request.panel, QueryFromParams(params));
+        request.page_size = 0;
+        AGORAEO_ASSIGN_OR_RETURN(QueryResponse response,
+                                 system->Execute(request));
         return std::any(std::move(response));
       },
-      "() -> SearchResponse"));
+      "() -> QueryResponse"));
 
   AGORAEO_RETURN_IF_ERROR(registry->Register(
       "earthqube.cbir",
       [system](const std::any& input,
                const Document& params) -> StatusOr<std::any> {
-        const auto* response = std::any_cast<SearchResponse>(&input);
+        const auto* response = std::any_cast<QueryResponse>(&input);
         if (response == nullptr) {
           return Status::InvalidArgument(
-              "earthqube.cbir expects a SearchResponse input");
+              "earthqube.cbir expects a QueryResponse input");
         }
         size_t rank = 0;
         if (const Value* r = params.Get("rank"); r != nullptr) {
@@ -95,21 +97,23 @@ Status RegisterEarthQubeOperators(EarthQube* system,
         if (const Value* kv = params.Get("k"); kv != nullptr) {
           k = static_cast<size_t>(kv->as_int64());
         }
-        AGORAEO_ASSIGN_OR_RETURN(
-            SearchResponse similar,
-            system->NearestToArchiveImage(
-                response->panel.entries()[rank].name, k));
+        QueryRequest request;
+        request.similarity = earthqube::SimilaritySpec::NameKnn(
+            response->panel.entries()[rank].name, k);
+        request.page_size = 0;
+        AGORAEO_ASSIGN_OR_RETURN(QueryResponse similar,
+                                 system->Execute(request));
         return std::any(std::move(similar));
       },
-      "SearchResponse -> SearchResponse"));
+      "QueryResponse -> QueryResponse"));
 
   AGORAEO_RETURN_IF_ERROR(registry->Register(
       "earthqube.names",
       [](const std::any& input, const Document&) -> StatusOr<std::any> {
-        const auto* response = std::any_cast<SearchResponse>(&input);
+        const auto* response = std::any_cast<QueryResponse>(&input);
         if (response == nullptr) {
           return Status::InvalidArgument(
-              "earthqube.names expects a SearchResponse input");
+              "earthqube.names expects a QueryResponse input");
         }
         std::vector<std::string> names;
         names.reserve(response->panel.total());
@@ -118,19 +122,19 @@ Status RegisterEarthQubeOperators(EarthQube* system,
         }
         return std::any(std::move(names));
       },
-      "SearchResponse -> vector<string>"));
+      "QueryResponse -> vector<string>"));
 
   AGORAEO_RETURN_IF_ERROR(registry->Register(
       "earthqube.statistics",
       [](const std::any& input, const Document&) -> StatusOr<std::any> {
-        const auto* response = std::any_cast<SearchResponse>(&input);
+        const auto* response = std::any_cast<QueryResponse>(&input);
         if (response == nullptr) {
           return Status::InvalidArgument(
-              "earthqube.statistics expects a SearchResponse input");
+              "earthqube.statistics expects a QueryResponse input");
         }
         return std::any(response->statistics.RenderAscii());
       },
-      "SearchResponse -> string"));
+      "QueryResponse -> string"));
 
   return Status::OK();
 }

@@ -13,14 +13,14 @@ namespace agoraeo::agora {
 /// AgoraEO").  `system` must outlive the registry.
 ///
 /// Operators (pipeline value types in brackets):
-///  - "earthqube.search"       [ignored -> SearchResponse]
+///  - "earthqube.search"       [ignored -> QueryResponse]
 ///        params: country?, labels? (array of level-3 names),
 ///                label_operator? ("some"|"exactly"|"at_least"),
 ///                min_lat/min_lon/max_lat/max_lon? (rectangle), limit?
-///  - "earthqube.cbir"         [SearchResponse -> SearchResponse]
+///  - "earthqube.cbir"         [QueryResponse -> QueryResponse]
 ///        params: rank? (which result to use as query, default 0), k?
-///  - "earthqube.names"        [SearchResponse -> std::vector<std::string>]
-///  - "earthqube.statistics"   [SearchResponse -> std::string (ascii chart)]
+///  - "earthqube.names"        [QueryResponse -> std::vector<std::string>]
+///  - "earthqube.statistics"   [QueryResponse -> std::string (ascii chart)]
 Status RegisterEarthQubeOperators(earthqube::EarthQube* system,
                                   OperatorRegistry* registry);
 

@@ -307,12 +307,7 @@ HttpResponse ClusterNode::HandleMigrate(const HttpRequest& request) {
   }
   const Status migrated = MigrateSlot(static_cast<size_t>(slot->as_int64()),
                                       target->as_string());
-  if (!migrated.ok()) {
-    if (migrated.IsFailedPrecondition()) {
-      return Stamp(HttpResponse::Error(409, "conflict", migrated.message()));
-    }
-    return Stamp(FromStatus(migrated));
-  }
+  if (!migrated.ok()) return Stamp(FromStatus(migrated));
   Document out;
   out.Set("migrated", Value(true));
   out.Set("slot", Value(slot->as_int64()));

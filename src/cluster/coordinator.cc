@@ -21,23 +21,10 @@ using docstore::Value;
 using earthqube::QueryRequest;
 using earthqube::QueryResponse;
 using netsvc::EarthQubeService;
+using netsvc::FromStatus;
 using netsvc::HttpResponse;
 
 namespace {
-
-HttpResponse FromStatus(const Status& status) {
-  if (status.IsNotFound()) return HttpResponse::NotFound(status.message());
-  if (status.IsCursorExpired()) {
-    return HttpResponse::Error(410, "cursor_expired", status.message());
-  }
-  if (status.IsInvalidArgument()) {
-    return HttpResponse::BadRequest(status.message());
-  }
-  if (status.IsFailedPrecondition()) {
-    return HttpResponse::Error(409, "conflict", std::string(status.message()));
-  }
-  return HttpResponse::InternalError(status.message());
-}
 
 /// Unknown names (data that bypassed this coordinator) sort after every
 /// routed name, deterministically by name.

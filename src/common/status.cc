@@ -26,6 +26,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Corruption";
     case StatusCode::kCursorExpired:
       return "CursorExpired";
+    case StatusCode::kOverloaded:
+      return "Overloaded";
   }
   return "Unknown";
 }

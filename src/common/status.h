@@ -25,6 +25,9 @@ enum class StatusCode {
   /// A paging cursor that can no longer be resumed (undecodable, or
   /// naming a window out of range): the client restarts from page 0.
   kCursorExpired = 10,
+  /// A bounded admission queue is full: the request was not attempted
+  /// and may be retried later unchanged.
+  kOverloaded = 11,
 };
 
 /// Returns a short human-readable name for a status code ("OK",
@@ -75,6 +78,9 @@ class Status {
   static Status CursorExpired(std::string msg) {
     return Status(StatusCode::kCursorExpired, std::move(msg));
   }
+  static Status Overloaded(std::string msg) {
+    return Status(StatusCode::kOverloaded, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -96,6 +102,7 @@ class Status {
   bool IsCursorExpired() const {
     return code_ == StatusCode::kCursorExpired;
   }
+  bool IsOverloaded() const { return code_ == StatusCode::kOverloaded; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <future>
+#include <mutex>
 #include <unordered_map>
 
 #include "earthqube/exec/execution_engine.h"
@@ -33,7 +35,10 @@ void PushGauge(std::vector<obs::Sample>* out, std::string name,
 }  // namespace
 
 EarthQube::EarthQube(EarthQubeConfig config)
-    : config_(config), obs_(config.obs), query_cache_(config.cache) {
+    : config_(config),
+      obs_(config.obs),
+      query_cache_(config.cache),
+      ranked_(config.ranked) {
   metadata_ = db_.GetOrCreateCollection(kMetadataCollection);
   image_data_ = db_.GetOrCreateCollection(kImageDataCollection);
   rendered_ = db_.GetOrCreateCollection(kRenderedCollection);
@@ -44,14 +49,9 @@ EarthQube::EarthQube(EarthQubeConfig config)
     (void)image_data_->CreateHashIndex("name", /*unique=*/true);
     (void)rendered_->CreateHashIndex("name", /*unique=*/true);
   }
-  if (config_.ranked.enable) {
-    ranked_ = std::make_unique<RankedAccess>(config_.ranked);
-    stage_ranked_resume_ = obs_.HistogramOrNull(
-        obs::LabeledName("agoraeo_engine_stage_ns", "stage", "ranked_resume"));
-  }
-  if (config_.exec.enable) {
-    engine_ = std::make_unique<ExecutionEngine>(this, config_.exec, &obs_);
-  }
+  stage_ranked_resume_ = obs_.HistogramOrNull(
+      obs::LabeledName("agoraeo_engine_stage_ns", "stage", "ranked_resume"));
+  engine_ = std::make_unique<ExecutionEngine>(this, config_.exec, &obs_);
   if (obs_.metrics_enabled()) RegisterCollectors();
 }
 
@@ -91,7 +91,6 @@ void EarthQube::RegisterCollectors() {
     }
   });
   obs_.registry().AddCollector([this](std::vector<obs::Sample>* out) {
-    if (engine_ == nullptr) return;
     const ExecStats s = engine_->Stats();
     PushCounter(out, "agoraeo_engine_submitted_total", s.submitted);
     PushCounter(out, "agoraeo_engine_completed_total", s.completed);
@@ -109,8 +108,7 @@ void EarthQube::RegisterCollectors() {
                 s.warm_from_flight_hits);
   });
   obs_.registry().AddCollector([this](std::vector<obs::Sample>* out) {
-    if (ranked_ == nullptr) return;
-    const RankedAccessStats s = ranked_->Stats();
+    const RankedAccessStats s = ranked_.Stats();
     const auto result = [](const char* r) {
       return obs::LabeledName("agoraeo_engine_cursor_resume_total", "result",
                               r);
@@ -229,7 +227,7 @@ void EarthQube::AttachCbir(std::unique_ptr<CbirService> cbir) {
   // Live ranked handles hold streams borrowing the OLD service's name
   // map; drop them before that service is destroyed (the epoch bump
   // alone would only make them unreachable lazily).
-  if (ranked_ != nullptr) ranked_->Clear();
+  ranked_.Clear();
   cbir_ = std::move(cbir);
   if (cbir_ != nullptr) cbir_->AttachObservability(&obs_);
   // A new code index changes every similarity result.
@@ -368,8 +366,8 @@ StatusOr<std::shared_ptr<const CachedAllowlist>> EarthQube::ObtainAllowlist(
                                                 /*include_limit=*/false);
     if (auto cached = query_cache_.GetAllowlist(*allowlist_fp)) return cached;
   }
-  // Epoch snapshot before the filter pass, for the same racing-ingest
-  // reason as in ExecuteAndCache.
+  // Epoch snapshot before the filter pass: an ingest racing it leaves
+  // the entry put below stale instead of serving pre-ingest data.
   const uint64_t epoch_snapshot = query_cache_.epoch();
   auto fresh = std::make_shared<CachedAllowlist>();
   const auto docs = metadata_->Find(filter, 0, &fresh->filter_stats);
@@ -438,7 +436,7 @@ StatusOr<EarthQube::SimilarityPlan> EarthQube::PlanSimilarity(
 }
 
 bool EarthQube::Windowed(const QueryRequest& request) const {
-  return ranked_ != nullptr && request.page_size > 0;
+  return request.page_size > 0;
 }
 
 Status EarthQube::ExtendHandle(RankedHandle* handle, size_t need) const {
@@ -544,7 +542,7 @@ std::vector<StatusOr<QueryResponse>> EarthQube::ExecuteSimilarity(
     const std::string handle_id =
         stream_fp.has_value() ? RankedAccess::HandleIdFor(*stream_fp) : "";
     if (Windowed(request) && stream_fp.has_value()) {
-      handles[i] = ranked_->Get(handle_id, *stream_fp, epoch_snapshot);
+      handles[i] = ranked_.Get(handle_id, *stream_fp, epoch_snapshot);
     }
     if (handles[i] != nullptr) continue;
     const SimilaritySpec& spec = *request.similarity;
@@ -591,7 +589,7 @@ std::vector<StatusOr<QueryResponse>> EarthQube::ExecuteSimilarity(
       // already; every sharer converges on the resident handle.
       const RankedHandle* fresh = handles[i].get();
       const std::shared_ptr<RankedHandle> pinned =
-          ranked_->Register(handles[i]);
+          ranked_.Register(handles[i]);
       for (size_t k : live) {
         if (handles[k].get() == fresh) handles[k] = pinned;
       }
@@ -655,7 +653,7 @@ StatusOr<QueryResponse> EarthQube::RespondSimilarity(
     // not walk the vector mid-reallocation.
     if (windowed) touch_bytes = RankedAccess::ApproxBytes(*handle);
   }
-  if (windowed && !handle->id().empty()) ranked_->Touch(handle, touch_bytes);
+  if (windowed && !handle->id().empty()) ranked_.Touch(handle, touch_bytes);
 
   if (request.projection == Projection::kFullPanel) {
     AGORAEO_RETURN_IF_ERROR(JoinHits(response.hits, &response));
@@ -730,210 +728,86 @@ void EarthQube::MaybeCacheNegative(
   query_cache_.PutNegative(*fingerprint, status, epoch_snapshot);
 }
 
-StatusOr<QueryResponse> EarthQube::ExecuteAndCache(
-    const QueryRequest& request,
-    const std::optional<std::string>& fingerprint,
-    bool* response_cached) const {
-  // Snapshot the epoch BEFORE executing: an ingest racing this query
-  // bumps it, leaving the entry we put below stale instead of serving
-  // pre-ingest data as fresh.
-  const uint64_t epoch_snapshot = query_cache_.epoch();
-  if (response_cached != nullptr) *response_cached = false;
-  auto response = ExecuteUncached(request);
-  if (response.ok()) {
-    const bool cached =
-        CacheResponse(request, fingerprint, *response, epoch_snapshot);
-    if (response_cached != nullptr) *response_cached = cached;
-  } else {
-    MaybeCacheNegative(request, fingerprint, response.status(),
-                       epoch_snapshot);
-  }
-  return response;
+namespace {
+
+/// Blocks on an asynchronous entry point: `submit` receives the
+/// completion callback and the caller waits for its one invocation.
+template <typename T, typename Submit>
+T Await(Submit submit) {
+  auto done = std::make_shared<std::promise<T>>();
+  std::future<T> result = done->get_future();
+  submit([done](T value) { done->set_value(std::move(value)); });
+  return result.get();
 }
 
-StatusOr<QueryResponse> EarthQube::ExecuteSync(
-    const QueryRequest& request) const {
-  AGORAEO_RETURN_IF_ERROR(PreflightCheck(request));
-  const std::optional<std::string> fingerprint =
-      QueryCache::RequestFingerprint(request);
-  if (auto probed = ProbeCaches(request, fingerprint)) return *probed;
-  return ExecuteAndCache(request, fingerprint);
-}
+}  // namespace
 
-StatusOr<QueryResponse> EarthQube::Execute(const QueryRequest& request) const {
-  return Execute(request, nullptr);
+void EarthQube::ExecuteAsync(const QueryRequest& request, Callback done,
+                             std::shared_ptr<obs::Trace> trace) const {
+  engine_->SubmitAsync(request, std::move(done), std::move(trace));
 }
 
 StatusOr<QueryResponse> EarthQube::Execute(
     const QueryRequest& request, std::shared_ptr<obs::Trace> trace) const {
-  if (engine_ != nullptr) return engine_->Submit(request, std::move(trace)).Get();
-  // Engine off: one span covers the whole synchronous execution.
-  obs::ScopedSpan span(trace.get(), "execute_sync");
-  return ExecuteSync(request);
+  return Await<StatusOr<QueryResponse>>([&](Callback done) {
+    ExecuteAsync(request, std::move(done), std::move(trace));
+  });
 }
 
-void EarthQube::ExecuteAsync(
-    const QueryRequest& request,
-    std::function<void(const StatusOr<QueryResponse>&)> done) const {
-  ExecuteAsync(request, nullptr, std::move(done));
-}
-
-void EarthQube::ExecuteAsync(
-    const QueryRequest& request, std::shared_ptr<obs::Trace> trace,
-    std::function<void(const StatusOr<QueryResponse>&)> done) const {
-  if (engine_ != nullptr) {
-    engine_->SubmitAsync(request, std::move(trace), std::move(done));
+void EarthQube::ExecuteBatchAsync(const std::vector<QueryRequest>& requests,
+                                  BatchCallback done) const {
+  if (requests.empty()) {
+    done(std::vector<QueryResponse>{});
     return;
   }
-  StatusOr<QueryResponse> result = [&]() -> StatusOr<QueryResponse> {
-    obs::ScopedSpan span(trace.get(), "execute_sync");
-    return ExecuteSync(request);
-  }();
-  done(result);
-}
-
-StatusOr<QueryResponse> EarthQube::ExecuteUncached(
-    const QueryRequest& request) const {
-  if (!request.similarity.has_value()) return ExecutePanelOnly(request);
-  return std::move(ExecuteSimilarity({&request}, query_cache_.epoch()).front());
+  // Slots fill in from engine callbacks, possibly concurrently; the
+  // last completion answers.
+  struct Join {
+    std::mutex mu;
+    std::vector<StatusOr<QueryResponse>> slots;
+    size_t remaining;
+    BatchCallback done;
+  };
+  auto join = std::make_shared<Join>();
+  join->slots.assign(requests.size(),
+                     StatusOr<QueryResponse>(Status::Internal("slot pending")));
+  join->remaining = requests.size();
+  join->done = std::move(done);
+  // One admission gate for the whole batch: identical requests
+  // coalesce onto one flight and compatible shapes land in one
+  // micro-batch window.
+  engine_->Pause();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    engine_->SubmitAsync(requests[i], [join, i](StatusOr<QueryResponse> slot) {
+      {
+        std::lock_guard<std::mutex> lock(join->mu);
+        join->slots[i] = std::move(slot);
+        if (--join->remaining != 0) return;
+      }
+      std::vector<QueryResponse> out;
+      out.reserve(join->slots.size());
+      for (StatusOr<QueryResponse>& result : join->slots) {
+        if (!result.ok()) {
+          join->done(result.status());  // the first failing slot wins
+          return;
+        }
+        out.push_back(std::move(result).value());
+      }
+      join->done(std::move(out));
+    });
+  }
+  engine_->Resume();
 }
 
 StatusOr<std::vector<QueryResponse>> EarthQube::ExecuteBatch(
     const std::vector<QueryRequest>& requests) const {
-  std::vector<QueryResponse> out;
-  out.reserve(requests.size());
-  if (engine_ != nullptr) {
-    // One admission gate for the whole batch: identical requests
-    // coalesce onto one execution (singleflight fan-out) and distinct
-    // compatible CBIR/hybrid shapes fuse into micro-batched index
-    // passes — the engine replaces both of the old ExecuteBatch
-    // special cases (fingerprint dedup and the homogeneous by-name
-    // fast path) with one code path shared with Execute.
-    std::vector<ExecutionEngine::Ticket> tickets =
-        engine_->SubmitBatch(requests);
-    for (ExecutionEngine::Ticket& ticket : tickets) {
-      AGORAEO_ASSIGN_OR_RETURN(QueryResponse response, ticket.Get());
-      out.push_back(std::move(response));
-    }
-    return out;
-  }
-  // Engine off: per-request synchronous execution, with the same
-  // fingerprint dedup the coalescer provides — identical requests
-  // execute once and fan out (the pre-engine ExecuteBatch contract).
-  out.resize(requests.size());
-  std::unordered_map<std::string, size_t> first_slot_by_fp;
-  std::vector<size_t> duplicate_of(requests.size(), SIZE_MAX);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const auto fingerprint = QueryCache::RequestFingerprint(requests[i]);
-    if (fingerprint.has_value()) {
-      auto [it, inserted] = first_slot_by_fp.emplace(*fingerprint, i);
-      if (!inserted) {
-        duplicate_of[i] = it->second;
-        continue;
-      }
-    }
-    AGORAEO_ASSIGN_OR_RETURN(out[i], ExecuteSync(requests[i]));
-  }
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (duplicate_of[i] != SIZE_MAX) out[i] = out[duplicate_of[i]];
-  }
-  return out;
-}
-
-// --- v1 facade shims ----------------------------------------------------
-
-StatusOr<SearchResponse> EarthQube::Search(const EarthQubeQuery& query) const {
-  QueryRequest request;
-  request.panel = query;
-  request.page_size = 0;  // facade callers page the panel themselves
-  AGORAEO_ASSIGN_OR_RETURN(QueryResponse response, Execute(request));
-  return SearchResponse{std::move(response.panel),
-                        std::move(response.statistics),
-                        std::move(response.query_stats)};
+  return Await<StatusOr<std::vector<QueryResponse>>>(
+      [&](BatchCallback done) { ExecuteBatchAsync(requests, std::move(done)); });
 }
 
 size_t EarthQube::CountMatches(const EarthQubeQuery& query) const {
   return metadata_->Count(query.ToFilter(
       config_.label_encoding == LabelEncoding::kAsciiCompressed));
-}
-
-StatusOr<SearchResponse> EarthQube::SimilarToArchiveImage(
-    const std::string& name, uint32_t radius, size_t max_results) const {
-  QueryRequest request;
-  request.similarity = SimilaritySpec::NameRadius(name, radius, max_results);
-  request.page_size = 0;
-  AGORAEO_ASSIGN_OR_RETURN(QueryResponse response, Execute(request));
-  return SearchResponse{std::move(response.panel),
-                        std::move(response.statistics),
-                        std::move(response.query_stats)};
-}
-
-StatusOr<SearchResponse> EarthQube::NearestToArchiveImage(
-    const std::string& name, size_t k) const {
-  QueryRequest request;
-  request.similarity = SimilaritySpec::NameKnn(name, k);
-  request.page_size = 0;
-  AGORAEO_ASSIGN_OR_RETURN(QueryResponse response, Execute(request));
-  return SearchResponse{std::move(response.panel),
-                        std::move(response.statistics),
-                        std::move(response.query_stats)};
-}
-
-StatusOr<SearchResponse> EarthQube::SimilarToUploadedImage(
-    const bigearthnet::Patch& patch, uint32_t radius,
-    size_t max_results) const {
-  QueryRequest request;
-  request.similarity = SimilaritySpec::PatchRadius(patch, radius, max_results);
-  request.page_size = 0;
-  AGORAEO_ASSIGN_OR_RETURN(QueryResponse response, Execute(request));
-  return SearchResponse{std::move(response.panel),
-                        std::move(response.statistics),
-                        std::move(response.query_stats)};
-}
-
-StatusOr<std::vector<std::vector<CbirResult>>>
-EarthQube::BatchSimilarToArchiveImages(const std::vector<std::string>& names,
-                                       uint32_t radius,
-                                       size_t max_results) const {
-  std::vector<QueryRequest> requests;
-  requests.reserve(names.size());
-  for (const std::string& name : names) {
-    QueryRequest request;
-    request.similarity = SimilaritySpec::NameRadius(name, radius, max_results);
-    request.projection = Projection::kHitsOnly;
-    request.page_size = 0;
-    requests.push_back(std::move(request));
-  }
-  AGORAEO_ASSIGN_OR_RETURN(std::vector<QueryResponse> responses,
-                           ExecuteBatch(requests));
-  std::vector<std::vector<CbirResult>> out;
-  out.reserve(responses.size());
-  for (QueryResponse& response : responses) {
-    out.push_back(std::move(response.hits));
-  }
-  return out;
-}
-
-StatusOr<std::vector<std::vector<CbirResult>>>
-EarthQube::BatchNearestToArchiveImages(const std::vector<std::string>& names,
-                                       size_t k) const {
-  std::vector<QueryRequest> requests;
-  requests.reserve(names.size());
-  for (const std::string& name : names) {
-    QueryRequest request;
-    request.similarity = SimilaritySpec::NameKnn(name, k);
-    request.projection = Projection::kHitsOnly;
-    request.page_size = 0;
-    requests.push_back(std::move(request));
-  }
-  AGORAEO_ASSIGN_OR_RETURN(std::vector<QueryResponse> responses,
-                           ExecuteBatch(requests));
-  std::vector<std::vector<CbirResult>> out;
-  out.reserve(responses.size());
-  for (QueryResponse& response : responses) {
-    out.push_back(std::move(response.hits));
-  }
-  return out;
 }
 
 Status EarthQube::StorePatchPixels(const bigearthnet::Patch& patch) {

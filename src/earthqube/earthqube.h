@@ -1,11 +1,10 @@
 #ifndef AGORAEO_EARTHQUBE_EARTHQUBE_H_
 #define AGORAEO_EARTHQUBE_EARTHQUBE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <functional>
 
 #include "bigearthnet/archive_generator.h"
 #include "docstore/database.h"
@@ -44,10 +43,9 @@ struct EarthQubeConfig {
   /// and allowlist cache (hot pre-filter panel filters), both epoch-
   /// invalidated by archive mutations.  See QueryCacheConfig.
   QueryCacheConfig cache;
-  /// Staged execution engine: admission queue, cross-request miss
-  /// coalescing (singleflight) and micro-batching of distinct in-flight
-  /// misses.  See ExecConfig; disabling it restores the synchronous
-  /// per-caller execution path.
+  /// Staged execution engine, the only executor: admission queue,
+  /// cross-request miss coalescing (singleflight) and micro-batching of
+  /// distinct in-flight misses.  See ExecConfig.
   ExecConfig exec;
   /// Observability: the per-system metrics registry, request tracing
   /// and slow-query log.  See ObsConfig; disabling metrics/tracing
@@ -58,16 +56,6 @@ struct EarthQubeConfig {
   /// bounded handle table, so page N resumes in O(page_size log shards)
   /// instead of re-executing the whole ranking.  See RankedAccessConfig.
   RankedAccessConfig ranked;
-};
-
-/// A search response: the result panel model, the label-statistics view,
-/// and the executed plan's statistics.  For similarity searches the
-/// panel is ordered by ascending Hamming distance; for panel queries by
-/// DocId (ingestion) order.
-struct SearchResponse {
-  ResultPanel panel;
-  LabelStatistics statistics;
-  docstore::QueryStats query_stats;
 };
 
 /// The EarthQube back-end server (paper Section 3.2): validates and
@@ -101,91 +89,54 @@ class EarthQube {
   /// service (if any) attached and untouched.
   Status RecoverAndAttachCbir(std::unique_ptr<CbirService> cbir);
 
-  // --- unified query execution (API v2) -----------------------------------
+  // --- query execution -----------------------------------------------------
 
-  /// Executes one unified request — panel-only, CBIR-only, or hybrid
-  /// (filter ∧ similarity).  Hybrid requests go through a small planner:
-  /// when the metadata filter's estimated selectivity is at or below
+  /// Completion callbacks of the asynchronous entry points; each is
+  /// invoked exactly once.
+  using Callback = std::function<void(StatusOr<QueryResponse>)>;
+  using BatchCallback =
+      std::function<void(StatusOr<std::vector<QueryResponse>>)>;
+
+  /// Executes one request — panel-only, CBIR-only, or hybrid (filter ∧
+  /// similarity) — on the execution engine: `done` receives the
+  /// response on an engine worker, or inline when the request completes
+  /// at admission (validation error, cache hit, full queue).  Hybrid
+  /// requests go through a small planner: when the metadata filter's
+  /// estimated selectivity is at or below
   /// config().prefilter_selectivity_threshold the executor pre-filters
   /// (docstore filter -> candidate set -> restricted Hamming search);
   /// otherwise it post-filters (Hamming search -> metadata join ->
   /// filter).  Both strategies return identical result sets; the choice
-  /// is reported in QueryResponse::plan.  Every other query entry point
-  /// of this facade is a shim over this method.
-  ///
-  /// With the execution engine enabled (config().exec.enable, the
-  /// default) this is a thin shim over engine Submit(...).Get():
-  /// concurrent identical requests coalesce onto one execution and
-  /// distinct in-flight misses may share one batched index pass.
-  StatusOr<QueryResponse> Execute(const QueryRequest& request) const;
+  /// is reported in QueryResponse::plan.  Concurrent identical requests
+  /// coalesce onto one execution and distinct in-flight misses may
+  /// share one batched index pass.  `trace` (optional) collects the
+  /// engine's stage spans.  The deferred netsvc pipeline parks requests
+  /// on this instead of occupying an HTTP worker per in-flight query.
+  void ExecuteAsync(const QueryRequest& request, Callback done,
+                    std::shared_ptr<obs::Trace> trace = nullptr) const;
 
-  /// Traced flavour of Execute: the engine stamps its stage spans
-  /// (admit, cache probe, queue wait, batch wait, index pass,
-  /// materialize) onto `trace`.  Null trace is exactly Execute.
-  StatusOr<QueryResponse> Execute(const QueryRequest& request,
-                                  std::shared_ptr<obs::Trace> trace) const;
-
-  /// Asynchronous flavour of Execute: `done` is invoked exactly once
-  /// with the response — on an engine worker thread, or inline when the
-  /// request completes at admission (validation error, cache hit) or
-  /// the engine is disabled.  The deferred netsvc pipeline parks
-  /// requests on this instead of occupying an HTTP worker per in-flight
-  /// query.
-  void ExecuteAsync(
+  /// Blocking flavour of ExecuteAsync.  Must not be called from an
+  /// engine completion callback.
+  StatusOr<QueryResponse> Execute(
       const QueryRequest& request,
-      std::function<void(const StatusOr<QueryResponse>&)> done) const;
+      std::shared_ptr<obs::Trace> trace = nullptr) const;
 
-  /// Traced flavour of ExecuteAsync.
-  void ExecuteAsync(
-      const QueryRequest& request, std::shared_ptr<obs::Trace> trace,
-      std::function<void(const StatusOr<QueryResponse>&)> done) const;
+  /// Executes a request batch: on success slot i holds what
+  /// Execute(requests[i]) would return; otherwise the first failing
+  /// slot's status.  The whole batch is admitted under one engine
+  /// pause, so identical requests execute once (singleflight fan-out)
+  /// and compatible CBIR shapes (the /cbir/batch_search pattern) fuse
+  /// into micro-batched index passes.  The last slot to complete
+  /// invokes `done`.
+  void ExecuteBatchAsync(const std::vector<QueryRequest>& requests,
+                         BatchCallback done) const;
 
-  /// Executes a request batch: slot i holds what Execute(requests[i])
-  /// would return.  The whole batch is admitted to the engine under one
-  /// gate, so identical requests execute once (singleflight fan-out)
-  /// and homogeneous CBIR shapes (the /cbir/batch_search pattern) fuse
-  /// into micro-batched index passes.
+  /// Blocking flavour of ExecuteBatchAsync.
   StatusOr<std::vector<QueryResponse>> ExecuteBatch(
       const std::vector<QueryRequest>& requests) const;
 
-  // --- query panel (v1 shims over Execute) ---------------------------------
-
-  /// Executes a query-panel submission.
-  StatusOr<SearchResponse> Search(const EarthQubeQuery& query) const;
-
-  /// Count without materialising results.
+  /// Count of panel matches without materialising results.
   size_t CountMatches(const EarthQubeQuery& query) const;
-
-  // --- similarity search (Section 3.3) ------------------------------------
-
-  /// Query-by-archive-image: retrieves all images within `radius` of the
-  /// named image's code; the response panel is ordered by distance.
-  StatusOr<SearchResponse> SimilarToArchiveImage(const std::string& name,
-                                                 uint32_t radius,
-                                                 size_t max_results = 0) const;
-
-  /// k-NN flavour of the above.
-  StatusOr<SearchResponse> NearestToArchiveImage(const std::string& name,
-                                                 size_t k) const;
-
-  /// Query-by-new-example: an uploaded patch is featurised and hashed on
-  /// the fly.
-  StatusOr<SearchResponse> SimilarToUploadedImage(
-      const bigearthnet::Patch& patch, uint32_t radius,
-      size_t max_results = 0) const;
-
-  /// Batch query-by-archive-image: slot i holds what
-  /// SimilarToArchiveImage(names[i], ...) would return as raw CBIR hits
-  /// (name + Hamming distance, no metadata join — the batch path is the
-  /// high-throughput interface).  The index lookups run as one sharded
-  /// batch across the CBIR service's query pool.
-  StatusOr<std::vector<std::vector<CbirResult>>> BatchSimilarToArchiveImages(
-      const std::vector<std::string>& names, uint32_t radius,
-      size_t max_results = 0) const;
-
-  /// k-NN flavour of BatchSimilarToArchiveImages.
-  StatusOr<std::vector<std::vector<CbirResult>>> BatchNearestToArchiveImages(
-      const std::vector<std::string>& names, size_t k) const;
 
   // --- image payloads ------------------------------------------------------
 
@@ -236,12 +187,10 @@ class EarthQube {
   /// automatically; callers mutating the CBIR service directly via
   /// cbir() must call query_cache().Invalidate() themselves.
   QueryCache& query_cache() const { return query_cache_; }
-  /// The staged execution engine (stats endpoint, tests, benches);
-  /// null when config().exec.enable is false.
-  ExecutionEngine* exec_engine() const { return engine_.get(); }
-  /// The ranked direct-access handle table (stats endpoint, tests);
-  /// null when config().ranked.enable is false.
-  RankedAccess* ranked_access() const { return ranked_.get(); }
+  /// The staged execution engine (stats endpoint, tests, benches).
+  ExecutionEngine& exec_engine() const { return *engine_; }
+  /// The ranked direct-access handle table (stats endpoint, tests).
+  RankedAccess& ranked_access() const { return ranked_; }
   /// The observability bundle: metrics registry, tracing switch and
   /// slow-query log (the /metrics and debug endpoints read it; const
   /// query paths record into it).
@@ -258,8 +207,8 @@ class EarthQube {
   /// registry — one counting truth, sampled on demand.
   void RegisterCollectors();
 
-  /// Stage-1 admission checks shared by the synchronous path and the
-  /// engine: request validation plus the CBIR-attached precondition.
+  /// The engine's stage-1 admission checks: request validation plus
+  /// the CBIR-attached precondition.
   Status PreflightCheck(const QueryRequest& request) const;
 
   /// Probes the response and negative caches for a fingerprintable
@@ -269,24 +218,11 @@ class EarthQube {
       const QueryRequest& request,
       const std::optional<std::string>& fingerprint) const;
 
-  /// One uncached execution bracketed by cache bookkeeping: the epoch
-  /// is snapshotted before the reads, successful similarity responses
-  /// are Put, and NotFound similarity subjects are negative-cached.
-  /// `response_cached` (optional) reports whether the response-cache Put
-  /// was admitted — the engine's flight pre-warm counter reads it.
-  StatusOr<QueryResponse> ExecuteAndCache(
-      const QueryRequest& request,
-      const std::optional<std::string>& fingerprint,
-      bool* response_cached = nullptr) const;
-
-  /// The engine-off Execute body: preflight -> cache probe ->
-  /// ExecuteAndCache, all on the caller's thread.
-  StatusOr<QueryResponse> ExecuteSync(const QueryRequest& request) const;
-
-  /// Cache-put halves of ExecuteAndCache, exposed to the engine's
-  /// micro-batch path (which snapshots one epoch per shared pass).
-  /// CacheResponse returns whether the response cache admitted the
-  /// entry (the flight pre-warm signal).
+  /// Cache puts of the engine's group executor (which snapshots one
+  /// epoch per shared pass).  Successful similarity responses are Put;
+  /// NotFound similarity subjects are negative-cached.  CacheResponse
+  /// returns whether the response cache admitted the entry (the flight
+  /// pre-warm signal).
   bool CacheResponse(const QueryRequest& request,
                      const std::optional<std::string>& fingerprint,
                      const QueryResponse& response,
@@ -294,9 +230,6 @@ class EarthQube {
   void MaybeCacheNegative(const QueryRequest& request,
                           const std::optional<std::string>& fingerprint,
                           const Status& status, uint64_t epoch_snapshot) const;
-
-  /// Execute minus the response-cache layer.
-  StatusOr<QueryResponse> ExecuteUncached(const QueryRequest& request) const;
 
   StatusOr<QueryResponse> ExecutePanelOnly(const QueryRequest& request) const;
 
@@ -346,16 +279,16 @@ class EarthQube {
 
   /// The one similarity response builder: pulls `handle` until the
   /// request's window is buffered, slices it, joins metadata for the
-  /// full-panel projection and mints the cursor.  A paged request
-  /// (with ranked access on) gets the window [page·size, page·size +
-  /// size) and a v3 cursor on the handle; an unpaged one gets the
-  /// window [0, cap) and no handle cursor.
+  /// full-panel projection and mints the cursor.  A paged request gets
+  /// the window [page·size, page·size + size) and a v3 cursor on the
+  /// handle; an unpaged one gets the window [0, cap) and no handle
+  /// cursor.
   StatusOr<QueryResponse> RespondSimilarity(
       const QueryRequest& request, const SimilarityPlan& plan,
       const std::shared_ptr<RankedHandle>& handle) const;
 
-  /// Whether a request is served as a window of a pinned ranking:
-  /// paging on and the ranked-access layer enabled.
+  /// Whether a request is served as a window of a pinned ranking
+  /// (paging on).
   bool Windowed(const QueryRequest& request) const;
 
   /// Pulls the handle's stream until `need` survivors are buffered (or
@@ -392,7 +325,7 @@ class EarthQube {
   /// Handle-table population happens on const query paths (it is cached
   /// execution state, not observable results).  Declared after cbir_:
   /// its streams borrow the CBIR service's name map.
-  mutable std::unique_ptr<RankedAccess> ranked_;
+  mutable RankedAccess ranked_;
   /// Resume-path latency (extend + window materialisation), recorded
   /// under the engine's stage histogram family.
   obs::Histogram* stage_ranked_resume_ = nullptr;

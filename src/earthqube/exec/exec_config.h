@@ -8,16 +8,13 @@ namespace agoraeo::earthqube {
 
 /// Knobs of the staged execution engine (EarthQubeConfig::exec).
 ///
-/// The engine turns EarthQube::Execute from a per-caller synchronous
-/// path into a staged pipeline — validate/plan, admission queue,
-/// fingerprint-keyed coalescer, micro-batcher, per-request
-/// materialisation — so concurrent interactive traffic shares work
-/// instead of repeating it.
+/// The engine is EarthQube's only executor: a staged pipeline —
+/// validate/plan, admission queue, fingerprint-keyed coalescer,
+/// micro-batcher, per-request materialisation — so concurrent
+/// interactive traffic shares work instead of repeating it.  With
+/// `coalesce` and `micro_batch` off it runs every request as its own
+/// flight.
 struct ExecConfig {
-  /// Master switch.  Off = every entry point executes synchronously on
-  /// the caller's thread (the pre-engine behaviour); the async facade
-  /// methods then complete inline.
-  bool enable = true;
   /// Singleflight: concurrent requests with identical canonical
   /// fingerprints collapse onto one in-flight execution and share the
   /// resulting response.
@@ -37,14 +34,14 @@ struct ExecConfig {
   /// Engine worker threads; 0 picks the hardware concurrency.
   size_t num_workers = 0;
   /// Admission-queue depth bound; submissions beyond it are rejected
-  /// with FailedPrecondition instead of queueing unboundedly.
+  /// with Overloaded (HTTP 429) instead of queueing unboundedly.
   size_t max_queue = 4096;
 };
 
 /// Lifetime counters of one engine, aggregated by ExecutionEngine::
 /// Stats().  All counters are monotonic.
 struct ExecStats {
-  uint64_t submitted = 0;      ///< requests admitted via Submit*
+  uint64_t submitted = 0;      ///< requests admitted via SubmitAsync
   uint64_t completed = 0;      ///< waiters completed (incl. errors)
   uint64_t cache_hits = 0;     ///< flights served from the response cache
   uint64_t negative_hits = 0;  ///< flights served from the negative cache

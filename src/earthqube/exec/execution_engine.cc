@@ -7,16 +7,9 @@
 
 namespace agoraeo::earthqube {
 
-/// One submission: the synchronisation point its Ticket blocks on and
-/// its optional completion callback.  All waiters of a flight share the
-/// same shared_ptr<const QueryResponse>; Get()/the callback materialise
-/// a per-request copy from it.
+/// One submission: its completion callback, which receives the
+/// submission's own copy of its flight's result.
 struct ExecutionEngine::Waiter {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status = Status::OK();
-  std::shared_ptr<const QueryResponse> response;
   Callback callback;
   /// Per-request trace (null for the untraced fast path) and the
   /// submission timestamp the total-latency histogram measures from.
@@ -116,52 +109,17 @@ ExecutionEngine::~ExecutionEngine() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-StatusOr<QueryResponse> ExecutionEngine::Ticket::Get() {
-  if (waiter_ == nullptr) {
-    return Status::FailedPrecondition("empty execution ticket");
-  }
-  std::unique_lock<std::mutex> lock(waiter_->mu);
-  waiter_->cv.wait(lock, [&] { return waiter_->done; });
-  if (!waiter_->status.ok()) return waiter_->status;
-  // Per-request materialisation: each waiter copies the shared
-  // response (identical fingerprints imply identical paging and
-  // projection, so the copy IS the materialised result).
-  obs::ScopedSpan materialize_span(waiter_->trace.get(), "materialize");
-  return QueryResponse(*waiter_->response);
-}
-
-void ExecutionEngine::CompleteWaiter(
-    const std::shared_ptr<Waiter>& waiter, const Status& status,
-    std::shared_ptr<const QueryResponse> response) {
-  {
-    std::lock_guard<std::mutex> lock(waiter->mu);
-    waiter->done = true;
-    waiter->status = status;
-    waiter->response = std::move(response);
-  }
-  waiter->cv.notify_all();
+void ExecutionEngine::CompleteWaiter(const std::shared_ptr<Waiter>& waiter,
+                                     StatusOr<QueryResponse> result) {
   if (request_total_ != nullptr && waiter->submit_ns != 0) {
     request_total_->Record(obs::NowNanos() - waiter->submit_ns);
   }
-  if (waiter->callback) {
-    if (waiter->status.ok()) {
-      const uint64_t materialize_start =
-          waiter->trace != nullptr ? obs::NowNanos() : 0;
-      StatusOr<QueryResponse> materialized(QueryResponse(*waiter->response));
-      if (waiter->trace != nullptr) {
-        waiter->trace->AddSpanEndingNow("materialize", materialize_start);
-      }
-      waiter->callback(materialized);
-    } else {
-      waiter->callback(StatusOr<QueryResponse>(waiter->status));
-    }
-    waiter->callback = nullptr;
-  }
+  Callback callback = std::move(waiter->callback);
+  callback(std::move(result));
 }
 
-void ExecutionEngine::CompleteFlight(
-    const std::shared_ptr<Flight>& flight, const Status& status,
-    std::shared_ptr<const QueryResponse> response) {
+void ExecutionEngine::CompleteFlight(const std::shared_ptr<Flight>& flight,
+                                     StatusOr<QueryResponse> result) {
   std::vector<std::shared_ptr<Waiter>> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -207,14 +165,26 @@ void ExecutionEngine::CompleteFlight(
       waiter->trace->AddSpan("index_pass", exec_ns, end_ns - exec_ns);
     }
   }
-  for (const std::shared_ptr<Waiter>& waiter : waiters) {
-    CompleteWaiter(waiter, status, response);
+  // Per-request materialisation: every waiter but the last gets its own
+  // copy of the flight's result (identical fingerprints imply identical
+  // paging and projection, so the copy IS the materialised response);
+  // the last takes the result itself.
+  for (size_t i = 0; i < waiters.size(); ++i) {
+    const std::shared_ptr<Waiter>& waiter = waiters[i];
+    const uint64_t materialize_start =
+        waiter->trace != nullptr ? obs::NowNanos() : 0;
+    StatusOr<QueryResponse> own = i + 1 < waiters.size()
+                                      ? StatusOr<QueryResponse>(result)
+                                      : std::move(result);
+    if (waiter->trace != nullptr) {
+      waiter->trace->AddSpanEndingNow("materialize", materialize_start);
+    }
+    CompleteWaiter(waiter, std::move(own));
   }
 }
 
-std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
-    const QueryRequest& request, Callback done,
-    std::shared_ptr<obs::Trace> trace) {
+void ExecutionEngine::SubmitAsync(const QueryRequest& request, Callback done,
+                                  std::shared_ptr<obs::Trace> trace) {
   auto waiter = std::make_shared<Waiter>();
   waiter->callback = std::move(done);
   waiter->trace = std::move(trace);
@@ -245,8 +215,8 @@ std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
   if (!preflight.ok()) {
     finish_admit_stage();
     completed_.fetch_add(1);
-    CompleteWaiter(waiter, preflight, nullptr);
-    return waiter;
+    CompleteWaiter(waiter, preflight);
+    return;
   }
   const std::optional<std::string> fingerprint =
       QueryCache::RequestFingerprint(request);
@@ -255,17 +225,11 @@ std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
   // Stage 2: coalesce.  Checked before the cache probe so N identical
   // concurrent misses cost exactly one cache miss (the leader's).
   std::shared_ptr<Flight> flight;
+  Status bounced;  // an admission refusal, completed once mu_ is released
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      finish_admit_stage();
-      completed_.fetch_add(1);
-      CompleteWaiter(waiter,
-                     Status::FailedPrecondition("execution engine shut down"),
-                     nullptr);
-      return waiter;
-    }
-    bool register_in_flight = config_.coalesce && fingerprint.has_value();
+    bool register_in_flight =
+        config_.coalesce && fingerprint.has_value() && !shutdown_;
     if (register_in_flight) {
       auto it = in_flight_.find(*fingerprint);
       if (it != in_flight_.end()) {
@@ -280,28 +244,31 @@ std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
           if (stage_admit_ != nullptr && admit_start != 0) {
             stage_admit_->Record(obs::NowNanos() - admit_start);
           }
-          return waiter;
+          return;
         }
         register_in_flight = false;  // stale twin keeps the map slot
       }
     }
-    if (queue_.size() >= config_.max_queue) {
-      finish_admit_stage();
+    if (shutdown_) {
+      bounced = Status::FailedPrecondition("execution engine shut down");
+    } else if (queue_.size() >= config_.max_queue) {
       rejected_.fetch_add(1);
-      completed_.fetch_add(1);
-      CompleteWaiter(
-          waiter,
-          Status::FailedPrecondition("execution engine admission queue full"),
-          nullptr);
-      return waiter;
+      bounced = Status::Overloaded("execution engine admission queue full");
+    } else {
+      flight = std::make_shared<Flight>();
+      flight->request = request;
+      flight->fingerprint = fingerprint;
+      if (config_.micro_batch) flight->batch_key = BatchKeyFor(request);
+      flight->admission_epoch = epoch;
+      flight->waiters.push_back(waiter);
+      if (register_in_flight) in_flight_[*fingerprint] = flight;
     }
-    flight = std::make_shared<Flight>();
-    flight->request = request;
-    flight->fingerprint = fingerprint;
-    if (config_.micro_batch) flight->batch_key = BatchKeyFor(request);
-    flight->admission_epoch = epoch;
-    flight->waiters.push_back(waiter);
-    if (register_in_flight) in_flight_[*fingerprint] = flight;
+  }
+  if (!bounced.ok()) {
+    finish_admit_stage();
+    completed_.fetch_add(1);
+    CompleteWaiter(waiter, bounced);
+    return;
   }
 
   const uint64_t admit_end = finish_admit_stage();
@@ -332,14 +299,11 @@ std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
       if (WasWarmedByFlight(fingerprint)) {
         warm_from_flight_hits_.fetch_add(1);
       }
-      CompleteFlight(flight, Status::OK(),
-                     std::make_shared<const QueryResponse>(
-                         std::move(probed->value())));
     } else {
       negative_hits_.fetch_add(1);
-      CompleteFlight(flight, probed->status(), nullptr);
     }
-    return waiter;
+    CompleteFlight(flight, std::move(*probed));
+    return;
   }
 
   finish_probe_stage();
@@ -357,30 +321,6 @@ std::shared_ptr<ExecutionEngine::Waiter> ExecutionEngine::Admit(
     }
   }
   work_cv_.notify_all();
-  return waiter;
-}
-
-ExecutionEngine::Ticket ExecutionEngine::Submit(
-    const QueryRequest& request, std::shared_ptr<obs::Trace> trace) {
-  return Ticket(Admit(request, nullptr, std::move(trace)));
-}
-
-void ExecutionEngine::SubmitAsync(const QueryRequest& request,
-                                  std::shared_ptr<obs::Trace> trace,
-                                  Callback done) {
-  Admit(request, std::move(done), std::move(trace));
-}
-
-std::vector<ExecutionEngine::Ticket> ExecutionEngine::SubmitBatch(
-    const std::vector<QueryRequest>& requests) {
-  std::vector<Ticket> out;
-  out.reserve(requests.size());
-  Pause();
-  for (const QueryRequest& request : requests) {
-    out.push_back(Ticket(Admit(request, nullptr)));
-  }
-  Resume();
-  return out;
 }
 
 void ExecutionEngine::Pause() {
@@ -451,8 +391,8 @@ void ExecutionEngine::WorkerLoop() {
     }
 
     // Gate execution on Resume: flights collected while an admission
-    // gate (SubmitBatch) is paused must not complete before the rest of
-    // the batch is admitted, or identical slots would miss the
+    // gate (ExecuteBatchAsync) is paused must not complete before the
+    // rest of the batch is admitted, or identical slots would miss the
     // coalescer and re-execute.
     work_cv_.wait(lock, [&] { return shutdown_ || paused_ == 0; });
     if (queue_depth_ != nullptr) {
@@ -474,12 +414,7 @@ void ExecutionEngine::WorkerLoop() {
         }
       }
     }
-    if (group.size() > 1) {
-      ExecuteGroup(group);
-    } else {
-      direct_.fetch_add(1);
-      ExecuteDirect(group.front());
-    }
+    ExecuteGroup(group);
     lock.lock();
   }
 }
@@ -500,28 +435,23 @@ bool ExecutionEngine::WasWarmedByFlight(
   return warmed_by_flight_.count(*fingerprint) != 0;
 }
 
-void ExecutionEngine::ExecuteDirect(const std::shared_ptr<Flight>& flight) {
-  // The response-cache Put happens inside ExecuteAndCache, BEFORE the
-  // waiters wake below: by the time any waiter observes completion, the
-  // next identical request is already a cache hit.
-  bool cached = false;
-  StatusOr<QueryResponse> result =
-      system_->ExecuteAndCache(flight->request, flight->fingerprint, &cached);
-  if (cached) RecordFlightWarm(flight->fingerprint);
-  if (result.ok()) {
-    CompleteFlight(flight, Status::OK(),
-                   std::make_shared<const QueryResponse>(
-                       std::move(result).value()));
-  } else {
-    CompleteFlight(flight, result.status(), nullptr);
-  }
-}
-
 void ExecutionEngine::ExecuteGroup(
     const std::vector<std::shared_ptr<Flight>>& group) {
-  batches_.fetch_add(1);
-  batched_flights_.fetch_add(group.size());
-  // Epoch snapshot before any read, one per shared pass.
+  if (group.size() > 1) {
+    batches_.fetch_add(1);
+    batched_flights_.fetch_add(group.size());
+  } else {
+    direct_.fetch_add(1);
+  }
+  if (!group.front()->request.similarity.has_value()) {
+    // Panel-only: never batchable (no batch key) and never cached.
+    CompleteFlight(group.front(),
+                   system_->ExecutePanelOnly(group.front()->request));
+    return;
+  }
+  // Snapshot the epoch BEFORE any read, one per shared pass: an ingest
+  // racing this group bumps it, leaving the entries put below stale
+  // instead of serving pre-ingest data as fresh.
   const uint64_t epoch_snapshot = system_->query_cache().epoch();
   std::vector<const QueryRequest*> requests;
   requests.reserve(group.size());
@@ -535,19 +465,17 @@ void ExecutionEngine::ExecuteGroup(
       system_->ExecuteSimilarity(requests, epoch_snapshot);
   for (size_t i = 0; i < group.size(); ++i) {
     const std::shared_ptr<Flight>& flight = group[i];
+    // Cache puts happen BEFORE the waiters wake: by the time any waiter
+    // observes completion, the next identical request is already a
+    // cache hit.
     if (!responses[i].ok()) {
       system_->MaybeCacheNegative(flight->request, flight->fingerprint,
                                   responses[i].status(), epoch_snapshot);
-      CompleteFlight(flight, responses[i].status(), nullptr);
-      continue;
-    }
-    if (system_->CacheResponse(flight->request, flight->fingerprint,
-                               *responses[i], epoch_snapshot)) {
+    } else if (system_->CacheResponse(flight->request, flight->fingerprint,
+                                      *responses[i], epoch_snapshot)) {
       RecordFlightWarm(flight->fingerprint);
     }
-    CompleteFlight(flight, Status::OK(),
-                   std::make_shared<const QueryResponse>(
-                       std::move(responses[i]).value()));
+    CompleteFlight(flight, std::move(responses[i]));
   }
 }
 

@@ -30,8 +30,8 @@ class EarthQube;
 ///      request fingerprint (the coalescer's and cache's shared key).
 ///   2. coalescer (singleflight) — a submission whose fingerprint
 ///      matches an in-flight execution attaches to it as a waiter
-///      instead of executing again; all waiters of a flight share one
-///      shared_ptr<const QueryResponse>.
+///      instead of executing again; all waiters of a flight share its
+///      one result.
 ///   3. cache probe — flight leaders (only) probe the response and
 ///      negative caches, so N coalesced identical misses cost exactly
 ///      one cache miss and one execution.
@@ -39,34 +39,18 @@ class EarthQube;
 ///      distinct batchable misses (CBIR-only, or hybrids sharing a
 ///      panel filter and planner mode) that are in flight within one
 ///      time/size window are fused into one batched index open.
-///   5. per-request materialisation — each waiter materialises its own
-///      QueryResponse copy from the shared result (Get / callback).
+///   5. per-request materialisation — each waiter's callback receives
+///      its own QueryResponse copy of the shared result.
 ///
 /// Thread-safe.  The engine owns its worker threads; destruction drains
 /// the queue (every outstanding waiter is completed) and joins.
 class ExecutionEngine {
  public:
-  struct Waiter;
-
-  /// Completion callback; invoked exactly once, on an engine worker (or
-  /// inline on the submitting thread for admission-time completions:
-  /// validation errors, cache hits, rejections).
-  using Callback = std::function<void(const StatusOr<QueryResponse>&)>;
-
-  /// A handle on one submission.  Get() blocks until the underlying
-  /// flight completes and materialises this waiter's response copy.
-  class Ticket {
-   public:
-    Ticket() = default;
-    StatusOr<QueryResponse> Get();
-    bool valid() const { return waiter_ != nullptr; }
-
-   private:
-    friend class ExecutionEngine;
-    explicit Ticket(std::shared_ptr<Waiter> waiter)
-        : waiter_(std::move(waiter)) {}
-    std::shared_ptr<Waiter> waiter_;
-  };
+  /// Completion callback; invoked exactly once with this submission's
+  /// own response copy, on an engine worker (or inline on the
+  /// submitting thread for admission-time completions: validation
+  /// errors, cache hits, rejections).
+  using Callback = std::function<void(StatusOr<QueryResponse>)>;
 
   /// `system` must outlive the engine (EarthQube owns its engine and
   /// declares it last, so it is destroyed first).  `obs` (optional,
@@ -79,35 +63,17 @@ class ExecutionEngine {
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
 
-  /// Submits one request; the returned ticket's Get() is the blocking
-  /// flavour EarthQube::Execute wraps.  The traced overloads thread a
-  /// per-request Trace through the engine's stages (admit, coalesce,
-  /// cache probe, queue wait, batch wait, index pass, materialize);
-  /// null trace is the untraced fast path.
-  Ticket Submit(const QueryRequest& request) {
-    return Submit(request, nullptr);
-  }
-  Ticket Submit(const QueryRequest& request,
-                std::shared_ptr<obs::Trace> trace);
-
-  /// Submits one request with a completion callback — the deferred
-  /// netsvc pipeline's entry point.  The callback must not block for
-  /// long and must not re-enter the engine synchronously with a Get().
-  void SubmitAsync(const QueryRequest& request, Callback done) {
-    SubmitAsync(request, nullptr, std::move(done));
-  }
-  void SubmitAsync(const QueryRequest& request,
-                   std::shared_ptr<obs::Trace> trace, Callback done);
-
-  /// Submits a whole batch under one admission gate: workers are paused
-  /// until every request is admitted, so identical requests coalesce
-  /// deterministically and distinct batchable requests are guaranteed
-  /// to land in one micro-batch window.
-  std::vector<Ticket> SubmitBatch(const std::vector<QueryRequest>& requests);
+  /// Submits one request; `done` receives the outcome.  The callback
+  /// must not block for long and must not wait on another submission
+  /// to this engine.  `trace` (optional) collects the request's stage
+  /// spans (admit, coalesce, cache probe, queue wait, batch wait, index
+  /// pass, materialize); null is the untraced fast path.
+  void SubmitAsync(const QueryRequest& request, Callback done,
+                   std::shared_ptr<obs::Trace> trace = nullptr);
 
   /// Pauses/resumes the workers' queue consumption (admissions still
-  /// proceed).  Nests; used by SubmitBatch and by tests/benches that
-  /// need deterministic coalescing.
+  /// proceed).  Nests; EarthQube::ExecuteBatchAsync gates a whole batch
+  /// on it, and tests/benches use it for deterministic coalescing.
   void Pause();
   void Resume();
 
@@ -117,18 +83,14 @@ class ExecutionEngine {
  private:
   struct Flight;
 
-  /// Stage 1–3 for one request; returns the submission's waiter.
-  std::shared_ptr<Waiter> Admit(const QueryRequest& request, Callback done,
-                                std::shared_ptr<obs::Trace> trace = nullptr);
+  struct Waiter;
 
-  /// Completes every waiter of a flight with a shared result and
+  /// Completes every waiter of a flight with one shared result and
   /// retires the flight from the coalescer map.
   void CompleteFlight(const std::shared_ptr<Flight>& flight,
-                      const Status& status,
-                      std::shared_ptr<const QueryResponse> response);
+                      StatusOr<QueryResponse> result);
   void CompleteWaiter(const std::shared_ptr<Waiter>& waiter,
-                      const Status& status,
-                      std::shared_ptr<const QueryResponse> response);
+                      StatusOr<QueryResponse> result);
 
   /// Records that a flight completion pre-warmed the response cache
   /// under `fingerprint`, so a later admission-time hit on it can be
@@ -142,9 +104,10 @@ class ExecutionEngine {
   /// (caller holds mu_).
   void CollectMatching(const std::string& key,
                        std::vector<std::shared_ptr<Flight>>* group);
-  void ExecuteDirect(const std::shared_ptr<Flight>& flight);
-  /// Runs a micro-batch of similarity flights as one batched open
-  /// (EarthQube::ExecuteSimilarity), then caches and completes each.
+  /// Runs one popped group and completes each flight.  A panel-only
+  /// flight (never batchable, so always alone) runs ExecutePanelOnly;
+  /// similarity flights of any group size run one ExecuteSimilarity
+  /// under one epoch snapshot, then are response- or negative-cached.
   void ExecuteGroup(const std::vector<std::shared_ptr<Flight>>& group);
 
   const EarthQube* system_;

@@ -20,9 +20,6 @@ namespace agoraeo::earthqube {
 /// Knobs of the ranked direct-access registry (EarthQubeConfig::ranked):
 /// resumable top-k cursors over lazily streamed shard frontiers.
 struct RankedAccessConfig {
-  /// Master switch: off restores the stateless paging path (responses
-  /// carry the ranking up to its cap and the serialiser slices).
-  bool enable = true;
   /// Max live query handles; the least recently touched one is evicted
   /// past this (its next page transparently falls back to re-execution).
   size_t handle_capacity = 256;

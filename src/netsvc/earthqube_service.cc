@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <mutex>
+#include <optional>
 
 #include "common/simd/hamming_kernels.h"
 #include "earthqube/exec/execution_engine.h"
@@ -21,7 +21,6 @@ using earthqube::PlannerMode;
 using earthqube::Projection;
 using earthqube::QueryRequest;
 using earthqube::QueryResponse;
-using earthqube::SearchResponse;
 using earthqube::SimilaritySpec;
 
 namespace {
@@ -156,6 +155,56 @@ std::string LabelStatisticsToJson(const earthqube::LabelStatistics& stats) {
   return out;
 }
 
+/// Parses a /cbir/batch_search body into its queried names and one
+/// unpaged hits-only similarity request per name.  Every rejection is
+/// InvalidArgument (400).
+Status ParseBatchSearch(const std::string& text,
+                        std::vector<std::string>* names,
+                        std::vector<QueryRequest>* requests) {
+  auto body = json::ParseObject(text);
+  if (!body.ok()) return Status::InvalidArgument(body.status().message());
+  const Value* list = body->Get("names");
+  if (list == nullptr || !list->is_array() || list->as_array().empty()) {
+    return Status::InvalidArgument("names must be a non-empty array");
+  }
+  if (list->as_array().size() > EarthQubeService::kMaxBatchQueries) {
+    return Status::InvalidArgument(
+        "batch too large: at most " +
+        std::to_string(EarthQubeService::kMaxBatchQueries) +
+        " names per request");
+  }
+  for (const Value& n : list->as_array()) {
+    if (!n.is_string()) return Status::InvalidArgument("names must be strings");
+    names->push_back(n.as_string());
+  }
+  std::optional<size_t> k;
+  uint32_t radius = 0;
+  size_t limit = 0;
+  if (body->Has("k")) {
+    AGORAEO_ASSIGN_OR_RETURN(const int64_t value,
+                             NonNegativeField(*body, "k", 0));
+    k = static_cast<size_t>(value);
+  } else {
+    AGORAEO_ASSIGN_OR_RETURN(const int64_t r,
+                             NonNegativeField(*body, "radius", 8));
+    AGORAEO_ASSIGN_OR_RETURN(const int64_t l,
+                             NonNegativeField(*body, "limit", 0));
+    radius = static_cast<uint32_t>(r);
+    limit = static_cast<size_t>(l);
+  }
+  requests->reserve(names->size());
+  for (const std::string& name : *names) {
+    QueryRequest request;
+    request.similarity = k.has_value()
+                             ? SimilaritySpec::NameKnn(name, *k)
+                             : SimilaritySpec::NameRadius(name, radius, limit);
+    request.projection = Projection::kHitsOnly;
+    request.page_size = 0;
+    requests->push_back(std::move(request));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 HttpResponse FromStatus(const Status& status) {
@@ -166,6 +215,14 @@ HttpResponse FromStatus(const Status& status) {
       return HttpResponse::Error(410, "cursor_expired", status.message());
     case StatusCode::kInvalidArgument:
       return HttpResponse::BadRequest(status.message());
+    case StatusCode::kFailedPrecondition:
+      return HttpResponse::Error(409, "conflict", status.message());
+    case StatusCode::kOverloaded: {
+      HttpResponse response =
+          HttpResponse::Error(429, "overloaded", status.message());
+      response.headers["retry-after"] = "1";
+      return response;
+    }
     default:
       return HttpResponse::InternalError(status.message());
   }
@@ -337,7 +394,7 @@ StatusOr<QueryRequest> EarthQubeService::QueryRequestFromJson(
   return request;
 }
 
-std::string EarthQubeService::ResponseToJson(const SearchResponse& response,
+std::string EarthQubeService::ResponseToJson(const QueryResponse& response,
                                              size_t page) {
   std::string out = "{\"total\":" + std::to_string(response.panel.total()) +
                     ",\"page\":" + std::to_string(page) + ",\"plan\":\"" +
@@ -455,10 +512,11 @@ void EarthQubeService::RegisterRoutes(HttpServer* server,
                             HttpServer::Responder responder) {
                        HandleSimilarByName(request, std::move(responder));
                      });
-  server->Route("POST", "/cbir/batch_search",
-                [this](const HttpRequest& request) {
-                  return HandleBatchSearch(request);
-                });
+  server->RouteAsync("POST", "/cbir/batch_search",
+                     [this](const HttpRequest& request,
+                            HttpServer::Responder responder) {
+                       HandleBatchSearch(request, std::move(responder));
+                     });
   server->Route("POST", "/api/feedback", [this](const HttpRequest& request) {
     return HandleFeedback(request);
   });
@@ -531,26 +589,24 @@ HttpResponse EarthQubeService::HandleCacheStats() const {
   // The execution engine's counters: miss coalescing and micro-batching
   // live here because the response cache's fingerprint is their shared
   // key — one endpoint tells the whole work-sharing story.
+  // "enabled" stays on the wire for existing clients; the engine is
+  // the only executor, so it is always true.
   Document exec;
-  const earthqube::ExecutionEngine* engine = system_->exec_engine();
-  exec.Set("enabled", Value(engine != nullptr));
-  if (engine != nullptr) {
-    const earthqube::ExecStats s = engine->Stats();
-    exec.Set("submitted", Value(static_cast<int64_t>(s.submitted)));
-    exec.Set("completed", Value(static_cast<int64_t>(s.completed)));
-    exec.Set("cache_hits", Value(static_cast<int64_t>(s.cache_hits)));
-    exec.Set("negative_hits", Value(static_cast<int64_t>(s.negative_hits)));
-    exec.Set("coalesced", Value(static_cast<int64_t>(s.coalesced)));
-    exec.Set("flights", Value(static_cast<int64_t>(s.flights)));
-    exec.Set("direct", Value(static_cast<int64_t>(s.direct)));
-    exec.Set("batches", Value(static_cast<int64_t>(s.batches)));
-    exec.Set("batched_flights",
-             Value(static_cast<int64_t>(s.batched_flights)));
-    exec.Set("rejected", Value(static_cast<int64_t>(s.rejected)));
-    exec.Set("flight_warms", Value(static_cast<int64_t>(s.flight_warms)));
-    exec.Set("warm_from_flight_hits",
-             Value(static_cast<int64_t>(s.warm_from_flight_hits)));
-  }
+  const earthqube::ExecStats s = system_->exec_engine().Stats();
+  exec.Set("enabled", Value(true));
+  exec.Set("submitted", Value(static_cast<int64_t>(s.submitted)));
+  exec.Set("completed", Value(static_cast<int64_t>(s.completed)));
+  exec.Set("cache_hits", Value(static_cast<int64_t>(s.cache_hits)));
+  exec.Set("negative_hits", Value(static_cast<int64_t>(s.negative_hits)));
+  exec.Set("coalesced", Value(static_cast<int64_t>(s.coalesced)));
+  exec.Set("flights", Value(static_cast<int64_t>(s.flights)));
+  exec.Set("direct", Value(static_cast<int64_t>(s.direct)));
+  exec.Set("batches", Value(static_cast<int64_t>(s.batches)));
+  exec.Set("batched_flights", Value(static_cast<int64_t>(s.batched_flights)));
+  exec.Set("rejected", Value(static_cast<int64_t>(s.rejected)));
+  exec.Set("flight_warms", Value(static_cast<int64_t>(s.flight_warms)));
+  exec.Set("warm_from_flight_hits",
+           Value(static_cast<int64_t>(s.warm_from_flight_hits)));
   out.Set("exec", Value(std::move(exec)));
   if (node_info_) {
     const NodeInfo info = node_info_();
@@ -665,17 +721,10 @@ HttpResponse EarthQubeService::HandleIndexStats() const {
 HttpResponse EarthQubeService::HandleIndexSnapshot() {
   earthqube::CbirService* cbir = system_->cbir();
   if (cbir == nullptr) {
-    return HttpResponse::Json(409, "{\"error\":\"no CBIR service attached\"}");
+    return FromStatus(Status::FailedPrecondition("no CBIR service attached"));
   }
   const Status status = cbir->Snapshot();
-  if (!status.ok()) {
-    if (status.IsFailedPrecondition()) {
-      return HttpResponse::Json(
-          409, "{\"error\":\"" + std::string(status.message()) + "\"}");
-    }
-    return HttpResponse::Json(
-        500, "{\"error\":\"" + std::string(status.message()) + "\"}");
-  }
+  if (!status.ok()) return FromStatus(status);
   const earthqube::CbirPersistenceStats& p = cbir->persistence_stats();
   Document out;
   out.Set("snapshotted", Value(true));
@@ -684,22 +733,6 @@ HttpResponse EarthQubeService::HandleIndexSnapshot() {
           Value(static_cast<int64_t>(p.snapshots_written)));
   return HttpResponse::Json(200, json::Serialize(out));
 }
-
-namespace {
-
-/// Aggregation state of one deferred batch submission: slots fill in
-/// from engine callbacks (possibly concurrently); the last completion
-/// serialises and answers.
-struct DeferredBatch {
-  explicit DeferredBatch(size_t n)
-      : slots(n, StatusOr<QueryResponse>(Status::Internal("slot pending"))),
-        remaining(n) {}
-  std::mutex mu;
-  std::vector<StatusOr<QueryResponse>> slots;
-  size_t remaining;
-};
-
-}  // namespace
 
 void EarthQubeService::HandleQueryV2(const HttpRequest& request,
                                      HttpServer::Responder responder) const {
@@ -736,62 +769,25 @@ void EarthQubeService::HandleQueryV2(const HttpRequest& request,
       }
       requests.push_back(std::move(parsed).value());
     }
-    earthqube::ExecutionEngine* engine = system_->exec_engine();
-    if (engine == nullptr) {
-      // Engine off: nothing to park the connection on — execute the
-      // batch synchronously (ExecuteBatch keeps the dedup contract).
-      auto responses = system_->ExecuteBatch(requests);
-      if (!responses.ok()) {
-        responder.Send(FromStatus(responses.status()));
-        return;
-      }
-      std::string out = "{\"batch_size\":" +
-                        std::to_string(responses->size()) + ",\"responses\":[";
-      for (size_t i = 0; i < responses->size(); ++i) {
-        if (i != 0) out += ",";
-        out += QueryResponseToJson((*responses)[i]);
-      }
-      out += "]}";
-      responder.Send(HttpResponse::Json(200, out));
-      return;
-    }
-    // Every slot goes through ExecuteAsync; the last completion answers
-    // the parked connection.  Mirrors ExecuteBatch's semantics: any
-    // failed slot fails the whole batch (first failing slot wins).
-    // The engine is paused across the submissions (the SubmitBatch
-    // admission gate) so identical slots coalesce deterministically
-    // instead of racing the first slot's completion.
-    engine->Pause();
-    auto state = std::make_shared<DeferredBatch>(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      system_->ExecuteAsync(
-          requests[i],
-          [state, i, responder](const StatusOr<QueryResponse>& result) {
-            bool last;
-            {
-              std::lock_guard<std::mutex> lock(state->mu);
-              state->slots[i] = result;
-              last = --state->remaining == 0;
-            }
-            if (!last) return;
-            for (const StatusOr<QueryResponse>& slot : state->slots) {
-              if (!slot.ok()) {
-                responder.Send(FromStatus(slot.status()));
-                return;
-              }
-            }
-            std::string out =
-                "{\"batch_size\":" + std::to_string(state->slots.size()) +
-                ",\"responses\":[";
-            for (size_t j = 0; j < state->slots.size(); ++j) {
-              if (j != 0) out += ",";
-              out += QueryResponseToJson(*state->slots[j]);
-            }
-            out += "]}";
-            responder.Send(HttpResponse::Json(200, out));
-          });
-    }
-    engine->Resume();
+    // Any failed slot fails the whole batch (first failing slot wins);
+    // the last completion answers the parked connection.
+    system_->ExecuteBatchAsync(
+        requests,
+        [responder](StatusOr<std::vector<QueryResponse>> responses) {
+          if (!responses.ok()) {
+            responder.Send(FromStatus(responses.status()));
+            return;
+          }
+          std::string out = "{\"batch_size\":" +
+                            std::to_string(responses->size()) +
+                            ",\"responses\":[";
+          for (size_t i = 0; i < responses->size(); ++i) {
+            if (i != 0) out += ",";
+            out += QueryResponseToJson((*responses)[i]);
+          }
+          out += "]}";
+          responder.Send(HttpResponse::Json(200, out));
+        });
     return;
   }
 
@@ -815,7 +811,7 @@ void EarthQubeService::HandleQueryV2(const HttpRequest& request,
              : parsed->panel.has_value()     ? "hybrid"
                                              : "cbir";
   system_->ExecuteAsync(
-      *parsed, trace,
+      *parsed,
       [this, responder, trace, start_ns,
        summary = std::move(summary)](const StatusOr<QueryResponse>& response) {
         HttpResponse http =
@@ -835,7 +831,8 @@ void EarthQubeService::HandleQueryV2(const HttpRequest& request,
           }
         }
         responder.Send(http);
-      });
+      },
+      trace);
 }
 
 void EarthQubeService::HandleSearch(const HttpRequest& request,
@@ -867,9 +864,8 @@ void EarthQubeService::HandleSearch(const HttpRequest& request,
           responder.Send(FromStatus(response.status()));
           return;
         }
-        const SearchResponse v1{response->panel, response->statistics,
-                                response->query_stats};
-        responder.Send(HttpResponse::Json(200, ResponseToJson(v1, page_index)));
+        responder.Send(
+            HttpResponse::Json(200, ResponseToJson(*response, page_index)));
       });
 }
 
@@ -917,87 +913,48 @@ void EarthQubeService::HandleSimilarByName(
           responder.Send(FromStatus(response.status()));
           return;
         }
-        const SearchResponse v1{response->panel, response->statistics,
-                                response->query_stats};
-        responder.Send(HttpResponse::Json(200, ResponseToJson(v1, 0)));
+        responder.Send(HttpResponse::Json(200, ResponseToJson(*response, 0)));
       });
 }
 
-HttpResponse EarthQubeService::HandleBatchSearch(
-    const HttpRequest& request) const {
-  auto body = json::ParseObject(request.body);
-  if (!body.ok()) return HttpResponse::BadRequest(body.status().message());
-  const Value* names = body->Get("names");
-  if (names == nullptr || !names->is_array() || names->as_array().empty()) {
-    return HttpResponse::BadRequest("names must be a non-empty array");
-  }
-  if (names->as_array().size() > kMaxBatchQueries) {
-    return HttpResponse::BadRequest(
-        "batch too large: at most " + std::to_string(kMaxBatchQueries) +
-        " names per request");
-  }
-  std::vector<std::string> queries;
-  queries.reserve(names->as_array().size());
-  for (const Value& n : names->as_array()) {
-    if (!n.is_string()) {
-      return HttpResponse::BadRequest("names must be strings");
-    }
-    queries.push_back(n.as_string());
-  }
-
+void EarthQubeService::HandleBatchSearch(
+    const HttpRequest& request, HttpServer::Responder responder) const {
+  std::vector<std::string> names;
   std::vector<QueryRequest> requests;
-  requests.reserve(queries.size());
-  if (body->Has("k")) {
-    auto k = NonNegativeField(*body, "k", 0);
-    if (!k.ok()) return HttpResponse::BadRequest(k.status().message());
-    for (const std::string& query : queries) {
-      QueryRequest unified;
-      unified.similarity =
-          SimilaritySpec::NameKnn(query, static_cast<size_t>(*k));
-      unified.projection = Projection::kHitsOnly;
-      unified.page_size = 0;
-      requests.push_back(std::move(unified));
-    }
-  } else {
-    auto radius = NonNegativeField(*body, "radius", 8);
-    if (!radius.ok()) {
-      return HttpResponse::BadRequest(radius.status().message());
-    }
-    auto limit = NonNegativeField(*body, "limit", 0);
-    if (!limit.ok()) return HttpResponse::BadRequest(limit.status().message());
-    for (const std::string& query : queries) {
-      QueryRequest unified;
-      unified.similarity = SimilaritySpec::NameRadius(
-          query, static_cast<uint32_t>(*radius), static_cast<size_t>(*limit));
-      unified.projection = Projection::kHitsOnly;
-      unified.page_size = 0;
-      requests.push_back(std::move(unified));
-    }
+  const Status parsed = ParseBatchSearch(request.body, &names, &requests);
+  if (!parsed.ok()) {
+    responder.Send(FromStatus(parsed));
+    return;
   }
-
-  auto batch = system_->ExecuteBatch(requests);
-  if (!batch.ok()) return FromStatus(batch.status());
-
-  Document out;
-  out.Set("batch_size", Value(static_cast<int64_t>(queries.size())));
-  std::vector<Value> results;
-  results.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Document entry;
-    entry.Set("query", Value(queries[i]));
-    std::vector<Value> hits;
-    hits.reserve((*batch)[i].hits.size());
-    for (const earthqube::CbirResult& hit : (*batch)[i].hits) {
-      Document h;
-      h.Set("name", Value(hit.patch_name));
-      h.Set("distance", Value(static_cast<int64_t>(hit.hamming_distance)));
-      hits.emplace_back(std::move(h));
-    }
-    entry.Set("hits", Value(std::move(hits)));
-    results.emplace_back(std::move(entry));
-  }
-  out.Set("results", Value(std::move(results)));
-  return HttpResponse::Json(200, json::Serialize(out));
+  system_->ExecuteBatchAsync(
+      requests, [responder, names = std::move(names)](
+                    StatusOr<std::vector<QueryResponse>> batch) {
+        if (!batch.ok()) {
+          responder.Send(FromStatus(batch.status()));
+          return;
+        }
+        Document out;
+        out.Set("batch_size", Value(static_cast<int64_t>(names.size())));
+        std::vector<Value> results;
+        results.reserve(names.size());
+        for (size_t i = 0; i < names.size(); ++i) {
+          Document entry;
+          entry.Set("query", Value(names[i]));
+          std::vector<Value> hits;
+          hits.reserve((*batch)[i].hits.size());
+          for (const earthqube::CbirResult& hit : (*batch)[i].hits) {
+            Document h;
+            h.Set("name", Value(hit.patch_name));
+            h.Set("distance",
+                  Value(static_cast<int64_t>(hit.hamming_distance)));
+            hits.emplace_back(std::move(h));
+          }
+          entry.Set("hits", Value(std::move(hits)));
+          results.emplace_back(std::move(entry));
+        }
+        out.Set("results", Value(std::move(results)));
+        responder.Send(HttpResponse::Json(200, json::Serialize(out)));
+      });
 }
 
 HttpResponse EarthQubeService::HandleFeedback(const HttpRequest& request) {

@@ -13,9 +13,12 @@
 namespace agoraeo::netsvc {
 
 /// Maps a facade error onto the shared JSON error envelope by status
-/// code: NotFound 404, CursorExpired 410 `cursor_expired` (so paging
-/// clients can tell "restart from page 0" apart from "fix your
-/// request"), InvalidArgument 400, anything else 500.
+/// code — the one status→HTTP switch of the monolith, cluster nodes and
+/// the coordinator: NotFound 404, CursorExpired 410 `cursor_expired`
+/// (so paging clients can tell "restart from page 0" apart from "fix
+/// your request"), InvalidArgument 400, FailedPrecondition 409
+/// `conflict`, Overloaded 429 `overloaded` with `Retry-After: 1`,
+/// anything else 500.
 HttpResponse FromStatus(const Status& status);
 
 /// The HTTP face of the EarthQube back end — the middle tier of the
@@ -33,21 +36,23 @@ HttpResponse FromStatus(const Status& status);
 ///   POST /api/search                     [v1, deprecated] query panel
 ///   POST /api/similar/by_name            [v1, deprecated] CBIR by name
 ///   POST /cbir/batch_search              [v1, deprecated] batched CBIR
+///   POST /api/v2/index/snapshot          checkpoint a durable index
 ///   POST /api/download                   zip export of named images
 ///   POST /api/feedback                   anonymous feedback text
 ///   GET  /api/feedback/count
 ///   GET  /api/patch/<name>               one image's metadata
 ///
-/// The v1 routes are thin shims over the same EarthQube::Execute path
-/// that serves /api/v2/query and are kept for compatibility; new
-/// clients should use v2.
+/// The v1 routes are thin translations onto the same QueryRequest ->
+/// QueryResponse execution that serves /api/v2/query and are kept for
+/// compatibility; new clients should use v2.
 ///
-/// The query routes (/api/v2/query, /api/search, /api/similar/by_name)
-/// are registered as deferred (async) handlers: the HTTP worker parses
-/// the request, submits it to EarthQube's execution engine via
-/// ExecuteAsync, and returns immediately; an engine worker completes
-/// the parked connection when the (possibly coalesced or micro-batched)
-/// execution finishes.  Non-query routes stay synchronous.
+/// The query routes (/api/v2/query, /api/search, /api/similar/by_name,
+/// /cbir/batch_search) are registered as deferred (async) handlers: the
+/// HTTP worker parses the request, submits it to EarthQube's execution
+/// engine via ExecuteAsync / ExecuteBatchAsync, and returns
+/// immediately; an engine worker completes the parked connection when
+/// the (possibly coalesced or micro-batched) execution finishes.
+/// Non-query routes stay synchronous.
 ///
 /// /api/v2/query request body — one schema covers panel-only,
 /// CBIR-only, hybrid (panel ∧ similarity) and batch submissions:
@@ -101,7 +106,8 @@ HttpResponse FromStatus(const Status& status);
 /// responses: {"batch_size": N, "responses": [<single responses>]}.
 ///
 /// Every endpoint answers errors with the shared JSON envelope
-/// {"error": {"code": "...", "message": "..."}} (HttpResponse::Error).
+/// {"error": {"code": "...", "message": "..."}} (HttpResponse::Error),
+/// classified by FromStatus.
 ///
 /// v1 bodies (unchanged): /api/search takes the "panel" fields at the
 /// top level plus "page"; /api/similar/by_name takes {"name", "radius"
@@ -153,9 +159,10 @@ class EarthQubeService {
   static StatusOr<earthqube::QueryRequest> QueryRequestFromJson(
       const docstore::Document& body);
 
-  /// Serialises a v1 search response (exposed for tests).  Emits the v2
+  /// Serialises a v1 search response — the kPageSize page `page` of an
+  /// unpaged response's panel (exposed for tests).  Emits the v2
   /// continuation cursor when further kPageSize pages remain.
-  static std::string ResponseToJson(const earthqube::SearchResponse& response,
+  static std::string ResponseToJson(const earthqube::QueryResponse& response,
                                     size_t page);
 
   /// Serialises a v2 response (exposed for tests).
@@ -172,7 +179,8 @@ class EarthQubeService {
                     HttpServer::Responder responder) const;
   void HandleSimilarByName(const HttpRequest& request,
                            HttpServer::Responder responder) const;
-  HttpResponse HandleBatchSearch(const HttpRequest& request) const;
+  void HandleBatchSearch(const HttpRequest& request,
+                         HttpServer::Responder responder) const;
   HttpResponse HandleFeedback(const HttpRequest& request);
   HttpResponse HandleDownload(const HttpRequest& request) const;
   HttpResponse HandlePatchMetadata(const HttpRequest& request) const;

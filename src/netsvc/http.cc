@@ -295,6 +295,8 @@ const char* ReasonPhrase(int code) {
     case 409: return "Conflict";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 410: return "Gone";
+    case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
     case 503: return "Service Unavailable";
     default: return "Unknown";

@@ -267,7 +267,7 @@ TEST_F(EarthQubeOpsTest, SearchOperatorByLabels) {
   auto result = pipeline.Execute(registry_, std::any());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& response =
-      std::any_cast<const earthqube::SearchResponse&>(result->output);
+      std::any_cast<const earthqube::QueryResponse&>(result->output);
   EXPECT_GT(response.panel.total(), 0u);
 }
 
@@ -296,7 +296,7 @@ TEST_F(EarthQubeOpsTest, StatisticsOperatorRendersChart) {
   EXPECT_NE(chart.find("Pastures"), std::string::npos);
 }
 
-TEST_F(EarthQubeOpsTest, CbirOperatorRequiresSearchResponse) {
+TEST_F(EarthQubeOpsTest, CbirOperatorRequiresQueryResponse) {
   Pipeline pipeline;
   pipeline.Add("earthqube.cbir");
   auto result = pipeline.Execute(registry_, std::any(42));

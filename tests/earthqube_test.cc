@@ -6,6 +6,7 @@
 #include <set>
 
 #include "cbir_test_util.h"
+#include "query_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
 #include "earthqube/earthqube.h"
@@ -361,7 +362,7 @@ TEST_F(EarthQubeTest, IngestedAllPatches) {
 
 TEST_F(EarthQubeTest, EmptyQueryReturnsEverything) {
   EarthQubeQuery query;
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->panel.total(), archive_->patches.size());
   EXPECT_EQ(response->statistics.num_images(), archive_->patches.size());
@@ -370,7 +371,7 @@ TEST_F(EarthQubeTest, EmptyQueryReturnsEverything) {
 TEST_F(EarthQubeTest, LimitIsRespected) {
   EarthQubeQuery query;
   query.limit = 25;
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->panel.total(), 25u);
 }
@@ -381,7 +382,7 @@ TEST_F(EarthQubeTest, CountrySearchViaGeo) {
   ASSERT_TRUE(country.ok());
   EarthQubeQuery query;
   query.geo = GeoQuery::Rect((*country)->extent);
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   // Every result's center is inside (or extremely near) the extent.
   for (const auto& e : response->panel.entries()) {
@@ -400,7 +401,7 @@ TEST_F(EarthQubeTest, CountrySearchViaGeo) {
 TEST_F(EarthQubeTest, GeoQueryUsesIndex) {
   EarthQubeQuery query;
   query.geo = GeoQuery::Rect({{38.0, -9.5}, {39.0, -8.0}});
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   EXPECT_NE(response->query_stats.plan.find("geo"), std::string::npos)
       << response->query_stats.plan;
@@ -432,7 +433,7 @@ TEST_F(EarthQubeTest, SeasonAndSatelliteAndDateFilters) {
   query.seasons = {Season::kSummer};
   query.satellites = {"S2A"};
   query.date_range = DateRange{CivilDate(2017, 6, 1), CivilDate(2017, 8, 31)};
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   size_t expected = 0;
   for (const auto& p : archive_->patches) {
@@ -446,9 +447,10 @@ TEST_F(EarthQubeTest, SeasonAndSatelliteAndDateFilters) {
   EXPECT_EQ(response->panel.total(), expected);
 }
 
-TEST_F(EarthQubeTest, SimilarToArchiveImageExcludesSelfAndSorts) {
+TEST_F(EarthQubeTest, SimilarByNameExcludesSelfAndSorts) {
   const std::string& name = archive_->patches[10].name;
-  auto response = system_->SimilarToArchiveImage(name, /*radius=*/8);
+  auto response = system_->Execute(
+      SimilarRequest(SimilaritySpec::NameRadius(name, /*radius=*/8)));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->panel.FindByName(name), nullptr);  // self excluded
   EXPECT_EQ(response->query_stats.plan, "CBIR");
@@ -460,7 +462,8 @@ TEST_F(EarthQubeTest, SimilaritySearchFindsSemanticNeighbors) {
   size_t shared = 0, total = 0;
   for (size_t q = 0; q < 20; ++q) {
     const auto& meta = archive_->patches[q * 7];
-    auto response = system_->NearestToArchiveImage(meta.name, 10);
+    auto response = system_->Execute(
+        SimilarRequest(SimilaritySpec::NameKnn(meta.name, 10)));
     ASSERT_TRUE(response.ok());
     for (const auto& e : response->panel.entries()) {
       ++total;
@@ -477,17 +480,20 @@ TEST_F(EarthQubeTest, BatchSimilarMatchesSequentialQueries) {
   names.push_back(names[0]);  // duplicate query in the same batch
   constexpr uint32_t kRadius = 8;
 
-  auto batch = system_->BatchSimilarToArchiveImages(names, kRadius);
+  auto batch = system_->ExecuteBatch(HitsRequests(names, [](const auto& n) {
+    return SimilaritySpec::NameRadius(n, kRadius);
+  }));
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
+    const std::vector<CbirResult>& hits = (*batch)[i].hits;
     auto single = RadiusByName(*system_->cbir(), names[i], kRadius);
     ASSERT_TRUE(single.ok());
-    ASSERT_EQ((*batch)[i].size(), single->size()) << "query " << i;
+    ASSERT_EQ(hits.size(), single->size()) << "query " << i;
     for (size_t j = 0; j < single->size(); ++j) {
-      EXPECT_EQ((*batch)[i][j].patch_name, (*single)[j].patch_name)
+      EXPECT_EQ(hits[j].patch_name, (*single)[j].patch_name)
           << "query " << i << " hit " << j;
-      EXPECT_EQ((*batch)[i][j].hamming_distance, (*single)[j].hamming_distance)
+      EXPECT_EQ(hits[j].hamming_distance, (*single)[j].hamming_distance)
           << "query " << i << " hit " << j;
     }
   }
@@ -498,33 +504,38 @@ TEST_F(EarthQubeTest, BatchNearestMatchesSequentialKnn) {
                                     archive_->patches[44].name,
                                     archive_->patches[100].name};
   constexpr size_t kK = 12;
-  auto batch = system_->BatchNearestToArchiveImages(names, kK);
+  auto batch = system_->ExecuteBatch(HitsRequests(
+      names, [](const auto& n) { return SimilaritySpec::NameKnn(n, kK); }));
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), names.size());
   for (size_t i = 0; i < names.size(); ++i) {
+    const std::vector<CbirResult>& hits = (*batch)[i].hits;
     auto single = KnnByName(*system_->cbir(), names[i], kK);
     ASSERT_TRUE(single.ok());
-    ASSERT_EQ((*batch)[i].size(), single->size()) << "query " << i;
+    ASSERT_EQ(hits.size(), single->size()) << "query " << i;
     for (size_t j = 0; j < single->size(); ++j) {
-      EXPECT_EQ((*batch)[i][j].patch_name, (*single)[j].patch_name)
+      EXPECT_EQ(hits[j].patch_name, (*single)[j].patch_name)
           << "query " << i << " hit " << j;
     }
     // Self is excluded from every batch slot.
-    for (const auto& hit : (*batch)[i]) {
+    for (const auto& hit : hits) {
       EXPECT_NE(hit.patch_name, names[i]);
     }
   }
 }
 
 TEST_F(EarthQubeTest, BatchQueriesEdgeCases) {
+  const auto radius4 = [](const auto& n) {
+    return SimilaritySpec::NameRadius(n, 4);
+  };
   // Any unknown name fails the whole batch with NotFound.
   EXPECT_TRUE(system_
-                  ->BatchSimilarToArchiveImages(
-                      {archive_->patches[0].name, "ghost_patch"}, 4)
+                  ->ExecuteBatch(HitsRequests(
+                      {archive_->patches[0].name, "ghost_patch"}, radius4))
                   .status()
                   .IsNotFound());
   // An empty batch succeeds with an empty result.
-  auto empty = system_->BatchSimilarToArchiveImages({}, 4);
+  auto empty = system_->ExecuteBatch(HitsRequests({}, radius4));
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
   // k == 0 asks for no neighbours and must return none (not the k+1
@@ -532,12 +543,13 @@ TEST_F(EarthQubeTest, BatchQueriesEdgeCases) {
   auto zero_knn = KnnByName(*system_->cbir(), archive_->patches[0].name, 0);
   ASSERT_TRUE(zero_knn.ok());
   EXPECT_TRUE(zero_knn->empty());
-  auto zero_batch = system_->BatchNearestToArchiveImages(
-      {archive_->patches[0].name, archive_->patches[1].name}, 0);
+  auto zero_batch = system_->ExecuteBatch(
+      HitsRequests({archive_->patches[0].name, archive_->patches[1].name},
+                   [](const auto& n) { return SimilaritySpec::NameKnn(n, 0); }));
   ASSERT_TRUE(zero_batch.ok());
   ASSERT_EQ(zero_batch->size(), 2u);
-  EXPECT_TRUE((*zero_batch)[0].empty());
-  EXPECT_TRUE((*zero_batch)[1].empty());
+  EXPECT_TRUE((*zero_batch)[0].hits.empty());
+  EXPECT_TRUE((*zero_batch)[1].hits.empty());
 }
 
 TEST_F(EarthQubeTest, CbirBatchedStreamsMatchSingleStreams) {
@@ -583,7 +595,8 @@ TEST_F(EarthQubeTest, QueryByNewExample) {
   bigearthnet::Patch upload =
       generator_->SynthesizePatch(archive_->patches[33]);
   upload.meta.name = "uploaded_by_visitor";
-  auto response = system_->SimilarToUploadedImage(upload, /*radius=*/10);
+  auto response = system_->Execute(
+      SimilarRequest(SimilaritySpec::PatchRadius(upload, /*radius=*/10)));
   ASSERT_TRUE(response.ok());
   EXPECT_GT(response->panel.total(), 0u);
   // The original archive twin should be among the closest results.
@@ -591,8 +604,11 @@ TEST_F(EarthQubeTest, QueryByNewExample) {
 }
 
 TEST_F(EarthQubeTest, UnknownImageNameIsNotFound) {
-  EXPECT_TRUE(
-      system_->SimilarToArchiveImage("ghost_patch", 4).status().IsNotFound());
+  EXPECT_TRUE(system_
+                  ->Execute(SimilarRequest(
+                      SimilaritySpec::NameRadius("ghost_patch", 4)))
+                  .status()
+                  .IsNotFound());
   EXPECT_TRUE(system_->GetMetadata("ghost_patch").status().IsNotFound());
 }
 
@@ -627,8 +643,9 @@ TEST_F(EarthQubeTest, FeedbackCollection) {
 
 TEST_F(EarthQubeTest, CbirWithoutServiceFailsGracefully) {
   EarthQube bare;
-  EXPECT_TRUE(
-      bare.SimilarToArchiveImage("x", 4).status().IsFailedPrecondition());
+  EXPECT_TRUE(bare.Execute(SimilarRequest(SimilaritySpec::NameRadius("x", 4)))
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 
@@ -908,9 +925,10 @@ TEST(HybridPlannerTest, HybridRadiusEqualsFilterIntersection) {
   ASSERT_TRUE(response.ok());
 
   // Ground truth: CBIR radius hits intersected with the filter matches.
-  auto cbir_only = system.SimilarToArchiveImage(query_name, 12);
+  auto cbir_only =
+      system.Execute(SimilarRequest(SimilaritySpec::NameRadius(query_name, 12)));
   ASSERT_TRUE(cbir_only.ok());
-  auto filter_only = system.Search(panel);
+  auto filter_only = system.Execute(PanelRequest(panel));
   ASSERT_TRUE(filter_only.ok());
   std::set<std::string> allowed;
   for (const auto& e : filter_only->panel.entries()) allowed.insert(e.name);
@@ -1010,19 +1028,15 @@ TEST(ShardedExecutionTest, ShardedSystemMatchesUnshardedOnAllShapes) {
     for (size_t i = 0; i < 12; ++i) {
       names.push_back(plain.archive().patches[i * 17].name);
     }
-    auto want_batch = plain.system().BatchSimilarToArchiveImages(names, 10);
-    auto got_batch = sharded.system().BatchSimilarToArchiveImages(names, 10);
+    const std::vector<QueryRequest> batch = HitsRequests(
+        names, [](const auto& n) { return SimilaritySpec::NameRadius(n, 10); });
+    auto want_batch = plain.system().ExecuteBatch(batch);
+    auto got_batch = sharded.system().ExecuteBatch(batch);
     ASSERT_TRUE(want_batch.ok());
     ASSERT_TRUE(got_batch.ok());
     ASSERT_EQ(got_batch->size(), want_batch->size());
     for (size_t i = 0; i < want_batch->size(); ++i) {
-      ASSERT_EQ((*got_batch)[i].size(), (*want_batch)[i].size()) << i;
-      for (size_t j = 0; j < (*want_batch)[i].size(); ++j) {
-        EXPECT_EQ((*got_batch)[i][j].patch_name,
-                  (*want_batch)[i][j].patch_name);
-        EXPECT_EQ((*got_batch)[i][j].hamming_distance,
-                  (*want_batch)[i][j].hamming_distance);
-      }
+      EXPECT_EQ(HitList((*got_batch)[i]), HitList((*want_batch)[i])) << i;
     }
   }
 }
@@ -1331,8 +1345,8 @@ TEST(QueryCacheTest, ExecuteBatchDedupesIdenticalRequests) {
   const std::string& name_a = fixture.archive().patches[3].name;
   const std::string& name_b = fixture.archive().patches[11].name;
 
-  // Full-panel projection keeps this off the homogeneous hits-only fast
-  // path, so the general (deduping) path executes.
+  // Identical slots coalesce onto one engine flight under the batch's
+  // admission pause, whatever the projection.
   QueryRequest a;
   a.similarity = SimilaritySpec::NameRadius(name_a, 10);
   QueryRequest b;

@@ -1,8 +1,9 @@
 /// Tests for the staged execution engine: miss coalescing
 /// (singleflight), micro-batched index passes, negative caching,
-/// deferred completion, admission control, and byte-parity between the
-/// engine and the synchronous execution path.  The concurrency tests
-/// here are part of the TSan CI job.
+/// deferred completion, admission control, and byte-parity between
+/// shared (coalesced, micro-batched) executions and the same requests
+/// executed one at a time.  The concurrency tests here are part of the
+/// TSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -93,29 +94,64 @@ QueryRequest NameRadiusRequest(const std::string& name, uint32_t radius) {
   return request;
 }
 
+/// Collects the callback completions of engine submissions in
+/// submission order; Wait() blocks until every one has arrived.  The
+/// callbacks share the state, so a test that fails before Wait() leaves
+/// them nothing dangling to write to.
+class Submissions {
+ public:
+  void Submit(ExecutionEngine& engine, const QueryRequest& request) {
+    size_t slot;
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      slot = state_->results.size();
+      state_->results.emplace_back(Status::Internal("pending"));
+      ++state_->pending;
+    }
+    engine.SubmitAsync(request, [state = state_,
+                                 slot](StatusOr<QueryResponse> result) {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->results[slot] = std::move(result);
+      if (--state->pending == 0) state->cv.notify_all();
+    });
+  }
+
+  std::vector<StatusOr<QueryResponse>> Wait() {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock, [&] { return state_->pending == 0; });
+    return state_->results;
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<StatusOr<QueryResponse>> results;
+    size_t pending = 0;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
 // --- coalescer ---------------------------------------------------------------
 
 TEST(ExecEngineTest, IdenticalConcurrentMissesExecuteOnce) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
-  ASSERT_NE(engine, nullptr);
+  ExecutionEngine& engine = system.exec_engine();
   const QueryRequest request =
       NameRadiusRequest(fixture.archive().patches[5].name, 8);
 
   // Pause the workers so every submission is admitted before any
   // executes: the N identical misses MUST collapse onto one flight.
   constexpr size_t kWaiters = 16;
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
-  tickets.reserve(kWaiters);
-  for (size_t i = 0; i < kWaiters; ++i) tickets.push_back(engine->Submit(request));
-  const ExecStats admitted = engine->Stats();
-  engine->Resume();
+  engine.Pause();
+  Submissions submissions;
+  for (size_t i = 0; i < kWaiters; ++i) submissions.Submit(engine, request);
+  const ExecStats admitted = engine.Stats();
+  engine.Resume();
 
   std::vector<QueryResponse> responses;
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    auto response = ticket.Get();
+  for (StatusOr<QueryResponse>& response : submissions.Wait()) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     responses.push_back(std::move(response).value());
   }
@@ -128,7 +164,7 @@ TEST(ExecEngineTest, IdenticalConcurrentMissesExecuteOnce) {
   EXPECT_EQ(cache_stats.misses, 1u);
   EXPECT_EQ(cache_stats.hits, 0u);
   EXPECT_EQ(cache_stats.puts, 1u);
-  EXPECT_EQ(engine->Stats().completed, kWaiters);
+  EXPECT_EQ(engine.Stats().completed, kWaiters);
 
   // All waiters share the leader's fresh response.
   for (const QueryResponse& response : responses) {
@@ -141,17 +177,20 @@ TEST(ExecEngineTest, ConcurrentSubmittersFromManyThreads) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
   // A hot Zipfian-ish mix from many threads; validates thread safety
-  // (TSan job) and engine-vs-sync parity under real concurrency.
-  EarthQubeConfig sync_config;
-  sync_config.exec.enable = false;
-  sync_config.cache.enable_response_cache = false;
-  EngineFixture sync_fixture(sync_config);
+  // (TSan job) and parity with the same requests executed one at a time
+  // on a second system.
+  EngineFixture reference_fixture;
 
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 24;
-  std::vector<std::string> names;
+  std::vector<QueryRequest> requests;
+  std::vector<QueryResponse> references;
   for (size_t i = 0; i < 6; ++i) {
-    names.push_back(fixture.archive().patches[i * 31].name);
+    requests.push_back(
+        NameRadiusRequest(fixture.archive().patches[i * 31].name, 8));
+    auto reference = reference_fixture.system().Execute(requests.back());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    references.push_back(std::move(reference).value());
   }
   std::atomic<size_t> failures{0};
   std::vector<std::thread> threads;
@@ -159,21 +198,19 @@ TEST(ExecEngineTest, ConcurrentSubmittersFromManyThreads) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
-        const std::string& name = names[(t + i) % names.size()];
-        const QueryRequest request = NameRadiusRequest(name, 8);
-        auto engine_response = fixture.system().Execute(request);
-        if (!engine_response.ok()) {
+        const size_t which = (t + i) % requests.size();
+        auto response = system.Execute(requests[which]);
+        if (!response.ok()) {
           failures.fetch_add(1);
           continue;
         }
-        auto sync_response = sync_fixture.system().Execute(request);
-        if (!sync_response.ok()) failures.fetch_add(1);
+        ExpectSameResponse(*response, references[which]);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0u);
-  const ExecStats stats = system.exec_engine()->Stats();
+  const ExecStats stats = system.exec_engine().Stats();
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.submitted, kThreads * kPerThread);
 }
@@ -183,11 +220,8 @@ TEST(ExecEngineTest, ConcurrentSubmittersFromManyThreads) {
 TEST(ExecEngineTest, DistinctMissesShareOneBatchedIndexPass) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
-
-  EarthQubeConfig sync_config;
-  sync_config.exec.enable = false;
-  EngineFixture sync_fixture(sync_config);
+  ExecutionEngine& engine = system.exec_engine();
+  EngineFixture reference_fixture;
 
   constexpr size_t kDistinct = 12;
   std::vector<QueryRequest> requests;
@@ -196,31 +230,30 @@ TEST(ExecEngineTest, DistinctMissesShareOneBatchedIndexPass) {
         NameRadiusRequest(fixture.archive().patches[i * 7].name, 8));
   }
 
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
+  engine.Pause();
+  Submissions submissions;
   for (const QueryRequest& request : requests) {
-    tickets.push_back(engine->Submit(request));
+    submissions.Submit(engine, request);
   }
-  engine->Resume();
+  engine.Resume();
 
   std::vector<QueryResponse> responses;
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    auto response = ticket.Get();
+  for (StatusOr<QueryResponse>& response : submissions.Wait()) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     responses.push_back(std::move(response).value());
   }
 
   // All distinct in-flight misses were fused into one batched pass.
-  const ExecStats stats = engine->Stats();
+  const ExecStats stats = engine.Stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batched_flights, kDistinct);
   EXPECT_EQ(stats.direct, 0u);
 
-  // Byte-parity with the synchronous path, slot by slot.
+  // Byte-parity with each request executed alone, slot by slot.
   for (size_t i = 0; i < kDistinct; ++i) {
-    auto sync_response = sync_fixture.system().Execute(requests[i]);
-    ASSERT_TRUE(sync_response.ok());
-    ExpectSameResponse(responses[i], *sync_response);
+    auto alone = reference_fixture.system().Execute(requests[i]);
+    ASSERT_TRUE(alone.ok());
+    ExpectSameResponse(responses[i], *alone);
   }
 }
 
@@ -230,7 +263,7 @@ TEST(ExecEngineTest, MicroBatchedPagesOfOneRankingShareOneHandle) {
   // handle, opened once, and each page matches a lone execution.
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
+  ExecutionEngine& engine = system.exec_engine();
   EngineFixture reference_fixture;
 
   QueryRequest base =
@@ -247,31 +280,28 @@ TEST(ExecEngineTest, MicroBatchedPagesOfOneRankingShareOneHandle) {
   requests.push_back(unpaged);
 
   const uint64_t registered_before =
-      system.ranked_access()->Stats().registered;
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
+      system.ranked_access().Stats().registered;
+  engine.Pause();
+  Submissions submissions;
   for (const QueryRequest& request : requests) {
-    tickets.push_back(engine->Submit(request));
+    submissions.Submit(engine, request);
   }
-  engine->Resume();
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    auto response = tickets[i].Get();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  engine.Resume();
+  const std::vector<StatusOr<QueryResponse>> responses = submissions.Wait();
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
     auto alone = reference_fixture.system().Execute(requests[i]);
     ASSERT_TRUE(alone.ok());
-    ExpectSameResponse(*response, *alone);
+    ExpectSameResponse(*responses[i], *alone);
   }
-  EXPECT_EQ(engine->Stats().batches, 1u);
-  EXPECT_EQ(system.ranked_access()->Stats().registered, registered_before + 1);
+  EXPECT_EQ(engine.Stats().batches, 1u);
+  EXPECT_EQ(system.ranked_access().Stats().registered, registered_before + 1);
 }
 
 TEST(ExecEngineTest, HybridPreFilterMissesShareOneRestrictedPass) {
   EngineFixture fixture;
-  ExecutionEngine* engine = fixture.system().exec_engine();
-
-  EarthQubeConfig sync_config;
-  sync_config.exec.enable = false;
-  EngineFixture sync_fixture(sync_config);
+  ExecutionEngine& engine = fixture.system().exec_engine();
+  EngineFixture reference_fixture;
 
   // Same panel filter (the shared allowlist), distinct subjects, pinned
   // pre-filter so the planner choice is uniform.
@@ -289,21 +319,20 @@ TEST(ExecEngineTest, HybridPreFilterMissesShareOneRestrictedPass) {
     requests.push_back(std::move(request));
   }
 
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
+  engine.Pause();
+  Submissions submissions;
   for (const QueryRequest& request : requests) {
-    tickets.push_back(engine->Submit(request));
+    submissions.Submit(engine, request);
   }
-  engine->Resume();
+  engine.Resume();
 
   std::vector<QueryResponse> responses;
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    auto response = ticket.Get();
+  for (StatusOr<QueryResponse>& response : submissions.Wait()) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     responses.push_back(std::move(response).value());
   }
 
-  const ExecStats stats = engine->Stats();
+  const ExecStats stats = engine.Stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batched_flights, kDistinct);
   // One shared docstore filter pass: the allowlist cache saw at most
@@ -311,9 +340,9 @@ TEST(ExecEngineTest, HybridPreFilterMissesShareOneRestrictedPass) {
   EXPECT_LE(fixture.system().query_cache().AllowlistStats().misses, 1u);
 
   for (size_t i = 0; i < kDistinct; ++i) {
-    auto sync_response = sync_fixture.system().Execute(requests[i]);
-    ASSERT_TRUE(sync_response.ok());
-    ExpectSameResponse(responses[i], *sync_response);
+    auto alone = reference_fixture.system().Execute(requests[i]);
+    ASSERT_TRUE(alone.ok());
+    ExpectSameResponse(responses[i], *alone);
   }
 }
 
@@ -321,20 +350,20 @@ TEST(ExecEngineTest, MaxBatchBoundsOnePass) {
   EarthQubeConfig config;
   config.exec.max_batch = 4;
   EngineFixture fixture(config);
-  ExecutionEngine* engine = fixture.system().exec_engine();
+  ExecutionEngine& engine = fixture.system().exec_engine();
 
   constexpr size_t kDistinct = 10;
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
+  engine.Pause();
+  Submissions submissions;
   for (size_t i = 0; i < kDistinct; ++i) {
-    tickets.push_back(engine->Submit(
-        NameRadiusRequest(fixture.archive().patches[i * 11].name, 8)));
+    submissions.Submit(
+        engine, NameRadiusRequest(fixture.archive().patches[i * 11].name, 8));
   }
-  engine->Resume();
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    ASSERT_TRUE(ticket.Get().ok());
+  engine.Resume();
+  for (const StatusOr<QueryResponse>& response : submissions.Wait()) {
+    ASSERT_TRUE(response.ok());
   }
-  const ExecStats stats = engine->Stats();
+  const ExecStats stats = engine.Stats();
   // 10 flights at max_batch 4 -> at least 3 groups, none larger than 4.
   EXPECT_GE(stats.batches + stats.direct, 3u);
   EXPECT_EQ(stats.batched_flights + stats.direct, kDistinct);
@@ -343,12 +372,13 @@ TEST(ExecEngineTest, MaxBatchBoundsOnePass) {
 TEST(ExecEngineTest, IngestPreventsCoalescingOntoStaleFlight) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
+  ExecutionEngine& engine = system.exec_engine();
   const QueryRequest request =
       NameRadiusRequest(fixture.archive().patches[4].name, 8);
 
-  engine->Pause();
-  ExecutionEngine::Ticket before_ingest = engine->Submit(request);
+  engine.Pause();
+  Submissions submissions;
+  submissions.Submit(engine, request);
   // The epoch bumps while the first flight is still queued: the second
   // submission must NOT share its (pre-ingest) execution.
   bigearthnet::Archive extra;
@@ -356,12 +386,13 @@ TEST(ExecEngineTest, IngestPreventsCoalescingOntoStaleFlight) {
   twin.name = "twin_for_epoch_guard";
   extra.patches.push_back(twin);
   ASSERT_TRUE(system.IngestArchive(extra).ok());
-  ExecutionEngine::Ticket after_ingest = engine->Submit(request);
-  const ExecStats admitted = engine->Stats();
-  engine->Resume();
+  submissions.Submit(engine, request);
+  const ExecStats admitted = engine.Stats();
+  engine.Resume();
 
-  ASSERT_TRUE(before_ingest.Get().ok());
-  ASSERT_TRUE(after_ingest.Get().ok());
+  for (const StatusOr<QueryResponse>& response : submissions.Wait()) {
+    ASSERT_TRUE(response.ok());
+  }
   EXPECT_EQ(admitted.flights, 2u);
   EXPECT_EQ(admitted.coalesced, 0u);
 }
@@ -384,7 +415,7 @@ TEST(ExecEngineTest, NotFoundSubjectsAreNegativeCached) {
   EXPECT_EQ(second.status().message(), first.status().message());
   // Served from the negative cache: no second execution.
   EXPECT_EQ(system.query_cache().NegativeStats().hits, 1u);
-  EXPECT_EQ(system.exec_engine()->Stats().negative_hits, 1u);
+  EXPECT_EQ(system.exec_engine().Stats().negative_hits, 1u);
 
   // An ingest bumps the epoch: the remembered NotFound is dropped and
   // the (still unknown) name is re-resolved fresh.
@@ -433,9 +464,9 @@ TEST(ExecEngineTest, AsyncCallbackDeliversResponse) {
   std::condition_variable cv;
   bool done = false;
   StatusOr<QueryResponse> delivered = Status::Internal("pending");
-  system.ExecuteAsync(request, [&](const StatusOr<QueryResponse>& response) {
+  system.ExecuteAsync(request, [&](StatusOr<QueryResponse> response) {
     std::lock_guard<std::mutex> lock(mu);
-    delivered = response;
+    delivered = std::move(response);
     done = true;
     cv.notify_all();
   });
@@ -457,26 +488,26 @@ TEST(ExecEngineTest, AdmissionQueueOverflowRejects) {
   config.exec.coalesce = false;  // force distinct flights per submit
   config.exec.micro_batch = false;
   EngineFixture fixture(config);
-  ExecutionEngine* engine = fixture.system().exec_engine();
+  ExecutionEngine& engine = fixture.system().exec_engine();
 
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
+  engine.Pause();
+  Submissions submissions;
   for (size_t i = 0; i < 4; ++i) {
-    tickets.push_back(engine->Submit(
-        NameRadiusRequest(fixture.archive().patches[i].name, 8)));
+    submissions.Submit(engine,
+                       NameRadiusRequest(fixture.archive().patches[i].name, 8));
   }
-  engine->Resume();
+  engine.Resume();
 
   size_t rejected = 0;
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    auto response = ticket.Get();
+  for (const StatusOr<QueryResponse>& response : submissions.Wait()) {
     if (!response.ok()) {
-      EXPECT_TRUE(response.status().IsFailedPrecondition());
+      EXPECT_TRUE(response.status().IsOverloaded())
+          << response.status().ToString();
       ++rejected;
     }
   }
   EXPECT_EQ(rejected, 2u);
-  EXPECT_EQ(engine->Stats().rejected, 2u);
+  EXPECT_EQ(engine.Stats().rejected, 2u);
 }
 
 TEST(ExecEngineTest, InvalidRequestFailsAtAdmission) {
@@ -492,26 +523,23 @@ TEST(ExecEngineTest, InvalidRequestFailsAtAdmission) {
 TEST(ExecEngineTest, FlightCompletionPreWarmsResponseCache) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
-  ASSERT_NE(engine, nullptr);
+  ExecutionEngine& engine = system.exec_engine();
   const QueryRequest request =
       NameRadiusRequest(fixture.archive().patches[9].name, 8);
 
   // A coalesced flight: N identical concurrent misses, one execution.
   constexpr size_t kWaiters = 6;
-  engine->Pause();
-  std::vector<ExecutionEngine::Ticket> tickets;
-  for (size_t i = 0; i < kWaiters; ++i) {
-    tickets.push_back(engine->Submit(request));
-  }
-  engine->Resume();
-  for (ExecutionEngine::Ticket& ticket : tickets) {
-    ASSERT_TRUE(ticket.Get().ok());
+  engine.Pause();
+  Submissions submissions;
+  for (size_t i = 0; i < kWaiters; ++i) submissions.Submit(engine, request);
+  engine.Resume();
+  for (const StatusOr<QueryResponse>& response : submissions.Wait()) {
+    ASSERT_TRUE(response.ok());
   }
 
   // The leader's completion drained the shared response into the
   // response cache before waking its waiters.
-  const ExecStats after_flight = engine->Stats();
+  const ExecStats after_flight = engine.Stats();
   EXPECT_EQ(after_flight.flight_warms, 1u);
   EXPECT_EQ(after_flight.warm_from_flight_hits, 0u);
 
@@ -520,7 +548,7 @@ TEST(ExecEngineTest, FlightCompletionPreWarmsResponseCache) {
   auto warm = system.Execute(request);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->served_from_cache);
-  const ExecStats after_hit = engine->Stats();
+  const ExecStats after_hit = engine.Stats();
   EXPECT_EQ(after_hit.cache_hits, after_flight.cache_hits + 1);
   EXPECT_EQ(after_hit.warm_from_flight_hits, 1u);
   EXPECT_EQ(after_hit.flight_warms, 1u);  // a cache hit warms nothing new
@@ -529,8 +557,7 @@ TEST(ExecEngineTest, FlightCompletionPreWarmsResponseCache) {
 TEST(ExecEngineTest, MicroBatchedFlightsPreWarmResponseCache) {
   EngineFixture fixture;
   EarthQube& system = fixture.system();
-  ExecutionEngine* engine = system.exec_engine();
-  ASSERT_NE(engine, nullptr);
+  ExecutionEngine& engine = system.exec_engine();
 
   // Distinct compatible misses fuse into one batched pass; every flight
   // of the pass drains its own response into the cache.
@@ -541,7 +568,7 @@ TEST(ExecEngineTest, MicroBatchedFlightsPreWarmResponseCache) {
   }
   auto batch = system.ExecuteBatch(requests);
   ASSERT_TRUE(batch.ok());
-  const ExecStats after_batch = engine->Stats();
+  const ExecStats after_batch = engine.Stats();
   EXPECT_GE(after_batch.batches, 1u);
   EXPECT_EQ(after_batch.flight_warms, requests.size());
 
@@ -549,58 +576,7 @@ TEST(ExecEngineTest, MicroBatchedFlightsPreWarmResponseCache) {
   auto warm = system.Execute(requests[2]);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->served_from_cache);
-  EXPECT_EQ(engine->Stats().warm_from_flight_hits, 1u);
-}
-
-// --- engine-off parity -------------------------------------------------------
-
-TEST(ExecEngineTest, EngineOffStillServesAllShapes) {
-  EarthQubeConfig config;
-  config.exec.enable = false;
-  EngineFixture fixture(config);
-  EarthQube& system = fixture.system();
-  ASSERT_EQ(system.exec_engine(), nullptr);
-
-  const QueryRequest cbir =
-      NameRadiusRequest(fixture.archive().patches[1].name, 8);
-  ASSERT_TRUE(system.Execute(cbir).ok());
-
-  auto batch = system.ExecuteBatch({cbir, cbir});
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 2u);
-
-  std::mutex mu;
-  bool called = false;
-  system.ExecuteAsync(cbir, [&](const StatusOr<QueryResponse>& response) {
-    std::lock_guard<std::mutex> lock(mu);
-    called = response.ok();
-  });
-  // Engine off: the callback completes inline.
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_TRUE(called);
-}
-
-TEST(ExecEngineTest, EngineOffExecuteBatchStillDedupes) {
-  EarthQubeConfig config;
-  config.exec.enable = false;
-  EngineFixture fixture(config);
-  EarthQube& system = fixture.system();
-  QueryRequest a = NameRadiusRequest(fixture.archive().patches[6].name, 9);
-  QueryRequest b = NameRadiusRequest(fixture.archive().patches[17].name, 9);
-
-  auto batch = system.ExecuteBatch({a, b, a, a, b});
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 5u);
-  // Two distinct requests -> two executions: duplicates fanned out, not
-  // re-executed and not served from the cache (same contract as the
-  // engine's coalescer).
-  const cache::CacheStats stats = system.query_cache().ResponseStats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.puts, 2u);
-  ExpectSameResponse((*batch)[0], (*batch)[2]);
-  ExpectSameResponse((*batch)[1], (*batch)[4]);
-  EXPECT_EQ((*batch)[2].served_from_cache, (*batch)[0].served_from_cache);
+  EXPECT_EQ(engine.Stats().warm_from_flight_hits, 1u);
 }
 
 }  // namespace

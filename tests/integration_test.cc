@@ -13,6 +13,7 @@
 
 #include "cbir_test_util.h"
 #include "frontier_test_util.h"
+#include "query_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
 #include "earthqube/earthqube.h"
@@ -26,6 +27,9 @@ using bigearthnet::LabelIdFromName;
 using bigearthnet::LabelSet;
 using earthqube::EarthQube;
 using earthqube::EarthQubeQuery;
+using earthqube::PanelRequest;
+using earthqube::SimilarRequest;
+using earthqube::SimilaritySpec;
 using earthqube::GeoQuery;
 using earthqube::LabelFilter;
 
@@ -105,7 +109,7 @@ TEST_F(ScenarioTest, LabelBasedExploration) {
        *LabelIdFromName("Water bodies")});
   EarthQubeQuery query;
   query.label_filter = LabelFilter::AtLeastAndMore(industrial_water);
-  auto response = system_->Search(query);
+  auto response = system_->Execute(PanelRequest(query));
   ASSERT_TRUE(response.ok());
   ASSERT_GT(response->panel.total(), 0u)
       << "no industrial waterfront patches in the archive";
@@ -135,7 +139,7 @@ TEST_F(ScenarioTest, SpatialExplorationThenCbir) {
   // SW Portugal rectangle.
   EarthQubeQuery geo_query;
   geo_query.geo = GeoQuery::Rect({{37.0, -9.5}, {38.5, -7.8}});
-  auto geo_response = system_->Search(geo_query);
+  auto geo_response = system_->Execute(PanelRequest(geo_query));
   ASSERT_TRUE(geo_response.ok());
   ASSERT_GT(geo_response->panel.total(), 0u);
   for (const auto& e : geo_response->panel.entries()) {
@@ -157,7 +161,8 @@ TEST_F(ScenarioTest, SpatialExplorationThenCbir) {
 
   // Pick an image and retrieve similar content across all countries.
   const std::string& query_name = page[0]->name;
-  auto cbir_response = system_->NearestToArchiveImage(query_name, 20);
+  auto cbir_response =
+      system_->Execute(SimilarRequest(SimilaritySpec::NameKnn(query_name, 20)));
   ASSERT_TRUE(cbir_response.ok());
   EXPECT_GT(cbir_response->panel.total(), 0u);
 
@@ -196,7 +201,8 @@ TEST_F(ScenarioTest, QueryByNewExampleAndAutoLabeling) {
   bigearthnet::Patch upload = fresh_gen.SynthesizePatch(upload_meta);
   upload.meta.name = "visitor_upload_2022";
 
-  auto response = system_->SimilarToUploadedImage(upload, /*radius=*/16, 30);
+  auto response = system_->Execute(
+      SimilarRequest(SimilaritySpec::PatchRadius(upload, /*radius=*/16, 30)));
   ASSERT_TRUE(response.ok());
   ASSERT_GT(response->panel.total(), 0u);
 
@@ -306,12 +312,13 @@ TEST_F(ScenarioTest, ConcurrentReadOnlyQueriesAreConsistent) {
   label_query.label_filter = LabelFilter::Some(
       LabelSet({*LabelIdFromName("Pastures")}));
   label_query.limit = 100;
-  auto reference_search = system_->Search(label_query);
+  auto reference_search = system_->Execute(PanelRequest(label_query));
   ASSERT_TRUE(reference_search.ok());
   const std::string ref_names = reference_search->panel.NamesAsText();
 
   const std::string& probe = archive_->patches[17].name;
-  auto reference_cbir = system_->NearestToArchiveImage(probe, 12);
+  auto reference_cbir =
+      system_->Execute(SimilarRequest(SimilaritySpec::NameKnn(probe, 12)));
   ASSERT_TRUE(reference_cbir.ok());
   const std::string ref_cbir_names = reference_cbir->panel.NamesAsText();
 
@@ -322,11 +329,12 @@ TEST_F(ScenarioTest, ConcurrentReadOnlyQueriesAreConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int r = 0; r < kRounds; ++r) {
-        auto search = system_->Search(label_query);
+        auto search = system_->Execute(PanelRequest(label_query));
         if (!search.ok() || search->panel.NamesAsText() != ref_names) {
           ++mismatches;
         }
-        auto cbir = system_->NearestToArchiveImage(probe, 12);
+        auto cbir = system_->Execute(
+            SimilarRequest(SimilaritySpec::NameKnn(probe, 12)));
         if (!cbir.ok() || cbir->panel.NamesAsText() != ref_cbir_names) {
           ++mismatches;
         }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <thread>
 
+#include "cbir_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
 #include "earthqube/earthqube.h"
@@ -835,6 +836,28 @@ TEST(FromStatusTest, CursorClassificationFollowsTheStatusCode) {
   EXPECT_EQ(FromStatus(Status::Internal("x")).status_code, 500);
 }
 
+TEST(FromStatusTest, ConflictAndOverloadFollowTheStatusCode) {
+  const HttpResponse conflict =
+      FromStatus(Status::FailedPrecondition("no CBIR service attached"));
+  EXPECT_EQ(conflict.status_code, 409) << conflict.body;
+  auto conflict_body = json::ParseObject(conflict.body);
+  ASSERT_TRUE(conflict_body.ok()) << conflict.body;
+  EXPECT_EQ(conflict_body->GetPath("error.code")->as_string(), "conflict");
+  EXPECT_EQ(conflict.headers.count("retry-after"), 0u);
+
+  // A full admission queue: retryable unchanged, so clients get a hint.
+  const HttpResponse overloaded =
+      FromStatus(Status::Overloaded("admission queue full"));
+  EXPECT_EQ(overloaded.status_code, 429) << overloaded.body;
+  auto overloaded_body = json::ParseObject(overloaded.body);
+  ASSERT_TRUE(overloaded_body.ok()) << overloaded.body;
+  EXPECT_EQ(overloaded_body->GetPath("error.code")->as_string(), "overloaded");
+  ASSERT_EQ(overloaded.headers.count("retry-after"), 1u);
+  EXPECT_EQ(overloaded.headers.at("retry-after"), "1");
+  EXPECT_NE(SerializeResponse(overloaded).find("retry-after: 1\r\n"),
+            std::string::npos);
+}
+
 // --- v2 endpoint over the wire ------------------------------------------------
 
 TEST_F(ServiceTest, V2UndecodableCursorAnswers410CursorExpired) {
@@ -1363,6 +1386,9 @@ TEST_F(ServiceTest, SnapshotEndpointWithoutDurableServiceIs409) {
   auto resp = client.Post(server_->port(), "/api/v2/index/snapshot", "{}");
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status_code, 409) << resp->body;
+  auto body = json::ParseObject(resp->body);
+  ASSERT_TRUE(body.ok()) << resp->body;
+  EXPECT_EQ(body->GetPath("error.code")->as_string(), "conflict");
 }
 
 /// The v2 query route is deferred: HTTP workers park connections on the
@@ -1376,7 +1402,7 @@ TEST_F(ServiceTest, ConcurrentDeferredQueriesOverWire) {
       R"({"similarity":{"name":")" + archive_->patches[23].name +
       R"(","radius":8},"projection":"hits"})";
   const uint64_t submitted_before =
-      system_->exec_engine()->Stats().submitted;
+      system_->exec_engine().Stats().submitted;
 
   std::atomic<size_t> ok_responses{0};
   std::vector<std::thread> clients;
@@ -1395,8 +1421,84 @@ TEST_F(ServiceTest, ConcurrentDeferredQueriesOverWire) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(ok_responses.load(), kClients * kPerClient);
-  EXPECT_GE(system_->exec_engine()->Stats().submitted,
+  EXPECT_GE(system_->exec_engine().Stats().submitted,
             submitted_before + kClients * kPerClient);
+}
+
+/// /cbir/batch_search is deferred too: batches parked on a paused engine
+/// hold no HTTP worker, so the fixture's 2-worker server still answers
+/// /health while 3 of them wait.
+TEST_F(ServiceTest, BatchSearchParksInsteadOfBlocking) {
+  earthqube::ExecutionEngine& engine = system_->exec_engine();
+  engine.Pause();
+  struct ResumeOnExit {
+    earthqube::ExecutionEngine& engine;
+    bool resumed = false;
+    void Resume() {
+      if (!resumed) engine.Resume();
+      resumed = true;
+    }
+    ~ResumeOnExit() { Resume(); }
+  } guard{engine};
+
+  // Names no other test queries with k = 7, so the response cache
+  // cannot answer them at admission.
+  constexpr size_t kBatches = 3;
+  const uint64_t submitted_before = engine.Stats().submitted;
+  std::vector<std::vector<std::string>> names(kBatches);
+  std::vector<HttpResponse> responses(kBatches);
+  std::vector<std::thread> clients;
+  for (size_t b = 0; b < kBatches; ++b) {
+    names[b] = {archive_->patches[700 + 2 * b].name,
+                archive_->patches[701 + 2 * b].name};
+    Document req;
+    req.Set("names", Value(std::vector<Value>{Value(names[b][0]),
+                                              Value(names[b][1])}));
+    req.Set("k", Value(7));
+    clients.emplace_back([&responses, b, body = json::Serialize(req)] {
+      HttpClient client;
+      auto resp = client.Post(server_->port(), "/cbir/batch_search", body);
+      if (resp.ok()) responses[b] = *resp;
+    });
+  }
+  // Every batch is parked once the engine has admitted all its slots.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.Stats().submitted < submitted_before + 2 * kBatches &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  HttpClientOptions options;
+  options.connect_timeout_ms = 2000;
+  options.read_timeout_ms = 2000;
+  options.max_retries = 0;
+  HttpClient probe("127.0.0.1", options);
+  auto health = probe.Get(server_->port(), "/health");
+
+  guard.Resume();
+  for (std::thread& client : clients) client.join();
+  ASSERT_TRUE(health.ok()) << "a parked batch pinned an HTTP worker";
+  EXPECT_EQ(health->status_code, 200);
+  for (size_t b = 0; b < kBatches; ++b) {
+    ASSERT_EQ(responses[b].status_code, 200) << responses[b].body;
+    auto body = json::ParseObject(responses[b].body);
+    ASSERT_TRUE(body.ok()) << responses[b].body;
+    const auto& results = body->Get("results")->as_array();
+    ASSERT_EQ(results.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+      const Document& slot = results[i].as_document();
+      EXPECT_EQ(slot.Get("query")->as_string(), names[b][i]);
+      auto want = earthqube::KnnByName(*system_->cbir(), names[b][i], 7);
+      ASSERT_TRUE(want.ok());
+      const auto& hits = slot.Get("hits")->as_array();
+      ASSERT_EQ(hits.size(), want->size());
+      for (size_t j = 0; j < hits.size(); ++j) {
+        EXPECT_EQ(hits[j].as_document().Get("name")->as_string(),
+                  (*want)[j].patch_name);
+      }
+    }
+  }
 }
 
 /// Negative caching over the wire: a bad archive name 404s every time,

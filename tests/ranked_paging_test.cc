@@ -506,7 +506,7 @@ std::string Serialize(const QueryResponse& response) {
 /// hit names of the whole walk.
 std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
   std::vector<std::string> names;
-  const uint64_t hits_before = system.ranked_access()->Stats().hits;
+  const uint64_t hits_before = system.ranked_access().Stats().hits;
   size_t pages = 0;
   for (size_t page = 0; page < 64; ++page) {
     QueryRequest paged = base;
@@ -516,7 +516,7 @@ std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
     if (!warm.ok()) break;
     EXPECT_TRUE(warm->windowed);
     // Cold re-execution of exactly this page: drop every handle first.
-    system.ranked_access()->Clear();
+    system.ranked_access().Clear();
     auto cold = system.Execute(paged);
     EXPECT_TRUE(cold.ok()) << cold.status().message();
     if (!cold.ok()) break;
@@ -529,12 +529,12 @@ std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
   EXPECT_GT(pages, 2u) << "walk too shallow to exercise resumption";
   // Pages 1.. of the warm walk resumed the handle registered by the
   // previous page's cold execution.
-  EXPECT_GE(system.ranked_access()->Stats().hits - hits_before, pages - 1);
+  EXPECT_GE(system.ranked_access().Stats().hits - hits_before, pages - 1);
 
   QueryRequest unpaged = base;
   unpaged.page = 0;
   unpaged.page_size = 0;
-  const uint64_t registered_before = system.ranked_access()->Stats().registered;
+  const uint64_t registered_before = system.ranked_access().Stats().registered;
   auto whole = system.Execute(unpaged);
   EXPECT_TRUE(whole.ok()) << whole.status().message();
   if (whole.ok()) {
@@ -546,7 +546,7 @@ std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
     EXPECT_TRUE(whole->cursor.empty());
     EXPECT_FALSE(whole->windowed);
   }
-  EXPECT_EQ(system.ranked_access()->Stats().registered, registered_before)
+  EXPECT_EQ(system.ranked_access().Stats().registered, registered_before)
       << "an unpaged request must not pin a handle";
   return names;
 }
@@ -683,16 +683,16 @@ TEST(RankedPagingAuditTest, IngestMidPaginationFallsBackToReExecution) {
       system.cbir()->AddImage(twin.name, fixture.features().Row(0)).ok());
   ASSERT_TRUE(system.IngestArchive(extra).ok());
 
-  const uint64_t drops_before = system.ranked_access()->Stats().epoch_drops;
+  const uint64_t drops_before = system.ranked_access().Stats().epoch_drops;
   paged.page = 2;
   auto resumed = system.Execute(paged);
   ASSERT_TRUE(resumed.ok());
-  EXPECT_GE(system.ranked_access()->Stats().epoch_drops, drops_before + 1)
+  EXPECT_GE(system.ranked_access().Stats().epoch_drops, drops_before + 1)
       << "stale handle should have been dropped on the epoch bump";
 
   // The fallen-back page equals a from-scratch execution of the
   // post-ingest ranking, and the full walk now contains the twin.
-  system.ranked_access()->Clear();
+  system.ranked_access().Clear();
   auto cold = system.Execute(paged);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(Serialize(*resumed), Serialize(*cold));
