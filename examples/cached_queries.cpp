@@ -3,8 +3,9 @@
 /// served from it), a hybrid pre-filter request exercises the
 /// planner-level allowlist cache, and a late archive ingest bumps the
 /// epoch — the very next queries see the new data instead of stale
-/// cached results.  Cache counters are printed at each step, mirroring
-/// what GET /api/v2/cache/stats serves over the wire.
+/// cached results.  Cache counters are printed at each step; a served
+/// system exposes the same counters as the agoraeo_cache_* samples of
+/// GET /metrics.
 #include <chrono>
 #include <cstdio>
 #include <memory>

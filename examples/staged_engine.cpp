@@ -2,8 +2,9 @@
 /// identical queries collapses onto one execution (singleflight), a
 /// burst of distinct queries fuses into one micro-batched index pass,
 /// and a bad archive name is served from the negative cache on repeat.
-/// Engine counters are printed at each step, mirroring the "exec"
-/// section of GET /api/v2/cache/stats.
+/// Engine counters are printed at each step; a served system exposes
+/// the same counters as the agoraeo_engine_* samples of GET /metrics.
+/// Exits 1 when the identical burst does not coalesce.
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -81,16 +82,29 @@ int main() {
 
   // --- 1. Singleflight: 16 concurrent identical queries. -------------------
   {
+    // The workers are paused until all 16 are admitted, so the burst
+    // overlaps however the client threads happen to start.
+    constexpr uint64_t kClients = 16;
     const earthqube::QueryRequest hot = RadiusRequest(names[7]);
+    earthqube::ExecutionEngine& engine = system.exec_engine();
+    engine.Pause();
     std::vector<std::thread> clients;
-    for (int c = 0; c < 16; ++c) {
+    for (uint64_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&] {
         auto response = system.Execute(hot);
         if (!response.ok()) std::exit(1);
       });
     }
+    while (engine.Stats().submitted < kClients) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    engine.Resume();
     for (auto& t : clients) t.join();
     PrintStats(system, "after 16 concurrent identical queries");
+    if (engine.Stats().coalesced == 0) {
+      std::printf("singleflight did not coalesce the identical burst\n");
+      return 1;
+    }
   }
 
   // --- 2. Micro-batching: a deterministic burst of distinct queries. -------

@@ -3,6 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.h"
 
 namespace agoraeo::cache {
 
@@ -24,13 +28,6 @@ struct CacheStats {
   uint64_t bytes = 0;
   uint64_t capacity_bytes = 0;
 
-  double hit_rate() const {
-    const uint64_t lookups = hits + misses;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(lookups);
-  }
-
   CacheStats& operator+=(const CacheStats& o) {
     hits += o.hits;
     misses += o.misses;
@@ -45,6 +42,33 @@ struct CacheStats {
     return *this;
   }
 };
+
+/// Appends one cache's scrape-time sample family,
+/// `agoraeo_cache_<field>{cache="<name>"}` — the one definition of the
+/// per-cache metric names, shared by EarthQube's query caches and the
+/// coordinator's merged-ranking cache.
+inline void AppendCacheSamples(const std::string& name, const CacheStats& s,
+                               std::vector<obs::Sample>* out) {
+  const auto named = [&](const char* base) {
+    return obs::LabeledName(base, "cache", name);
+  };
+  obs::PushCounter(out, named("agoraeo_cache_hits_total"), s.hits);
+  obs::PushCounter(out, named("agoraeo_cache_misses_total"), s.misses);
+  obs::PushCounter(out, named("agoraeo_cache_puts_total"), s.puts);
+  obs::PushCounter(out, named("agoraeo_cache_rejected_puts_total"),
+                   s.rejected_puts);
+  obs::PushCounter(out, named("agoraeo_cache_evictions_total"), s.evictions);
+  obs::PushCounter(out, named("agoraeo_cache_stale_drops_total"),
+                   s.stale_drops);
+  obs::PushCounter(out, named("agoraeo_cache_expired_drops_total"),
+                   s.expired_drops);
+  obs::PushGauge(out, named("agoraeo_cache_entries"),
+                 static_cast<double>(s.entries));
+  obs::PushGauge(out, named("agoraeo_cache_bytes"),
+                 static_cast<double>(s.bytes));
+  obs::PushGauge(out, named("agoraeo_cache_capacity_bytes"),
+                 static_cast<double>(s.capacity_bytes));
+}
 
 }  // namespace agoraeo::cache
 

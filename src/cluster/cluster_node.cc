@@ -23,24 +23,18 @@ using netsvc::HttpResponse;
 ClusterNode::ClusterNode(earthqube::EarthQube* system, Options options)
     : system_(system),
       options_(std::move(options)),
-      server_(std::make_unique<netsvc::HttpServer>(options_.num_workers)),
+      server_(std::make_unique<netsvc::HttpServer>()),
       service_(system) {
   obs::Observability& obs = system_->obs();
   moved_metric_ = obs.CounterOrNull("agoraeo_cluster_moved_total");
   epoch_gauge_ = obs.GaugeOrNull("agoraeo_cluster_epoch");
+  owned_slots_gauge_ = obs.GaugeOrNull("agoraeo_cluster_owned_slots");
   migration_ns_ = obs.HistogramOrNull("agoraeo_cluster_migration_ns");
 }
 
 ClusterNode::~ClusterNode() { Stop(); }
 
 Status ClusterNode::Start(uint16_t port) {
-  service_.set_node_info_provider([this] {
-    EarthQubeService::NodeInfo info;
-    info.id = options_.id;
-    info.owned_slots = owned_slot_count();
-    info.cluster_epoch = epoch();
-    return info;
-  });
   service_.RegisterRoutes(server_.get(), /*include_query_route=*/false);
   server_->Route("POST", "/api/v2/query", [this](const HttpRequest& request) {
     return HandleQuery(request);
@@ -69,14 +63,18 @@ Status ClusterNode::Start(uint16_t port) {
 void ClusterNode::Stop() { server_->Stop(); }
 
 void ClusterNode::SetTable(const SlotTable& table) {
-  uint64_t adopted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (table.epoch() >= table_.epoch()) table_ = table;
-    adopted = table_.epoch();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (table.epoch() >= table_.epoch()) table_ = table;
+  PublishTableLocked();
+}
+
+void ClusterNode::PublishTableLocked() {
   if (epoch_gauge_ != nullptr) {
-    epoch_gauge_->Set(static_cast<int64_t>(adopted));
+    epoch_gauge_->Set(static_cast<int64_t>(table_.epoch()));
+  }
+  if (owned_slots_gauge_ != nullptr) {
+    owned_slots_gauge_->Set(
+        static_cast<int64_t>(table_.CountOwnedBy(options_.id)));
   }
 }
 
@@ -396,9 +394,7 @@ Status ClusterNode::MigrateSlot(size_t slot, const std::string& target_id) {
   AGORAEO_RETURN_IF_ERROR(table_.AssignSlot(slot, target.id));
   table_.set_epoch(std::max(next_epoch, table_.epoch() + 1));
   tombstones_.insert(slot);
-  if (epoch_gauge_ != nullptr) {
-    epoch_gauge_->Set(static_cast<int64_t>(table_.epoch()));
-  }
+  PublishTableLocked();
   AGORAEO_LOG(kInfo) << "cluster node " << options_.id << " migrated slot "
                      << slot << " to " << target.id << " (epoch "
                      << table_.epoch() << ")";
@@ -430,6 +426,7 @@ HttpResponse ClusterNode::HandleImport(const HttpRequest& request) {
       (void)table_.AssignSlot(payload->slot, options_.id);
       table_.set_epoch(std::max(table_.epoch(), payload->epoch));
       tombstones_.erase(payload->slot);
+      PublishTableLocked();
     }
   }
   Document out;

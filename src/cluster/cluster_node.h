@@ -67,8 +67,6 @@ class ClusterNode {
   struct Options {
     std::string id;
     std::string host = "127.0.0.1";
-    /// Server connection-worker pool size.
-    size_t num_workers = 4;
     /// Client knobs for node->node calls (migration push).
     netsvc::HttpClientOptions client_options;
   };
@@ -123,6 +121,10 @@ class ClusterNode {
   netsvc::HttpResponse HandleIngest(const netsvc::HttpRequest& request);
   netsvc::HttpResponse HandleCode(const netsvc::HttpRequest& request) const;
 
+  /// Sets the epoch and owned-slot gauges from table_; every table
+  /// change calls it.  Caller holds mu_.
+  void PublishTableLocked();
+
   /// Stamps the x-cluster-epoch staleness token onto a response (a
   /// query answer keeps the epoch it was read at).
   netsvc::HttpResponse Stamp(netsvc::HttpResponse response) const;
@@ -143,9 +145,12 @@ class ClusterNode {
 
   /// Cluster-tier metrics, registered into the SYSTEM's registry (the
   /// node serves /metrics through the standard service routes); all
-  /// null when the system's metrics are disabled.
+  /// null when the system's metrics are disabled.  The table state is
+  /// pushed into gauges rather than read by a collector: the system's
+  /// registry outlives the node.
   obs::Counter* moved_metric_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
+  obs::Gauge* owned_slots_gauge_ = nullptr;
   obs::Histogram* migration_ns_ = nullptr;
 
   mutable std::mutex mu_;

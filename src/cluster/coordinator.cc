@@ -61,19 +61,23 @@ StatusOr<std::vector<obs::TraceSpan>> ParseSpansJson(const std::string& text) {
   return spans;
 }
 
+/// The merged-ranking cache: default budget and shards, no TTL,
+/// validated against the coordinator's result epoch.
+cache::ShardedLruCacheOptions ResultCacheOptions(
+    const cache::EpochValidator* epoch) {
+  cache::ShardedLruCacheOptions options;
+  options.validator = epoch;
+  return options;
+}
+
 }  // namespace
 
 Coordinator::Coordinator() : Coordinator(Options()) {}
 
 Coordinator::Coordinator(Options options)
-    : options_(std::move(options)), obs_(options_.obs) {
-  if (options_.enable_result_cache) {
-    options_.result_cache.validator = &result_epoch_;
-    options_.result_cache.clock = nullptr;
-    result_cache_ = std::make_unique<
-        cache::ShardedLruCache<std::string, std::shared_ptr<const MergedRows>>>(
-        options_.result_cache);
-  }
+    : options_(std::move(options)),
+      obs_(options_.obs),
+      result_cache_(ResultCacheOptions(&result_epoch_)) {
   if (!obs_.metrics_enabled()) return;
   obs::MetricsRegistry& registry = obs_.registry();
   client_metrics_.requests =
@@ -98,6 +102,15 @@ Coordinator::Coordinator(Options options)
   redirects_metric_ = obs_.CounterOrNull("agoraeo_cluster_redirects_total");
   fanout_node_failures_ =
       obs_.CounterOrNull("agoraeo_cluster_fanout_node_failures_total");
+  // The result cache, read at scrape time like EarthQube's caches: a
+  // cursor resumed without a fan-out shows up as a hit, an epoch bump
+  // (routed ingest, topology churn) as stale_drops.  The registry is a
+  // member, destroyed with this coordinator.
+  registry.AddCollector([this](std::vector<obs::Sample>* out) {
+    cache::AppendCacheSamples("merged_rankings", result_cache_.Stats(), out);
+    obs::PushGauge(out, "agoraeo_cache_epoch",
+                   static_cast<double>(result_epoch_.Current()));
+  });
 }
 
 void Coordinator::AttachTable(const SlotTable& table) {
@@ -289,9 +302,6 @@ StatusOr<BinaryCode> Coordinator::ResolveSubjectCode(const std::string& name) {
       }
       return BinaryCode::FromBitString(code->as_string());
     }
-    if (response.status_code == 404) {
-      return Status::NotFound("no such archive image: " + name);
-    }
     if (response.status_code == 308) {
       // Follow exactly one MOVED; a second redirect means the topology
       // is churning faster than we can chase, so fail rather than loop.
@@ -304,9 +314,7 @@ StatusOr<BinaryCode> Coordinator::ResolveSubjectCode(const std::string& name) {
       target = moved.owner;
       continue;
     }
-    return Status::Internal("code lookup at " + target.id + " answered " +
-                            std::to_string(response.status_code) + ": " +
-                            response.body);
+    return netsvc::StatusFromResponse(response);
   }
   return Status::Internal("subject " + name +
                           " still MOVED after following one redirect");
@@ -348,8 +356,8 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
 
   std::shared_ptr<const MergedRows> merged;
   bool from_cache = false;
-  if (result_cache_ != nullptr && stream_fp.has_value()) {
-    if (auto cached = result_cache_->Get(*stream_fp); cached.has_value()) {
+  if (stream_fp.has_value()) {
+    if (auto cached = result_cache_.Get(*stream_fp); cached.has_value()) {
       // Cursor resume (or any repeat page of a recent ranking): slice
       // the cached merged rows — no fan-out at all.
       merged = *std::move(cached);
@@ -438,10 +446,14 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
       const HttpResponse& response = **raw[i];
       *newest_epoch =
           std::max(*newest_epoch, ObserveEpoch(nodes[i], response));
+      // A node's typed error (a full queue's 429, a bad request's 400)
+      // reaches the client as the same error, not as a 500; an untyped
+      // one names the node that failed.
       if (response.status_code != 200) {
+        const Status status = netsvc::StatusFromResponse(response);
+        if (status.code() != StatusCode::kInternal) return status;
         return Status::Internal("node " + nodes[i].id + " answered " +
-                                std::to_string(response.status_code) + ": " +
-                                response.body);
+                                std::string(status.message()));
       }
       if (trace != nullptr) {
         const auto spans_it = response.headers.find("x-trace-spans");
@@ -553,12 +565,12 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   owned->reserve(rows.size());
   for (Row& row : rows) owned->push_back(std::move(row.result));
   merged = std::move(owned);
-  if (result_cache_ != nullptr && stream_fp.has_value()) {
+  if (stream_fp.has_value()) {
     size_t bytes = 64;
     for (const WireResult& r : *merged) {
       bytes += 96 + r.name.size() + r.country.size() + r.date.size();
     }
-    result_cache_->Put(*stream_fp, merged, bytes, epoch_snapshot);
+    result_cache_.Put(*stream_fp, merged, bytes, epoch_snapshot);
   }
   }  // cache miss: fan-out + merge
 
@@ -680,11 +692,6 @@ StatusOr<std::string> Coordinator::Query(const std::string& body_json) {
   return out;
 }
 
-cache::CacheStats Coordinator::result_cache_stats() const {
-  return result_cache_ != nullptr ? result_cache_->Stats()
-                                  : cache::CacheStats{};
-}
-
 void Coordinator::RegisterRoutes(netsvc::HttpServer* server) {
   server->AttachObservability(&obs_);
   server->Route("GET", "/health", [](const netsvc::HttpRequest&) {
@@ -711,33 +718,6 @@ void Coordinator::RegisterRoutes(netsvc::HttpServer* server) {
                   return HttpResponse::Json(200,
                                             json::Serialize(table().ToJson()));
                 });
-  // The merged-ranking result cache: a cursor resumed here without a
-  // fan-out shows up as a hit; epoch bumps (routed ingest, topology
-  // churn) show up as stale_drops.
-  server->Route(
-      "GET", "/api/v2/cache/stats", [this](const netsvc::HttpRequest&) {
-        const cache::CacheStats s = result_cache_stats();
-        Document rows;
-        rows.Set("enabled", Value(result_cache_ != nullptr));
-        rows.Set("hits", Value(static_cast<int64_t>(s.hits)));
-        rows.Set("misses", Value(static_cast<int64_t>(s.misses)));
-        rows.Set("puts", Value(static_cast<int64_t>(s.puts)));
-        rows.Set("rejected_puts", Value(static_cast<int64_t>(s.rejected_puts)));
-        rows.Set("evictions", Value(static_cast<int64_t>(s.evictions)));
-        rows.Set("stale_drops", Value(static_cast<int64_t>(s.stale_drops)));
-        rows.Set("expired_drops",
-                 Value(static_cast<int64_t>(s.expired_drops)));
-        rows.Set("entries", Value(static_cast<int64_t>(s.entries)));
-        rows.Set("bytes", Value(static_cast<int64_t>(s.bytes)));
-        rows.Set("capacity_bytes",
-                 Value(static_cast<int64_t>(s.capacity_bytes)));
-        rows.Set("hit_rate", Value(s.hit_rate()));
-        Document out;
-        out.Set("merged_rankings", Value(std::move(rows)));
-        out.Set("result_epoch",
-                Value(static_cast<int64_t>(result_epoch_.Current())));
-        return HttpResponse::Json(200, json::Serialize(out));
-      });
 }
 
 }  // namespace agoraeo::cluster

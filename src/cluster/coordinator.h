@@ -64,15 +64,6 @@ class Coordinator {
     /// metric hooks are wired automatically (client_options.metrics is
     /// overwritten when metrics are enabled).
     obs::ObsConfig obs;
-    /// Coordinator-side result cache: the merged, deduped, capped global
-    /// ranking is kept per page-free request fingerprint, so resuming a
-    /// cursor (or re-asking any page of a recent ranking) is a slice of
-    /// the cached rows instead of a cluster-wide fan-out.  Entries are
-    /// epoch-validated: routed ingest and topology changes invalidate
-    /// lazily.
-    bool enable_result_cache = true;
-    /// Knobs of that cache; `validator` and `clock` are overwritten.
-    cache::ShardedLruCacheOptions result_cache;
   };
 
   // Two overloads instead of one defaulted argument: a `= {}` default
@@ -110,9 +101,11 @@ class Coordinator {
   /// Redirects followed across this coordinator's lifetime (tests).
   uint64_t redirects_followed() const { return redirects_followed_; }
 
-  /// Counters of the merged-ranking result cache (all zero when the
-  /// cache is disabled); also served on GET /api/v2/cache/stats.
-  cache::CacheStats result_cache_stats() const;
+  /// Counters of the merged-ranking result cache; also served as the
+  /// `agoraeo_cache_*{cache="merged_rankings"}` samples of /metrics.
+  cache::CacheStats result_cache_stats() const {
+    return result_cache_.Stats();
+  }
 
   /// The coordinator's result-cache epoch: bumped by routed ingest and
   /// by topology adoption, lazily invalidating cached rankings.
@@ -165,13 +158,16 @@ class Coordinator {
   uint64_t next_seq_ = 0;
   std::atomic<uint64_t> redirects_followed_{0};
 
-  /// Merged global rankings per page-free request fingerprint.  Shared
-  /// pointers keep a ranking alive for a reader even if an epoch bump
-  /// or LRU pressure drops it from the cache mid-slice.
+  /// The result cache: the merged, deduped, capped global ranking per
+  /// page-free request fingerprint, so resuming a cursor (or re-asking
+  /// any page of a recent ranking) is a slice of the cached rows instead
+  /// of a cluster-wide fan-out.  Entries are validated against
+  /// result_epoch_, which routed ingest and topology changes bump.
+  /// Shared pointers keep a ranking alive for a reader even if an epoch
+  /// bump or LRU pressure drops it from the cache mid-slice.
   using MergedRows = std::vector<WireResult>;
   cache::EpochValidator result_epoch_;
-  std::unique_ptr<
-      cache::ShardedLruCache<std::string, std::shared_ptr<const MergedRows>>>
+  cache::ShardedLruCache<std::string, std::shared_ptr<const MergedRows>>
       result_cache_;
 };
 

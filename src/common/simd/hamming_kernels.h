@@ -19,8 +19,7 @@
 /// The active kernel is chosen once, at first use: the strongest
 /// compiled-in kernel the host CPU supports, overridable by the
 /// AGORAEO_FORCE_KERNEL environment variable or ForceKernel() (the
-/// CbirConfig::force_kernel plumbing and the parity tests' forced
-/// dispatch matrix).  Selection is process-global — kernels are pure
+/// parity tests' forced dispatch matrix).  Selection is process-global — kernels are pure
 /// functions, so there is nothing per-index about the choice.
 ///
 /// Layout contract of the batch kernel: rows are stored row-major with a

@@ -33,9 +33,8 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Pins worker i to CPU i % hardware_concurrency — the opt-in
-  /// affinity mode behind CbirConfig::pin_shard_threads, for measured
-  /// shard-scaling runs where scheduler migration blurs each scan
+  /// Pins worker i to CPU i % hardware_concurrency — an opt-in
+  /// affinity mode for measured shard-scaling runs where scheduler migration blurs each scan
   /// shard's cache residency.  Returns the number of workers actually
   /// pinned (0 on platforms without pthread affinity).
   size_t PinThreads();

@@ -82,8 +82,7 @@ class Collection {
                          std::string* plan = nullptr) const;
 
   /// The cardinality histogram maintained for a range-indexed numeric
-  /// path (nullptr when the path has no range index).  Exposed for tests
-  /// and stats endpoints.
+  /// path (nullptr when the path has no range index).  Exposed for tests.
   const FieldHistogram* HistogramFor(const std::string& path) const;
 
   /// Aggregation used by the label-statistics view: counts occurrences of

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "common/simd/hamming_kernels.h"
 #include "index/bk_tree.h"
 #include "index/hamming_table.h"
 #include "index/index_snapshot.h"
@@ -60,13 +59,6 @@ CbirService::CbirService(std::unique_ptr<milan::MilanModel> model,
     index_ = MakeIndex(config_.index_kind);
   }
   items_since_snapshot_.assign(std::max<size_t>(1, config_.num_shards), 0);
-  if (!config_.force_kernel.empty() &&
-      !simd::ForceKernel(config_.force_kernel)) {
-    AGORAEO_LOG(kWarning) << "force_kernel=\"" << config_.force_kernel
-                          << "\" is not a usable kernel on this host; "
-                             "keeping automatic selection ("
-                          << simd::ActiveKernel()->name << ")";
-  }
 }
 
 size_t CbirService::SnapshotShardOf(index::ItemId id) const {
@@ -231,21 +223,6 @@ void CbirService::AttachObservability(obs::Observability* obs) {
   }
   wal_.set_sync_histogram(obs->HistogramOrNull("agoraeo_wal_sync_ns"));
   snapshot_write_ = obs->HistogramOrNull("agoraeo_snapshot_write_ns");
-  // Kernel dispatch counts live in the process-global dispatch table
-  // (the kernels are shared by every index in the process); a collector
-  // reads them at scrape time so the table stays the single counting
-  // truth.
-  obs->registry().AddCollector([](std::vector<obs::Sample>* out) {
-    const auto& kernels = simd::CompiledKernels();
-    for (size_t i = 0; i < kernels.size(); ++i) {
-      obs::Sample sample;
-      sample.name = obs::LabeledName("agoraeo_index_kernel_dispatch_total",
-                                     "kernel", kernels[i]->name);
-      sample.kind = obs::SampleKind::kCounter;
-      sample.value = static_cast<double>(simd::DispatchCount(i));
-      out->push_back(std::move(sample));
-    }
-  });
 }
 
 Status CbirService::WriteShardSnapshot(size_t s) {
@@ -332,11 +309,6 @@ ThreadPool* CbirService::QueryPool() const {
     }
     if (threads == 1) return nullptr;  // sequential: no pool at all
     pool_ = std::make_unique<ThreadPool>(threads);
-    if (config_.pin_shard_threads) {
-      const size_t pinned = pool_->PinThreads();
-      AGORAEO_LOG(kInfo) << "query pool: pinned " << pinned << "/"
-                         << pool_->num_threads() << " workers to CPUs";
-    }
   }
   return pool_.get();
 }

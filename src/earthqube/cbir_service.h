@@ -42,22 +42,6 @@ struct CbirConfig {
   /// task per shard across the query pool.
   size_t num_shards = 1;
 
-  /// Pin the query pool's workers to CPUs (worker i -> CPU i modulo the
-  /// core count) when the pool is created.  Off by default; intended
-  /// for measured shard-scaling runs where scheduler migration blurs
-  /// per-core cache residency.  No-op on platforms without pthread
-  /// affinity.
-  bool pin_shard_threads = false;
-
-  /// Force a specific Hamming kernel ("avx512", "avx2", "neon",
-  /// "popcnt", "scalar") instead of the automatic strongest-supported
-  /// selection.  Empty keeps auto-selection (which itself honours the
-  /// AGORAEO_FORCE_KERNEL environment variable).  An unknown or
-  /// unsupported name logs a warning and keeps the automatic choice.
-  /// NOTE: kernel dispatch is process-global — the last service
-  /// constructed with a non-empty value wins.
-  std::string force_kernel;
-
   // --- persistence ---------------------------------------------------------
 
   /// Directory holding the index's durable state — one `shard-<s>.snap`
@@ -86,7 +70,7 @@ struct CbirConfig {
   WalSyncMode wal_sync = WalSyncMode::kFlush;
 };
 
-/// Observability of the persistence layer (stats endpoint + tests).
+/// Observability of the persistence layer (metrics collectors + tests).
 struct CbirPersistenceStats {
   bool enabled = false;       ///< snapshot_dir configured and WAL open
   bool recovered = false;     ///< Recover() ran against this service

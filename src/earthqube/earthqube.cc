@@ -7,6 +7,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/simd/hamming_kernels.h"
 #include "earthqube/exec/execution_engine.h"
 #include "earthqube/zip_writer.h"
 
@@ -21,16 +22,9 @@ using docstore::Value;
 
 namespace {
 
-void PushCounter(std::vector<obs::Sample>* out, std::string name,
-                 uint64_t value) {
-  out->push_back({std::move(name), obs::SampleKind::kCounter,
-                  static_cast<double>(value)});
-}
-
-void PushGauge(std::vector<obs::Sample>* out, std::string name,
-               double value) {
-  out->push_back({std::move(name), obs::SampleKind::kGauge, value});
-}
+/// Geohash precision of the metadata location index (5 chars ~ 4.9 km
+/// cells, matching the ~1.2 km patches and typical query extents).
+constexpr int kGeoIndexPrecision = 5;
 
 }  // namespace
 
@@ -60,35 +54,14 @@ void EarthQube::RegisterCollectors() {
   // structs stay authoritative and /metrics snapshots them on demand
   // instead of double-counting on the hot path.  They capture `this`;
   // the registry is a member of obs_, destroyed with this facade.
+  using obs::PushCounter;
+  using obs::PushGauge;
   obs_.registry().AddCollector([this](std::vector<obs::Sample>* out) {
-    const struct {
-      const char* name;
-      cache::CacheStats stats;
-    } caches[] = {
-        {"response", query_cache_.ResponseStats()},
-        {"allowlist", query_cache_.AllowlistStats()},
-        {"negative", query_cache_.NegativeStats()},
-    };
-    for (const auto& c : caches) {
-      const auto named = [&](const char* base) {
-        return obs::LabeledName(base, "cache", c.name);
-      };
-      PushCounter(out, named("agoraeo_cache_hits_total"), c.stats.hits);
-      PushCounter(out, named("agoraeo_cache_misses_total"), c.stats.misses);
-      PushCounter(out, named("agoraeo_cache_puts_total"), c.stats.puts);
-      PushCounter(out, named("agoraeo_cache_rejected_puts_total"),
-                  c.stats.rejected_puts);
-      PushCounter(out, named("agoraeo_cache_evictions_total"),
-                  c.stats.evictions);
-      PushCounter(out, named("agoraeo_cache_stale_drops_total"),
-                  c.stats.stale_drops);
-      PushCounter(out, named("agoraeo_cache_expired_drops_total"),
-                  c.stats.expired_drops);
-      PushGauge(out, named("agoraeo_cache_entries"),
-                static_cast<double>(c.stats.entries));
-      PushGauge(out, named("agoraeo_cache_bytes"),
-                static_cast<double>(c.stats.bytes));
-    }
+    cache::AppendCacheSamples("response", query_cache_.ResponseStats(), out);
+    cache::AppendCacheSamples("allowlist", query_cache_.AllowlistStats(), out);
+    cache::AppendCacheSamples("negative", query_cache_.NegativeStats(), out);
+    PushGauge(out, "agoraeo_cache_epoch",
+              static_cast<double>(query_cache_.epoch()));
   });
   obs_.registry().AddCollector([this](std::vector<obs::Sample>* out) {
     const ExecStats s = engine_->Stats();
@@ -125,6 +98,10 @@ void EarthQube::RegisterCollectors() {
   });
   obs_.registry().AddCollector([this](std::vector<obs::Sample>* out) {
     if (cbir_ == nullptr) return;
+    const auto per_shard = [&](const char* base, size_t shard, double value) {
+      PushGauge(out, obs::LabeledName(base, "shard", std::to_string(shard)),
+                value);
+    };
     PushGauge(out, "agoraeo_index_items",
               static_cast<double>(cbir_->num_indexed()));
     if (const index::ShardedHammingIndex* sharded = cbir_->sharded_index()) {
@@ -143,18 +120,25 @@ void EarthQube::RegisterCollectors() {
       PushCounter(out, "agoraeo_index_fanout_tasks_total", s.fanout_tasks);
       PushCounter(out, "agoraeo_index_merge_nanos_total", s.merge_nanos);
       for (size_t i = 0; i < s.shard_sizes.size(); ++i) {
-        PushGauge(out,
-                  obs::LabeledName("agoraeo_index_shard_items", "shard",
-                                   std::to_string(i)),
+        per_shard("agoraeo_index_shard_items", i,
                   static_cast<double>(s.shard_sizes[i]));
+      }
+      for (size_t i = 0; i < s.shard_segments.size(); ++i) {
+        per_shard("agoraeo_index_shard_segments", i,
+                  static_cast<double>(s.shard_segments[i]));
       }
     } else if (const index::SegmentedHammingIndex* segmented =
                    cbir_->segmented_index()) {
+      // An unsharded segmented index reports as shard 0.
       const index::SegmentedIndexStats s = segmented->Stats();
       PushCounter(out, "agoraeo_index_seals_total", s.seals);
       PushCounter(out, "agoraeo_index_compactions_total", s.compactions);
       PushGauge(out, "agoraeo_index_sealed_items",
                 static_cast<double>(s.sealed_items));
+      PushGauge(out, "agoraeo_index_mutable_items",
+                static_cast<double>(s.mutable_items));
+      per_shard("agoraeo_index_shard_segments", 0,
+                static_cast<double>(s.num_sealed));
     }
     const CbirPersistenceStats& p = cbir_->persistence_stats();
     if (p.enabled) {
@@ -167,6 +151,23 @@ void EarthQube::RegisterCollectors() {
                   p.restored_items);
       PushCounter(out, "agoraeo_recovery_replayed_items_total",
                   p.replayed_items);
+      PushCounter(out, "agoraeo_recovery_discarded_snapshots_total",
+                  p.discarded_snapshots);
+    }
+    // The Hamming kernel layer: which dispatched kernel serves distance
+    // scans, and how many scan passes each compiled kernel has run.  The
+    // dispatch table is process-global (every index in the process
+    // shares the kernels), so it stays the single counting truth.
+    PushGauge(out,
+              obs::LabeledName("agoraeo_index_kernel_active", "kernel",
+                               simd::ActiveKernel()->name),
+              1.0);
+    const auto& kernels = simd::CompiledKernels();
+    for (size_t i = 0; i < kernels.size(); ++i) {
+      PushCounter(out,
+                  obs::LabeledName("agoraeo_index_kernel_dispatch_total",
+                                   "kernel", kernels[i]->name),
+                  simd::DispatchCount(i));
     }
   });
 }
@@ -179,8 +180,8 @@ Status EarthQube::IngestArchive(const bigearthnet::Archive& archive) {
         metadata_->CreateHashIndex(kFieldName, /*unique=*/true));
     AGORAEO_RETURN_IF_ERROR(metadata_->CreateMultikeyIndex(kFieldLabels));
     AGORAEO_RETURN_IF_ERROR(metadata_->CreateHashIndex(kFieldLabelsKey));
-    AGORAEO_RETURN_IF_ERROR(metadata_->CreateGeoIndex(
-        kFieldLocation, config_.geo_index_precision));
+    AGORAEO_RETURN_IF_ERROR(
+        metadata_->CreateGeoIndex(kFieldLocation, kGeoIndexPrecision));
     // B+-tree over the day ordinal: acquisition-date range filters (the
     // query panel's date subsection) plan an interval scan instead of a
     // collection scan.

@@ -26,9 +26,6 @@ class ExecutionEngine;
 /// Back-end configuration.
 struct EarthQubeConfig {
   LabelEncoding label_encoding = LabelEncoding::kAsciiCompressed;
-  /// Geohash precision of the metadata location index (5 chars ~ 4.9 km
-  /// cells, matching the ~1.2 km patches and typical query extents).
-  int geo_index_precision = 5;
   /// Whether to build the metadata indexes (name PK, labels multikey,
   /// labels_key hash, location geo).  Disabled only by the index-ablation
   /// benchmarks.
@@ -182,14 +179,14 @@ class EarthQube {
   CbirService* cbir() { return cbir_.get(); }
   const CbirService* cbir() const { return cbir_.get(); }
   const EarthQubeConfig& config() const { return config_; }
-  /// The query-cache subsystem (stats endpoint, tests, manual
+  /// The query-cache subsystem (metrics collectors, tests, manual
   /// invalidation).  Mutations made through this facade bump its epoch
   /// automatically; callers mutating the CBIR service directly via
   /// cbir() must call query_cache().Invalidate() themselves.
   QueryCache& query_cache() const { return query_cache_; }
-  /// The staged execution engine (stats endpoint, tests, benches).
+  /// The staged execution engine (metrics collectors, tests, benches).
   ExecutionEngine& exec_engine() const { return *engine_; }
-  /// The ranked direct-access handle table (stats endpoint, tests).
+  /// The ranked direct-access handle table (metrics collectors, tests).
   RankedAccess& ranked_access() const { return ranked_; }
   /// The observability bundle: metrics registry, tracing switch and
   /// slow-query log (the /metrics and debug endpoints read it; const

@@ -23,16 +23,8 @@ struct ExecConfig {
   /// compatible shapes (same radius/k; for hybrids the same panel
   /// filter and planner mode) run through one batched index pass.
   bool micro_batch = true;
-  /// How long a worker holding a batchable miss waits for further
-  /// compatible misses before executing.  The window is only waited out
-  /// when the admission queue was non-empty at pop time (i.e. there is
-  /// concurrent traffic); a lone request on an idle engine executes
-  /// immediately, so single-client latency does not pay the window.
-  uint32_t batch_window_us = 200;
   /// Largest number of distinct requests fused into one batched pass.
   size_t max_batch = 128;
-  /// Engine worker threads; 0 picks the hardware concurrency.
-  size_t num_workers = 0;
   /// Admission-queue depth bound; submissions beyond it are rejected
   /// with Overloaded (HTTP 429) instead of queueing unboundedly.
   size_t max_queue = 4096;

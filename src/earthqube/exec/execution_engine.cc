@@ -41,6 +41,13 @@ struct ExecutionEngine::Flight {
 
 namespace {
 
+/// How long a worker holding a batchable miss waits for further
+/// compatible misses before executing.  The window is only waited out
+/// when the admission queue was non-empty at pop time (i.e. there is
+/// concurrent traffic); a lone request on an idle engine executes
+/// immediately, so single-client latency does not pay the window.
+constexpr std::chrono::microseconds kBatchWindow{200};
+
 /// The micro-batcher's compatibility class: flights with equal keys can
 /// share one batched (restricted) index open.  Mode value (radius/k) must
 /// match because the index pass takes one of them; per-request limit,
@@ -88,10 +95,9 @@ ExecutionEngine::ExecutionEngine(const EarthQube* system,
                                                /*max_ns=*/4096);
     queue_depth_ = obs->GaugeOrNull("agoraeo_engine_queue_depth");
   }
-  size_t workers = config_.num_workers;
-  if (workers == 0) {
-    workers = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
+  // One engine worker per hardware thread.
+  const size_t workers =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -375,11 +381,8 @@ void ExecutionEngine::WorkerLoop() {
       // AND nothing incompatible is left queued — the window must never
       // stall other pending work behind this worker.
       if (!shutdown_ && group.size() < config_.max_batch &&
-          config_.batch_window_us > 0 && !queue_was_empty &&
-          queue_.empty()) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(config_.batch_window_us);
+          !queue_was_empty && queue_.empty()) {
+        const auto deadline = std::chrono::steady_clock::now() + kBatchWindow;
         while (!shutdown_ && group.size() < config_.max_batch &&
                queue_.empty() &&
                work_cv_.wait_until(lock, deadline) !=

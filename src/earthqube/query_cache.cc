@@ -7,13 +7,17 @@ namespace agoraeo::earthqube {
 
 namespace {
 
+/// Byte budgets of the allowlist and negative caches.  Every cache has
+/// 16 shards; response and allowlist entries never age out (an epoch
+/// bump or LRU pressure removes them).
+constexpr size_t kAllowlistCapacityBytes = 16u << 20;
+constexpr size_t kNegativeCapacityBytes = 1u << 20;
+
 cache::ShardedLruCacheOptions CacheOptions(size_t capacity_bytes,
                                            const QueryCacheConfig& config,
                                            const cache::EpochValidator* epoch) {
   cache::ShardedLruCacheOptions options;
   options.capacity_bytes = capacity_bytes;
-  options.num_shards = config.num_shards;
-  options.ttl = config.ttl;
   options.validator = epoch;
   options.clock = config.clock;
   return options;
@@ -22,7 +26,7 @@ cache::ShardedLruCacheOptions CacheOptions(size_t capacity_bytes,
 cache::ShardedLruCacheOptions NegativeOptions(
     const QueryCacheConfig& config, const cache::EpochValidator* epoch) {
   cache::ShardedLruCacheOptions options =
-      CacheOptions(config.negative_capacity_bytes, config, epoch);
+      CacheOptions(kNegativeCapacityBytes, config, epoch);
   options.ttl = config.negative_ttl;
   return options;
 }
@@ -46,8 +50,7 @@ void AppendPoint(std::string* out, const geo::GeoPoint& p) {
 QueryCache::QueryCache(const QueryCacheConfig& config)
     : config_(config),
       responses_(CacheOptions(config.response_capacity_bytes, config, &epoch_)),
-      allowlists_(
-          CacheOptions(config.allowlist_capacity_bytes, config, &epoch_)),
+      allowlists_(CacheOptions(kAllowlistCapacityBytes, config, &epoch_)),
       negatives_(NegativeOptions(config, &epoch_)) {}
 
 std::string QueryCache::PanelFingerprint(const EarthQubeQuery& query,

@@ -32,13 +32,6 @@ struct QueryCacheConfig {
   /// touch the docstore or index.  Counted separately in the stats.
   bool enable_negative_cache = true;
   size_t response_capacity_bytes = 64u << 20;
-  size_t allowlist_capacity_bytes = 16u << 20;
-  size_t negative_capacity_bytes = 1u << 20;
-  /// Shards per cache (rounded up to a power of two).
-  size_t num_shards = 16;
-  /// Age limit for entries in the response and allowlist caches; zero
-  /// keeps entries until an epoch bump or LRU pressure removes them.
-  std::chrono::milliseconds ttl{0};
   /// Age limit for negative entries.  Deliberately short: the epoch
   /// catches ingests through this facade, the TTL bounds how long a
   /// name that appeared through any other path keeps "not existing".
@@ -127,7 +120,6 @@ class QueryCache {
   cache::CacheStats ResponseStats() const { return responses_.Stats(); }
   cache::CacheStats AllowlistStats() const { return allowlists_.Stats(); }
   cache::CacheStats NegativeStats() const { return negatives_.Stats(); }
-  const QueryCacheConfig& config() const { return config_; }
 
  private:
   QueryCacheConfig config_;

@@ -32,8 +32,8 @@ struct RankedAccessConfig {
   std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
-/// Counters of the registry (the cursor_resume_total metric family and
-/// the coordinator/engine stats endpoints read these).
+/// Counters of the registry (the cursor_resume_total and
+/// ranked_handles metric families read these).
 struct RankedAccessStats {
   uint64_t hits = 0;         ///< resumes served from a live handle
   uint64_t misses = 0;       ///< no handle resident (fresh or fallen back)

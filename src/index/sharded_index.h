@@ -15,7 +15,7 @@
 namespace agoraeo::index {
 
 /// Observability counters of one ShardedHammingIndex (the per-shard
-/// numbers behind GET /api/v2/index/stats).  All counters are monotonic
+/// agoraeo_index_* samples of /metrics).  All counters are monotonic
 /// over the index lifetime.
 struct ShardedIndexStats {
   size_t num_shards = 0;

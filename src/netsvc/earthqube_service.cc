@@ -5,8 +5,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/simd/hamming_kernels.h"
-#include "earthqube/exec/execution_engine.h"
 #include "json/json.h"
 
 namespace agoraeo::netsvc {
@@ -225,6 +223,31 @@ HttpResponse FromStatus(const Status& status) {
     }
     default:
       return HttpResponse::InternalError(status.message());
+  }
+}
+
+Status StatusFromResponse(const HttpResponse& response) {
+  std::string message = response.body;
+  if (auto body = json::ParseObject(response.body); body.ok()) {
+    if (const Value* m = body->GetPath("error.message");
+        m != nullptr && m->is_string()) {
+      message = m->as_string();
+    }
+  }
+  switch (response.status_code) {
+    case 400:
+      return Status::InvalidArgument(message);
+    case 404:
+      return Status::NotFound(message);
+    case 409:
+      return Status::FailedPrecondition(message);
+    case 410:
+      return Status::CursorExpired(message);
+    case 429:
+      return Status::Overloaded(message);
+    default:
+      return Status::Internal("HTTP " + std::to_string(response.status_code) +
+                              ": " + message);
   }
 }
 
@@ -528,12 +551,6 @@ void EarthQubeService::RegisterRoutes(HttpServer* server,
         200, "{\"count\":" + std::to_string(system_->NumFeedbackEntries()) +
                  "}");
   });
-  server->Route("GET", "/api/v2/cache/stats", [this](const HttpRequest&) {
-    return HandleCacheStats();
-  });
-  server->Route("GET", "/api/v2/index/stats", [this](const HttpRequest&) {
-    return HandleIndexStats();
-  });
   server->Route("POST", "/api/v2/index/snapshot", [this](const HttpRequest&) {
     return HandleIndexSnapshot();
   });
@@ -555,167 +572,6 @@ void EarthQubeService::RegisterRoutes(HttpServer* server,
   server->Route("GET", "/api/patch/*", [this](const HttpRequest& request) {
     return HandlePatchMetadata(request);
   });
-}
-
-HttpResponse EarthQubeService::HandleCacheStats() const {
-  const earthqube::QueryCache& cache = system_->query_cache();
-  const auto to_doc = [](bool enabled, const agoraeo::cache::CacheStats& s) {
-    Document d;
-    d.Set("enabled", Value(enabled));
-    d.Set("hits", Value(static_cast<int64_t>(s.hits)));
-    d.Set("misses", Value(static_cast<int64_t>(s.misses)));
-    d.Set("puts", Value(static_cast<int64_t>(s.puts)));
-    d.Set("rejected_puts", Value(static_cast<int64_t>(s.rejected_puts)));
-    d.Set("evictions", Value(static_cast<int64_t>(s.evictions)));
-    d.Set("stale_drops", Value(static_cast<int64_t>(s.stale_drops)));
-    d.Set("expired_drops", Value(static_cast<int64_t>(s.expired_drops)));
-    d.Set("entries", Value(static_cast<int64_t>(s.entries)));
-    d.Set("bytes", Value(static_cast<int64_t>(s.bytes)));
-    d.Set("capacity_bytes", Value(static_cast<int64_t>(s.capacity_bytes)));
-    d.Set("hit_rate", Value(s.hit_rate()));
-    return d;
-  };
-  Document out;
-  out.Set("epoch", Value(static_cast<int64_t>(cache.epoch())));
-  out.Set("response_cache",
-          Value(to_doc(cache.config().enable_response_cache,
-                       cache.ResponseStats())));
-  out.Set("allowlist_cache",
-          Value(to_doc(cache.config().enable_allowlist_cache,
-                       cache.AllowlistStats())));
-  out.Set("negative_cache",
-          Value(to_doc(cache.config().enable_negative_cache,
-                       cache.NegativeStats())));
-  // The execution engine's counters: miss coalescing and micro-batching
-  // live here because the response cache's fingerprint is their shared
-  // key — one endpoint tells the whole work-sharing story.
-  // "enabled" stays on the wire for existing clients; the engine is
-  // the only executor, so it is always true.
-  Document exec;
-  const earthqube::ExecStats s = system_->exec_engine().Stats();
-  exec.Set("enabled", Value(true));
-  exec.Set("submitted", Value(static_cast<int64_t>(s.submitted)));
-  exec.Set("completed", Value(static_cast<int64_t>(s.completed)));
-  exec.Set("cache_hits", Value(static_cast<int64_t>(s.cache_hits)));
-  exec.Set("negative_hits", Value(static_cast<int64_t>(s.negative_hits)));
-  exec.Set("coalesced", Value(static_cast<int64_t>(s.coalesced)));
-  exec.Set("flights", Value(static_cast<int64_t>(s.flights)));
-  exec.Set("direct", Value(static_cast<int64_t>(s.direct)));
-  exec.Set("batches", Value(static_cast<int64_t>(s.batches)));
-  exec.Set("batched_flights", Value(static_cast<int64_t>(s.batched_flights)));
-  exec.Set("rejected", Value(static_cast<int64_t>(s.rejected)));
-  exec.Set("flight_warms", Value(static_cast<int64_t>(s.flight_warms)));
-  exec.Set("warm_from_flight_hits",
-           Value(static_cast<int64_t>(s.warm_from_flight_hits)));
-  out.Set("exec", Value(std::move(exec)));
-  if (node_info_) {
-    const NodeInfo info = node_info_();
-    Document node;
-    node.Set("id", Value(info.id));
-    node.Set("owned_slots", Value(static_cast<int64_t>(info.owned_slots)));
-    node.Set("cluster_epoch",
-             Value(static_cast<int64_t>(info.cluster_epoch)));
-    out.Set("node", Value(std::move(node)));
-  }
-  return HttpResponse::Json(200, json::Serialize(out));
-}
-
-HttpResponse EarthQubeService::HandleIndexStats() const {
-  // Per-shard observability of the partitioned index layer: routing
-  // balance (shard sizes), how many batched passes fanned out across
-  // the shards, and the time spent in the gather-point merges.
-  Document out;
-  const earthqube::CbirService* cbir = system_->cbir();
-  out.Set("attached", Value(cbir != nullptr));
-  // The Hamming kernel layer: which dispatched kernel serves distance
-  // scans, whether the choice was forced (config/env), what the build
-  // compiled, and how many scan passes each kernel has run.
-  {
-    Document kernel;
-    kernel.Set("active", Value(std::string(simd::ActiveKernel()->name)));
-    kernel.Set("forced", Value(simd::KernelForced()));
-    const auto& kernels = simd::CompiledKernels();
-    std::vector<Value> compiled;
-    Document dispatch;
-    compiled.reserve(kernels.size());
-    for (size_t i = 0; i < kernels.size(); ++i) {
-      compiled.emplace_back(std::string(kernels[i]->name));
-      dispatch.Set(kernels[i]->name,
-                   Value(static_cast<int64_t>(simd::DispatchCount(i))));
-    }
-    kernel.Set("compiled", Value(std::move(compiled)));
-    kernel.Set("dispatch_total", Value(std::move(dispatch)));
-    out.Set("kernel", Value(std::move(kernel)));
-  }
-  if (cbir != nullptr) {
-    out.Set("name", Value(cbir->hamming_index().Name()));
-    out.Set("num_indexed", Value(static_cast<int64_t>(cbir->num_indexed())));
-    const index::ShardedHammingIndex* sharded = cbir->sharded_index();
-    out.Set("sharded", Value(sharded != nullptr));
-    if (sharded != nullptr) {
-      const index::ShardedIndexStats stats = sharded->Stats();
-      out.Set("num_shards", Value(static_cast<int64_t>(stats.num_shards)));
-      std::vector<Value> sizes;
-      sizes.reserve(stats.shard_sizes.size());
-      for (size_t shard_size : stats.shard_sizes) {
-        sizes.emplace_back(static_cast<int64_t>(shard_size));
-      }
-      out.Set("shard_sizes", Value(std::move(sizes)));
-      out.Set("single_fanouts",
-              Value(static_cast<int64_t>(stats.single_fanouts)));
-      out.Set("batch_fanouts",
-              Value(static_cast<int64_t>(stats.batch_fanouts)));
-      out.Set("fanout_tasks", Value(static_cast<int64_t>(stats.fanout_tasks)));
-      out.Set("merge_nanos", Value(static_cast<int64_t>(stats.merge_nanos)));
-      // Segment structure inside the shards: how much of the data is
-      // served lock-free (sealed) vs behind the mutable-segment lock.
-      std::vector<Value> segments;
-      segments.reserve(stats.shard_segments.size());
-      for (size_t n : stats.shard_segments) {
-        segments.emplace_back(static_cast<int64_t>(n));
-      }
-      out.Set("shard_segments", Value(std::move(segments)));
-      out.Set("seals", Value(static_cast<int64_t>(stats.seals)));
-      out.Set("sealed_items", Value(static_cast<int64_t>(stats.sealed_items)));
-      out.Set("mutable_items",
-              Value(static_cast<int64_t>(stats.mutable_items)));
-    } else if (const index::SegmentedHammingIndex* segmented =
-                   cbir->segmented_index();
-               segmented != nullptr) {
-      const index::SegmentedIndexStats seg = segmented->Stats();
-      out.Set("num_segments", Value(static_cast<int64_t>(seg.num_sealed)));
-      out.Set("seals", Value(static_cast<int64_t>(seg.seals)));
-      out.Set("sealed_items", Value(static_cast<int64_t>(seg.sealed_items)));
-      out.Set("mutable_items",
-              Value(static_cast<int64_t>(seg.mutable_items)));
-    }
-    // Persistence: snapshot/WAL state of the durable index (all zeros
-    // when the service runs in-memory only).
-    const earthqube::CbirPersistenceStats& p = cbir->persistence_stats();
-    Document persistence;
-    persistence.Set("enabled", Value(p.enabled));
-    persistence.Set("recovered", Value(p.recovered));
-    persistence.Set("restored_items",
-                    Value(static_cast<int64_t>(p.restored_items)));
-    persistence.Set("replayed_items",
-                    Value(static_cast<int64_t>(p.replayed_items)));
-    persistence.Set("discarded_snapshots",
-                    Value(static_cast<int64_t>(p.discarded_snapshots)));
-    persistence.Set("wal_records", Value(static_cast<int64_t>(p.wal_records)));
-    persistence.Set("snapshots_written",
-                    Value(static_cast<int64_t>(p.snapshots_written)));
-    out.Set("persistence", Value(std::move(persistence)));
-  }
-  if (node_info_) {
-    const NodeInfo info = node_info_();
-    Document node;
-    node.Set("id", Value(info.id));
-    node.Set("owned_slots", Value(static_cast<int64_t>(info.owned_slots)));
-    node.Set("cluster_epoch",
-             Value(static_cast<int64_t>(info.cluster_epoch)));
-    out.Set("node", Value(std::move(node)));
-  }
-  return HttpResponse::Json(200, json::Serialize(out));
 }
 
 HttpResponse EarthQubeService::HandleIndexSnapshot() {

@@ -1,10 +1,7 @@
 #ifndef AGORAEO_NETSVC_EARTHQUBE_SERVICE_H_
 #define AGORAEO_NETSVC_EARTHQUBE_SERVICE_H_
 
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 
 #include "common/status.h"
 #include "earthqube/earthqube.h"
@@ -21,6 +18,13 @@ namespace agoraeo::netsvc {
 /// anything else 500.
 HttpResponse FromStatus(const Status& status);
 
+/// The inverse of FromStatus, for a service reading a peer's error
+/// answer (the coordinator fanning out to cluster nodes): 400, 404,
+/// 409, 410 and 429 map back onto their status codes, anything else is
+/// Internal.  The message is the {"error": {"code", "message"}}
+/// envelope's, or the raw body when there is no envelope.
+Status StatusFromResponse(const HttpResponse& response);
+
 /// The HTTP face of the EarthQube back end — the middle tier of the
 /// paper's three-tier architecture.  Registers JSON endpoints on an
 /// HttpServer and translates between the wire format and the EarthQube
@@ -28,9 +32,9 @@ HttpResponse FromStatus(const Status& status);
 ///
 ///   GET  /health                         liveness probe
 ///   POST /api/v2/query                   unified query API (see below)
-///   GET  /api/v2/cache/stats             query-cache counters + epoch
-///   GET  /api/v2/index/stats             Hamming-index partition stats
-///   GET  /metrics                        Prometheus text exposition
+///   GET  /metrics                        Prometheus text exposition:
+///                                        cache, engine, index, WAL
+///                                        and route state
 ///   GET  /api/v2/metrics                 same registry as JSON
 ///   GET  /api/v2/debug/slow_queries      slow-query ring, worst first
 ///   POST /api/search                     [v1, deprecated] query panel
@@ -117,17 +121,6 @@ HttpResponse FromStatus(const Status& status);
 /// instead of clamped.
 class EarthQubeService {
  public:
-  /// Cluster identity surfaced by the stats endpoints.  A standalone
-  /// (non-cluster) service has no provider and emits no "node" block;
-  /// a ClusterNode installs one so operators can tell WHICH node a
-  /// stats response describes and how much of the slot space it owns.
-  struct NodeInfo {
-    std::string id;
-    size_t owned_slots = 0;
-    uint64_t cluster_epoch = 0;
-  };
-  using NodeInfoProvider = std::function<NodeInfo()>;
-
   /// `system` must outlive the service and the server.
   explicit EarthQubeService(earthqube::EarthQube* system) : system_(system) {}
 
@@ -136,13 +129,6 @@ class EarthQubeService {
   /// its own /api/v2/query handler (slot guard + migration filtering)
   /// in front of the same execution path.
   void RegisterRoutes(HttpServer* server, bool include_query_route = true);
-
-  /// Installs the cluster-identity provider consulted by the stats
-  /// endpoints.  Must be called before the server starts; the provider
-  /// must be safe to invoke from server worker threads.
-  void set_node_info_provider(NodeInfoProvider provider) {
-    node_info_ = std::move(provider);
-  }
 
   /// Largest accepted batch (/cbir/batch_search names and /api/v2/query
   /// requests).
@@ -172,8 +158,6 @@ class EarthQubeService {
  private:
   void HandleQueryV2(const HttpRequest& request,
                      HttpServer::Responder responder) const;
-  HttpResponse HandleCacheStats() const;
-  HttpResponse HandleIndexStats() const;
   HttpResponse HandleIndexSnapshot();
   void HandleSearch(const HttpRequest& request,
                     HttpServer::Responder responder) const;
@@ -186,7 +170,6 @@ class EarthQubeService {
   HttpResponse HandlePatchMetadata(const HttpRequest& request) const;
 
   earthqube::EarthQube* system_;
-  NodeInfoProvider node_info_;
 };
 
 }  // namespace agoraeo::netsvc

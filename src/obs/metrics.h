@@ -136,6 +136,17 @@ struct Sample {
 };
 using Collector = std::function<void(std::vector<Sample>*)>;
 
+/// Collector shorthands: append one counter or gauge sample.
+inline void PushCounter(std::vector<Sample>* out, std::string name,
+                        uint64_t value) {
+  out->push_back(
+      {std::move(name), SampleKind::kCounter, static_cast<double>(value)});
+}
+inline void PushGauge(std::vector<Sample>* out, std::string name,
+                      double value) {
+  out->push_back({std::move(name), SampleKind::kGauge, value});
+}
+
 /// Name-keyed metric store.  Get* registers on first use and returns a
 /// stable pointer; rendering walks metrics in registration order so the
 /// exposition is deterministic (the golden test depends on it).

@@ -1,6 +1,7 @@
 #ifndef AGORAEO_OBS_OBS_CONFIG_H_
 #define AGORAEO_OBS_OBS_CONFIG_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace agoraeo::obs {
@@ -22,17 +23,17 @@ struct ObsConfig {
   /// slow-query ring.  Default 50 ms.  Zero records every traced
   /// request (useful in tests and probes).
   uint64_t slow_query_threshold_ns = 50'000'000;
-
-  /// Bounded capacity of the slow-query ring; the oldest entry is
-  /// evicted first.
-  size_t slow_query_ring = 64;
-
-  /// Latency histogram range.  Everything below min lands in the first
-  /// bucket, everything above max in the overflow bucket.  Defaults
-  /// cover 1 us .. 60 s.
-  uint64_t histogram_min_ns = 1'000;
-  uint64_t histogram_max_ns = 60'000'000'000ULL;
 };
+
+/// Bounded capacity of the slow-query ring; the oldest entry is evicted
+/// first.
+inline constexpr size_t kSlowQueryRing = 64;
+
+/// Latency histogram range: everything below the minimum lands in the
+/// first bucket, everything above the maximum in the overflow bucket
+/// (1 us .. 60 s).
+inline constexpr uint64_t kHistogramMinNs = 1'000;
+inline constexpr uint64_t kHistogramMaxNs = 60'000'000'000ULL;
 
 }  // namespace agoraeo::obs
 

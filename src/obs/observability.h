@@ -22,7 +22,7 @@ class Observability {
  public:
   explicit Observability(const ObsConfig& config = ObsConfig())
       : config_(config),
-        slow_log_(config.slow_query_threshold_ns, config.slow_query_ring) {}
+        slow_log_(config.slow_query_threshold_ns, kSlowQueryRing) {}
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
@@ -57,8 +57,8 @@ class Observability {
   }
   Histogram* HistogramOrNull(const std::string& name) {
     return config_.enable_metrics
-               ? registry_.GetHistogram(name, config_.histogram_min_ns,
-                                        config_.histogram_max_ns)
+               ? registry_.GetHistogram(name, kHistogramMinNs,
+                                        kHistogramMaxNs)
                : nullptr;
   }
 

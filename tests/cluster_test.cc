@@ -13,8 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "metrics_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
+#include "cache/cache_stats.h"
 #include "cluster/cluster_node.h"
 #include "cluster/coordinator.h"
 #include "cluster/slot_table.h"
@@ -28,6 +30,7 @@
 #include "netsvc/earthqube_service.h"
 #include "netsvc/http.h"
 #include "netsvc/server.h"
+#include "obs/metrics.h"
 
 namespace agoraeo::cluster {
 namespace {
@@ -314,8 +317,9 @@ class ClusterTest : public ::testing::Test {
   }
 
   /// A fresh single-node stack with the shared model loaded.
-  static earthqube::EarthQube* NewNodeSystem() {
-    auto* system = new earthqube::EarthQube();
+  static earthqube::EarthQube* NewNodeSystem(
+      const earthqube::EarthQubeConfig& config = {}) {
+    auto* system = new earthqube::EarthQube(config);
     auto model = milan::MilanModel::Load(*model_path_);
     EXPECT_TRUE(model.ok());
     system->AttachCbir(std::make_unique<earthqube::CbirService>(
@@ -529,20 +533,44 @@ TEST_F(ClusterTest, BatchMatchesMonolith) {
       code + R"(","radius":10}}]})");
 }
 
-TEST_F(ClusterTest, CoordinatorServesResultCacheStats) {
+TEST_F(ClusterTest, CoordinatorServesResultCacheMetrics) {
+  using metrics_test::MetricValue;
+  const Document metrics =
+      metrics_test::ScrapeMetrics(coordinator_server_->port());
+  const cache::CacheStats stats = coordinator_->result_cache_stats();
+  const auto rankings = [](const char* base) {
+    return obs::LabeledName(base, "cache", "merged_rankings");
+  };
+  EXPECT_GE(MetricValue(metrics, rankings("agoraeo_cache_hits_total")),
+            static_cast<double>(stats.hits));
+  EXPECT_GE(MetricValue(metrics, rankings("agoraeo_cache_misses_total")), 0);
+  EXPECT_GE(MetricValue(metrics, rankings("agoraeo_cache_stale_drops_total")),
+            0);
+  EXPECT_EQ(MetricValue(metrics, rankings("agoraeo_cache_capacity_bytes")),
+            static_cast<double>(stats.capacity_bytes));
+  EXPECT_EQ(MetricValue(metrics, "agoraeo_cache_epoch"),
+            static_cast<double>(coordinator_->result_epoch()));
+}
+
+TEST_F(ClusterTest, RetiredStatsRoutesAnswer404OnEveryTier) {
   HttpClient client;
-  auto resp = client.Get(coordinator_server_->port(), "/api/v2/cache/stats");
-  ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp->status_code, 200) << resp->body;
-  auto doc = json::ParseObject(resp->body);
-  ASSERT_TRUE(doc.ok());
-  const Value* rankings = doc->Get("merged_rankings");
-  ASSERT_NE(rankings, nullptr);
-  ASSERT_TRUE(rankings->is_document());
-  const Value* enabled = rankings->as_document().Get("enabled");
-  ASSERT_NE(enabled, nullptr);
-  EXPECT_TRUE(enabled->as_bool());
-  EXPECT_NE(doc->Get("result_epoch"), nullptr);
+  for (const uint16_t port : {mono_server_->port(), nodes_[0]->port(),
+                              coordinator_server_->port()}) {
+    for (const char* path : {"/api/v2/cache/stats", "/api/v2/index/stats"}) {
+      auto resp = client.Get(port, path);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->status_code, 404) << path << " on port " << port;
+    }
+  }
+}
+
+TEST_F(ClusterTest, MetricNamesAreUniqueOnEveryTier) {
+  metrics_test::ExpectUniqueMetricNames(mono_server_->port(), "monolith");
+  for (const ClusterNode* node : nodes_) {
+    metrics_test::ExpectUniqueMetricNames(node->port(), "node " + node->id());
+  }
+  metrics_test::ExpectUniqueMetricNames(coordinator_server_->port(),
+                                        "coordinator");
 }
 
 TEST_F(ClusterTest, CoordinatorServesSlotTable) {
@@ -564,22 +592,62 @@ TEST_F(ClusterTest, CoordinatorServesSlotTable) {
   EXPECT_EQ(fresh.epoch(), coordinator_->epoch());
 }
 
-TEST_F(ClusterTest, NodeStatsCarryNodeBlock) {
-  HttpClient client;
-  for (const std::string target :
-       {std::string("/api/v2/index/stats"), std::string("/api/v2/cache/stats")}) {
-    auto resp = client.Get(nodes_[1]->port(), target);
-    ASSERT_TRUE(resp.ok());
-    ASSERT_EQ(resp->status_code, 200) << resp->body;
-    auto doc = json::ParseObject(resp->body);
-    ASSERT_TRUE(doc.ok());
-    const Value* node = doc->Get("node");
-    ASSERT_NE(node, nullptr) << target;
-    ASSERT_TRUE(node->is_document());
-    EXPECT_EQ(node->as_document().Get("id")->as_string(), "n2");
-    EXPECT_GT(node->as_document().Get("owned_slots")->as_int64(), 0);
-    EXPECT_GE(node->as_document().Get("cluster_epoch")->as_int64(), 1);
+TEST_F(ClusterTest, NodeMetricsCarryClusterGauges) {
+  for (const ClusterNode* node : nodes_) {
+    const Document metrics = metrics_test::ScrapeMetrics(node->port());
+    const double owned =
+        metrics_test::MetricValue(metrics, "agoraeo_cluster_owned_slots");
+    EXPECT_GT(owned, 0) << node->id();
+    EXPECT_EQ(owned, static_cast<double>(node->owned_slot_count()))
+        << node->id();
+    const double epoch =
+        metrics_test::MetricValue(metrics, "agoraeo_cluster_epoch");
+    EXPECT_GE(epoch, 1) << node->id();
+    EXPECT_EQ(epoch, static_cast<double>(node->epoch())) << node->id();
   }
+}
+
+TEST_F(ClusterTest, OverloadedNodeAnswers429ThroughCoordinator) {
+  // One node's admission queue holds nothing, so it bounces every query
+  // with 429 `overloaded`.  The coordinator must hand that answer on,
+  // retry hint included, instead of turning it into a 500.
+  earthqube::EarthQubeConfig no_queue;
+  no_queue.exec.max_queue = 0;
+  std::unique_ptr<earthqube::EarthQube> systems[3] = {
+      std::unique_ptr<earthqube::EarthQube>(NewNodeSystem()),
+      std::unique_ptr<earthqube::EarthQube>(NewNodeSystem()),
+      std::unique_ptr<earthqube::EarthQube>(NewNodeSystem(no_queue))};
+  std::vector<std::unique_ptr<ClusterNode>> nodes;
+  std::vector<NodeAddress> addresses;
+  for (int i = 0; i < 3; ++i) {
+    ClusterNode::Options options;
+    options.id = "q" + std::to_string(i + 1);
+    nodes.push_back(std::make_unique<ClusterNode>(systems[i].get(), options));
+    ASSERT_TRUE(nodes.back()->Start(0).ok());
+    addresses.push_back(nodes.back()->address());
+  }
+  const SlotTable table(addresses, 8);
+  for (auto& node : nodes) node->SetTable(table);
+  Coordinator coordinator;
+  coordinator.AttachTable(table);
+  netsvc::HttpServer server(2);
+  coordinator.RegisterRoutes(&server);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  HttpClient client;
+  auto resp = client.Post(server.port(), "/api/v2/query",
+                          R"({"panel":{"seasons":["summer"]}})");
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status_code, 429) << resp->body;
+  auto retry = resp->headers.find("retry-after");
+  ASSERT_NE(retry, resp->headers.end());
+  EXPECT_EQ(retry->second, "1");
+  auto body = json::ParseObject(resp->body);
+  ASSERT_TRUE(body.ok()) << resp->body;
+  EXPECT_EQ(body->GetPath("error.code")->as_string(), "overloaded");
+
+  server.Stop();
+  for (auto& node : nodes) node->Stop();
 }
 
 TEST_F(ClusterTest, UnownedByNameSubjectAnswersMoved) {
@@ -704,6 +772,19 @@ TEST_F(MigrationTest, MigrationMovesSlotAndKeepsParity) {
   // Ownership flipped, epoch advanced, tombstone recorded.
   EXPECT_EQ(n1.table().OwnerOfSlot(slot)->id, "m2");
   EXPECT_GT(n1.epoch(), 1u);
+  // Both ends publish the new table: the target's gauges follow the
+  // import, the source's the commit.
+  for (const ClusterNode* node : {&n1, &n2}) {
+    const Document metrics = metrics_test::ScrapeMetrics(node->port());
+    EXPECT_EQ(metrics_test::MetricValue(metrics, "agoraeo_cluster_epoch"),
+              static_cast<double>(node->epoch()))
+        << node->id();
+    EXPECT_EQ(
+        metrics_test::MetricValue(metrics, "agoraeo_cluster_owned_slots"),
+        static_cast<double>(node->owned_slot_count()))
+        << node->id();
+  }
+  EXPECT_EQ(n2.epoch(), n1.epoch());
   const auto tombstones = n1.tombstoned_slots();
   EXPECT_NE(std::find(tombstones.begin(), tombstones.end(), slot),
             tombstones.end());

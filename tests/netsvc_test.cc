@@ -15,8 +15,10 @@
 #include <thread>
 
 #include "cbir_test_util.h"
+#include "metrics_test_util.h"
 #include "bigearthnet/archive_generator.h"
 #include "bigearthnet/feature_extractor.h"
+#include "common/simd/hamming_kernels.h"
 #include "earthqube/earthqube.h"
 #include "earthqube/exec/execution_engine.h"
 #include "earthqube/zip_writer.h"
@@ -26,6 +28,7 @@
 #include "netsvc/earthqube_service.h"
 #include "netsvc/http.h"
 #include "netsvc/server.h"
+#include "obs/metrics.h"
 
 namespace agoraeo::netsvc {
 namespace {
@@ -858,6 +861,31 @@ TEST(FromStatusTest, ConflictAndOverloadFollowTheStatusCode) {
             std::string::npos);
 }
 
+TEST(FromStatusTest, StatusFromResponseInvertsFromStatus) {
+  for (const Status& status :
+       {Status::InvalidArgument("k must be positive"),
+        Status::NotFound("no such archive image: x"),
+        Status::FailedPrecondition("no CBIR service attached"),
+        Status::CursorExpired("handle evicted"),
+        Status::Overloaded("admission queue full")}) {
+    const Status back = StatusFromResponse(FromStatus(status));
+    EXPECT_EQ(back.code(), status.code()) << status.ToString();
+    EXPECT_EQ(back.message(), status.message()) << status.ToString();
+  }
+  // Every other status is Internal, whatever the peer said.
+  EXPECT_EQ(StatusFromResponse(FromStatus(Status::Internal("boom"))).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(
+      StatusFromResponse(HttpResponse::Error(503, "unavailable", "busy"))
+          .code(),
+      StatusCode::kInternal);
+  // Without an envelope the code still maps and the body is the message.
+  const HttpResponse bare = HttpResponse::Text(429, "slow down");
+  const Status from_bare = StatusFromResponse(bare);
+  EXPECT_EQ(from_bare.code(), StatusCode::kOverloaded);
+  EXPECT_EQ(from_bare.message(), "slow down");
+}
+
 // --- v2 endpoint over the wire ------------------------------------------------
 
 TEST_F(ServiceTest, V2UndecodableCursorAnswers410CursorExpired) {
@@ -1163,31 +1191,32 @@ TEST_F(ServiceTest, CachedV2ResponseIsByteIdenticalExceptFlag) {
   EXPECT_EQ(first->body, normalized);
 }
 
-TEST_F(ServiceTest, CacheStatsEndpoint) {
-  HttpClient client;
-  auto before = client.Get(server_->port(), "/api/v2/cache/stats");
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before->status_code, 200) << before->body;
-  auto before_body = json::ParseObject(before->body);
-  ASSERT_TRUE(before_body.ok()) << before->body;
-  ASSERT_TRUE(before_body->Get("epoch")->is_int64());
-  for (const char* which : {"response_cache", "allowlist_cache"}) {
-    const Value* stats = before_body->Get(which);
-    ASSERT_TRUE(stats != nullptr && stats->is_document()) << which;
-    const Document& d = stats->as_document();
-    EXPECT_TRUE(d.Get("enabled")->as_bool());
-    for (const char* field : {"hits", "misses", "puts", "rejected_puts",
-                              "evictions", "stale_drops", "expired_drops",
-                              "entries", "bytes", "capacity_bytes"}) {
-      ASSERT_TRUE(d.Get(field) != nullptr && d.Get(field)->is_int64())
-          << which << "." << field;
+TEST_F(ServiceTest, CacheMetrics) {
+  using metrics_test::MetricValue;
+  using metrics_test::ScrapeMetrics;
+  const docstore::Document before = ScrapeMetrics(server_->port());
+  EXPECT_GE(MetricValue(before, "agoraeo_cache_epoch"), 0);
+  for (const std::string cache : {"response", "allowlist", "negative"}) {
+    for (const char* base :
+         {"agoraeo_cache_hits_total", "agoraeo_cache_misses_total",
+          "agoraeo_cache_puts_total", "agoraeo_cache_rejected_puts_total",
+          "agoraeo_cache_evictions_total", "agoraeo_cache_stale_drops_total",
+          "agoraeo_cache_expired_drops_total", "agoraeo_cache_entries",
+          "agoraeo_cache_bytes"}) {
+      EXPECT_GE(MetricValue(before, obs::LabeledName(base, "cache", cache)),
+                0);
     }
-    EXPECT_TRUE(d.Get("hit_rate")->is_number());
+    EXPECT_GT(MetricValue(before, obs::LabeledName(
+                                      "agoraeo_cache_capacity_bytes", "cache",
+                                      cache)),
+              0);
   }
-  const int64_t hits_before =
-      before_body->GetPath("response_cache.hits")->as_int64();
+  const std::string response_hits =
+      obs::LabeledName("agoraeo_cache_hits_total", "cache", "response");
+  const double hits_before = MetricValue(before, response_hits);
 
   // One repeated query adds exactly one response-cache hit.
+  HttpClient client;
   const std::string body =
       R"({"similarity":{"name":")" + archive_->patches[55].name +
       R"(","k":4}})";
@@ -1196,51 +1225,39 @@ TEST_F(ServiceTest, CacheStatsEndpoint) {
   ASSERT_EQ(client.Post(server_->port(), "/api/v2/query", body)->status_code,
             200);
 
-  auto after = client.Get(server_->port(), "/api/v2/cache/stats");
-  ASSERT_TRUE(after.ok());
-  auto after_body = json::ParseObject(after->body);
-  ASSERT_TRUE(after_body.ok()) << after->body;
-  EXPECT_EQ(after_body->GetPath("response_cache.hits")->as_int64(),
-            hits_before + 1);
-
-  // The engine and negative-cache sections ride the same endpoint.
-  const Value* negative = after_body->Get("negative_cache");
-  ASSERT_TRUE(negative != nullptr && negative->is_document());
-  EXPECT_TRUE(negative->as_document().Get("enabled")->as_bool());
-  const Value* exec = after_body->Get("exec");
-  ASSERT_TRUE(exec != nullptr && exec->is_document());
-  EXPECT_TRUE(exec->as_document().Get("enabled")->as_bool());
+  const docstore::Document after = ScrapeMetrics(server_->port());
+  EXPECT_EQ(MetricValue(after, response_hits), hits_before + 1);
   for (const char* field : {"submitted", "completed", "coalesced", "flights",
                             "batches", "batched_flights", "cache_hits",
                             "negative_hits", "rejected", "flight_warms",
                             "warm_from_flight_hits"}) {
-    ASSERT_TRUE(exec->as_document().Get(field) != nullptr &&
-                exec->as_document().Get(field)->is_int64())
-        << "exec." << field;
+    EXPECT_GE(MetricValue(after, std::string("agoraeo_engine_") + field +
+                                     "_total"),
+              0);
   }
   // The repeated query above was executed once by a flight (warming the
   // cache) and then served from that warm entry.
-  EXPECT_GE(exec->as_document().Get("flight_warms")->as_int64(), 1);
-  EXPECT_GE(exec->as_document().Get("warm_from_flight_hits")->as_int64(), 1);
+  EXPECT_GE(MetricValue(after, "agoraeo_engine_flight_warms_total"), 1);
+  EXPECT_GE(MetricValue(after, "agoraeo_engine_warm_from_flight_hits_total"),
+            1);
 }
 
-TEST_F(ServiceTest, IndexStatsEndpointUnsharded) {
-  HttpClient client;
-  auto resp = client.Get(server_->port(), "/api/v2/index/stats");
-  ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp->status_code, 200) << resp->body;
-  auto body = json::ParseObject(resp->body);
-  ASSERT_TRUE(body.ok()) << resp->body;
-  EXPECT_TRUE(body->Get("attached")->as_bool());
-  EXPECT_FALSE(body->Get("sharded")->as_bool());
-  EXPECT_EQ(body->Get("num_indexed")->as_int64(),
-            static_cast<int64_t>(archive_->patches.size()));
-  EXPECT_EQ(body->Get("name")->as_string(), "HammingHashTable");
+TEST_F(ServiceTest, IndexMetricsUnsharded) {
+  const docstore::Document metrics =
+      metrics_test::ScrapeMetrics(server_->port());
+  EXPECT_EQ(metrics_test::MetricValue(metrics, "agoraeo_index_items"),
+            static_cast<double>(archive_->patches.size()));
+  EXPECT_EQ(metrics.Get("agoraeo_index_shards"), nullptr);
+  EXPECT_EQ(metrics_test::MetricValue(
+                metrics, obs::LabeledName("agoraeo_index_kernel_active",
+                                          "kernel",
+                                          simd::ActiveKernel()->name)),
+            1);
 }
 
-/// A partitioned CBIR service behind its own server: the stats endpoint
-/// reports per-shard sizes and the batched passes' fan-out counters.
-TEST(ShardedServiceTest, IndexStatsEndpointReportsPartitions) {
+/// A partitioned CBIR service behind its own server: the metrics report
+/// per-shard sizes and the batched passes' fan-out counters.
+TEST(ShardedServiceTest, IndexMetricsReportPartitions) {
   bigearthnet::ArchiveConfig config;
   config.num_patches = 120;
   config.seed = 91;
@@ -1282,33 +1299,31 @@ TEST(ShardedServiceTest, IndexStatsEndpointReportsPartitions) {
       client.Post(server.port(), "/cbir/batch_search", batch_body)->status_code,
       200);
 
-  auto resp = client.Get(server.port(), "/api/v2/index/stats");
-  ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp->status_code, 200) << resp->body;
-  auto body = json::ParseObject(resp->body);
-  ASSERT_TRUE(body.ok()) << resp->body;
-  EXPECT_TRUE(body->Get("attached")->as_bool());
-  EXPECT_TRUE(body->Get("sharded")->as_bool());
-  EXPECT_EQ(body->Get("name")->as_string(), "sharded(LinearScan, 4)");
-  EXPECT_EQ(body->Get("num_shards")->as_int64(), 4);
-  const Value* sizes = body->Get("shard_sizes");
-  ASSERT_TRUE(sizes != nullptr && sizes->is_array());
-  ASSERT_EQ(sizes->as_array().size(), 4u);
-  int64_t total = 0;
-  for (const Value& s : sizes->as_array()) total += s.as_int64();
-  EXPECT_EQ(total, body->Get("num_indexed")->as_int64());
-  EXPECT_GE(body->Get("batch_fanouts")->as_int64(), 1);
-  EXPECT_GE(body->Get("fanout_tasks")->as_int64(),
-            body->Get("batch_fanouts")->as_int64() * 4);
-  ASSERT_TRUE(body->Get("merge_nanos")->is_int64());
+  using metrics_test::MetricValue;
+  const docstore::Document metrics = metrics_test::ScrapeMetrics(server.port());
+  EXPECT_EQ(MetricValue(metrics, "agoraeo_index_shards"), 4);
+  double total = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    total += MetricValue(metrics,
+                         obs::LabeledName("agoraeo_index_shard_items", "shard",
+                                          std::to_string(shard)));
+  }
+  EXPECT_EQ(metrics.Get(R"(agoraeo_index_shard_items{shard="4"})"), nullptr);
+  EXPECT_EQ(total, MetricValue(metrics, "agoraeo_index_items"));
+  const double batch_fanouts =
+      MetricValue(metrics, "agoraeo_index_batch_fanouts_total");
+  EXPECT_GE(batch_fanouts, 1);
+  EXPECT_GE(MetricValue(metrics, "agoraeo_index_fanout_tasks_total"),
+            batch_fanouts * 4);
+  EXPECT_GE(MetricValue(metrics, "agoraeo_index_merge_nanos_total"), 0);
 
   server.Stop();
 }
 
 /// Snapshot endpoint: 409 without a durable CBIR service, 200 with one
-/// (checkpoint written, WAL reset), and the stats endpoint reports the
-/// segment + persistence state.
-TEST(PersistentServiceTest, SnapshotEndpointAndPersistenceStats) {
+/// (checkpoint written, WAL reset), and the metrics report the segment
+/// and persistence state.
+TEST(PersistentServiceTest, SnapshotEndpointAndPersistenceMetrics) {
   const std::string dir = "/tmp/agoraeo_netsvc_persist_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -1358,26 +1373,26 @@ TEST(PersistentServiceTest, SnapshotEndpointAndPersistenceStats) {
   EXPECT_GE(snap_body->Get("snapshots_written")->as_int64(), 4);
   EXPECT_EQ(std::filesystem::file_size(dir + "/index.wal"), 0u);
 
-  auto resp = client.Get(server.port(), "/api/v2/index/stats");
-  ASSERT_TRUE(resp.ok());
-  ASSERT_EQ(resp->status_code, 200) << resp->body;
-  auto body = json::ParseObject(resp->body);
-  ASSERT_TRUE(body.ok()) << resp->body;
-  EXPECT_TRUE(body->Get("sharded")->as_bool());
-  const Value* segments = body->Get("shard_segments");
-  ASSERT_TRUE(segments != nullptr && segments->is_array());
-  ASSERT_EQ(segments->as_array().size(), 4u);
-  EXPECT_GE(body->Get("seals")->as_int64(), 1);
+  using metrics_test::MetricValue;
+  const docstore::Document metrics = metrics_test::ScrapeMetrics(server.port());
+  for (int shard = 0; shard < 4; ++shard) {
+    EXPECT_GE(MetricValue(metrics, obs::LabeledName(
+                                       "agoraeo_index_shard_segments", "shard",
+                                       std::to_string(shard))),
+              0);
+  }
+  EXPECT_EQ(metrics.Get(R"(agoraeo_index_shard_segments{shard="4"})"),
+            nullptr);
+  EXPECT_GE(MetricValue(metrics, "agoraeo_index_seals_total"), 1);
   // Post-snapshot, everything lives in sealed segments.
-  EXPECT_EQ(body->Get("mutable_items")->as_int64(), 0);
-  EXPECT_EQ(body->Get("sealed_items")->as_int64(), 80);
-  const Value* persistence = body->Get("persistence");
-  ASSERT_TRUE(persistence != nullptr && persistence->is_document());
-  const Document& pdoc = persistence->as_document();
-  EXPECT_TRUE(pdoc.Get("enabled")->as_bool());
-  EXPECT_TRUE(pdoc.Get("recovered")->as_bool());
-  EXPECT_GE(pdoc.Get("wal_records")->as_int64(), 1);
-  EXPECT_GE(pdoc.Get("snapshots_written")->as_int64(), 4);
+  EXPECT_EQ(MetricValue(metrics, "agoraeo_index_mutable_items"), 0);
+  EXPECT_EQ(MetricValue(metrics, "agoraeo_index_sealed_items"), 80);
+  EXPECT_GE(MetricValue(metrics, "agoraeo_wal_records_total"), 1);
+  EXPECT_GE(MetricValue(metrics, "agoraeo_snapshots_written_total"), 4);
+  EXPECT_EQ(MetricValue(metrics, "agoraeo_recovery_discarded_snapshots_total"),
+            0);
+  metrics_test::ExpectUniqueMetricNames(server.port(),
+                                        "sharded durable monolith");
   server.Stop();
 }
 
