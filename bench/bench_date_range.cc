@@ -8,6 +8,13 @@
 /// windows of the archive's Jun 2017 - May 2018 span.  Expected shape:
 /// the index wins by orders of magnitude for narrow windows and
 /// converges toward the scan as the window approaches the full year.
+///
+/// The BM_Panel* family runs the conjunctions the query panel issues: a
+/// date range from the archive's first day combined with a label, a
+/// season or a geo rectangle, served one page at a time.  Their
+/// docs_examined counter is the number of documents given the
+/// per-document check; with the other terms probed as posting lists it
+/// approaches the match count.
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
@@ -20,17 +27,15 @@ using earthqube::EarthQubeQuery;
 
 constexpr size_t kArchive = 50000;
 
-void RunDateQuery(benchmark::State& state, const DateRange& range,
-                  bool indexed) {
+void RunPanel(benchmark::State& state, const earthqube::QueryRequest& request,
+              bool indexed) {
   const ArchiveFixture& fixture = GetArchive(kArchive);
   earthqube::EarthQube* system = GetEarthQube(
       fixture, indexed, earthqube::LabelEncoding::kAsciiCompressed);
-  EarthQubeQuery query;
-  query.date_range = range;
   size_t matches = 0, examined = 0, iters = 0;
   std::string plan;
   for (auto _ : state) {
-    auto response = system->Execute(PanelRequest(query));
+    auto response = system->Execute(request);
     if (!response.ok()) std::abort();
     benchmark::DoNotOptimize(response);
     matches += response->panel.total();
@@ -42,6 +47,27 @@ void RunDateQuery(benchmark::State& state, const DateRange& range,
   state.counters["docs_examined"] =
       iters ? static_cast<double>(examined) / iters : 0;
   state.SetLabel(plan);
+}
+
+void RunDateQuery(benchmark::State& state, const DateRange& range,
+                  bool indexed) {
+  EarthQubeQuery query;
+  query.date_range = range;
+  RunPanel(state, PanelRequest(query), indexed);
+}
+
+/// One page of a panel whose date range starts on the archive's first
+/// day, narrowed by `narrow`.
+template <typename Narrow>
+void RunPanelConjunction(benchmark::State& state, Narrow narrow) {
+  EarthQubeQuery query;
+  query.date_range =
+      DateRange{GetArchive(kArchive).config.dates.begin,
+                CivilDate(2017, 11, 30)};
+  narrow(&query);
+  earthqube::QueryRequest request = PanelRequest(query);
+  request.page_size = earthqube::kPageSize;
+  RunPanel(state, request, true);
 }
 
 DateRange Week() { return {CivilDate(2017, 8, 7), CivilDate(2017, 8, 13)}; }
@@ -69,12 +95,33 @@ void BM_HalfYear_Scan(benchmark::State& state) {
   RunDateQuery(state, HalfYear(), false);
 }
 
+void BM_PanelDateLabel(benchmark::State& state) {
+  RunPanelConjunction(state, [](EarthQubeQuery* query) {
+    query->label_filter = earthqube::LabelFilter::Some(bigearthnet::LabelSet(
+        {*bigearthnet::LabelIdFromName("Coniferous forest")}));
+  });
+}
+void BM_PanelDateSeason(benchmark::State& state) {
+  RunPanelConjunction(state, [](EarthQubeQuery* query) {
+    query->seasons = {Season::kAutumn};
+  });
+}
+void BM_PanelDateGeo(benchmark::State& state) {
+  RunPanelConjunction(state, [](EarthQubeQuery* query) {
+    query->geo = earthqube::GeoQuery::Rect(
+        (*bigearthnet::CountryByName("Portugal"))->extent);
+  });
+}
+
 BENCHMARK(BM_Week_Indexed)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Week_Scan)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Month_Indexed)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Month_Scan)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HalfYear_Indexed)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HalfYear_Scan)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PanelDateLabel)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PanelDateSeason)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PanelDateGeo)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace agoraeo::bench

@@ -213,10 +213,21 @@ HttpResponse ClusterNode::ExecuteOne(const QueryRequest& request,
     tombstones = tombstones_;
     read_epoch = table_.epoch();
   }
+  // A paged panel query builds only its page's rows, but dropping
+  // tombstoned rows shifts every page; with tombstones the node builds
+  // the whole panel and pages it after filtering.
+  const bool repage = !tombstones.empty() && !request.similarity.has_value() &&
+                      request.page_size > 0;
+  QueryRequest executed = request;
+  if (repage) executed.page_size = 0;
   StatusOr<QueryResponse> response = [&] {
     std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-    return system_->Execute(request, trace);
+    return system_->Execute(executed, trace);
   }();
+  if (response.ok() && repage) {
+    response->page = request.page;
+    response->page_size = request.page_size;
+  }
 
   if (start_ns != 0) {
     obs::SlowQueryLog& slow_log = obs.slow_log();

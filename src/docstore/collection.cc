@@ -79,223 +79,317 @@ const Document* Collection::Get(DocId id) const {
   return it == docs_.end() ? nullptr : &it->second;
 }
 
-bool Collection::PlanLeaf(const Filter& leaf, std::vector<DocId>* candidates,
-                          std::string* plan) const {
-  switch (leaf.op()) {
-    case Filter::Op::kEq: {
-      for (const auto& idx : hash_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const auto* list = idx->Lookup(leaf.values()[0]);
-        *candidates = list != nullptr ? *list : std::vector<DocId>{};
-        *plan = "IXSCAN(hash:" + idx->path() + ")";
-        return true;
-      }
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const auto* list = idx->Lookup(leaf.values()[0]);
-        *candidates = list != nullptr ? *list : std::vector<DocId>{};
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      for (const auto& idx : range_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const auto* list = idx->Lookup(leaf.values()[0]);
-        *candidates = list != nullptr ? *list : std::vector<DocId>{};
-        *plan = "IXSCAN(range:" + idx->path() + ")";
-        return true;
-      }
-      return false;
+namespace {
+
+/// The tightest interval the range conjuncts (Gt/Gte/Lt/Lte/Eq) on one
+/// path imply, e.g. date >= a AND date <= b becomes [a, b].  `bounds`
+/// counts the conjuncts folded in; 0 means none applies.
+struct Interval {
+  const Value* lower = nullptr;
+  bool lower_inclusive = true;
+  const Value* upper = nullptr;
+  bool upper_inclusive = true;
+  size_t bounds = 0;
+};
+
+Interval MergeBounds(const std::vector<const Filter*>& conjuncts,
+                     const std::string& path) {
+  Interval iv;
+  const auto tighten_lower = [&iv](const Value& b, bool inclusive) {
+    const int c = iv.lower == nullptr ? 1 : b.Compare(*iv.lower);
+    if (c > 0 || (c == 0 && !inclusive)) {
+      iv.lower = &b;
+      iv.lower_inclusive = inclusive;
     }
-    case Filter::Op::kGt:
-    case Filter::Op::kGte:
-    case Filter::Op::kLt:
-    case Filter::Op::kLte: {
-      for (const auto& idx : range_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const Value& bound = leaf.values()[0];
-        const bool is_lower = leaf.op() == Filter::Op::kGt ||
-                              leaf.op() == Filter::Op::kGte;
-        const bool inclusive = leaf.op() == Filter::Op::kGte ||
-                               leaf.op() == Filter::Op::kLte;
-        *candidates = is_lower
-                          ? idx->Scan(&bound, inclusive, nullptr, false)
-                          : idx->Scan(nullptr, false, &bound, inclusive);
-        *plan = "IXSCAN(range:" + idx->path() + ")";
-        return true;
-      }
-      return false;
+  };
+  const auto tighten_upper = [&iv](const Value& b, bool inclusive) {
+    const int c = iv.upper == nullptr ? -1 : b.Compare(*iv.upper);
+    if (c < 0 || (c == 0 && !inclusive)) {
+      iv.upper = &b;
+      iv.upper_inclusive = inclusive;
     }
-    case Filter::Op::kIn: {
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *candidates = idx->LookupAny(leaf.values());
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kAll: {
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *candidates = idx->LookupAll(leaf.values());
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoIntersects: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *candidates = idx->Candidates(leaf.box());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoWithinCircle: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *candidates = idx->Candidates(leaf.circle().Bounds());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoWithinPolygon: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *candidates = idx->Candidates(leaf.polygon().Bounds());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    default:
-      return false;
+  };
+  for (const Filter* child : conjuncts) {
+    if (child->path() != path) continue;
+    const Filter::Op op = child->op();
+    const bool lower = op == Filter::Op::kEq || op == Filter::Op::kGt ||
+                       op == Filter::Op::kGte;
+    const bool upper = op == Filter::Op::kEq || op == Filter::Op::kLt ||
+                       op == Filter::Op::kLte;
+    if (!lower && !upper) continue;
+    const bool inclusive = op == Filter::Op::kEq || op == Filter::Op::kGte ||
+                           op == Filter::Op::kLte;
+    if (lower) tighten_lower(child->values()[0], inclusive);
+    if (upper) tighten_upper(child->values()[0], inclusive);
+    ++iv.bounds;
   }
+  return iv;
 }
 
-bool Collection::PlanCandidates(const Filter& filter,
-                                std::vector<DocId>* candidates,
-                                std::string* plan) const {
-  // Try the filter itself as an indexable leaf.
-  if (PlanLeaf(filter, candidates, plan)) return true;
-  // For a conjunction, use the applicable conjunct with the fewest
-  // candidates; remaining conjuncts are applied during verification.
+/// Count-only size of an interval: the path's histogram when it covers
+/// every index entry and the bounds are numeric, else the B+-tree's
+/// interval count.  `*by_histogram` tells which answered.
+size_t EstimateInterval(const RangeIndex& idx, const FieldHistogram* hist,
+                        const Interval& iv, bool* by_histogram) {
+  const bool numeric_bounds = (iv.lower == nullptr || iv.lower->is_number()) &&
+                              (iv.upper == nullptr || iv.upper->is_number());
+  *by_histogram = hist != nullptr && hist->total() > 0 &&
+                  hist->numeric_only() && numeric_bounds;
+  if (*by_histogram) {
+    return hist->EstimateRange(
+        iv.lower != nullptr ? std::optional<double>(iv.lower->as_number())
+                            : std::nullopt,
+        iv.upper != nullptr ? std::optional<double>(iv.upper->as_number())
+                            : std::nullopt);
+  }
+  return idx.CountInRange(iv.lower, iv.lower_inclusive, iv.upper,
+                          iv.upper_inclusive);
+}
+
+std::vector<const Filter*> Conjuncts(const Filter& filter) {
+  std::vector<const Filter*> out;
   if (filter.op() == Filter::Op::kAnd) {
-    bool found = false;
-    std::vector<DocId> best;
-    std::string best_plan;
-    for (const Filter& child : filter.children()) {
-      std::vector<DocId> cand;
-      std::string child_plan;
-      if (!PlanLeaf(child, &cand, &child_plan)) continue;
-      if (!found || cand.size() < best.size()) {
-        best = std::move(cand);
-        best_plan = std::move(child_plan);
-        found = true;
-      }
-    }
-    // A combined interval over several range conjuncts on one path can
-    // beat any single conjunct (e.g. date >= a AND date <= b).
-    std::vector<DocId> range_cand;
-    std::string range_plan;
-    if (PlanRangeConjunction(filter.children(), &range_cand, &range_plan) &&
-        (!found || range_cand.size() < best.size())) {
-      best = std::move(range_cand);
-      best_plan = std::move(range_plan);
-      found = true;
-    }
-    if (found) {
-      *candidates = std::move(best);
-      *plan = std::move(best_plan);
-      return true;
-    }
+    for (const Filter& child : filter.children()) out.push_back(&child);
+  } else {
+    out.push_back(&filter);
   }
-  return false;
+  return out;
 }
 
-bool Collection::PlanRangeConjunction(const std::vector<Filter>& conjuncts,
-                                      std::vector<DocId>* candidates,
-                                      std::string* plan) const {
+/// Advances `*pos` to the first element of the sorted `list` not below
+/// `id` (exponential, then binary search) and reports whether it is
+/// `id`.  Probing ascending ids this way costs O(log gap) per probe.
+bool GallopTo(const std::vector<DocId>& list, size_t* pos, DocId id) {
+  size_t lo = *pos;
+  size_t hi = lo;
+  for (size_t step = 1; hi < list.size() && list[hi] < id; step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  const size_t end = std::min(hi + 1, list.size());
+  *pos = static_cast<size_t>(
+      std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(lo),
+                       list.begin() + static_cast<std::ptrdiff_t>(end), id) -
+      list.begin());
+  return *pos < list.size() && list[*pos] == id;
+}
+
+}  // namespace
+
+/// One index-assisted conjunct: sorted posting lists (a document
+/// qualifies when it is in any of them), a B+-tree interval, or a geo
+/// cover.  Posting lists are probed in place; an interval or a cover is
+/// materialised only when it drives the plan.
+struct Collection::AccessPath {
+  enum class Kind { kPostings, kInterval, kGeo };
+  Kind kind = Kind::kPostings;
+  std::string label;  ///< e.g. "multikey:properties.labels"
+  size_t estimate = 0;  ///< count-only upper bound on the ids it yields
+  bool by_histogram = false;  ///< the estimate is the path's histogram's
+  std::vector<const std::vector<DocId>*> lists;  ///< kPostings
+  const RangeIndex* range = nullptr;             ///< kInterval
+  Interval interval;
+  const GeoIndex* geo = nullptr;  ///< kGeo
+  geo::BoundingBox box;
+};
+
+std::vector<Collection::AccessPath> Collection::AccessPaths(
+    const Filter& filter) const {
+  const std::vector<const Filter*> conjuncts = Conjuncts(filter);
+  std::vector<AccessPath> paths;
+  const auto postings = [&paths](const std::string& label,
+                                 std::vector<const std::vector<DocId>*> lists) {
+    AccessPath path;
+    path.label = label;
+    for (const auto* list : lists) {
+      if (list == nullptr) continue;
+      path.estimate += list->size();
+      path.lists.push_back(list);
+    }
+    paths.push_back(std::move(path));
+  };
+  const auto hash_on = [this](const std::string& p) -> const HashIndex* {
+    for (const auto& idx : hash_indexes_) {
+      if (idx->path() == p) return idx.get();
+    }
+    return nullptr;
+  };
+  const auto multikey_on = [this](const std::string& p) -> const MultikeyIndex* {
+    for (const auto& idx : multikey_indexes_) {
+      if (idx->path() == p) return idx.get();
+    }
+    return nullptr;
+  };
+  for (const Filter* leaf : conjuncts) {
+    switch (leaf->op()) {
+      case Filter::Op::kEq: {
+        if (const HashIndex* hash = hash_on(leaf->path())) {
+          postings("hash:" + hash->path(), {hash->Lookup(leaf->values()[0])});
+        } else if (const MultikeyIndex* mk = multikey_on(leaf->path())) {
+          postings("multikey:" + mk->path(), {mk->Lookup(leaf->values()[0])});
+        }
+        break;  // an Eq on a range path joins that path's interval
+      }
+      case Filter::Op::kIn:
+        if (const MultikeyIndex* mk = multikey_on(leaf->path())) {
+          std::vector<const std::vector<DocId>*> lists;
+          for (const Value& v : leaf->values()) lists.push_back(mk->Lookup(v));
+          postings("multikey:" + mk->path(), std::move(lists));
+        }
+        break;
+      case Filter::Op::kAll:
+        // One term per element: the intersection is what the probes do.
+        // An empty All matches every array, so it constrains nothing.
+        if (const MultikeyIndex* mk = multikey_on(leaf->path())) {
+          for (const Value& v : leaf->values()) {
+            postings("multikey:" + mk->path(), {mk->Lookup(v)});
+          }
+        }
+        break;
+      case Filter::Op::kGeoIntersects:
+      case Filter::Op::kGeoWithinCircle:
+      case Filter::Op::kGeoWithinPolygon:
+        for (const auto& idx : geo_indexes_) {
+          if (idx->path() != leaf->path()) continue;
+          AccessPath path;
+          path.kind = AccessPath::Kind::kGeo;
+          path.label = "geo:" + idx->path();
+          path.geo = idx.get();
+          path.box = leaf->op() == Filter::Op::kGeoIntersects ? leaf->box()
+                     : leaf->op() == Filter::Op::kGeoWithinCircle
+                         ? leaf->circle().Bounds()
+                         : leaf->polygon().Bounds();
+          path.estimate = idx->CountCandidates(path.box);
+          paths.push_back(std::move(path));
+          break;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  // Every range conjunct on a range-indexed path folds into one interval
+  // per path; a one-sided bound is never scanned alone.
   for (const auto& idx : range_indexes_) {
-    // Tightest interval implied by the conjuncts on this path.
-    const Value* lower = nullptr;
-    const Value* upper = nullptr;
-    bool lower_inc = true, upper_inc = true;
-    size_t bounds = 0;
-    for (const Filter& child : conjuncts) {
-      if (child.path() != idx->path()) continue;
-      switch (child.op()) {
-        case Filter::Op::kEq:
-          lower = upper = &child.values()[0];
-          lower_inc = upper_inc = true;
-          ++bounds;
-          break;
-        case Filter::Op::kGt:
-        case Filter::Op::kGte: {
-          const Value& b = child.values()[0];
-          const bool inc = child.op() == Filter::Op::kGte;
-          if (lower == nullptr || b.Compare(*lower) > 0 ||
-              (b.Compare(*lower) == 0 && !inc)) {
-            lower = &b;
-            lower_inc = inc;
-          }
-          ++bounds;
-          break;
-        }
-        case Filter::Op::kLt:
-        case Filter::Op::kLte: {
-          const Value& b = child.values()[0];
-          const bool inc = child.op() == Filter::Op::kLte;
-          if (upper == nullptr || b.Compare(*upper) < 0 ||
-              (b.Compare(*upper) == 0 && !inc)) {
-            upper = &b;
-            upper_inc = inc;
-          }
-          ++bounds;
-          break;
-        }
-        default:
-          break;
+    AccessPath path;
+    path.interval = MergeBounds(conjuncts, idx->path());
+    if (path.interval.bounds == 0) continue;
+    path.kind = AccessPath::Kind::kInterval;
+    path.label = "range:" + idx->path();
+    path.range = idx.get();
+    path.estimate = EstimateInterval(*idx, HistogramFor(idx->path()),
+                                     path.interval, &path.by_histogram);
+    paths.push_back(std::move(path));
+  }
+  return paths;
+}
+
+void Collection::Execute(const Filter& filter, size_t limit,
+                         QueryStats* stats, std::vector<DocId>* ids,
+                         std::vector<const Document*>* docs) const {
+  QueryStats local;
+  size_t matches = 0;
+  // True once `limit` matches are in.
+  const auto check = [&](DocId id, const Document& doc) {
+    ++local.docs_examined;
+    if (!filter.Matches(doc)) return false;
+    if (ids != nullptr) ids->push_back(id);
+    if (docs != nullptr) docs->push_back(&doc);
+    ++matches;
+    return limit != 0 && matches >= limit;
+  };
+
+  std::vector<AccessPath> paths = AccessPaths(filter);
+  if (paths.empty()) {
+    local.plan = "COLLSCAN";
+    for (const auto& [id, doc] : docs_) {
+      if (check(id, doc)) break;
+    }
+    if (stats != nullptr) *stats = std::move(local);
+    return;
+  }
+
+  // The smallest estimate drives the plan.  Its ids are the only list
+  // walked; every other posting list is probed in place, and the other
+  // intervals and covers are left to the per-document check.
+  std::stable_sort(paths.begin(), paths.end(),
+                   [](const AccessPath& a, const AccessPath& b) {
+                     return a.estimate < b.estimate;
+                   });
+  const AccessPath& lead = paths.front();
+  std::vector<DocId> owned;
+  const std::vector<DocId>* driver = &owned;
+  switch (lead.kind) {
+    case AccessPath::Kind::kPostings:
+      if (lead.lists.size() == 1) {
+        driver = lead.lists[0];
+        break;
+      }
+      for (const auto* list : lead.lists) {
+        std::vector<DocId> merged;
+        merged.reserve(owned.size() + list->size());
+        std::set_union(owned.begin(), owned.end(), list->begin(), list->end(),
+                       std::back_inserter(merged));
+        owned = std::move(merged);
+      }
+      break;
+    case AccessPath::Kind::kInterval:
+      owned = lead.range->Scan(
+          lead.interval.lower, lead.interval.lower_inclusive,
+          lead.interval.upper, lead.interval.upper_inclusive);
+      break;
+    case AccessPath::Kind::kGeo:
+      owned = lead.geo->Candidates(lead.box);
+      break;
+  }
+  local.index_candidates = driver->size();
+
+  struct Probe {
+    const AccessPath* path;
+    std::vector<size_t> pos;  ///< one cursor per posting list
+  };
+  std::vector<Probe> probes;
+  std::vector<const std::string*> used = {&lead.label};
+  for (size_t i = 1; i < paths.size(); ++i) {
+    if (paths[i].kind != AccessPath::Kind::kPostings) continue;
+    probes.push_back({&paths[i], std::vector<size_t>(paths[i].lists.size())});
+    if (std::none_of(used.begin(), used.end(), [&](const std::string* l) {
+          return *l == paths[i].label;
+        })) {
+      used.push_back(&paths[i].label);
+    }
+  }
+  local.plan = used.size() == 1 ? "IXSCAN(" : "IXAND(";
+  for (size_t i = 0; i < used.size(); ++i) {
+    if (i > 0) local.plan += ", ";
+    local.plan += *used[i];
+  }
+  local.plan += ")";
+
+  for (DocId id : *driver) {
+    bool in_all = true;
+    for (Probe& probe : probes) {
+      bool in_any = false;
+      for (size_t l = 0; l < probe.pos.size() && !in_any; ++l) {
+        in_any = GallopTo(*probe.path->lists[l], &probe.pos[l], id);
+      }
+      if (!in_any) {
+        in_all = false;
+        break;
       }
     }
-    if (bounds == 0) continue;
-    *candidates = idx->Scan(lower, lower_inc, upper, upper_inc);
-    *plan = "IXSCAN(range:" + idx->path() + ")";
-    return true;
+    if (!in_all) continue;
+    auto it = docs_.find(id);
+    if (it == docs_.end()) continue;
+    if (check(id, it->second)) break;
   }
-  return false;
+  if (stats != nullptr) *stats = std::move(local);
 }
 
 std::vector<DocId> Collection::FindIds(const Filter& filter, size_t limit,
                                        QueryStats* stats) const {
-  QueryStats local;
   std::vector<DocId> out;
-
-  std::vector<DocId> candidates;
-  if (PlanCandidates(filter, &candidates, &local.plan)) {
-    local.index_candidates = candidates.size();
-    for (DocId id : candidates) {
-      auto it = docs_.find(id);
-      if (it == docs_.end()) continue;
-      ++local.docs_examined;
-      if (filter.Matches(it->second)) {
-        out.push_back(id);
-        if (limit != 0 && out.size() >= limit) break;
-      }
-    }
-  } else {
-    local.plan = "COLLSCAN";
-    for (const auto& [id, doc] : docs_) {
-      ++local.docs_examined;
-      if (filter.Matches(doc)) {
-        out.push_back(id);
-        if (limit != 0 && out.size() >= limit) break;
-      }
-    }
-  }
-  if (stats != nullptr) *stats = std::move(local);
+  Execute(filter, limit, stats, &out, nullptr);
   return out;
 }
 
@@ -303,9 +397,7 @@ std::vector<const Document*> Collection::Find(const Filter& filter,
                                               size_t limit,
                                               QueryStats* stats) const {
   std::vector<const Document*> out;
-  for (DocId id : FindIds(filter, limit, stats)) {
-    out.push_back(&docs_.at(id));
-  }
+  Execute(filter, limit, stats, nullptr, &out);
   return out;
 }
 
@@ -356,222 +448,25 @@ void Collection::UpdateHistograms(const Document& doc, bool add) {
   }
 }
 
-bool Collection::EstimateLeaf(const Filter& leaf, size_t* estimate,
-                              std::string* plan) const {
-  switch (leaf.op()) {
-    case Filter::Op::kEq: {
-      for (const auto& idx : hash_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountOf(leaf.values()[0]);
-        *plan = "IXSCAN(hash:" + idx->path() + ")";
-        return true;
-      }
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountOf(leaf.values()[0]);
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      for (const auto& idx : range_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const auto* list = idx->Lookup(leaf.values()[0]);
-        *estimate = list != nullptr ? list->size() : 0;
-        *plan = "IXSCAN(range:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGt:
-    case Filter::Op::kGte:
-    case Filter::Op::kLt:
-    case Filter::Op::kLte: {
-      const Value& bound = leaf.values()[0];
-      const bool is_lower =
-          leaf.op() == Filter::Op::kGt || leaf.op() == Filter::Op::kGte;
-      const FieldHistogram* hist = HistogramFor(leaf.path());
-      // The histogram only answers when it covers EVERY index entry on
-      // the path: numeric bounds compare against string entries too
-      // (Value's type order), so a numeric-only estimate could
-      // undercount — breaking the documented upper bound.
-      if (hist != nullptr && hist->total() > 0 && hist->numeric_only() &&
-          bound.is_number()) {
-        *estimate = is_lower
-                        ? hist->EstimateRange(bound.as_number(), std::nullopt)
-                        : hist->EstimateRange(std::nullopt, bound.as_number());
-        *plan = "HISTOGRAM(" + leaf.path() + ")";
-        return true;
-      }
-      for (const auto& idx : range_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        const bool inclusive =
-            leaf.op() == Filter::Op::kGte || leaf.op() == Filter::Op::kLte;
-        *estimate = is_lower
-                        ? idx->CountInRange(&bound, inclusive, nullptr, false)
-                        : idx->CountInRange(nullptr, false, &bound, inclusive);
-        *plan = "IXSCAN(range:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kIn: {
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountAny(leaf.values());
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kAll: {
-      for (const auto& idx : multikey_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountAll(leaf.values());
-        *plan = "IXSCAN(multikey:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoIntersects: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountCandidates(leaf.box());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoWithinCircle: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountCandidates(leaf.circle().Bounds());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    case Filter::Op::kGeoWithinPolygon: {
-      for (const auto& idx : geo_indexes_) {
-        if (idx->path() != leaf.path()) continue;
-        *estimate = idx->CountCandidates(leaf.polygon().Bounds());
-        *plan = "IXSCAN(geo:" + idx->path() + ")";
-        return true;
-      }
-      return false;
-    }
-    default:
-      return false;
-  }
-}
-
-bool Collection::EstimateRangeConjunction(const std::vector<Filter>& conjuncts,
-                                          size_t* estimate,
-                                          std::string* plan) const {
-  for (const auto& idx : range_indexes_) {
-    // Tightest interval implied by the conjuncts on this path (mirrors
-    // PlanRangeConjunction, but estimates the interval cardinality from
-    // the path's histogram instead of scanning the tree).
-    const Value* lower = nullptr;
-    const Value* upper = nullptr;
-    bool lower_inc = true, upper_inc = true;
-    size_t bounds = 0;
-    for (const Filter& child : conjuncts) {
-      if (child.path() != idx->path()) continue;
-      switch (child.op()) {
-        case Filter::Op::kEq:
-          lower = upper = &child.values()[0];
-          lower_inc = upper_inc = true;
-          ++bounds;
-          break;
-        case Filter::Op::kGt:
-        case Filter::Op::kGte: {
-          const Value& b = child.values()[0];
-          const bool inc = child.op() == Filter::Op::kGte;
-          if (lower == nullptr || b.Compare(*lower) > 0 ||
-              (b.Compare(*lower) == 0 && !inc)) {
-            lower = &b;
-            lower_inc = inc;
-          }
-          ++bounds;
-          break;
-        }
-        case Filter::Op::kLt:
-        case Filter::Op::kLte: {
-          const Value& b = child.values()[0];
-          const bool inc = child.op() == Filter::Op::kLte;
-          if (upper == nullptr || b.Compare(*upper) < 0 ||
-              (b.Compare(*upper) == 0 && !inc)) {
-            upper = &b;
-            upper_inc = inc;
-          }
-          ++bounds;
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    if (bounds == 0) continue;
-    const FieldHistogram* hist = HistogramFor(idx->path());
-    const bool numeric_bounds = (lower == nullptr || lower->is_number()) &&
-                                (upper == nullptr || upper->is_number());
-    if (hist != nullptr && hist->total() > 0 && hist->numeric_only() &&
-        numeric_bounds) {
-      *estimate = hist->EstimateRange(
-          lower != nullptr ? std::optional<double>(lower->as_number())
-                           : std::nullopt,
-          upper != nullptr ? std::optional<double>(upper->as_number())
-                           : std::nullopt);
-      *plan = "HISTOGRAM(" + idx->path() + ")";
-    } else {
-      *estimate = idx->CountInRange(lower, lower_inc, upper, upper_inc);
-      *plan = "IXSCAN(range:" + idx->path() + ")";
-    }
-    return true;
-  }
-  return false;
-}
-
 size_t Collection::EstimateMatches(const Filter& filter,
                                    std::string* plan) const {
-  size_t estimate = 0;
-  std::string chosen;
-  bool found = EstimateLeaf(filter, &estimate, &chosen);
-  if (!found && filter.op() == Filter::Op::kAnd) {
-    // A conjunction matches at most its most selective estimable
-    // conjunct; an estimate of zero is an early exit (the intersection
-    // cannot grow).
-    for (const Filter& child : filter.children()) {
-      size_t child_estimate = 0;
-      std::string child_plan;
-      if (!EstimateLeaf(child, &child_estimate, &child_plan)) continue;
-      if (!found || child_estimate < estimate) {
-        estimate = child_estimate;
-        chosen = std::move(child_plan);
-        found = true;
-      }
-      if (found && estimate == 0) break;
-    }
-    // A combined interval over several range conjuncts on one path can
-    // beat any single conjunct (e.g. date >= a AND date <= b).
-    size_t range_estimate = 0;
-    std::string range_plan;
-    if ((!found || estimate > 0) &&
-        EstimateRangeConjunction(filter.children(), &range_estimate,
-                                 &range_plan) &&
-        (!found || range_estimate < estimate)) {
-      estimate = range_estimate;
-      chosen = std::move(range_plan);
-      found = true;
-    }
-  }
-  if (!found) {
+  const std::vector<AccessPath> paths = AccessPaths(filter);
+  if (paths.empty()) {
     if (plan != nullptr) *plan = "COLLSCAN";
     return docs_.size();
   }
-  if (plan != nullptr) *plan = std::move(chosen);
+  // A conjunction matches at most its most selective access path.
+  const AccessPath& best = *std::min_element(
+      paths.begin(), paths.end(), [](const AccessPath& a, const AccessPath& b) {
+        return a.estimate < b.estimate;
+      });
+  if (plan != nullptr) {
+    *plan = best.by_histogram ? "HISTOGRAM(" + best.range->path() + ")"
+                              : "IXSCAN(" + best.label + ")";
+  }
   // Count-based estimates (multikey sums, geo cell sums, histogram edge
   // buckets) can exceed the collection; the true match count cannot.
-  return std::min(estimate, docs_.size());
+  return std::min(best.estimate, docs_.size());
 }
 
 std::map<std::string, size_t> Collection::CountByArrayField(

@@ -17,19 +17,28 @@ namespace agoraeo::docstore {
 /// Execution trace of one query; lets tests and benchmarks verify which
 /// plan was chosen (index scan vs. collection scan) and its work.
 struct QueryStats {
-  size_t docs_examined = 0;    ///< documents run through the filter
-  size_t index_candidates = 0; ///< candidate ids produced by the index
-  std::string plan = "COLLSCAN";  ///< "COLLSCAN" or "IXSCAN(<index path>)"
+  /// Documents given the per-document filter check: every document for
+  /// a COLLSCAN, else the driving ids that every probed posting list
+  /// also holds.
+  size_t docs_examined = 0;
+  size_t index_candidates = 0;  ///< ids of the driving access path
+  /// "COLLSCAN", "IXSCAN(<index>)" when one index serves the plan, or
+  /// "IXAND(<driver>, <probed>...)", e.g.
+  /// "IXAND(range:properties.date_ordinal, multikey:properties.labels)".
+  std::string plan = "COLLSCAN";
 };
 
 /// A named set of documents with secondary indexes and a small query
 /// planner — the collection abstraction EarthQube's MongoDB data tier
 /// provides (metadata, image data, rendered images, feedback).
 ///
-/// The planner chooses, among applicable indexes for a filter's top-level
-/// conjuncts, the access path with the fewest candidates, then re-verifies
-/// candidates against the complete filter (indexes never return false
-/// positives to callers).
+/// The planner turns a filter's top-level conjuncts into access paths:
+/// hash and multikey posting lists, one merged B+-tree interval per
+/// range-indexed path, and geo covers.  The path with the smallest
+/// count-only estimate drives: its sorted ids are walked, every other
+/// posting list is probed in place by galloping search, and only ids
+/// that pass the probes are checked against the complete filter
+/// (indexes never return false positives to callers).
 class Collection {
  public:
   explicit Collection(std::string name) : name_(std::move(name)) {}
@@ -69,12 +78,11 @@ class Collection {
   size_t Count(const Filter& filter, QueryStats* stats = nullptr) const;
 
   /// Cheap upper-bound estimate of how many documents match `filter`,
-  /// the collection size when no index or histogram applies.  Purely
-  /// count-based: posting-list lengths, geo cell sums and the per-field
-  /// equi-width histograms — no candidate id vector is ever materialised
-  /// (the old implementation paid a full candidate enumeration on some
-  /// filter shapes), and a conjunction short-circuits as soon as one
-  /// conjunct estimates zero.  Query planners use this to gauge filter
+  /// the collection size when no index or histogram applies: the
+  /// smallest count-only estimate among the planner's access paths
+  /// (posting-list lengths, geo cell sums, the per-field equi-width
+  /// histograms or B+-tree interval counts), so no candidate id vector
+  /// is ever materialised.  Query planners use this to gauge filter
   /// selectivity without paying for the full query.  `plan` (optional)
   /// receives the access path the estimate came from ("IXSCAN(...)",
   /// "HISTOGRAM(<path>)" or "COLLSCAN").
@@ -118,28 +126,15 @@ class Collection {
   std::vector<IndexSpec> IndexSpecs() const;
 
  private:
-  /// The index-assisted candidate set for `filter`, or nullopt when no
-  /// index applies.  Candidates are a superset of matches.
-  bool PlanCandidates(const Filter& filter, std::vector<DocId>* candidates,
-                      std::string* plan) const;
-  bool PlanLeaf(const Filter& leaf, std::vector<DocId>* candidates,
-                std::string* plan) const;
-  /// Combines every Gt/Gte/Lt/Lte/Eq conjunct on a range-indexed path
-  /// into a single interval scan (e.g. date >= a AND date <= b becomes
-  /// one bounded B+-tree scan).  False when no range index applies.
-  bool PlanRangeConjunction(const std::vector<Filter>& conjuncts,
-                            std::vector<DocId>* candidates,
-                            std::string* plan) const;
-
-  /// Count-only estimate for one indexable leaf; false when no index or
-  /// histogram applies.
-  bool EstimateLeaf(const Filter& leaf, size_t* estimate,
-                    std::string* plan) const;
-  /// Count-only analogue of PlanRangeConjunction: estimates the tightest
-  /// interval implied by range conjuncts via the path's histogram (or
-  /// the B+-tree's interval count for non-numeric keys).
-  bool EstimateRangeConjunction(const std::vector<Filter>& conjuncts,
-                                size_t* estimate, std::string* plan) const;
+  struct AccessPath;
+  /// The index-assisted access paths for `filter`'s conjuncts, empty
+  /// when no index applies.
+  std::vector<AccessPath> AccessPaths(const Filter& filter) const;
+  /// Runs the plan for `filter`, appending each match's id to `ids` and
+  /// its document to `docs` (either may be null), in DocId order.
+  void Execute(const Filter& filter, size_t limit, QueryStats* stats,
+               std::vector<DocId>* ids,
+               std::vector<const Document*>* docs) const;
 
   /// Adds (or removes) one document's numeric values to the per-field
   /// histograms of every range-indexed path.

@@ -10,16 +10,6 @@ void RemoveFromPostingList(std::vector<DocId>* list, DocId id) {
   list->erase(std::remove(list->begin(), list->end(), id), list->end());
 }
 
-/// Intersects two sorted posting lists.
-std::vector<DocId> IntersectSorted(const std::vector<DocId>& a,
-                                   const std::vector<DocId>& b) {
-  std::vector<DocId> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -92,59 +82,6 @@ void MultikeyIndex::Remove(DocId id, const Document& doc) {
 const std::vector<DocId>* MultikeyIndex::Lookup(const Value& element) const {
   auto it = map_.find(element.IndexKey());
   return it == map_.end() ? nullptr : &it->second;
-}
-
-std::vector<DocId> MultikeyIndex::LookupAll(
-    const std::vector<Value>& elements) const {
-  if (elements.empty()) return {};
-  // Fetch all posting lists; any missing one empties the intersection.
-  std::vector<const std::vector<DocId>*> lists;
-  lists.reserve(elements.size());
-  for (const Value& e : elements) {
-    const auto* list = Lookup(e);
-    if (list == nullptr) return {};
-    lists.push_back(list);
-  }
-  // Intersect starting from the smallest list.
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<DocId> result = *lists[0];
-  for (size_t i = 1; i < lists.size() && !result.empty(); ++i) {
-    result = IntersectSorted(result, *lists[i]);
-  }
-  return result;
-}
-
-size_t MultikeyIndex::CountAny(const std::vector<Value>& elements) const {
-  size_t sum = 0;
-  for (const Value& e : elements) sum += CountOf(e);
-  return sum;
-}
-
-size_t MultikeyIndex::CountAll(const std::vector<Value>& elements) const {
-  if (elements.empty()) return 0;
-  size_t best = SIZE_MAX;
-  for (const Value& e : elements) {
-    const size_t count = CountOf(e);
-    if (count == 0) return 0;  // any absent element empties the intersection
-    best = std::min(best, count);
-  }
-  return best;
-}
-
-std::vector<DocId> MultikeyIndex::LookupAny(
-    const std::vector<Value>& elements) const {
-  std::vector<DocId> result;
-  for (const Value& e : elements) {
-    const auto* list = Lookup(e);
-    if (list == nullptr) continue;
-    std::vector<DocId> merged;
-    merged.reserve(result.size() + list->size());
-    std::set_union(result.begin(), result.end(), list->begin(), list->end(),
-                   std::back_inserter(merged));
-    result = std::move(merged);
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,13 +31,6 @@ class HashIndex {
   /// Posting list for a key (nullptr when absent).
   const std::vector<DocId>* Lookup(const Value& v) const;
 
-  /// Posting-list length for a key (0 when absent) — the O(1) count the
-  /// planner's cardinality estimator uses without materialising ids.
-  size_t CountOf(const Value& v) const {
-    const auto* list = Lookup(v);
-    return list == nullptr ? 0 : list->size();
-  }
-
   const std::string& path() const { return path_; }
   bool unique() const { return unique_; }
   size_t num_keys() const { return map_.size(); }
@@ -60,27 +53,6 @@ class MultikeyIndex {
 
   /// Posting list of documents whose array contains `element`.
   const std::vector<DocId>* Lookup(const Value& element) const;
-
-  /// Documents containing every element (posting-list intersection,
-  /// smallest list first).
-  std::vector<DocId> LookupAll(const std::vector<Value>& elements) const;
-
-  /// Documents containing any element (posting-list union).
-  std::vector<DocId> LookupAny(const std::vector<Value>& elements) const;
-
-  // --- count-only estimators (no posting-list materialisation) ----------
-
-  /// Posting-list length of one element (0 when absent).
-  size_t CountOf(const Value& element) const {
-    const auto* list = Lookup(element);
-    return list == nullptr ? 0 : list->size();
-  }
-  /// Upper bound on |LookupAny(elements)|: the sum of posting-list
-  /// lengths (skips the union merge).
-  size_t CountAny(const std::vector<Value>& elements) const;
-  /// Upper bound on |LookupAll(elements)|: the shortest posting-list
-  /// length (skips the intersections; 0 when any element is absent).
-  size_t CountAll(const std::vector<Value>& elements) const;
 
   const std::string& path() const { return path_; }
   size_t num_keys() const { return map_.size(); }
@@ -105,14 +77,9 @@ class RangeIndex {
   void Remove(DocId id, const Document& doc);
 
   /// Ids of documents whose key lies in the interval; null bounds are
-  /// unbounded.  Ascending key order.
+  /// unbounded.  Sorted by DocId and de-duplicated.
   std::vector<DocId> Scan(const Value* lower, bool lower_inclusive,
                           const Value* upper, bool upper_inclusive) const;
-
-  /// Posting list for an exact key (nullptr when absent).
-  const std::vector<DocId>* Lookup(const Value& v) const {
-    return tree_.Find(v);
-  }
 
   /// Upper bound on |Scan(...)|: sums posting-list lengths over the
   /// interval without materialising or de-duplicating ids.  O(keys in

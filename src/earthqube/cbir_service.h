@@ -139,7 +139,7 @@ class CbirService {
       : CbirService(std::move(model), extractor,
                     LegacyConfig(index_kind, query_threads)) {}
 
-  /// Restores the index from config().snapshot_dir — per-shard
+  /// Restores the index from the configured snapshot_dir — per-shard
   /// snapshots first, then WAL catch-up — and opens the WAL so
   /// subsequent ingest is logged.  Boot sequence:
   ///   1. Read every shard's snapshot.  A corrupt file (CRC mismatch,
@@ -258,7 +258,6 @@ class CbirService {
   const index::SegmentedHammingIndex* segmented_index() const {
     return segmented_;
   }
-  const CbirConfig& config() const { return config_; }
   const CbirPersistenceStats& persistence_stats() const { return pstats_; }
   /// Bytes appended to the index WAL since it was opened (0 without
   /// persistence) — the WAL-volume metric.

@@ -26,6 +26,26 @@ namespace {
 /// cells, matching the ~1.2 km patches and typical query extents).
 constexpr int kGeoIndexPrecision = 5;
 
+/// Adds one metadata document's labels, read from its stored labels_key,
+/// to `counts` — each label once, as a LabelSet holds it.
+Status CountLabels(const Document& doc, LabelStatistics::LabelCounts* counts) {
+  const Value* key = doc.GetPath(kFieldLabelsKey);
+  if (key == nullptr || !key->is_string()) {
+    return Status::Corruption("metadata document missing labels_key");
+  }
+  static_assert(bigearthnet::kNumLabels <= 64, "label mask is one word");
+  uint64_t seen = 0;
+  for (char c : key->as_string()) {
+    AGORAEO_ASSIGN_OR_RETURN(bigearthnet::LabelId id,
+                             bigearthnet::LabelIdFromAsciiKey(c));
+    const uint64_t bit = uint64_t{1} << id;
+    if ((seen & bit) != 0) continue;
+    seen |= bit;
+    ++(*counts)[static_cast<size_t>(id)];
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 EarthQube::EarthQube(EarthQubeConfig config)
@@ -186,6 +206,9 @@ Status EarthQube::IngestArchive(const bigearthnet::Archive& archive) {
     // query panel's date subsection) plan an interval scan instead of a
     // collection scan.
     AGORAEO_RETURN_IF_ERROR(metadata_->CreateRangeIndex(kFieldDateOrdinal));
+    // The panel's season subsection filters with In over this scalar
+    // field; a multikey index gives it a posting list per season.
+    AGORAEO_RETURN_IF_ERROR(metadata_->CreateMultikeyIndex(kFieldSeason));
   }
   for (const auto& meta : archive.patches) {
     auto inserted = metadata_->Insert(
@@ -310,17 +333,27 @@ StatusOr<QueryResponse> EarthQube::ExecutePanelOnly(
   const auto docs =
       metadata_->Find(filter, query.limit, &response.query_stats);
 
-  std::vector<ResultEntry> entries;
-  std::vector<LabelSet> label_sets;
-  entries.reserve(docs.size());
-  label_sets.reserve(docs.size());
+  // Label statistics cover every match and read only the stored label
+  // keys; result rows are built for the requested page alone (for every
+  // match when unpaged).
+  LabelStatistics::LabelCounts counts{};
   for (const Document* doc : docs) {
-    AGORAEO_ASSIGN_OR_RETURN(ResultEntry entry, EntryFromDocument(*doc));
-    label_sets.push_back(entry.labels);
-    entries.push_back(std::move(entry));
+    AGORAEO_RETURN_IF_ERROR(CountLabels(*doc, &counts));
   }
-  response.panel = ResultPanel(std::move(entries));
-  response.statistics = LabelStatistics::FromLabelSets(label_sets);
+  size_t begin = 0;
+  size_t end = docs.size();
+  if (request.page_size > 0) {
+    begin = std::min(docs.size(), request.page * request.page_size);
+    end = std::min(docs.size(), begin + request.page_size);
+  }
+  std::vector<ResultEntry> rows;
+  rows.reserve(end - begin);
+  for (size_t i = begin; i < end; ++i) {
+    AGORAEO_ASSIGN_OR_RETURN(ResultEntry entry, EntryFromDocument(*docs[i]));
+    rows.push_back(std::move(entry));
+  }
+  response.panel = ResultPanel(std::move(rows), begin, docs.size());
+  response.statistics = LabelStatistics::FromCounts(counts, docs.size());
   response.plan.strategy = QueryPlan::Strategy::kPanelOnly;
   response.plan.description = response.query_stats.plan;
   FinishPaging(request, &response);

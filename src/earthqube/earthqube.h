@@ -228,6 +228,9 @@ class EarthQube {
                           const std::optional<std::string>& fingerprint,
                           const Status& status, uint64_t epoch_snapshot) const;
 
+  /// A panel query: one planner pass over the metadata, label
+  /// statistics over every match, and result rows for the requested
+  /// page only (every match when `page_size` is 0).
   StatusOr<QueryResponse> ExecutePanelOnly(const QueryRequest& request) const;
 
   // --- similarity execution: one path for CBIR-only and hybrid requests,

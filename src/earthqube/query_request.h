@@ -91,8 +91,9 @@ struct QueryPlan {
 
 const char* StrategyToString(QueryPlan::Strategy strategy);
 
-/// The unified response: the full materialised result (serialisation
-/// slices it to the requested page), the plan, and a continuation
+/// The unified response: the result (a panel query holds only the
+/// requested page's rows, other non-windowed responses the whole result
+/// that serialisation slices to the page), the plan, and a continuation
 /// cursor.
 struct QueryResponse {
   ResultPanel panel{std::vector<ResultEntry>{}};

@@ -1,5 +1,6 @@
 #include "earthqube/result_panel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -7,11 +8,10 @@ namespace agoraeo::earthqube {
 
 std::vector<const ResultEntry*> ResultPanel::Page(size_t page) const {
   std::vector<const ResultEntry*> out;
-  const size_t begin = page * kPageSize;
-  if (begin >= entries_.size()) return out;
-  const size_t end = std::min(entries_.size(), begin + kPageSize);
-  out.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) out.push_back(&entries_[i]);
+  const size_t begin = std::max(page * kPageSize, offset_);
+  const size_t end =
+      std::min((page + 1) * kPageSize, offset_ + entries_.size());
+  for (size_t i = begin; i < end; ++i) out.push_back(&entries_[i - offset_]);
   return out;
 }
 

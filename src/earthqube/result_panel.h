@@ -25,35 +25,52 @@ struct ResultEntry {
   geo::GeoPoint map_location;  ///< marker position (patch center)
 };
 
-/// Server-side model of the result panel (paper Section 3.1): the full
-/// list of matches with pagination, the download cart that can combine
+/// Server-side model of the result panel (paper Section 3.1): the list
+/// of matches with pagination, the download cart that can combine
 /// images from different searches, and the plain-text name export.
+///
+/// A panel holds either every row of its result or one window of it
+/// (a paged panel query builds only the requested page); `total()` is
+/// the exact match count either way, and the row accessors cover only
+/// the rows held.
 class ResultPanel {
  public:
+  /// A panel holding every row of its result.
   explicit ResultPanel(std::vector<ResultEntry> entries)
-      : entries_(std::move(entries)) {}
+      : entries_(std::move(entries)), total_(entries_.size()) {}
 
-  size_t total() const { return entries_.size(); }
-  size_t num_pages() const { return (entries_.size() + kPageSize - 1) / kPageSize; }
+  /// A panel holding rows [offset, offset + entries.size()) of a result
+  /// of `total` matches.
+  ResultPanel(std::vector<ResultEntry> entries, size_t offset, size_t total)
+      : entries_(std::move(entries)), offset_(offset), total_(total) {}
 
-  /// Entries of page `page` (0-based); empty past the end.
+  size_t total() const { return total_; }
+  size_t num_pages() const { return (total_ + kPageSize - 1) / kPageSize; }
+
+  /// Result position of the first held row.
+  size_t offset() const { return offset_; }
+
+  /// The held entries of page `page` (0-based); empty past the end.
   std::vector<const ResultEntry*> Page(size_t page) const;
 
-  /// The names of all retrieved images as a plain-text payload (one name
-  /// per line) — the "download names as text file" button.
+  /// The names of the held rows as a plain-text payload (one name per
+  /// line) — the "download names as text file" button.
   std::string NamesAsText() const;
 
   /// Whether the render-on-map toggle is allowed for this result size.
-  bool CanRenderOnMap() const { return entries_.size() <= kMaxRenderedImages; }
+  bool CanRenderOnMap() const { return total_ <= kMaxRenderedImages; }
 
+  /// The held rows, in result order.
   const std::vector<ResultEntry>& entries() const { return entries_; }
 
-  /// Finds an entry by patch name (nullptr when absent) — the pop-up
+  /// Finds a held entry by patch name (nullptr when absent) — the pop-up
   /// "locate in result panel" button.
   const ResultEntry* FindByName(const std::string& name) const;
 
  private:
   std::vector<ResultEntry> entries_;
+  size_t offset_ = 0;
+  size_t total_ = 0;
 };
 
 /// The download cart: images accumulated across searches, downloaded

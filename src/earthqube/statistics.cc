@@ -1,7 +1,6 @@
 #include "earthqube/statistics.h"
 
 #include <algorithm>
-#include <array>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -12,14 +11,10 @@ using bigearthnet::kNumLabels;
 using bigearthnet::LabelById;
 using bigearthnet::LabelId;
 
-LabelStatistics LabelStatistics::FromLabelSets(
-    const std::vector<bigearthnet::LabelSet>& retrievals) {
-  std::array<size_t, kNumLabels> counts{};
-  for (const auto& labels : retrievals) {
-    for (LabelId id : labels.ids()) ++counts[static_cast<size_t>(id)];
-  }
+LabelStatistics LabelStatistics::FromCounts(const LabelCounts& counts,
+                                            size_t num_images) {
   LabelStatistics stats;
-  stats.num_images_ = retrievals.size();
+  stats.num_images_ = num_images;
   for (LabelId id = 0; id < kNumLabels; ++id) {
     const size_t c = counts[static_cast<size_t>(id)];
     if (c == 0) continue;
@@ -33,6 +28,15 @@ LabelStatistics LabelStatistics::FromLabelSets(
               return a.label < b.label;
             });
   return stats;
+}
+
+LabelStatistics LabelStatistics::FromLabelSets(
+    const std::vector<bigearthnet::LabelSet>& retrievals) {
+  LabelCounts counts{};
+  for (const auto& labels : retrievals) {
+    for (LabelId id : labels.ids()) ++counts[static_cast<size_t>(id)];
+  }
+  return FromCounts(counts, retrievals.size());
 }
 
 size_t LabelStatistics::CountOf(LabelId id) const {

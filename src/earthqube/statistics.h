@@ -1,6 +1,7 @@
 #ifndef AGORAEO_EARTHQUBE_STATISTICS_H_
 #define AGORAEO_EARTHQUBE_STATISTICS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,6 +26,14 @@ struct LabelBar {
 /// EarthQube" per the paper.
 class LabelStatistics {
  public:
+  /// Occurrences per label, indexed by LabelId.
+  using LabelCounts = std::array<size_t, bigearthnet::kNumLabels>;
+
+  /// Builds statistics from per-label occurrence counts over
+  /// `num_images` retrieved images.
+  static LabelStatistics FromCounts(const LabelCounts& counts,
+                                    size_t num_images);
+
   /// Builds statistics from the label sets of retrieved images.
   static LabelStatistics FromLabelSets(
       const std::vector<bigearthnet::LabelSet>& retrievals);

@@ -489,10 +489,12 @@ std::string EarthQubeService::QueryResponseToJson(
     // Joined similarity responses keep entries aligned with hits, so
     // each result row can carry its Hamming distance.
     const bool aligned = response.hits.size() == entries.size();
+    // A paged panel holds only its page's rows, from offset() on.
+    const size_t offset = response.panel.offset();
     for (size_t i = begin; i < end; ++i) {
       if (!first) out += ",";
       first = false;
-      Document d = EntryToJsonDoc(entries[i]);
+      Document d = EntryToJsonDoc(entries[i - offset]);
       if (aligned && !response.hits.empty()) {
         d.Set("distance",
               Value(static_cast<int64_t>(response.hits[i].hamming_distance)));

@@ -811,6 +811,48 @@ TEST_F(MigrationTest, MigrationMovesSlotAndKeepsParity) {
   ASSERT_TRUE(at_target.ok());
   EXPECT_EQ(at_target->status_code, 200) << at_target->body;
 
+  // A paged panel at the source pages the rows left after dropping the
+  // tombstoned slot, exactly as its unpaged answer lists them.
+  const std::string panel =
+      R"("panel":{"labels":{"operator":"some",)"
+      R"("names":["Pastures","Water bodies"]}})";
+  const auto rows_of = [&](const std::string& body, size_t* total,
+                           std::string* cursor) {
+    auto resp = client.Post(n1.port(), "/api/v2/query", body);
+    EXPECT_TRUE(resp.ok());
+    std::vector<std::string> names;
+    if (!resp.ok()) return names;
+    EXPECT_EQ(resp->status_code, 200) << resp->body;
+    auto doc = json::ParseObject(resp->body);
+    EXPECT_TRUE(doc.ok()) << resp->body;
+    if (!doc.ok()) return names;
+    *total = static_cast<size_t>(doc->Get("total")->as_int64());
+    *cursor = doc->Get("cursor")->as_string();
+    for (const Value& row : doc->Get("results")->as_array()) {
+      names.push_back(row.as_document().Get("name")->as_string());
+    }
+    return names;
+  };
+  size_t unpaged_total = 0;
+  std::string no_cursor;
+  const std::vector<std::string> unpaged =
+      rows_of("{" + panel + R"(,"page_size":0})", &unpaged_total, &no_cursor);
+  ASSERT_FALSE(unpaged.empty());
+  EXPECT_EQ(unpaged_total, unpaged.size());
+  std::vector<std::string> paged;
+  for (size_t page = 0; page <= unpaged.size(); ++page) {
+    size_t total = 0;
+    std::string cursor;
+    const std::vector<std::string> rows = rows_of(
+        "{" + panel + R"(,"page":)" + std::to_string(page) +
+            R"(,"page_size":7})",
+        &total, &cursor);
+    EXPECT_EQ(total, unpaged_total) << "page " << page;
+    paged.insert(paged.end(), rows.begin(), rows.end());
+    if (cursor.empty()) break;
+  }
+  EXPECT_EQ(paged, unpaged);
+
   // Full parity after the move: the coordinator chases the 308 via the
   // epoch refresh and the merged answers still match the monolith.
   netsvc::HttpServer coordinator_server(2);

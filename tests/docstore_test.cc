@@ -429,7 +429,9 @@ TEST_F(PlannerTest, ConjunctionPicksCheapestIndex) {
       Filter::And({Filter::Eq("properties.labels", Value("A")),
                    Filter::Eq("name", Value("p7"))}),
       0, &stats);
-  EXPECT_EQ(stats.plan, "IXSCAN(hash:name)");
+  // The cheapest list drives; the label list is probed in place.
+  EXPECT_EQ(stats.plan, "IXAND(hash:name, multikey:properties.labels)");
+  EXPECT_EQ(stats.index_candidates, 1u);
   ASSERT_EQ(ids.size(), 1u);
 }
 
@@ -1391,6 +1393,166 @@ TEST_P(FilterAlgebraTest, PlannerAgreesWithCollectionScan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterAlgebraTest, ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------------
+// Conjunction planner parity: intersected posting lists vs brute force
+// ---------------------------------------------------------------------------
+
+class PlannerParityTest : public ::testing::TestWithParam<int> {};
+
+/// A leaf over the parity collection's fields: hash `bucket`, multikey
+/// `tags` and `season`, range `day`, geo `loc` and unindexed `color`.
+/// Some leaves name values no document holds, so empty results occur.
+Filter ParityLeaf(Rng* rng) {
+  const auto tag = [rng] {
+    // "t12" and "t13" are never stored.
+    return Value("t" + std::to_string(rng->UniformInt(14u)));
+  };
+  const auto day = [rng] {
+    return Value(static_cast<int64_t>(rng->UniformInt(380u)));
+  };
+  switch (rng->UniformInt(12u)) {
+    case 0:
+      return Filter::Eq("bucket",
+                        Value(static_cast<int64_t>(rng->UniformInt(220u))));
+    case 1:
+      return Filter::In("tags", {tag(), tag()});
+    case 2:
+      return Filter::All("tags", {tag(), tag()});
+    case 3:
+      return Filter::Eq("tags", tag());
+    case 4:
+      return Filter::Gte("day", day());
+    case 5:
+      return Filter::Lt("day", day());
+    case 6: {
+      const int64_t lo = rng->UniformInt(365u);
+      return Filter::And(
+          {Filter::Gte("day", Value(lo)),
+           Filter::Lte("day", Value(lo + rng->UniformInt(120u)))});
+    }
+    case 7:
+      return Filter::Eq("day", day());
+    case 8: {
+      const double lat = 40.0 + rng->Uniform(0.0, 2.0);
+      const double lon = -8.0 + rng->Uniform(0.0, 2.0);
+      return Filter::GeoIntersects(
+          "loc", {{lat, lon},
+                  {lat + rng->Uniform(0.05, 1.0), lon + rng->Uniform(0.05, 1.0)}});
+    }
+    case 9:
+      return Filter::Eq("color", Value(rng->Bernoulli(0.5) ? "red" : "blue"));
+    case 10:
+      return Filter::In("season", {Value(rng->Bernoulli(0.5) ? "Winter" : "Summer"),
+                                   Value("Spring")});
+    default:
+      return Filter::Eq("season", Value("Autumn"));
+  }
+}
+
+TEST_P(PlannerParityTest, FindIdsAndCountMatchBruteForce) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 5);
+  Collection coll("parity");
+  ASSERT_TRUE(coll.CreateHashIndex("bucket").ok());
+  ASSERT_TRUE(coll.CreateMultikeyIndex("tags").ok());
+  ASSERT_TRUE(coll.CreateMultikeyIndex("season").ok());
+  ASSERT_TRUE(coll.CreateRangeIndex("day").ok());
+  ASSERT_TRUE(coll.CreateGeoIndex("loc", 5).ok());
+  const char* seasons[] = {"Winter", "Spring", "Summer", "Autumn"};
+  for (int i = 0; i < 5000; ++i) {
+    Document d;
+    d.Set("bucket", Value(static_cast<int64_t>(rng.UniformInt(200u))));
+    std::vector<Value> tags;
+    for (int t = 0; t < 12; ++t) {
+      // Skewed vocabulary: t0 is on about half the documents, t11 on few.
+      if (rng.UniformInt(24u) < static_cast<uint32_t>(12 - t)) {
+        tags.emplace_back("t" + std::to_string(t));
+      }
+    }
+    d.Set("tags", Value(std::move(tags)));
+    d.Set("season", Value(seasons[rng.UniformInt(4u)]));
+    d.Set("day", Value(static_cast<int64_t>(rng.UniformInt(365u))));
+    const double lat = 40.0 + rng.Uniform(0.0, 3.0);
+    const double lon = -8.0 + rng.Uniform(0.0, 3.0);
+    Document loc;
+    loc.Set("min_lat", Value(lat));
+    loc.Set("min_lon", Value(lon));
+    loc.Set("max_lat", Value(lat + 0.01));
+    loc.Set("max_lon", Value(lon + 0.01));
+    d.Set("loc", Value(std::move(loc)));
+    d.Set("color", Value(rng.Bernoulli(0.3) ? "red" : "blue"));
+    ASSERT_TRUE(coll.Insert(std::move(d)).ok());
+  }
+  size_t empty_results = 0, multi_index_plans = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    std::vector<Filter> leaves;
+    const uint32_t width = 1 + rng.UniformInt(4u);
+    for (uint32_t i = 0; i < width; ++i) {
+      Filter leaf = ParityLeaf(&rng);
+      // Fold generated date windows into the top-level conjunction.
+      if (leaf.op() == Filter::Op::kAnd) {
+        for (const Filter& c : leaf.children()) leaves.push_back(c);
+      } else {
+        leaves.push_back(std::move(leaf));
+      }
+    }
+    const Filter filter =
+        leaves.size() == 1 ? leaves[0] : Filter::And(std::move(leaves));
+    std::vector<DocId> reference;
+    for (const auto& [id, doc] : coll.docs()) {
+      if (filter.Matches(doc)) reference.push_back(id);
+    }
+    if (reference.empty()) ++empty_results;
+    for (size_t limit : {size_t{0}, size_t{1}, size_t{7}}) {
+      QueryStats stats;
+      const std::vector<DocId> got = coll.FindIds(filter, limit, &stats);
+      std::vector<DocId> want = reference;
+      if (limit != 0 && want.size() > limit) want.resize(limit);
+      ASSERT_EQ(got, want) << filter.ToString() << " limit " << limit;
+      if (stats.plan != "COLLSCAN") {
+        EXPECT_LE(stats.docs_examined, stats.index_candidates)
+            << filter.ToString();
+      }
+      if (limit == 0 && stats.plan.rfind("IXAND(", 0) == 0) {
+        ++multi_index_plans;
+      }
+    }
+    QueryStats count_stats;
+    EXPECT_EQ(coll.Count(filter, &count_stats), reference.size())
+        << filter.ToString();
+  }
+  // The generator must reach both corners it exists for.
+  EXPECT_GT(empty_results, 0u);
+  EXPECT_GT(multi_index_plans, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlannerParityTest, ::testing::Values(1, 2, 3));
+
+TEST(PlannerProbeTest, PostingListsProbedInPlaceExamineOnlyMatches) {
+  // A two-sided date range plus a label: the interval drives (it is the
+  // smaller list) and the label list is probed, so every examined
+  // document matches.
+  Collection coll("metadata");
+  ASSERT_TRUE(coll.CreateMultikeyIndex("properties.labels").ok());
+  ASSERT_TRUE(coll.CreateRangeIndex("properties.date_ordinal").ok());
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<std::string> labels = {i % 4 == 0 ? "A" : "B"};
+    ASSERT_TRUE(coll.Insert(MakePatchDoc("p" + std::to_string(i), 40.0, -8.0,
+                                         labels, "Portugal", i))
+                    .ok());
+  }
+  QueryStats stats;
+  const auto ids = coll.FindIds(
+      Filter::And({Filter::Gte("properties.date_ordinal", Value(0)),
+                   Filter::Lte("properties.date_ordinal", Value(99)),
+                   Filter::Eq("properties.labels", Value("A"))}),
+      0, &stats);
+  EXPECT_EQ(ids.size(), 25u);
+  EXPECT_EQ(stats.plan,
+            "IXAND(range:properties.date_ordinal, multikey:properties.labels)");
+  EXPECT_EQ(stats.index_candidates, 100u);
+  EXPECT_EQ(stats.docs_examined, 25u);
+}
 
 // ---------------------------------------------------------------------------
 // Field histograms and the count-only cardinality estimator

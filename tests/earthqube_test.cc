@@ -16,6 +16,7 @@
 #include "earthqube/schema.h"
 #include "earthqube/statistics.h"
 #include "milan/trainer.h"
+#include "netsvc/earthqube_service.h"
 
 namespace agoraeo::earthqube {
 namespace {
@@ -227,6 +228,24 @@ TEST(ResultPanelTest, Pagination) {
   EXPECT_EQ(panel.Page(2).size(), 23u);
   EXPECT_TRUE(panel.Page(3).empty());
   EXPECT_EQ(panel.Page(1)[0]->name, "patch_50");
+}
+
+TEST(ResultPanelTest, WindowKeepsTotalAndPagesItsRows) {
+  // Rows [60, 67) of a 123-row result: the total and the page count
+  // stay the result's, and Page() returns only the held rows.
+  std::vector<ResultEntry> all = MakeEntries(123);
+  ResultPanel panel(std::vector<ResultEntry>(all.begin() + 60,
+                                             all.begin() + 67),
+                    60, 123);
+  EXPECT_EQ(panel.total(), 123u);
+  EXPECT_EQ(panel.num_pages(), 3u);
+  EXPECT_EQ(panel.offset(), 60u);
+  EXPECT_TRUE(panel.Page(0).empty());
+  ASSERT_EQ(panel.Page(1).size(), 7u);
+  EXPECT_EQ(panel.Page(1)[0]->name, "patch_60");
+  EXPECT_TRUE(panel.Page(2).empty());
+  EXPECT_TRUE(panel.CanRenderOnMap());
+  EXPECT_FALSE(ResultPanel({}, 0, 1001).CanRenderOnMap());
 }
 
 TEST(ResultPanelTest, NamesAsTextOnePerLine) {
@@ -445,6 +464,103 @@ TEST_F(EarthQubeTest, SeasonAndSatelliteAndDateFilters) {
     }
   }
   EXPECT_EQ(response->panel.total(), expected);
+}
+
+TEST_F(EarthQubeTest, PanelWindowsMatchBruteForceReference) {
+  // A paged panel builds only its page's rows; every page must still
+  // serialise exactly as a brute-force reference does: all matches in
+  // ingest order, label statistics over all of them, the v2 total and
+  // cursor, and the v1 /api/search pages.
+  using netsvc::EarthQubeService;
+  const auto& patches = archive_->patches;
+  const CivilDate first_day = archive_->config.dates.begin;
+  geo::BoundingBox everywhere = patches[0].bounds;
+  for (const auto& p : patches) {
+    everywhere.min.lat = std::min(everywhere.min.lat, p.bounds.min.lat);
+    everywhere.min.lon = std::min(everywhere.min.lon, p.bounds.min.lon);
+    everywhere.max.lat = std::max(everywhere.max.lat, p.bounds.max.lat);
+    everywhere.max.lon = std::max(everywhere.max.lon, p.bounds.max.lon);
+  }
+  const CivilDate mid = CivilDate::FromOrdinal(
+      (first_day.ToOrdinal() + archive_->config.dates.end.ToOrdinal()) / 2);
+
+  std::vector<std::pair<std::string, EarthQubeQuery>> shapes;
+  EarthQubeQuery q;
+  q.label_filter = LabelFilter::Some(LabelSet({2, 39}));
+  shapes.emplace_back("labels some", q);
+  q.label_filter = LabelFilter::AtLeastAndMore(LabelSet({2, 39}));
+  shapes.emplace_back("labels all", q);
+  q.label_filter = LabelFilter::Exactly(patches[0].labels);
+  shapes.emplace_back("labels exactly", q);
+  q = EarthQubeQuery();
+  q.geo = GeoQuery::Rect((*bigearthnet::CountryByName("Portugal"))->extent);
+  shapes.emplace_back("geo rectangle", q);
+  q = EarthQubeQuery();
+  q.date_range = DateRange{first_day, mid};
+  shapes.emplace_back("date range from the first day", q);
+  q = EarthQubeQuery();
+  q.seasons = {Season::kWinter};
+  shapes.emplace_back("season", q);
+  q.label_filter = LabelFilter::Some(patches[0].labels);
+  q.geo = GeoQuery::Rect(everywhere);
+  q.date_range = DateRange{first_day, std::max(mid, patches[0].acquisition_date)};
+  q.seasons = {patches[0].season, Season::kWinter};
+  shapes.emplace_back("combined", q);
+  q = EarthQubeQuery();
+  q.geo = GeoQuery::Rect({{-60.0, -170.0}, {-59.0, -169.0}});
+  shapes.emplace_back("empty", q);
+
+  for (const auto& [shape, query] : shapes) {
+    SCOPED_TRACE(shape);
+    const docstore::Filter filter = query.ToFilter();
+    std::vector<ResultEntry> all;
+    std::vector<LabelSet> label_sets;
+    for (const auto& p : patches) {
+      if (!filter.Matches(
+              MetadataToDocument(p, LabelEncoding::kAsciiCompressed))) {
+        continue;
+      }
+      all.push_back({p.name, p.labels, p.country,
+                     p.acquisition_date.ToString(), p.bounds.Center()});
+      label_sets.push_back(p.labels);
+    }
+    if (shape == "empty") {
+      EXPECT_TRUE(all.empty());
+    } else {
+      EXPECT_FALSE(all.empty());
+    }
+    for (size_t page_size : {size_t{0}, size_t{7}, size_t{50}}) {
+      const size_t pages =
+          page_size == 0 ? 1 : (all.size() + page_size - 1) / page_size + 1;
+      for (size_t page = 0; page < pages; ++page) {
+        QueryRequest request = PanelRequest(query);
+        request.page = page;
+        request.page_size = page_size;
+        auto got = system_->Execute(request);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        QueryResponse want;
+        want.panel = ResultPanel(all);
+        want.statistics = LabelStatistics::FromLabelSets(label_sets);
+        want.query_stats = got->query_stats;
+        want.plan = got->plan;
+        want.page = page;
+        want.page_size = page_size;
+        if (page_size > 0 && (page + 1) * page_size < all.size()) {
+          want.cursor = EncodeCursor({page + 1, page_size, ""});
+        }
+        EXPECT_EQ(got->panel.total(), all.size());
+        ASSERT_EQ(EarthQubeService::QueryResponseToJson(*got),
+                  EarthQubeService::QueryResponseToJson(want))
+            << "page " << page << " of size " << page_size;
+        if (page_size != 0) continue;
+        // v1 /api/search executes unpaged and pages by kPageSize itself.
+        for (size_t v1 = 0; v1 <= all.size() / kPageSize; ++v1) {
+          EXPECT_EQ(EarthQubeService::ResponseToJson(*got, v1),
+                    EarthQubeService::ResponseToJson(want, v1));
+        }
+      }
+    }
+  }
 }
 
 TEST_F(EarthQubeTest, SimilarByNameExcludesSelfAndSorts) {
