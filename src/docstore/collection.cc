@@ -83,7 +83,10 @@ namespace {
 
 /// The tightest interval the range conjuncts (Gt/Gte/Lt/Lte/Eq) on one
 /// path imply, e.g. date >= a AND date <= b becomes [a, b].  `bounds`
-/// counts the conjuncts folded in; 0 means none applies.
+/// counts the conjuncts folded in; 0 means none applies.  With
+/// `first_only` (an array-valued path, where each conjunct may be met
+/// by a different element) only the first conjunct's own interval is
+/// taken, which still covers every match.
 struct Interval {
   const Value* lower = nullptr;
   bool lower_inclusive = true;
@@ -93,7 +96,7 @@ struct Interval {
 };
 
 Interval MergeBounds(const std::vector<const Filter*>& conjuncts,
-                     const std::string& path) {
+                     const std::string& path, bool first_only) {
   Interval iv;
   const auto tighten_lower = [&iv](const Value& b, bool inclusive) {
     const int c = iv.lower == nullptr ? 1 : b.Compare(*iv.lower);
@@ -122,6 +125,7 @@ Interval MergeBounds(const std::vector<const Filter*>& conjuncts,
     if (lower) tighten_lower(child->values()[0], inclusive);
     if (upper) tighten_upper(child->values()[0], inclusive);
     ++iv.bounds;
+    if (first_only) break;
   }
   return iv;
 }
@@ -272,7 +276,8 @@ std::vector<Collection::AccessPath> Collection::AccessPaths(
   // per path; a one-sided bound is never scanned alone.
   for (const auto& idx : range_indexes_) {
     AccessPath path;
-    path.interval = MergeBounds(conjuncts, idx->path());
+    path.interval =
+        MergeBounds(conjuncts, idx->path(), /*first_only=*/idx->has_arrays());
     if (path.interval.bounds == 0) continue;
     path.kind = AccessPath::Kind::kInterval;
     path.label = "range:" + idx->path();

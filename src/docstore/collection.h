@@ -34,7 +34,8 @@ struct QueryStats {
 ///
 /// The planner turns a filter's top-level conjuncts into access paths:
 /// hash and multikey posting lists, one merged B+-tree interval per
-/// range-indexed path, and geo covers.  The path with the smallest
+/// range-indexed path (from the first range conjunct alone on a path
+/// holding arrays), and geo covers.  The path with the smallest
 /// count-only estimate drives: its sorted ids are walked, every other
 /// posting list is probed in place by galloping search, and only ids
 /// that pass the probes are checked against the complete filter

@@ -92,6 +92,7 @@ void RangeIndex::Insert(DocId id, const Document& doc) {
   const Value* v = doc.GetPath(path_);
   if (v == nullptr) return;
   if (v->is_array()) {
+    ++array_docs_;
     for (const Value& element : v->as_array()) tree_.Insert(element, id);
   } else {
     tree_.Insert(*v, id);
@@ -102,6 +103,7 @@ void RangeIndex::Remove(DocId id, const Document& doc) {
   const Value* v = doc.GetPath(path_);
   if (v == nullptr) return;
   if (v->is_array()) {
+    --array_docs_;
     for (const Value& element : v->as_array()) tree_.Remove(element, id);
   } else {
     tree_.Remove(*v, id);

@@ -92,9 +92,15 @@ class RangeIndex {
   size_t num_keys() const { return tree_.num_keys(); }
   const BPlusTree& tree() const { return tree_; }
 
+  /// Whether any indexed document holds an array at the path.  Range
+  /// conjuncts on such a path may be met by different elements, so
+  /// they cannot be intersected into one interval.
+  bool has_arrays() const { return array_docs_ > 0; }
+
  private:
   std::string path_;
   BPlusTree tree_;
+  size_t array_docs_ = 0;
 };
 
 /// 2D geohash index over a location field holding the image bounding

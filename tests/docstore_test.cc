@@ -1401,7 +1401,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FilterAlgebraTest, ::testing::Values(1, 2, 3));
 class PlannerParityTest : public ::testing::TestWithParam<int> {};
 
 /// A leaf over the parity collection's fields: hash `bucket`, multikey
-/// `tags` and `season`, range `day`, geo `loc` and unindexed `color`.
+/// `tags` and `season`, range `day` and the array-valued range `scores`,
+/// geo `loc` and unindexed `color`.
 /// Some leaves name values no document holds, so empty results occur.
 Filter ParityLeaf(Rng* rng) {
   const auto tag = [rng] {
@@ -1411,7 +1412,7 @@ Filter ParityLeaf(Rng* rng) {
   const auto day = [rng] {
     return Value(static_cast<int64_t>(rng->UniformInt(380u)));
   };
-  switch (rng->UniformInt(12u)) {
+  switch (rng->UniformInt(14u)) {
     case 0:
       return Filter::Eq("bucket",
                         Value(static_cast<int64_t>(rng->UniformInt(220u))));
@@ -1445,6 +1446,12 @@ Filter ParityLeaf(Rng* rng) {
     case 10:
       return Filter::In("season", {Value(rng->Bernoulli(0.5) ? "Winter" : "Summer"),
                                    Value("Spring")});
+    case 11:
+      return Filter::Gte("scores",
+                         Value(static_cast<int64_t>(rng->UniformInt(100u))));
+    case 12:
+      return Filter::Lte("scores",
+                         Value(static_cast<int64_t>(rng->UniformInt(100u))));
     default:
       return Filter::Eq("season", Value("Autumn"));
   }
@@ -1457,6 +1464,7 @@ TEST_P(PlannerParityTest, FindIdsAndCountMatchBruteForce) {
   ASSERT_TRUE(coll.CreateMultikeyIndex("tags").ok());
   ASSERT_TRUE(coll.CreateMultikeyIndex("season").ok());
   ASSERT_TRUE(coll.CreateRangeIndex("day").ok());
+  ASSERT_TRUE(coll.CreateRangeIndex("scores").ok());
   ASSERT_TRUE(coll.CreateGeoIndex("loc", 5).ok());
   const char* seasons[] = {"Winter", "Spring", "Summer", "Autumn"};
   for (int i = 0; i < 5000; ++i) {
@@ -1472,6 +1480,11 @@ TEST_P(PlannerParityTest, FindIdsAndCountMatchBruteForce) {
     d.Set("tags", Value(std::move(tags)));
     d.Set("season", Value(seasons[rng.UniformInt(4u)]));
     d.Set("day", Value(static_cast<int64_t>(rng.UniformInt(365u))));
+    std::vector<Value> scores;
+    for (uint32_t n = 1 + rng.UniformInt(3u); n > 0; --n) {
+      scores.emplace_back(static_cast<int64_t>(rng.UniformInt(100u)));
+    }
+    d.Set("scores", Value(std::move(scores)));
     const double lat = 40.0 + rng.Uniform(0.0, 3.0);
     const double lon = -8.0 + rng.Uniform(0.0, 3.0);
     Document loc;
