@@ -10,7 +10,6 @@
 
 #include "bench/harness.h"
 #include "index/hamming_table.h"
-#include "index/bk_tree.h"
 #include "index/ivf_index.h"
 #include "index/linear_scan.h"
 
@@ -36,8 +35,6 @@ index::HammingIndex* GetIndex(const std::string& kind, size_t n) {
     idx = std::make_unique<index::HammingHashTable>();
   } else if (kind == "mih") {
     idx = std::make_unique<index::MultiIndexHashing>(4);
-  } else if (kind == "bk_tree") {
-    idx = std::make_unique<index::BkTree>();
   } else {
     idx = std::make_unique<index::LinearScanIndex>();
   }
@@ -76,10 +73,6 @@ void RunRadiusQueries(benchmark::State& state, const std::string& kind) {
 
 void BM_HashTableLookup(benchmark::State& state) {
   RunRadiusQueries(state, "hash_table");
-}
-
-void BM_BkTreeLookup(benchmark::State& state) {
-  RunRadiusQueries(state, "bk_tree");
 }
 void BM_MultiIndexHashing(benchmark::State& state) {
   RunRadiusQueries(state, "mih");
@@ -142,8 +135,6 @@ void BM_IvfFlatSearch(benchmark::State& state) {
 }
 
 BENCHMARK(BM_HashTableLookup)->Arg(10000)->Arg(50000)->Arg(200000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BkTreeLookup)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MultiIndexHashing)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kMicrosecond);

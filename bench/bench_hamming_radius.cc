@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
-#include "index/bk_tree.h"
 #include "index/hamming_table.h"
 
 namespace agoraeo::bench {
@@ -18,20 +17,16 @@ namespace {
 constexpr size_t kBits = 128;
 constexpr size_t kArchive = 50000;
 
-enum class Kind { kTable, kMih, kBk };
+enum class Kind { kTable, kMih };
 
 index::HammingIndex* GetIndex(Kind kind) {
-  static std::unique_ptr<index::HammingIndex> table, multi, bk;
-  auto& slot = kind == Kind::kMih ? multi
-               : kind == Kind::kBk ? bk
-                                   : table;
+  static std::unique_ptr<index::HammingIndex> table, multi;
+  auto& slot = kind == Kind::kMih ? multi : table;
   if (slot == nullptr) {
     const ArchiveFixture& fixture = GetArchive(kArchive);
     const auto codes = ClusteredCodes(fixture, kBits);
     if (kind == Kind::kMih) {
       slot = std::make_unique<index::MultiIndexHashing>(4);
-    } else if (kind == Kind::kBk) {
-      slot = std::make_unique<index::BkTree>();
     } else {
       slot = std::make_unique<index::HammingHashTable>();
     }
@@ -73,13 +68,10 @@ void BM_HashTableRadius(benchmark::State& state) {
   RunSweep(state, Kind::kTable);
 }
 void BM_MihRadius(benchmark::State& state) { RunSweep(state, Kind::kMih); }
-void BM_BkTreeRadius(benchmark::State& state) { RunSweep(state, Kind::kBk); }
 
 BENCHMARK(BM_HashTableRadius)
     ->DenseRange(0, 6, 1)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_MihRadius)
-    ->DenseRange(0, 6, 1)->Arg(10)->Arg(14)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BkTreeRadius)
     ->DenseRange(0, 6, 1)->Arg(10)->Arg(14)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -150,7 +150,6 @@ SystemContext* GetSystemContext() {
   mconfig.hash_bits = kBits;
   mconfig.dropout = 0.0f;
   earthqube::CbirConfig cbir_config;
-  cbir_config.index_kind = earthqube::CbirIndexKind::kLinearScan;
   cbir_config.num_shards = 4;
   auto cbir = std::make_unique<earthqube::CbirService>(
       std::make_unique<milan::MilanModel>(mconfig), &fixture.extractor,

@@ -47,7 +47,6 @@ const bigearthnet::FeatureExtractor& Extractor() {
 std::unique_ptr<earthqube::CbirService> MakeService(
     const std::string& snapshot_dir) {
   earthqube::CbirConfig config;
-  config.index_kind = earthqube::CbirIndexKind::kHashTable;
   config.query_threads = 4;
   config.num_shards = kShards;
   config.snapshot_dir = snapshot_dir;

@@ -132,7 +132,6 @@ SystemContext* GetSystemContext(size_t num_shards) {
   mconfig.hash_bits = kBits;
   mconfig.dropout = 0.0f;
   earthqube::CbirConfig cbir_config;
-  cbir_config.index_kind = earthqube::CbirIndexKind::kLinearScan;
   cbir_config.num_shards = num_shards;
   auto cbir = std::make_unique<earthqube::CbirService>(
       std::make_unique<milan::MilanModel>(mconfig), &fixture.extractor,

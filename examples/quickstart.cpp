@@ -4,7 +4,7 @@
 ///   2. Extract "deep" feature vectors for every patch.
 ///   3. Train MiLaN (triplet + bit-balance + quantization losses).
 ///   4. Build the EarthQube back end: metadata collections with indexes
-///      plus the CBIR hash-table index over 128-bit binary codes.
+///      plus the CBIR linear-scan index over 128-bit binary codes.
 ///   5. Run a label query, a geospatial query, and a similarity search.
 ///
 /// Build & run:  ./build/examples/quickstart
@@ -88,7 +88,7 @@ int main() {
   }
   system.AttachCbir(std::move(cbir));
   std::printf("   metadata indexed (name PK, labels multikey, geohash), "
-              "%zu codes in the hash table\n",
+              "%zu codes in the CBIR index\n",
               system.cbir()->num_indexed());
 
   // --- 5a. Label query -------------------------------------------------------

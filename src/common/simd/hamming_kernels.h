@@ -4,10 +4,10 @@
 /// The vectorized Hamming-distance kernel layer.
 ///
 /// Every scan loop above this header — the linear scan's blocked batch
-/// kernels, the hash/multi-index candidate verification, the BK-tree's
-/// per-node distances — reduces to XOR + popcount over packed 64-bit
-/// words.  This module centralises that primitive behind a runtime
-/// CPU-dispatch table so one build serves every ISA:
+/// kernels and the hash/multi-index candidate verification — reduces
+/// to XOR + popcount over packed 64-bit words.  This module centralises
+/// that primitive behind a runtime CPU-dispatch table so one build
+/// serves every ISA:
 ///
 ///   kernel    requires                           rows per vector (128-bit)
 ///   -------   --------------------------------   -------------------------

@@ -5,8 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "index/bk_tree.h"
-#include "index/hamming_table.h"
 #include "index/index_snapshot.h"
 #include "index/linear_scan.h"
 
@@ -14,18 +12,8 @@ namespace agoraeo::earthqube {
 
 namespace {
 
-std::unique_ptr<index::HammingIndex> MakeIndex(CbirIndexKind kind) {
-  switch (kind) {
-    case CbirIndexKind::kHashTable:
-      return std::make_unique<index::HammingHashTable>();
-    case CbirIndexKind::kMultiIndex:
-      return std::make_unique<index::MultiIndexHashing>(4);
-    case CbirIndexKind::kLinearScan:
-      return std::make_unique<index::LinearScanIndex>();
-    case CbirIndexKind::kBkTree:
-      return std::make_unique<index::BkTree>();
-  }
-  return std::make_unique<index::HammingHashTable>();
+std::unique_ptr<index::HammingIndex> MakeScan() {
+  return std::make_unique<index::LinearScanIndex>();
 }
 
 std::string IndexWalPath(const std::string& dir) {
@@ -39,24 +27,22 @@ CbirService::CbirService(std::unique_ptr<milan::MilanModel> model,
                          CbirConfig config)
     : model_(std::move(model)), extractor_(extractor), config_(config) {
   if (config_.num_shards > 1) {
-    // The partition layer: N hash-partitioned instances of the
-    // configured kind behind one scatter–gather facade.  Each shard is
-    // itself segment-structured (sealed segments read lock-free).
+    // The partition layer: N hash-partitioned scans behind one
+    // scatter–gather facade.  Each shard is itself segment-structured
+    // (sealed segments read lock-free).
     auto sharded = std::make_unique<index::ShardedHammingIndex>(
-        config_.num_shards,
-        [kind = config_.index_kind] { return MakeIndex(kind); },
-        config_.seal_threshold, config_.compact_threshold);
+        config_.num_shards, MakeScan, config_.seal_threshold,
+        config_.compact_threshold);
     sharded_ = sharded.get();
     index_ = std::move(sharded);
   } else if (config_.seal_threshold > 0) {
     // Monolithic but segment-structured: one shard's worth of segments.
     auto segmented = std::make_unique<index::SegmentedHammingIndex>(
-        [kind = config_.index_kind] { return MakeIndex(kind); },
-        config_.seal_threshold, config_.compact_threshold);
+        MakeScan, config_.seal_threshold, config_.compact_threshold);
     segmented_ = segmented.get();
     index_ = std::move(segmented);
   } else {
-    index_ = MakeIndex(config_.index_kind);
+    index_ = MakeScan();
   }
   items_since_snapshot_.assign(std::max<size_t>(1, config_.num_shards), 0);
 }

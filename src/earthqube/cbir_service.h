@@ -26,36 +26,32 @@
 
 namespace agoraeo::earthqube {
 
-/// Which nearest-neighbour structure backs the service.
-enum class CbirIndexKind { kHashTable, kMultiIndex, kLinearScan, kBkTree };
-
-/// Construction knobs of the CBIR service.
+/// Construction knobs of the CBIR service.  The served index is always
+/// the SIMD linear scan (index::LinearScanIndex); these knobs only pick
+/// how it is partitioned, pooled and persisted.
 struct CbirConfig {
-  CbirIndexKind index_kind = CbirIndexKind::kHashTable;
   /// Pool the batch queries (and sharded passes) run across: 0 picks the
   /// hardware concurrency, 1 disables threading.  Created lazily.
   size_t query_threads = 0;
-  /// Partitions of the Hamming index.  1 (the default) builds the plain
-  /// monolithic index — exactly the pre-partition behaviour; > 1 wraps
-  /// `index_kind` into an N-way ShardedHammingIndex: ingest is
-  /// parallelised per shard and every batched query pass fans out one
-  /// task per shard across the query pool.
+  /// Partitions of the Hamming index.  1 (the default) builds one
+  /// monolithic scan; > 1 builds an N-way ShardedHammingIndex of scans:
+  /// ingest is parallelised per shard and every batched query pass fans
+  /// out one task per shard across the query pool.
   size_t num_shards = 1;
 
   // --- persistence ---------------------------------------------------------
 
   /// Directory holding the index's durable state — one `shard-<s>.snap`
   /// per shard plus the `index.wal` ingest log.  Empty (the default)
-  /// disables durability entirely: the index is in-memory only, exactly
-  /// the pre-persistence behaviour.  Call Recover() before the first
-  /// AddImage to restore and start logging.
+  /// disables durability entirely: the index is in-memory only.  Call
+  /// Recover() before the first AddImage to restore and start logging.
   std::string snapshot_dir;
 
   /// Seal point of every shard's mutable segment: once it holds this
   /// many items it is frozen into the lock-free sealed list and a fresh
-  /// mutable segment starts (0 = never auto-seal — one mutable segment,
-  /// the pre-segment behaviour).  Doubles as the snapshot cadence: a
-  /// shard's snapshot is refreshed after this many new items arrive.
+  /// mutable segment starts (0 = never auto-seal: one unsegmented
+  /// index).  Doubles as the snapshot cadence: a shard's snapshot is
+  /// refreshed after this many new items arrive.
   size_t seal_threshold = 0;
 
   /// Sealed-segment compaction point of every shard: once a shard holds
@@ -125,19 +121,11 @@ class CbirHitStream {
 class CbirService {
  public:
   /// Takes ownership of the trained model.  `extractor` must outlive the
-  /// service.  See CbirConfig for the index kind, query pool and
-  /// partition knobs.
+  /// service.  See CbirConfig for the query pool, partition and
+  /// persistence knobs.
   CbirService(std::unique_ptr<milan::MilanModel> model,
               const bigearthnet::FeatureExtractor* extractor,
-              CbirConfig config);
-
-  /// Legacy constructor kept for the pre-partition call sites.
-  CbirService(std::unique_ptr<milan::MilanModel> model,
-              const bigearthnet::FeatureExtractor* extractor,
-              CbirIndexKind index_kind = CbirIndexKind::kHashTable,
-              size_t query_threads = 0)
-      : CbirService(std::move(model), extractor,
-                    LegacyConfig(index_kind, query_threads)) {}
+              CbirConfig config = {});
 
   /// Restores the index from the configured snapshot_dir — per-shard
   /// snapshots first, then WAL catch-up — and opens the WAL so
@@ -240,6 +228,11 @@ class CbirService {
   StatusOr<BinaryCode> CodeOf(const std::string& patch_name) const;
 
   size_t num_indexed() const { return name_by_id_.size(); }
+  /// Bit width of the indexed codes (0 while nothing is indexed).
+  size_t code_bits() const {
+    return name_by_id_.empty() ? 0
+                               : code_by_name_.at(name_by_id_.front()).size();
+  }
   /// Every indexed name in ItemId (ingestion) order — the slot
   /// migration export walks this to collect a slot's members.
   const std::vector<std::string>& indexed_names() const {
@@ -275,17 +268,6 @@ class CbirService {
   ThreadPool* QueryPool() const;
 
  private:
-  // Field-by-field assembly instead of aggregate init: brace-initialising
-  // CbirConfig with omitted members trips -Wmissing-field-initializers in
-  // every including TU, despite the defaults.
-  static CbirConfig LegacyConfig(CbirIndexKind index_kind,
-                                 size_t query_threads) {
-    CbirConfig config;
-    config.index_kind = index_kind;
-    config.query_threads = query_threads;
-    return config;
-  }
-
   /// Wraps an opened frontier into a named stream.
   std::unique_ptr<CbirHitStream> MakeStream(
       std::unique_ptr<index::HitFrontier> frontier, size_t cap,

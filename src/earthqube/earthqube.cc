@@ -300,6 +300,14 @@ StatusOr<BinaryCode> EarthQube::ResolveSimilarityCode(
     return cbir_->CodeOf(*spec.archive_name);
   }
   if (spec.patch.has_value()) return cbir_->HashPatch(*spec.patch);
+  // A raw code must match the indexed width: the scan kernels read and
+  // pad query words by the index's code length.
+  const size_t bits = cbir_->code_bits();
+  if (bits != 0 && spec.code->size() != bits) {
+    return Status::InvalidArgument(
+        "similarity.code has " + std::to_string(spec.code->size()) +
+        " bits; the index holds " + std::to_string(bits) + "-bit codes");
+  }
   return *spec.code;
 }
 

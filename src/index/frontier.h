@@ -32,8 +32,8 @@ struct FrontierOptions {
 /// one ranking primitive of the index stack.  Draining a frontier
 /// yields every (allowed) item within the radius, or every (allowed)
 /// item when no radius is set, up to the limit; work is deferred:
-/// implementations expand probe rings, resume pruned traversals, or
-/// drain distance buckets only as far as the consumer actually pulls.
+/// implementations expand probe rings or drain distance buckets only
+/// as far as the consumer actually pulls.
 ///
 /// Frontiers are snapshots: once opened they never observe later index
 /// mutations (partition wrappers open them on pinned immutable sealed

@@ -95,8 +95,7 @@ class HammingIndex {
   /// truncated to `options.limit` when one is set.  Implementations
   /// defer work to Next() pulls where they can: the linear scan drains
   /// distance buckets fed by one kernel pass, the hash tables walk
-  /// probe rings outward, the BK-tree resumes its pruned best-first
-  /// traversal.
+  /// probe rings outward.
   ///
   /// The returned frontier borrows this index (and `options.allowed`
   /// and `options.stats`); the caller keeps them alive — partition

@@ -417,6 +417,26 @@ TEST_F(ClusterTest, SimilarityByCodeMatchesMonolith) {
                R"(","k":10},"projection":"full"})");
 }
 
+TEST_F(ClusterTest, WrongWidthCodeAnswers400ThroughCoordinator) {
+  // Every node rejects a raw code whose width differs from its index's;
+  // the coordinator hands that 400 on instead of turning it into a 500.
+  const size_t bits = (*codes_)[0].size();
+  HttpClient client;
+  for (size_t width : {bits - 1, bits + 1, 4 * bits}) {
+    const std::string body = R"({"similarity":{"code":")" +
+                             std::string(width, '1') + R"(","k":5}})";
+    for (const auto port :
+         {mono_server_->port(), coordinator_server_->port()}) {
+      auto resp = client.Post(port, "/api/v2/query", body);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->status_code, 400) << width << " bits: " << resp->body;
+      auto parsed = json::ParseObject(resp->body);
+      ASSERT_TRUE(parsed.ok()) << resp->body;
+      EXPECT_EQ(parsed->GetPath("error.code")->as_string(), "bad_request");
+    }
+  }
+}
+
 TEST_F(ClusterTest, SimilarityByNameMatchesMonolith) {
   // Subjects spread over all three nodes: by-name resolution must work
   // wherever the subject lives.

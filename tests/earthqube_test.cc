@@ -923,13 +923,12 @@ TEST(QueryRequestTest, CursorRejectionsAreTyped) {
 // Hybrid (filter ∧ similarity) execution and the selectivity planner
 // ---------------------------------------------------------------------------
 
-/// A small EarthQube with a CBIR service of the given kind.  The MiLaN
-/// model stays untrained: hybrid parity and planner behaviour depend
-/// only on codes being deterministic, not on retrieval quality.
+/// A small EarthQube with a CBIR service.  The MiLaN model stays
+/// untrained: hybrid parity and planner behaviour depend only on codes
+/// being deterministic, not on retrieval quality.
 class HybridFixture {
  public:
-  explicit HybridFixture(CbirIndexKind kind,
-                         EarthQubeConfig system_config = {},
+  explicit HybridFixture(EarthQubeConfig system_config = {},
                          size_t num_shards = 1) {
     bigearthnet::ArchiveConfig config;
     config.num_patches = 400;
@@ -950,7 +949,6 @@ class HybridFixture {
     mconfig.hash_bits = 32;
     mconfig.dropout = 0.0f;
     CbirConfig cbir_config;
-    cbir_config.index_kind = kind;
     cbir_config.num_shards = num_shards;
     auto cbir = std::make_unique<CbirService>(
         std::make_unique<milan::MilanModel>(mconfig), &extractor_,
@@ -982,51 +980,46 @@ std::vector<std::pair<std::string, uint32_t>> HitList(
   return out;
 }
 
-TEST(HybridPlannerTest, PreAndPostFilterParityOnAllIndexKinds) {
-  for (CbirIndexKind kind :
-       {CbirIndexKind::kHashTable, CbirIndexKind::kMultiIndex,
-        CbirIndexKind::kLinearScan, CbirIndexKind::kBkTree}) {
-    HybridFixture fixture(kind);
-    const std::string& query_name = fixture.archive().patches[3].name;
+TEST(HybridPlannerTest, PreAndPostFilterParity) {
+  HybridFixture fixture;
+  const std::string& query_name = fixture.archive().patches[3].name;
 
-    EarthQubeQuery panel;
-    panel.seasons = {Season::kSummer, Season::kAutumn};
+  EarthQubeQuery panel;
+  panel.seasons = {Season::kSummer, Season::kAutumn};
 
-    std::vector<SimilaritySpec> specs = {
-        SimilaritySpec::NameRadius(query_name, 10),
-        SimilaritySpec::NameRadius(query_name, 14, /*limit=*/12),
-        SimilaritySpec::NameKnn(query_name, 9),
-    };
-    for (size_t s = 0; s < specs.size(); ++s) {
-      QueryRequest pre;
-      pre.panel = panel;
-      pre.similarity = specs[s];
-      pre.planner = PlannerMode::kForcePreFilter;
-      pre.page_size = 0;
-      QueryRequest post = pre;
-      post.planner = PlannerMode::kForcePostFilter;
+  std::vector<SimilaritySpec> specs = {
+      SimilaritySpec::NameRadius(query_name, 10),
+      SimilaritySpec::NameRadius(query_name, 14, /*limit=*/12),
+      SimilaritySpec::NameKnn(query_name, 9),
+  };
+  for (size_t s = 0; s < specs.size(); ++s) {
+    QueryRequest pre;
+    pre.panel = panel;
+    pre.similarity = specs[s];
+    pre.planner = PlannerMode::kForcePreFilter;
+    pre.page_size = 0;
+    QueryRequest post = pre;
+    post.planner = PlannerMode::kForcePostFilter;
 
-      auto pre_response = fixture.system().Execute(pre);
-      auto post_response = fixture.system().Execute(post);
-      ASSERT_TRUE(pre_response.ok()) << pre_response.status().ToString();
-      ASSERT_TRUE(post_response.ok()) << post_response.status().ToString();
-      EXPECT_EQ(pre_response->plan.strategy, QueryPlan::Strategy::kPreFilter);
-      EXPECT_EQ(post_response->plan.strategy,
-                QueryPlan::Strategy::kPostFilter);
-      EXPECT_EQ(HitList(*pre_response), HitList(*post_response))
-          << "kind " << static_cast<int>(kind) << " spec " << s;
-      // The joined panels agree too (same entries, same order).
-      ASSERT_EQ(pre_response->panel.total(), post_response->panel.total());
-      for (size_t i = 0; i < pre_response->panel.entries().size(); ++i) {
-        EXPECT_EQ(pre_response->panel.entries()[i].name,
-                  post_response->panel.entries()[i].name);
-      }
+    auto pre_response = fixture.system().Execute(pre);
+    auto post_response = fixture.system().Execute(post);
+    ASSERT_TRUE(pre_response.ok()) << pre_response.status().ToString();
+    ASSERT_TRUE(post_response.ok()) << post_response.status().ToString();
+    EXPECT_EQ(pre_response->plan.strategy, QueryPlan::Strategy::kPreFilter);
+    EXPECT_EQ(post_response->plan.strategy,
+              QueryPlan::Strategy::kPostFilter);
+    EXPECT_EQ(HitList(*pre_response), HitList(*post_response)) << "spec " << s;
+    // The joined panels agree too (same entries, same order).
+    ASSERT_EQ(pre_response->panel.total(), post_response->panel.total());
+    for (size_t i = 0; i < pre_response->panel.entries().size(); ++i) {
+      EXPECT_EQ(pre_response->panel.entries()[i].name,
+                post_response->panel.entries()[i].name);
     }
   }
 }
 
 TEST(HybridPlannerTest, HybridRadiusEqualsFilterIntersection) {
-  HybridFixture fixture(CbirIndexKind::kHashTable);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
   const std::string& query_name = fixture.archive().patches[10].name;
 
@@ -1062,7 +1055,7 @@ TEST(HybridPlannerTest, HybridRadiusEqualsFilterIntersection) {
 }
 
 TEST(HybridPlannerTest, AutoPlannerFollowsSelectivityThreshold) {
-  HybridFixture fixture(CbirIndexKind::kLinearScan);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
   const std::string& query_name = fixture.archive().patches[0].name;
 
@@ -1099,61 +1092,57 @@ TEST(HybridPlannerTest, AutoPlannerFollowsSelectivityThreshold) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardedExecutionTest, ShardedSystemMatchesUnshardedOnAllShapes) {
-  for (CbirIndexKind kind :
-       {CbirIndexKind::kHashTable, CbirIndexKind::kLinearScan}) {
-    HybridFixture plain(kind);
-    HybridFixture sharded(kind, EarthQubeConfig{}, /*num_shards=*/4);
-    const std::string& query_name = plain.archive().patches[7].name;
+  HybridFixture plain;
+  HybridFixture sharded(EarthQubeConfig{}, /*num_shards=*/4);
+  const std::string& query_name = plain.archive().patches[7].name;
 
-    EarthQubeQuery panel;
-    panel.seasons = {Season::kSummer, Season::kAutumn};
+  EarthQubeQuery panel;
+  panel.seasons = {Season::kSummer, Season::kAutumn};
 
-    std::vector<QueryRequest> shapes;
-    {
-      QueryRequest cbir_radius;
-      cbir_radius.similarity = SimilaritySpec::NameRadius(query_name, 11);
-      cbir_radius.page_size = 0;
-      shapes.push_back(cbir_radius);
-      QueryRequest cbir_knn;
-      cbir_knn.similarity = SimilaritySpec::NameKnn(query_name, 8);
-      cbir_knn.page_size = 0;
-      shapes.push_back(cbir_knn);
-      QueryRequest hybrid_pre = cbir_radius;
-      hybrid_pre.panel = panel;
-      hybrid_pre.planner = PlannerMode::kForcePreFilter;
-      shapes.push_back(hybrid_pre);
-      QueryRequest hybrid_post = hybrid_pre;
-      hybrid_post.planner = PlannerMode::kForcePostFilter;
-      shapes.push_back(hybrid_post);
+  std::vector<QueryRequest> shapes;
+  {
+    QueryRequest cbir_radius;
+    cbir_radius.similarity = SimilaritySpec::NameRadius(query_name, 11);
+    cbir_radius.page_size = 0;
+    shapes.push_back(cbir_radius);
+    QueryRequest cbir_knn;
+    cbir_knn.similarity = SimilaritySpec::NameKnn(query_name, 8);
+    cbir_knn.page_size = 0;
+    shapes.push_back(cbir_knn);
+    QueryRequest hybrid_pre = cbir_radius;
+    hybrid_pre.panel = panel;
+    hybrid_pre.planner = PlannerMode::kForcePreFilter;
+    shapes.push_back(hybrid_pre);
+    QueryRequest hybrid_post = hybrid_pre;
+    hybrid_post.planner = PlannerMode::kForcePostFilter;
+    shapes.push_back(hybrid_post);
+  }
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    auto want = plain.system().Execute(shapes[s]);
+    auto got = sharded.system().Execute(shapes[s]);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(HitList(*got), HitList(*want)) << "shape " << s;
+    ASSERT_EQ(got->panel.total(), want->panel.total());
+    for (size_t i = 0; i < got->panel.entries().size(); ++i) {
+      EXPECT_EQ(got->panel.entries()[i].name, want->panel.entries()[i].name);
     }
-    for (size_t s = 0; s < shapes.size(); ++s) {
-      auto want = plain.system().Execute(shapes[s]);
-      auto got = sharded.system().Execute(shapes[s]);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(HitList(*got), HitList(*want))
-          << "kind " << static_cast<int>(kind) << " shape " << s;
-      ASSERT_EQ(got->panel.total(), want->panel.total());
-      for (size_t i = 0; i < got->panel.entries().size(); ++i) {
-        EXPECT_EQ(got->panel.entries()[i].name, want->panel.entries()[i].name);
-      }
-    }
+  }
 
-    // The batch path (the engine's micro-batched fan-out across shards).
-    std::vector<std::string> names;
-    for (size_t i = 0; i < 12; ++i) {
-      names.push_back(plain.archive().patches[i * 17].name);
-    }
-    const std::vector<QueryRequest> batch = HitsRequests(
-        names, [](const auto& n) { return SimilaritySpec::NameRadius(n, 10); });
-    auto want_batch = plain.system().ExecuteBatch(batch);
-    auto got_batch = sharded.system().ExecuteBatch(batch);
-    ASSERT_TRUE(want_batch.ok());
-    ASSERT_TRUE(got_batch.ok());
-    ASSERT_EQ(got_batch->size(), want_batch->size());
-    for (size_t i = 0; i < want_batch->size(); ++i) {
-      EXPECT_EQ(HitList((*got_batch)[i]), HitList((*want_batch)[i])) << i;
-    }
+  // The batch path (the engine's micro-batched fan-out across shards).
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 12; ++i) {
+    names.push_back(plain.archive().patches[i * 17].name);
+  }
+  const std::vector<QueryRequest> batch = HitsRequests(
+      names, [](const auto& n) { return SimilaritySpec::NameRadius(n, 10); });
+  auto want_batch = plain.system().ExecuteBatch(batch);
+  auto got_batch = sharded.system().ExecuteBatch(batch);
+  ASSERT_TRUE(want_batch.ok());
+  ASSERT_TRUE(got_batch.ok());
+  ASSERT_EQ(got_batch->size(), want_batch->size());
+  for (size_t i = 0; i < want_batch->size(); ++i) {
+    EXPECT_EQ(HitList((*got_batch)[i]), HitList((*want_batch)[i])) << i;
   }
 }
 
@@ -1187,7 +1176,7 @@ TEST(HybridPlannerTest, HistogramEstimatesMatchCrossoverDecisions) {
   mconfig.dropout = 0.0f;
   auto cbir = std::make_unique<CbirService>(
       std::make_unique<milan::MilanModel>(mconfig), &extractor,
-      CbirIndexKind::kLinearScan);
+      CbirConfig{});
   std::vector<std::string> names;
   for (const auto& p : archive.patches) names.push_back(p.name);
   ASSERT_TRUE(cbir->AddImages(names, features).ok());
@@ -1240,7 +1229,7 @@ TEST(HybridPlannerTest, HistogramEstimatesMatchCrossoverDecisions) {
 }
 
 TEST(HybridPlannerTest, ExecutePagingAndCursor) {
-  HybridFixture fixture(CbirIndexKind::kHashTable);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
 
   QueryRequest request;
@@ -1320,7 +1309,7 @@ TEST(QueryCacheTest, RequestFingerprintCanonicalizesAndDistinguishes) {
 }
 
 TEST(QueryCacheTest, RepeatedQueryServedFromCacheIdentically) {
-  HybridFixture fixture(CbirIndexKind::kHashTable);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
   const std::string& name = fixture.archive().patches[7].name;
 
@@ -1345,7 +1334,7 @@ TEST(QueryCacheTest, DisabledCachesNeverServeOrStore) {
   EarthQubeConfig config;
   config.cache.enable_response_cache = false;
   config.cache.enable_allowlist_cache = false;
-  HybridFixture fixture(CbirIndexKind::kHashTable, config);
+  HybridFixture fixture(config);
   EarthQube& system = fixture.system();
   const std::string& name = fixture.archive().patches[7].name;
 
@@ -1365,7 +1354,7 @@ TEST(QueryCacheTest, DisabledCachesNeverServeOrStore) {
 /// The stale-hit correctness guard for the response cache: after a new
 /// archive lands, the very next identical query must see the new data.
 TEST(QueryCacheTest, IngestInvalidatesResponseCache) {
-  HybridFixture fixture(CbirIndexKind::kHashTable);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
   const auto& patch0 = fixture.archive().patches[0];
 
@@ -1409,7 +1398,7 @@ TEST(QueryCacheTest, IngestInvalidatesResponseCache) {
 TEST(QueryCacheTest, IngestInvalidatesAllowlistCache) {
   EarthQubeConfig config;
   config.cache.enable_response_cache = false;
-  HybridFixture fixture(CbirIndexKind::kHashTable, config);
+  HybridFixture fixture(config);
   EarthQube& system = fixture.system();
   const auto& patch0 = fixture.archive().patches[0];
 
@@ -1456,7 +1445,7 @@ TEST(QueryCacheTest, IngestInvalidatesAllowlistCache) {
 }
 
 TEST(QueryCacheTest, ExecuteBatchDedupesIdenticalRequests) {
-  HybridFixture fixture(CbirIndexKind::kHashTable);
+  HybridFixture fixture;
   EarthQube& system = fixture.system();
   const std::string& name_a = fixture.archive().patches[3].name;
   const std::string& name_b = fixture.archive().patches[11].name;

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "milan/baselines.h"
 #include "index/hamming_table.h"
-#include "index/bk_tree.h"
 #include "index/ivf_index.h"
 #include "index/product_quantizer.h"
 #include "index/linear_scan.h"
@@ -208,7 +207,6 @@ TEST_P(IndexEquivalenceTest, AllIndexesReturnIdenticalRadiusResults) {
   LinearScanIndex scan;
   HammingHashTable table;
   MultiIndexHashing mih(4);
-  BkTree bk;
 
   // Clustered codes so radius searches have non-trivial results.
   std::vector<std::pair<ItemId, BinaryCode>> items;
@@ -222,7 +220,6 @@ TEST_P(IndexEquivalenceTest, AllIndexesReturnIdenticalRadiusResults) {
     ASSERT_TRUE(scan.Add(i, code).ok());
     ASSERT_TRUE(table.Add(i, code).ok());
     ASSERT_TRUE(mih.Add(i, code).ok());
-    ASSERT_TRUE(bk.Add(i, code).ok());
   }
 
   for (int q = 0; q < 10; ++q) {
@@ -233,11 +230,9 @@ TEST_P(IndexEquivalenceTest, AllIndexesReturnIdenticalRadiusResults) {
     const auto from_scan = DrainRadius(scan, query, params.radius);
     const auto from_table = DrainRadius(table, query, params.radius);
     const auto from_mih = DrainRadius(mih, query, params.radius);
-    const auto from_bk = DrainRadius(bk, query, params.radius);
     EXPECT_EQ(from_scan, expected) << "linear scan, query " << q;
     EXPECT_EQ(from_table, expected) << "hash table, query " << q;
     EXPECT_EQ(from_mih, expected) << "MIH, query " << q;
-    EXPECT_EQ(from_bk, expected) << "BK-tree, query " << q;
   }
 }
 
@@ -248,7 +243,6 @@ TEST_P(IndexEquivalenceTest, KnnMatchesReferenceDistances) {
   LinearScanIndex scan;
   HammingHashTable table;
   MultiIndexHashing mih(4);
-  BkTree bk;
   std::vector<std::pair<ItemId, BinaryCode>> items;
   std::vector<BinaryCode> centers;
   for (int c = 0; c < 4; ++c) centers.push_back(RandomCode(params.bits, &rng));
@@ -260,7 +254,6 @@ TEST_P(IndexEquivalenceTest, KnnMatchesReferenceDistances) {
     ASSERT_TRUE(scan.Add(i, code).ok());
     ASSERT_TRUE(table.Add(i, code).ok());
     ASSERT_TRUE(mih.Add(i, code).ok());
-    ASSERT_TRUE(bk.Add(i, code).ok());
   }
   const size_t k = 7;
   for (int q = 0; q < 5; ++q) {
@@ -273,7 +266,6 @@ TEST_P(IndexEquivalenceTest, KnnMatchesReferenceDistances) {
     // distance; our tie-break is deterministic so full equality holds).
     EXPECT_EQ(from_table, expected) << "hash table knn, query " << q;
     EXPECT_EQ(from_mih, expected) << "MIH knn, query " << q;
-    EXPECT_EQ(DrainKnn(bk, query, k), expected) << "BK knn, query " << q;
   }
 }
 
@@ -295,7 +287,6 @@ struct AllKinds {
   LinearScanIndex scan;
   HammingHashTable table;
   MultiIndexHashing mih{4};
-  BkTree bk;
   std::vector<HammingIndex*> all;
 
   AllKinds(size_t bits, size_t n_items, Rng* rng) {
@@ -307,13 +298,13 @@ struct AllKinds {
                   rng->UniformInt(static_cast<uint32_t>(bits / 8)), rng);
       for (HammingIndex* idx :
            {static_cast<HammingIndex*>(&scan), static_cast<HammingIndex*>(&table),
-            static_cast<HammingIndex*>(&mih), static_cast<HammingIndex*>(&bk)}) {
+            static_cast<HammingIndex*>(&mih)}) {
         // Not ASSERT_TRUE: gtest assertions only early-return inside the
         // constructor instead of failing the test.
         if (!idx->Add(i, code).ok()) std::abort();
       }
     }
-    all = {&scan, &table, &mih, &bk};
+    all = {&scan, &table, &mih};
   }
 };
 
@@ -405,17 +396,14 @@ TEST(IndexStressTest, EmptyIndexReturnsNothing) {
   HammingHashTable table;
   MultiIndexHashing mih(4);
   LinearScanIndex scan;
-  BkTree bk;
   Rng rng(9);
   const BinaryCode query = RandomCode(64, &rng);
   EXPECT_TRUE(DrainRadius(table, query, 5).empty());
   EXPECT_TRUE(DrainRadius(mih, query, 5).empty());
   EXPECT_TRUE(DrainRadius(scan, query, 5).empty());
-  EXPECT_TRUE(DrainRadius(bk, query, 5).empty());
   EXPECT_TRUE(DrainKnn(table, query, 3).empty());
   EXPECT_TRUE(DrainKnn(mih, query, 3).empty());
   EXPECT_TRUE(DrainKnn(scan, query, 3).empty());
-  EXPECT_TRUE(DrainKnn(bk, query, 3).empty());
 }
 
 TEST(IndexStressTest, DuplicateCodesAllReturned) {
@@ -433,7 +421,7 @@ TEST(IndexStressTest, DuplicateCodesAllReturned) {
 // Batched opens (OpenFrontiers)
 // ---------------------------------------------------------------------------
 
-/// All four HammingIndex kinds loaded with identical clustered codes.
+/// The three HammingIndex kinds loaded with identical clustered codes.
 struct IndexSet {
   std::vector<std::unique_ptr<HammingIndex>> indexes;
   std::vector<BinaryCode> queries;
@@ -445,7 +433,6 @@ IndexSet BuildIndexSet(size_t bits, size_t n_items, size_t n_queries,
   set.indexes.push_back(std::make_unique<LinearScanIndex>());
   set.indexes.push_back(std::make_unique<HammingHashTable>());
   set.indexes.push_back(std::make_unique<MultiIndexHashing>(4));
-  set.indexes.push_back(std::make_unique<BkTree>());
 
   Rng rng(seed);
   std::vector<BinaryCode> centers;
@@ -635,62 +622,6 @@ TEST(BatchSearchTest, DrainedStatsCountReturnedHits) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// BkTree specifics
-// ---------------------------------------------------------------------------
-
-TEST(BkTreeTest, DuplicateCodesShareOneNode) {
-  BkTree bk;
-  Rng rng(31);
-  const BinaryCode code = RandomCode(64, &rng);
-  ASSERT_TRUE(bk.Add(1, code).ok());
-  ASSERT_TRUE(bk.Add(2, code).ok());
-  EXPECT_EQ(bk.size(), 2u);
-  EXPECT_EQ(bk.Depth(), 1u);
-  auto hits = DrainRadius(bk, code, 0);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].distance, 0u);
-  EXPECT_EQ(hits[1].distance, 0u);
-}
-
-TEST(BkTreeTest, RejectsMismatchedCodeLength) {
-  BkTree bk;
-  Rng rng(32);
-  ASSERT_TRUE(bk.Add(1, RandomCode(64, &rng)).ok());
-  EXPECT_TRUE(bk.Add(2, RandomCode(32, &rng)).IsInvalidArgument());
-  EXPECT_TRUE(bk.Add(3, BinaryCode()).IsInvalidArgument());
-}
-
-TEST(BkTreeTest, PruningVisitsFewerNodesThanScanAtSmallRadius) {
-  BkTree bk;
-  LinearScanIndex scan;
-  Rng rng(33);
-  std::vector<BinaryCode> centers;
-  for (int c = 0; c < 8; ++c) centers.push_back(RandomCode(128, &rng));
-  for (ItemId i = 0; i < 2000; ++i) {
-    const BinaryCode code = Perturb(centers[i % 8], rng.UniformInt(10u), &rng);
-    ASSERT_TRUE(bk.Add(i, code).ok());
-    ASSERT_TRUE(scan.Add(i, code).ok());
-  }
-  SearchStats bk_stats;
-  const auto hits = DrainRadius(bk, centers[0], 4, nullptr, &bk_stats);
-  EXPECT_FALSE(hits.empty());
-  // Triangle-inequality pruning must skip a large share of the nodes.
-  EXPECT_LT(bk_stats.buckets_probed, 2000u / 2);
-}
-
-TEST(BkTreeTest, DepthGrowsLogarithmically) {
-  BkTree bk;
-  Rng rng(34);
-  for (ItemId i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(bk.Add(i, RandomCode(64, &rng)).ok());
-  }
-  // Random 64-bit codes give a bushy tree; depth far below item count.
-  EXPECT_LT(bk.Depth(), 64u);
-  EXPECT_GT(bk.Depth(), 2u);
-}
-
 
 // ---------------------------------------------------------------------------
 // Product quantization

@@ -1097,6 +1097,64 @@ TEST_F(ServiceTest, V2RejectsMalformedBodies) {
   EXPECT_EQ(empty_batch->status_code, 400);
 }
 
+/// A raw query code must have the indexed width: anything else is a
+/// 400 before the index sees it (the scan kernels size query words by
+/// the index's code length).
+TEST(CodeWidthTest, RawCodeOfTheWrongWidthIs400) {
+  bigearthnet::ArchiveConfig config;
+  config.num_patches = 60;
+  config.seed = 23;
+  bigearthnet::ArchiveGenerator generator(config);
+  auto archive = generator.Generate();
+  ASSERT_TRUE(archive.ok());
+
+  earthqube::EarthQube system;
+  ASSERT_TRUE(system.IngestArchive(*archive).ok());
+  bigearthnet::FeatureExtractor extractor;
+  Tensor features = extractor.ExtractArchive(*archive, generator, 2);
+  milan::MilanConfig mconfig;
+  mconfig.feature_dim = bigearthnet::kFeatureDim;
+  mconfig.hidden1 = 32;
+  mconfig.hidden2 = 16;
+  mconfig.hash_bits = 64;
+  mconfig.dropout = 0.0f;
+  auto cbir = std::make_unique<earthqube::CbirService>(
+      std::make_unique<milan::MilanModel>(mconfig), &extractor);
+  std::vector<std::string> names;
+  for (const auto& p : archive->patches) names.push_back(p.name);
+  ASSERT_TRUE(cbir->AddImages(names, features).ok());
+  system.AttachCbir(std::move(cbir));
+
+  EarthQubeService service(&system);
+  HttpServer server(2);
+  service.RegisterRoutes(&server);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  HttpClient client;
+  const auto query = [&](size_t bits, const std::string& mode) {
+    std::string code;
+    for (size_t i = 0; i < bits; ++i) code += (i % 3 == 0) ? '1' : '0';
+    return client.Post(server.port(), "/api/v2/query",
+                       R"({"similarity":{"code":")" + code + R"(",)" + mode +
+                           "}}");
+  };
+  for (size_t bits : {63, 65, 128}) {
+    for (const std::string mode : {R"("k":5)", R"("radius":6,"limit":50)"}) {
+      auto response = query(bits, mode);
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response->status_code, 400)
+          << bits << " bits, " << mode << ": " << response->body;
+      auto body = json::ParseObject(response->body);
+      ASSERT_TRUE(body.ok()) << response->body;
+      EXPECT_EQ(body->GetPath("error.code")->as_string(), "bad_request");
+    }
+  }
+  auto matching = query(64, R"("k":5)");
+  ASSERT_TRUE(matching.ok());
+  EXPECT_EQ(matching->status_code, 200) << matching->body;
+  server.Stop();
+}
+
 // --- v1 paging + shared error envelope ----------------------------------------
 
 TEST_F(ServiceTest, V1SearchRejectsMalformedPagingAndReturnsCursor) {
@@ -1276,7 +1334,6 @@ TEST(ShardedServiceTest, IndexMetricsReportPartitions) {
   mconfig.hash_bits = 32;
   mconfig.dropout = 0.0f;
   earthqube::CbirConfig cbir_config;
-  cbir_config.index_kind = earthqube::CbirIndexKind::kLinearScan;
   cbir_config.num_shards = 4;
   auto cbir = std::make_unique<earthqube::CbirService>(
       std::make_unique<milan::MilanModel>(mconfig), &extractor, cbir_config);
@@ -1346,7 +1403,6 @@ TEST(PersistentServiceTest, SnapshotEndpointAndPersistenceMetrics) {
   mconfig.hash_bits = 32;
   mconfig.dropout = 0.0f;
   earthqube::CbirConfig cbir_config;
-  cbir_config.index_kind = earthqube::CbirIndexKind::kHashTable;
   cbir_config.num_shards = 4;
   cbir_config.snapshot_dir = dir;
   cbir_config.seal_threshold = 16;

@@ -1,9 +1,9 @@
 /// Tests of the segment-structured index and its durability layer:
-/// segmented-vs-flat byte parity across all four index kinds, the
+/// segmented-vs-flat byte parity across the three index kinds, the
 /// lock-free sealed-read protocol under an 8-thread ingest+query hammer
 /// (part of the TSan CI job), snapshot round-trips and corruption
-/// fallback, index-WAL torn-tail recovery, full restart parity across
-/// kinds × shardings, and the single epoch bump on recovery.
+/// fallback, index-WAL torn-tail recovery, full service restart parity
+/// across shardings, and the single epoch bump on recovery.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "earthqube/earthqube.h"
-#include "index/bk_tree.h"
 #include "index/hamming_table.h"
 #include "index/index_snapshot.h"
 #include "index/index_wal.h"
@@ -37,10 +36,10 @@ BinaryCode RandomCode(size_t bits, Rng* rng) {
   return code;
 }
 
-enum class Kind { kHashTable, kMultiIndex, kLinearScan, kBkTree };
+enum class Kind { kHashTable, kMultiIndex, kLinearScan };
 
 const Kind kAllKinds[] = {Kind::kHashTable, Kind::kMultiIndex,
-                          Kind::kLinearScan, Kind::kBkTree};
+                          Kind::kLinearScan};
 
 std::unique_ptr<HammingIndex> MakeKind(Kind kind) {
   switch (kind) {
@@ -50,8 +49,6 @@ std::unique_ptr<HammingIndex> MakeKind(Kind kind) {
       return std::make_unique<MultiIndexHashing>(4);
     case Kind::kLinearScan:
       return std::make_unique<LinearScanIndex>();
-    case Kind::kBkTree:
-      return std::make_unique<BkTree>();
   }
   return nullptr;
 }
@@ -506,10 +503,6 @@ TEST(IndexWal, TornTailIsDiscardedAndTruncatable) {
 namespace agoraeo::earthqube {
 namespace {
 
-const CbirIndexKind kServiceKinds[] = {
-    CbirIndexKind::kHashTable, CbirIndexKind::kMultiIndex,
-    CbirIndexKind::kLinearScan, CbirIndexKind::kBkTree};
-
 /// Deterministic feature matrix: the same rows whatever the call order.
 Tensor MakeFeatures(size_t begin, size_t count) {
   Tensor features({count, bigearthnet::kFeatureDim});
@@ -610,48 +603,43 @@ void ExpectServiceParity(const CbirService& recovered,
   }
 }
 
-/// Restart parity across all four index kinds × {1, 4} shards: a
-/// snapshot+WAL restore must be indistinguishable from a process that
-/// never went down.
-TEST(PersistenceService, RestartParityAcrossKindsAndShardings) {
-  for (CbirIndexKind kind : kServiceKinds) {
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      const std::string tag = std::to_string(static_cast<int>(kind)) + "_" +
-                              std::to_string(shards);
-      const std::string dir = FreshDir("restart_" + tag);
+/// Restart parity across {1, 4} shards: a snapshot+WAL restore must be
+/// indistinguishable from a process that never went down.
+TEST(PersistenceService, RestartParityAcrossShardings) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string tag = std::to_string(shards);
+    const std::string dir = FreshDir("restart_" + tag);
 
-      CbirConfig durable;
-      durable.index_kind = kind;
-      durable.query_threads = 2;
-      durable.num_shards = shards;
-      durable.snapshot_dir = dir;
-      durable.seal_threshold = 32;
+    CbirConfig durable;
+    durable.query_threads = 2;
+    durable.num_shards = shards;
+    durable.snapshot_dir = dir;
+    durable.seal_threshold = 32;
 
-      CbirConfig memory_only = durable;
-      memory_only.snapshot_dir.clear();
+    CbirConfig memory_only = durable;
+    memory_only.snapshot_dir.clear();
 
-      // The never-crashed twin.
-      auto twin = ServiceFixture::Make(memory_only);
-      IngestStandard(twin.get());
+    // The never-crashed twin.
+    auto twin = ServiceFixture::Make(memory_only);
+    IngestStandard(twin.get());
 
-      // Writer: ingest durably, then go down (destructor).
-      {
-        auto writer = ServiceFixture::Make(durable);
-        ASSERT_TRUE(writer->Recover().ok());  // cold start, opens the WAL
-        IngestStandard(writer.get());
-        EXPECT_TRUE(writer->persistence_stats().enabled);
-        EXPECT_GT(writer->persistence_stats().wal_records, 0u);
-      }
-
-      // Restart: snapshots + WAL catch-up, no model inference.
-      auto recovered = ServiceFixture::Make(durable);
-      ASSERT_TRUE(recovered->Recover().ok());
-      const CbirPersistenceStats& stats = recovered->persistence_stats();
-      EXPECT_TRUE(stats.recovered);
-      EXPECT_EQ(stats.restored_items + stats.replayed_items, 108u) << tag;
-      EXPECT_EQ(stats.discarded_snapshots, 0u) << tag;
-      ExpectServiceParity(*recovered, *twin);
+    // Writer: ingest durably, then go down (destructor).
+    {
+      auto writer = ServiceFixture::Make(durable);
+      ASSERT_TRUE(writer->Recover().ok());  // cold start, opens the WAL
+      IngestStandard(writer.get());
+      EXPECT_TRUE(writer->persistence_stats().enabled);
+      EXPECT_GT(writer->persistence_stats().wal_records, 0u);
     }
+
+    // Restart: snapshots + WAL catch-up, no model inference.
+    auto recovered = ServiceFixture::Make(durable);
+    ASSERT_TRUE(recovered->Recover().ok());
+    const CbirPersistenceStats& stats = recovered->persistence_stats();
+    EXPECT_TRUE(stats.recovered);
+    EXPECT_EQ(stats.restored_items + stats.replayed_items, 108u) << tag;
+    EXPECT_EQ(stats.discarded_snapshots, 0u) << tag;
+    ExpectServiceParity(*recovered, *twin);
   }
 }
 
@@ -660,7 +648,6 @@ TEST(PersistenceService, RestartParityAcrossKindsAndShardings) {
 TEST(PersistenceService, RecoveredServiceContinuesIngesting) {
   const std::string dir = FreshDir("continue");
   CbirConfig config;
-  config.index_kind = CbirIndexKind::kHashTable;
   config.num_shards = 4;
   config.snapshot_dir = dir;
   config.seal_threshold = 16;
@@ -700,7 +687,6 @@ TEST(PersistenceService, RecoveredServiceContinuesIngesting) {
 TEST(PersistenceService, CorruptSnapshotFallsBackToWalReplay) {
   const std::string dir = FreshDir("corrupt_snap");
   CbirConfig config;
-  config.index_kind = CbirIndexKind::kLinearScan;
   config.num_shards = 4;
   config.snapshot_dir = dir;
   config.seal_threshold = 16;  // snapshots get written during ingest
@@ -751,61 +737,57 @@ TEST(PersistenceService, CorruptSnapshotFallsBackToWalReplay) {
 /// restarted service must equal a twin that never received that batch,
 /// byte for byte, and keep working.
 TEST(PersistenceService, CrashMidBatchRecoversToLastIntactBatch) {
-  for (CbirIndexKind kind : kServiceKinds) {
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      const std::string tag = std::to_string(static_cast<int>(kind)) + "_" +
-                              std::to_string(shards);
-      const std::string dir = FreshDir("crash_" + tag);
-      CbirConfig config;
-      config.index_kind = kind;
-      config.num_shards = shards;
-      config.snapshot_dir = dir;
-      // No auto-snapshots: recovery is pure WAL replay, so the torn
-      // frame is guaranteed to matter.
-      config.seal_threshold = 0;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    const std::string tag = std::to_string(shards);
+    const std::string dir = FreshDir("crash_" + tag);
+    CbirConfig config;
+    config.num_shards = shards;
+    config.snapshot_dir = dir;
+    // No auto-snapshots: recovery is pure WAL replay, so the torn
+    // frame is guaranteed to matter.
+    config.seal_threshold = 0;
 
-      {
-        auto writer = ServiceFixture::Make(config);
-        ASSERT_TRUE(writer->Recover().ok());
-        ASSERT_TRUE(
-            writer->AddImages(MakeNames(0, 60), MakeFeatures(0, 60)).ok());
-        ASSERT_TRUE(
-            writer->AddImages(MakeNames(60, 45), MakeFeatures(60, 45)).ok());
-      }
-      // The "crash": the last batch's frame is half on disk.
-      const std::string wal_path = dir + "/index.wal";
-      const uint64_t full = std::filesystem::file_size(wal_path);
-      ASSERT_TRUE(TruncateFile(wal_path, full - 13).ok());
-
-      // Twin that never saw the second batch.
-      CbirConfig memory_only = config;
-      memory_only.snapshot_dir.clear();
-      auto twin = ServiceFixture::Make(memory_only);
+    {
+      auto writer = ServiceFixture::Make(config);
+      ASSERT_TRUE(writer->Recover().ok());
       ASSERT_TRUE(
-          twin->AddImages(MakeNames(0, 60), MakeFeatures(0, 60)).ok());
-
-      auto recovered = ServiceFixture::Make(config);
-      ASSERT_TRUE(recovered->Recover().ok());
-      EXPECT_TRUE(recovered->persistence_stats().wal_tail_discarded) << tag;
-      ASSERT_EQ(recovered->num_indexed(), 60u) << tag;
-      ASSERT_EQ(twin->num_indexed(), 60u);
-      for (size_t i : {size_t{0}, size_t{17}, size_t{59}}) {
-        const std::string name = "patch_" + std::to_string(i);
-        auto knn_a = KnnByName(*recovered, name, 10);
-        auto knn_b = KnnByName(*twin, name, 10);
-        ASSERT_TRUE(knn_a.ok() && knn_b.ok());
-        ASSERT_EQ(knn_a->size(), knn_b->size());
-        for (size_t j = 0; j < knn_a->size(); ++j) {
-          EXPECT_EQ((*knn_a)[j].patch_name, (*knn_b)[j].patch_name);
-          EXPECT_EQ((*knn_a)[j].hamming_distance,
-                    (*knn_b)[j].hamming_distance);
-        }
-      }
-      // The torn batch's ids must be reusable (the tail was cut).
+          writer->AddImages(MakeNames(0, 60), MakeFeatures(0, 60)).ok());
       ASSERT_TRUE(
-          recovered->AddImages(MakeNames(60, 45), MakeFeatures(60, 45)).ok());
-      EXPECT_EQ(recovered->num_indexed(), 105u);
+          writer->AddImages(MakeNames(60, 45), MakeFeatures(60, 45)).ok());
     }
+    // The "crash": the last batch's frame is half on disk.
+    const std::string wal_path = dir + "/index.wal";
+    const uint64_t full = std::filesystem::file_size(wal_path);
+    ASSERT_TRUE(TruncateFile(wal_path, full - 13).ok());
+
+    // Twin that never saw the second batch.
+    CbirConfig memory_only = config;
+    memory_only.snapshot_dir.clear();
+    auto twin = ServiceFixture::Make(memory_only);
+    ASSERT_TRUE(
+        twin->AddImages(MakeNames(0, 60), MakeFeatures(0, 60)).ok());
+
+    auto recovered = ServiceFixture::Make(config);
+    ASSERT_TRUE(recovered->Recover().ok());
+    EXPECT_TRUE(recovered->persistence_stats().wal_tail_discarded) << tag;
+    ASSERT_EQ(recovered->num_indexed(), 60u) << tag;
+    ASSERT_EQ(twin->num_indexed(), 60u);
+    for (size_t i : {size_t{0}, size_t{17}, size_t{59}}) {
+      const std::string name = "patch_" + std::to_string(i);
+      auto knn_a = KnnByName(*recovered, name, 10);
+      auto knn_b = KnnByName(*twin, name, 10);
+      ASSERT_TRUE(knn_a.ok() && knn_b.ok());
+      ASSERT_EQ(knn_a->size(), knn_b->size());
+      for (size_t j = 0; j < knn_a->size(); ++j) {
+        EXPECT_EQ((*knn_a)[j].patch_name, (*knn_b)[j].patch_name);
+        EXPECT_EQ((*knn_a)[j].hamming_distance,
+                  (*knn_b)[j].hamming_distance);
+      }
+    }
+    // The torn batch's ids must be reusable (the tail was cut).
+    ASSERT_TRUE(
+        recovered->AddImages(MakeNames(60, 45), MakeFeatures(60, 45)).ok());
+    EXPECT_EQ(recovered->num_indexed(), 105u);
   }
 }
 
@@ -813,7 +795,6 @@ TEST(PersistenceService, CrashMidBatchRecoversToLastIntactBatch) {
 TEST(PersistenceService, OnDemandSnapshotResetsWal) {
   const std::string dir = FreshDir("on_demand");
   CbirConfig config;
-  config.index_kind = CbirIndexKind::kHashTable;
   config.num_shards = 4;
   config.snapshot_dir = dir;
   config.seal_threshold = 1000;  // cadence never fires on its own
@@ -853,8 +834,7 @@ TEST(PersistenceService, AllWalSyncModesRecover) {
     const std::string dir =
         FreshDir("sync_" + std::to_string(static_cast<int>(sync)));
     CbirConfig config;
-    config.index_kind = CbirIndexKind::kHashTable;
-    config.snapshot_dir = dir;
+      config.snapshot_dir = dir;
     config.wal_sync = sync;
 
     {
@@ -895,7 +875,6 @@ TEST(PersistenceService, NoSnapshotDirMeansInMemoryOnly) {
 TEST(PersistenceService, RecoveryBumpsCacheEpochExactlyOnce) {
   const std::string dir = FreshDir("epoch");
   CbirConfig config;
-  config.index_kind = CbirIndexKind::kHashTable;
   config.num_shards = 4;
   config.snapshot_dir = dir;
   config.seal_threshold = 16;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "index/bk_tree.h"
 #include "index/frontier.h"
 #include "index/hamming_table.h"
 #include "index/linear_scan.h"
@@ -43,7 +42,7 @@ struct IndexVariant {
   std::function<std::unique_ptr<HammingIndex>()> make;
 };
 
-/// Every index shape the frontier contract must hold on: the four leaf
+/// Every index shape the frontier contract must hold on: the three leaf
 /// kinds, a segment-structured wrapper (sealing every 64 items), and a
 /// 4-shard partition of each kind.
 std::vector<IndexVariant> AllVariants() {
@@ -55,7 +54,6 @@ std::vector<IndexVariant> AllVariants() {
           {"HashTable", [] { return std::make_unique<HammingHashTable>(); }},
           {"MultiIndex",
            [] { return std::make_unique<MultiIndexHashing>(4); }},
-          {"BkTree", [] { return std::make_unique<BkTree>(); }},
       };
   for (const auto& [name, make] : kinds) {
     out.push_back({name, make});
@@ -443,13 +441,13 @@ TEST_F(RankedAccessTest, FingerprintCollisionRegistersEphemerally) {
 // EarthQube-level cursor walks: byte parity, fallback, concurrency
 // ---------------------------------------------------------------------------
 
-/// A 400-patch system with an attached CBIR index of the given kind and
-/// shard count.  The response cache is disabled so every page walks the
+/// A 400-patch system with an attached CBIR index of the given shard
+/// count.  The response cache is disabled so every page walks the
 /// ranked-access path (replay flags would otherwise differ between the
 /// warm and cold serialisations).
 class PagingFixture {
  public:
-  explicit PagingFixture(CbirIndexKind kind, size_t num_shards = 1) {
+  explicit PagingFixture(size_t num_shards = 1) {
     bigearthnet::ArchiveConfig config;
     config.num_patches = 400;
     config.seed = 17;
@@ -471,7 +469,6 @@ class PagingFixture {
     mconfig.hash_bits = 32;
     mconfig.dropout = 0.0f;
     CbirConfig cbir_config;
-    cbir_config.index_kind = kind;
     cbir_config.num_shards = num_shards;
     auto cbir = std::make_unique<CbirService>(
         std::make_unique<milan::MilanModel>(mconfig), &extractor_,
@@ -552,58 +549,50 @@ std::vector<std::string> AuditWalk(EarthQube& system, QueryRequest base) {
 }
 
 TEST(RankedPagingAuditTest, ResumedPagesMatchReExecutionAcrossVariants) {
-  const std::vector<std::pair<std::string, CbirIndexKind>> kinds = {
-      {"HashTable", CbirIndexKind::kHashTable},
-      {"MultiIndex", CbirIndexKind::kMultiIndex},
-      {"LinearScan", CbirIndexKind::kLinearScan},
-      {"BkTree", CbirIndexKind::kBkTree},
-  };
-  for (const auto& [kind_name, kind] : kinds) {
-    for (size_t shards : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(kind_name + "/shards=" + std::to_string(shards));
-      PagingFixture fixture(kind, shards);
-      EarthQube& system = fixture.system();
-      const std::string& subject = fixture.archive().patches[0].name;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    PagingFixture fixture(shards);
+    EarthQube& system = fixture.system();
+    const std::string& subject = fixture.archive().patches[0].name;
 
-      // Plain CBIR, radius mode (limit 0 = unlimited, so the restricted
-      // walk below is provably a subset of this one).
-      QueryRequest plain;
-      plain.similarity = SimilaritySpec::NameRadius(subject, 9);
-      plain.page_size = 7;
-      const std::vector<std::string> radius_walk = AuditWalk(system, plain);
+    // Plain CBIR, radius mode (limit 0 = unlimited, so the restricted
+    // walk below is provably a subset of this one).
+    QueryRequest plain;
+    plain.similarity = SimilaritySpec::NameRadius(subject, 9);
+    plain.page_size = 7;
+    const std::vector<std::string> radius_walk = AuditWalk(system, plain);
 
-      // Plain CBIR, k-NN mode, hits-only projection.
-      QueryRequest knn;
-      knn.similarity = SimilaritySpec::NameKnn(subject, 33);
-      knn.projection = Projection::kHitsOnly;
-      knn.page_size = 6;
-      AuditWalk(system, knn);
+    // Plain CBIR, k-NN mode, hits-only projection.
+    QueryRequest knn;
+    knn.similarity = SimilaritySpec::NameKnn(subject, 33);
+    knn.projection = Projection::kHitsOnly;
+    knn.page_size = 6;
+    AuditWalk(system, knn);
 
-      // Restricted (pre-filter) hybrid.
-      EarthQubeQuery panel;
-      panel.satellites = {"S2A"};
-      QueryRequest restricted;
-      restricted.panel = panel;
-      restricted.similarity = SimilaritySpec::NameRadius(subject, 9);
-      restricted.planner = PlannerMode::kForcePreFilter;
-      restricted.page_size = 5;
-      const std::vector<std::string> restricted_walk =
-          AuditWalk(system, restricted);
+    // Restricted (pre-filter) hybrid.
+    EarthQubeQuery panel;
+    panel.satellites = {"S2A"};
+    QueryRequest restricted;
+    restricted.panel = panel;
+    restricted.similarity = SimilaritySpec::NameRadius(subject, 9);
+    restricted.planner = PlannerMode::kForcePreFilter;
+    restricted.page_size = 5;
+    const std::vector<std::string> restricted_walk =
+        AuditWalk(system, restricted);
 
-      // Post-filter hybrid over the same shape: same rows must survive,
-      // discovered by joining the raw ranking instead.
-      QueryRequest post = restricted;
-      post.planner = PlannerMode::kForcePostFilter;
-      const std::vector<std::string> post_walk = AuditWalk(system, post);
-      EXPECT_EQ(restricted_walk, post_walk)
-          << "pre- and post-filter walks disagree on the ranking";
+    // Post-filter hybrid over the same shape: same rows must survive,
+    // discovered by joining the raw ranking instead.
+    QueryRequest post = restricted;
+    post.planner = PlannerMode::kForcePostFilter;
+    const std::vector<std::string> post_walk = AuditWalk(system, post);
+    EXPECT_EQ(restricted_walk, post_walk)
+        << "pre- and post-filter walks disagree on the ranking";
 
-      // The restricted walk is a subsequence of the plain walk's names.
-      const std::set<std::string> plain_names(radius_walk.begin(),
-                                              radius_walk.end());
-      for (const std::string& name : restricted_walk) {
-        EXPECT_TRUE(plain_names.count(name)) << name;
-      }
+    // The restricted walk is a subsequence of the plain walk's names.
+    const std::set<std::string> plain_names(radius_walk.begin(),
+                                            radius_walk.end());
+    for (const std::string& name : restricted_walk) {
+      EXPECT_TRUE(plain_names.count(name)) << name;
     }
   }
 }
@@ -612,7 +601,7 @@ TEST(RankedPagingAuditTest, UnpagedPostFilterKnnCountsRawRankOfKthSurvivor) {
   // docs_examined of an unpaged post-filter k-NN is the raw rank of the
   // k-th filter survivor: the join cost of exactly the rows returned,
   // as on the paged walk.
-  PagingFixture fixture(CbirIndexKind::kHashTable);
+  PagingFixture fixture;
   EarthQube& system = fixture.system();
   const std::string& subject = fixture.archive().patches[0].name;
   EarthQubeQuery panel;
@@ -657,7 +646,7 @@ TEST(RankedPagingAuditTest, UnpagedPostFilterKnnCountsRawRankOfKthSurvivor) {
 }
 
 TEST(RankedPagingAuditTest, IngestMidPaginationFallsBackToReExecution) {
-  PagingFixture fixture(CbirIndexKind::kHashTable);
+  PagingFixture fixture;
   EarthQube& system = fixture.system();
   const auto& patch0 = fixture.archive().patches[0];
 
@@ -711,7 +700,7 @@ TEST(RankedPagingAuditTest, IngestMidPaginationFallsBackToReExecution) {
 }
 
 TEST(RankedPagingAuditTest, ParallelPaginationConverges) {
-  PagingFixture fixture(CbirIndexKind::kHashTable, 4);
+  PagingFixture fixture(4);
   EarthQube& system = fixture.system();
 
   QueryRequest base;

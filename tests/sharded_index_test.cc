@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "index/bk_tree.h"
 #include "index/hamming_table.h"
 #include "index/linear_scan.h"
 #include "index/sharded_index.h"
@@ -23,10 +22,10 @@ BinaryCode RandomCode(size_t bits, Rng* rng) {
   return code;
 }
 
-enum class Kind { kHashTable, kMultiIndex, kLinearScan, kBkTree };
+enum class Kind { kHashTable, kMultiIndex, kLinearScan };
 
 const Kind kAllKinds[] = {Kind::kHashTable, Kind::kMultiIndex,
-                          Kind::kLinearScan, Kind::kBkTree};
+                          Kind::kLinearScan};
 
 std::unique_ptr<HammingIndex> MakeKind(Kind kind) {
   switch (kind) {
@@ -36,8 +35,6 @@ std::unique_ptr<HammingIndex> MakeKind(Kind kind) {
       return std::make_unique<MultiIndexHashing>(4);
     case Kind::kLinearScan:
       return std::make_unique<LinearScanIndex>();
-    case Kind::kBkTree:
-      return std::make_unique<BkTree>();
   }
   return nullptr;
 }

@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "common/simd/hamming_kernels.h"
-#include "index/bk_tree.h"
 #include "index/hamming_table.h"
 #include "index/linear_scan.h"
 #include "index/segmented_index.h"
@@ -148,7 +147,6 @@ std::vector<std::unique_ptr<HammingIndex>> AllIndexKinds() {
   kinds.push_back(std::make_unique<LinearScanIndex>());
   kinds.push_back(std::make_unique<HammingHashTable>());
   kinds.push_back(std::make_unique<MultiIndexHashing>(4));
-  kinds.push_back(std::make_unique<BkTree>());
   kinds.push_back(std::make_unique<ShardedHammingIndex>(
       4, [] { return std::make_unique<LinearScanIndex>(); },
       /*seal_threshold=*/64));
