@@ -9,6 +9,9 @@
 /// is the headline: the response cache replaces a Hamming search plus
 /// metadata join with one sharded LRU probe and a response copy.
 ///
+/// A panel-preset pair sets a panel's first execution against a repeat
+/// of it, which the allowlist cache's match set serves.
+///
 /// Also verifies, outside the timed region, that cached responses are
 /// byte-equivalent to uncached ones (identical hits, plan, paging).
 #include <algorithm>
@@ -173,6 +176,41 @@ void BM_ZipfianCacheWarm(benchmark::State& state) {
 BENCHMARK(BM_ZipfianCacheDisabled)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ZipfianCacheCold)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ZipfianCacheWarm)->Unit(benchmark::kMicrosecond);
+
+/// A query-panel preset (a label filter and a season, full rows and
+/// label statistics), one page.  The first execution runs the filter
+/// pass and counts labels over every match; a repeat reads the cached
+/// match set and builds one page of rows.
+void RunPanelPreset(benchmark::State& state, bool repeat) {
+  earthqube::EarthQube& system = *GetContext(true)->system;
+  earthqube::EarthQubeQuery panel;
+  panel.label_filter =
+      earthqube::LabelFilter::Some(bigearthnet::LabelSet({2, 39}));
+  panel.seasons = {Season::kSummer, Season::kWinter};
+  earthqube::QueryRequest request;
+  request.panel = panel;
+  request.page_size = earthqube::kPageSize;
+  const auto warm = system.Execute(request);
+  if (!warm.ok()) std::abort();
+  for (auto _ : state) {
+    if (!repeat) system.query_cache().Invalidate();
+    const auto response = system.Execute(request);
+    if (!response.ok()) std::abort();
+    benchmark::DoNotOptimize(response->panel.total());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["matches"] = static_cast<double>(warm->panel.total());
+}
+
+void BM_PanelPresetFirst(benchmark::State& state) {
+  RunPanelPreset(state, /*repeat=*/false);
+}
+void BM_PanelPresetRepeat(benchmark::State& state) {
+  RunPanelPreset(state, /*repeat=*/true);
+}
+
+BENCHMARK(BM_PanelPresetFirst)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PanelPresetRepeat)->Unit(benchmark::kMicrosecond);
 
 /// Equivalence audit (not timed): every pool request must produce the
 /// same caller-visible response cached and uncached.

@@ -160,7 +160,7 @@ void ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
   if (response->page_size > 0 &&
       (response->page + 1) * response->page_size < response->total()) {
     response->cursor = earthqube::EncodeCursor(
-        {response->page + 1, response->page_size});
+        {.page = response->page + 1, .page_size = response->page_size});
   }
 }
 

@@ -519,8 +519,8 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
     });
   };
 
-  const std::optional<size_t> fanned_k =
-      has_sim ? request.similarity->k : std::nullopt;
+  const bool fanned_knn = has_sim && request.similarity->k.has_value();
+  const size_t fanned_k = fanned_knn ? *request.similarity->k : 0;
   AGORAEO_ASSIGN_OR_RETURN(const Document fan_doc,
                            QueryRequestToJson(request));
   AGORAEO_ASSIGN_OR_RETURN(std::vector<WireQueryResponse> partials,
@@ -534,13 +534,13 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   // worst distance reaches the merged k-th distance) and re-fan as an
   // inclusive RADIUS search at that boundary: every candidate that
   // could make the top-k comes back, and the merge truncates exactly.
-  if (fanned_k.has_value() && cap.has_value()) {
+  if (fanned_knn && cap.has_value()) {
     merge(partials);
     bool may_hide_ties = false;
     if (rows.size() >= *cap && *cap > 0) {
       const uint32_t boundary = rows[*cap - 1].result.distance;
       for (const WireQueryResponse& partial : partials) {
-        if (partial.results.size() >= *fanned_k && !partial.results.empty() &&
+        if (partial.results.size() >= fanned_k && !partial.results.empty() &&
             partial.results.back().distance <= boundary) {
           may_hide_ties = true;
         }
@@ -636,7 +636,8 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
       out.cursor = earthqube::EncodeCursor({page + 1, page_size, handle_id});
     }
   } else if (page_size > 0 && (page + 1) * page_size < out.total()) {
-    out.cursor = earthqube::EncodeCursor({page + 1, page_size});
+    out.cursor =
+        earthqube::EncodeCursor({.page = page + 1, .page_size = page_size});
   }
   if (start_ns != 0) {
     obs::SlowQueryLog& slow_log = obs_.slow_log();

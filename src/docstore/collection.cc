@@ -289,9 +289,9 @@ std::vector<Collection::AccessPath> Collection::AccessPaths(
   return paths;
 }
 
-void Collection::Execute(const Filter& filter, size_t limit,
-                         QueryStats* stats, std::vector<DocId>* ids,
-                         std::vector<const Document*>* docs) const {
+void Collection::FindWithDocs(const Filter& filter, size_t limit,
+                              QueryStats* stats, std::vector<DocId>* ids,
+                              std::vector<const Document*>* docs) const {
   QueryStats local;
   size_t matches = 0;
   // True once `limit` matches are in.
@@ -394,7 +394,7 @@ void Collection::Execute(const Filter& filter, size_t limit,
 std::vector<DocId> Collection::FindIds(const Filter& filter, size_t limit,
                                        QueryStats* stats) const {
   std::vector<DocId> out;
-  Execute(filter, limit, stats, &out, nullptr);
+  FindWithDocs(filter, limit, stats, &out, nullptr);
   return out;
 }
 
@@ -402,7 +402,7 @@ std::vector<const Document*> Collection::Find(const Filter& filter,
                                               size_t limit,
                                               QueryStats* stats) const {
   std::vector<const Document*> out;
-  Execute(filter, limit, stats, nullptr, &out);
+  FindWithDocs(filter, limit, stats, nullptr, &out);
   return out;
 }
 

@@ -72,6 +72,12 @@ class Collection {
   std::vector<const Document*> Find(const Filter& filter, size_t limit = 0,
                                     QueryStats* stats = nullptr) const;
 
+  /// FindIds and Find in one pass: appends each match's id to `ids` and
+  /// its document to `docs` (either may be null), in DocId order.
+  void FindWithDocs(const Filter& filter, size_t limit, QueryStats* stats,
+                    std::vector<DocId>* ids,
+                    std::vector<const Document*>* docs) const;
+
   /// First match or NotFound.
   StatusOr<DocId> FindOneId(const Filter& filter) const;
 
@@ -131,11 +137,6 @@ class Collection {
   /// The index-assisted access paths for `filter`'s conjuncts, empty
   /// when no index applies.
   std::vector<AccessPath> AccessPaths(const Filter& filter) const;
-  /// Runs the plan for `filter`, appending each match's id to `ids` and
-  /// its document to `docs` (either may be null), in DocId order.
-  void Execute(const Filter& filter, size_t limit, QueryStats* stats,
-               std::vector<DocId>* ids,
-               std::vector<const Document*>* docs) const;
 
   /// Adds (or removes) one document's numeric values to the per-field
   /// histograms of every range-indexed path.

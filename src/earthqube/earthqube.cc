@@ -288,7 +288,8 @@ void EarthQube::FinishPaging(const QueryRequest& request,
   response->page_size = request.page_size;
   if (request.page_size > 0 &&
       (request.page + 1) * request.page_size < response->total()) {
-    response->cursor = EncodeCursor({request.page + 1, request.page_size});
+    response->cursor = EncodeCursor(
+        {.page = request.page + 1, .page_size = request.page_size});
   }
 }
 
@@ -332,36 +333,112 @@ Status EarthQube::JoinHits(const std::vector<CbirResult>& hits,
   return Status::OK();
 }
 
+docstore::Filter EarthQube::PanelFilter(const EarthQubeQuery& panel) const {
+  return panel.ToFilter(config_.label_encoding ==
+                        LabelEncoding::kAsciiCompressed);
+}
+
+std::shared_ptr<const FilterMatchSet> EarthQube::ObtainMatchSet(
+    const EarthQubeQuery& panel, bool apply_limit,
+    std::vector<const Document*>* docs) const {
+  docs->clear();
+  const size_t limit = apply_limit ? panel.limit : 0;
+  std::optional<std::string> fingerprint;
+  if (config_.cache.enable_allowlist_cache) {
+    fingerprint = QueryCache::PanelFingerprint(panel,
+                                               /*include_limit=*/limit != 0);
+    if (auto cached = query_cache_.GetMatchSet(*fingerprint)) return cached;
+  }
+  // Epoch snapshot before the filter pass: an ingest racing it leaves
+  // the entry put below stale instead of serving pre-ingest data.
+  const uint64_t epoch_snapshot = query_cache_.epoch();
+  auto fresh = std::make_shared<FilterMatchSet>();
+  metadata_->FindWithDocs(PanelFilter(panel), limit, &fresh->filter_stats,
+                          &fresh->ids, docs);
+  if (fingerprint.has_value()) {
+    query_cache_.PutMatchSet(*fingerprint, fresh, epoch_snapshot);
+  }
+  return fresh;
+}
+
+StatusOr<const Document*> EarthQube::MatchDocument(
+    const FilterMatchSet& matches, const std::vector<const Document*>& docs,
+    size_t i) const {
+  if (i < docs.size()) return docs[i];
+  const Document* doc = metadata_->Get(matches.ids[i]);
+  if (doc == nullptr) {
+    return Status::Corruption("cached filter match " +
+                              std::to_string(matches.ids[i]) +
+                              " resolves to no metadata document");
+  }
+  return doc;
+}
+
+StatusOr<const LabelStatistics::LabelCounts*> EarthQube::MatchLabelCounts(
+    const FilterMatchSet& matches,
+    const std::vector<const Document*>& docs) const {
+  std::lock_guard<std::mutex> lock(matches.mu);
+  if (!matches.label_counts.has_value()) {
+    // Reads only the stored label keys; no result row is built.
+    LabelStatistics::LabelCounts counts{};
+    for (size_t i = 0; i < matches.ids.size(); ++i) {
+      AGORAEO_ASSIGN_OR_RETURN(const Document* doc,
+                               MatchDocument(matches, docs, i));
+      AGORAEO_RETURN_IF_ERROR(CountLabels(*doc, &counts));
+    }
+    matches.label_counts = counts;
+  }
+  return &*matches.label_counts;
+}
+
+StatusOr<const index::CandidateSet*> EarthQube::MatchCandidates(
+    const FilterMatchSet& matches,
+    const std::vector<const Document*>& docs) const {
+  std::lock_guard<std::mutex> lock(matches.mu);
+  if (!matches.candidates.has_value()) {
+    std::vector<std::string> names;
+    names.reserve(matches.ids.size());
+    for (size_t i = 0; i < matches.ids.size(); ++i) {
+      AGORAEO_ASSIGN_OR_RETURN(const Document* doc,
+                               MatchDocument(matches, docs, i));
+      const Value* name = doc->GetPath(kFieldName);
+      if (name != nullptr && name->is_string()) {
+        names.push_back(name->as_string());
+      }
+    }
+    matches.candidates = cbir_->CandidatesFromNames(names);
+  }
+  return &*matches.candidates;
+}
+
 StatusOr<QueryResponse> EarthQube::ExecutePanelOnly(
     const QueryRequest& request) const {
-  const EarthQubeQuery& query = *request.panel;
-  const Filter filter = query.ToFilter(
-      config_.label_encoding == LabelEncoding::kAsciiCompressed);
-  QueryResponse response;
-  const auto docs =
-      metadata_->Find(filter, query.limit, &response.query_stats);
-
-  // Label statistics cover every match and read only the stored label
-  // keys; result rows are built for the requested page alone (for every
-  // match when unpaged).
-  LabelStatistics::LabelCounts counts{};
-  for (const Document* doc : docs) {
-    AGORAEO_RETURN_IF_ERROR(CountLabels(*doc, &counts));
-  }
+  std::vector<const Document*> docs;
+  const std::shared_ptr<const FilterMatchSet> matches =
+      ObtainMatchSet(*request.panel, /*apply_limit=*/true, &docs);
+  AGORAEO_ASSIGN_OR_RETURN(const LabelStatistics::LabelCounts* counts,
+                           MatchLabelCounts(*matches, docs));
+  // Rows are built for the requested page alone (for every match when
+  // unpaged): the page is a direct slice of the DocId-ordered ids.
+  const size_t total = matches->ids.size();
   size_t begin = 0;
-  size_t end = docs.size();
+  size_t end = total;
   if (request.page_size > 0) {
-    begin = std::min(docs.size(), request.page * request.page_size);
-    end = std::min(docs.size(), begin + request.page_size);
+    begin = std::min(total, request.page * request.page_size);
+    end = std::min(total, begin + request.page_size);
   }
   std::vector<ResultEntry> rows;
   rows.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    AGORAEO_ASSIGN_OR_RETURN(ResultEntry entry, EntryFromDocument(*docs[i]));
+    AGORAEO_ASSIGN_OR_RETURN(const Document* doc,
+                             MatchDocument(*matches, docs, i));
+    AGORAEO_ASSIGN_OR_RETURN(ResultEntry entry, EntryFromDocument(*doc));
     rows.push_back(std::move(entry));
   }
-  response.panel = ResultPanel(std::move(rows), begin, docs.size());
-  response.statistics = LabelStatistics::FromCounts(counts, docs.size());
+  QueryResponse response;
+  response.query_stats = matches->filter_stats;
+  response.panel = ResultPanel(std::move(rows), begin, total);
+  response.statistics = LabelStatistics::FromCounts(*counts, total);
   response.plan.strategy = QueryPlan::Strategy::kPanelOnly;
   response.plan.description = response.query_stats.plan;
   FinishPaging(request, &response);
@@ -397,37 +474,6 @@ EarthQube::HybridPlanInfo EarthQube::PlanHybrid(const QueryRequest& request,
   return info;
 }
 
-StatusOr<std::shared_ptr<const CachedAllowlist>> EarthQube::ObtainAllowlist(
-    const EarthQubeQuery& panel, const Filter& filter) const {
-  // Hot panel filters skip the docstore pass entirely via the allowlist
-  // cache (the cached entry replays the original filter pass's stats so
-  // the response stays byte-identical).
-  std::optional<std::string> allowlist_fp;
-  if (config_.cache.enable_allowlist_cache) {
-    allowlist_fp = QueryCache::PanelFingerprint(panel,
-                                                /*include_limit=*/false);
-    if (auto cached = query_cache_.GetAllowlist(*allowlist_fp)) return cached;
-  }
-  // Epoch snapshot before the filter pass: an ingest racing it leaves
-  // the entry put below stale instead of serving pre-ingest data.
-  const uint64_t epoch_snapshot = query_cache_.epoch();
-  auto fresh = std::make_shared<CachedAllowlist>();
-  const auto docs = metadata_->Find(filter, 0, &fresh->filter_stats);
-  std::vector<std::string> names;
-  names.reserve(docs.size());
-  for (const Document* doc : docs) {
-    const Value* name = doc->GetPath(kFieldName);
-    if (name != nullptr && name->is_string()) {
-      names.push_back(name->as_string());
-    }
-  }
-  fresh->candidates = cbir_->CandidatesFromNames(names);
-  if (allowlist_fp.has_value()) {
-    query_cache_.PutAllowlist(*allowlist_fp, fresh, epoch_snapshot);
-  }
-  return std::shared_ptr<const CachedAllowlist>(std::move(fresh));
-}
-
 StatusOr<EarthQube::SimilarityPlan> EarthQube::PlanSimilarity(
     const QueryRequest& request) const {
   const SimilaritySpec& spec = *request.similarity;
@@ -444,8 +490,7 @@ StatusOr<EarthQube::SimilarityPlan> EarthQube::PlanSimilarity(
         ")";
     return plan;
   }
-  plan.filter = request.panel->ToFilter(
-      config_.label_encoding == LabelEncoding::kAsciiCompressed);
+  plan.filter = PanelFilter(*request.panel);
   const HybridPlanInfo info = PlanHybrid(request, plan.filter);
   skeleton.plan.strategy = info.strategy;
   skeleton.plan.estimated_selectivity = info.selectivity;
@@ -453,18 +498,21 @@ StatusOr<EarthQube::SimilarityPlan> EarthQube::PlanSimilarity(
   char sel_text[32];
   std::snprintf(sel_text, sizeof(sel_text), "%.4f", info.selectivity);
   if (info.strategy == QueryPlan::Strategy::kPreFilter) {
-    // Filter first: the docstore produces the allowlist, then the
-    // Hamming index ranks only within it.
-    AGORAEO_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAllowlist> allowlist,
-                             ObtainAllowlist(*request.panel, plan.filter));
-    skeleton.query_stats = allowlist->filter_stats;
+    // Filter first: the filter's match set (shared with panels, and
+    // unlimited: the pre-filter pass ignores the panel limit) yields
+    // the allowlist, then the Hamming index ranks only within it.
+    std::vector<const Document*> docs;
+    const std::shared_ptr<const FilterMatchSet> matches =
+        ObtainMatchSet(*request.panel, /*apply_limit=*/false, &docs);
+    AGORAEO_ASSIGN_OR_RETURN(const index::CandidateSet* candidates,
+                             MatchCandidates(*matches, docs));
+    skeleton.query_stats = matches->filter_stats;
     skeleton.plan.description =
         "HYBRID(pre-filter: " + skeleton.query_stats.plan + " -> " +
-        std::to_string(allowlist->candidates.size()) +
-        " candidates -> restricted " + index_name + ", est_sel=" + sel_text +
-        ")";
-    plan.allowed = std::shared_ptr<const index::CandidateSet>(
-        allowlist, &allowlist->candidates);
+        std::to_string(candidates->size()) + " candidates -> restricted " +
+        index_name + ", est_sel=" + sel_text + ")";
+    plan.allowed =
+        std::shared_ptr<const index::CandidateSet>(matches, candidates);
   } else {
     // Search first: the unrestricted ranking is joined against the
     // metadata and filtered as it streams.
@@ -848,8 +896,7 @@ StatusOr<std::vector<QueryResponse>> EarthQube::ExecuteBatch(
 }
 
 size_t EarthQube::CountMatches(const EarthQubeQuery& query) const {
-  return metadata_->Count(query.ToFilter(
-      config_.label_encoding == LabelEncoding::kAsciiCompressed));
+  return metadata_->Count(PanelFilter(query));
 }
 
 Status EarthQube::StorePatchPixels(const bigearthnet::Patch& patch) {

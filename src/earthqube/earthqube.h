@@ -37,8 +37,9 @@ struct EarthQubeConfig {
   /// selectivity (lower at larger archive sizes); 5% centres it.
   double prefilter_selectivity_threshold = 0.05;
   /// Query-cache subsystem: response cache (hot CBIR/hybrid requests)
-  /// and allowlist cache (hot pre-filter panel filters), both epoch-
-  /// invalidated by archive mutations.  See QueryCacheConfig.
+  /// and allowlist cache (one match set per hot panel filter, shared by
+  /// panels and pre-filter hybrids), both epoch-invalidated by archive
+  /// mutations.  See QueryCacheConfig.
   QueryCacheConfig cache;
   /// Staged execution engine, the only executor: admission queue,
   /// cross-request miss coalescing (singleflight) and micro-batching of
@@ -174,6 +175,8 @@ class EarthQube {
   StatusOr<bigearthnet::PatchMetadata> GetMetadata(
       const std::string& name) const;
 
+  /// Mutating the metadata collection through this bypasses the cache
+  /// epoch: such callers must call query_cache().Invalidate() too.
   docstore::Database& database() { return db_; }
   const docstore::Database& database() const { return db_; }
   CbirService* cbir() { return cbir_.get(); }
@@ -228,10 +231,39 @@ class EarthQube {
                           const std::optional<std::string>& fingerprint,
                           const Status& status, uint64_t epoch_snapshot) const;
 
-  /// A panel query: one planner pass over the metadata, label
-  /// statistics over every match, and result rows for the requested
-  /// page only (every match when `page_size` is 0).
+  /// A panel query: the filter's match set (one planner pass on a cache
+  /// miss), label statistics over every match, and result rows for the
+  /// requested page only (every match when `page_size` is 0).  A warm
+  /// match set makes a repeated panel cost one page of rows.
   StatusOr<QueryResponse> ExecutePanelOnly(const QueryRequest& request) const;
+
+  /// The metadata filter of a panel query.
+  docstore::Filter PanelFilter(const EarthQubeQuery& panel) const;
+
+  /// The match set of `panel`'s filter, limited to `panel.limit` when
+  /// `apply_limit` (a limited set keys its own entry), from the allowlist
+  /// cache when warm, otherwise from one filter pass that is cached
+  /// afterwards.  After a fresh pass `docs` holds the matched documents,
+  /// aligned with the ids; after a hit it is left empty.
+  std::shared_ptr<const FilterMatchSet> ObtainMatchSet(
+      const EarthQubeQuery& panel, bool apply_limit,
+      std::vector<const docstore::Document*>* docs) const;
+
+  /// The document of `matches.ids[i]`: `docs[i]` after a fresh pass,
+  /// else a lookup by id.  Corruption when the id resolves to nothing.
+  StatusOr<const docstore::Document*> MatchDocument(
+      const FilterMatchSet& matches,
+      const std::vector<const docstore::Document*>& docs, size_t i) const;
+
+  /// A match set's label counts and Hamming-index allowlist, derived
+  /// from its ids (or the fresh pass's `docs`) on first demand and kept
+  /// in the set.
+  StatusOr<const LabelStatistics::LabelCounts*> MatchLabelCounts(
+      const FilterMatchSet& matches,
+      const std::vector<const docstore::Document*>& docs) const;
+  StatusOr<const index::CandidateSet*> MatchCandidates(
+      const FilterMatchSet& matches,
+      const std::vector<const docstore::Document*>& docs) const;
 
   // --- similarity execution: one path for CBIR-only and hybrid requests,
   // --- single or micro-batched, paged or not -------------------------------
@@ -244,12 +276,6 @@ class EarthQube {
   };
   HybridPlanInfo PlanHybrid(const QueryRequest& request,
                             const docstore::Filter& filter) const;
-
-  /// Returns the pre-filter candidate allowlist for a panel filter,
-  /// from the allowlist cache when warm, otherwise via a docstore
-  /// filter pass (cached afterwards).
-  StatusOr<std::shared_ptr<const CachedAllowlist>> ObtainAllowlist(
-      const EarthQubeQuery& panel, const docstore::Filter& filter) const;
 
   /// Everything a similarity response is built from besides its
   /// ranking, fixed per request shape (mode, panel filter, planner):

@@ -175,21 +175,22 @@ bool QueryCache::PutResponse(const std::string& fingerprint,
                         ApproxResponseBytes(response), computed_at_epoch);
 }
 
-std::shared_ptr<const CachedAllowlist> QueryCache::GetAllowlist(
+std::shared_ptr<const FilterMatchSet> QueryCache::GetMatchSet(
     const std::string& fingerprint) {
   if (!config_.enable_allowlist_cache) return nullptr;
   auto hit = allowlists_.Get(fingerprint);
   return hit.has_value() ? *hit : nullptr;
 }
 
-void QueryCache::PutAllowlist(const std::string& fingerprint,
-                              std::shared_ptr<const CachedAllowlist> allowlist,
-                              uint64_t computed_at_epoch) {
-  if (!config_.enable_allowlist_cache || allowlist == nullptr) return;
-  const size_t bytes = sizeof(CachedAllowlist) +
-                       allowlist->candidates.size() * sizeof(index::ItemId) +
-                       allowlist->filter_stats.plan.size();
-  allowlists_.Put(fingerprint, std::move(allowlist), bytes, computed_at_epoch);
+void QueryCache::PutMatchSet(const std::string& fingerprint,
+                             std::shared_ptr<const FilterMatchSet> matches,
+                             uint64_t computed_at_epoch) {
+  if (!config_.enable_allowlist_cache || matches == nullptr) return;
+  const size_t bytes =
+      sizeof(FilterMatchSet) +
+      matches->ids.size() * (sizeof(docstore::DocId) + sizeof(index::ItemId)) +
+      matches->filter_stats.plan.size();
+  allowlists_.Put(fingerprint, std::move(matches), bytes, computed_at_epoch);
 }
 
 std::optional<Status> QueryCache::GetNegative(const std::string& fingerprint) {

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -14,18 +16,20 @@
 #include "cache/sharded_lru_cache.h"
 #include "docstore/collection.h"
 #include "earthqube/query_request.h"
+#include "earthqube/statistics.h"
 #include "index/hamming_index.h"
 
 namespace agoraeo::earthqube {
 
-/// Knobs of EarthQube's two query-path caches (EarthQubeConfig::cache).
+/// Knobs of EarthQube's query-path caches (EarthQubeConfig::cache).
 struct QueryCacheConfig {
   /// Response cache: whole QueryResponses keyed by a canonical request
   /// fingerprint (CBIR-only and hybrid requests; paging-aware).
   bool enable_response_cache = true;
-  /// Allowlist cache: the hybrid pre-filter leg's (panel filter ->
-  /// CandidateSet) product, keyed by the panel-filter fingerprint, so
-  /// repeated pre-filter hybrids skip the docstore filter pass.
+  /// Allowlist cache: one FilterMatchSet per panel filter, keyed by the
+  /// panel-filter fingerprint and shared by panel requests and the
+  /// hybrid pre-filter leg, so a repeated panel builds only its page and
+  /// a repeated pre-filter hybrid skips the docstore filter pass.
   bool enable_allowlist_cache = true;
   /// Negative cache: NotFound similarity subjects (bad archive names)
   /// are remembered under a short TTL so repeated bad lookups don't
@@ -41,27 +45,37 @@ struct QueryCacheConfig {
   std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
-/// What the hybrid pre-filter leg caches per panel filter: the candidate
-/// allowlist plus the docstore stats of the filter pass that produced
-/// it.  The stats are replayed on a hit so a cached-allowlist response
-/// stays byte-identical to an uncached one.
-struct CachedAllowlist {
-  index::CandidateSet candidates;
+/// One panel filter's matches, the allowlist cache's entry: panel
+/// requests and the hybrid pre-filter leg share it.  `ids` holds every
+/// match's DocId in DocId order (ingest order), so any page of a panel
+/// is direct access into it; `filter_stats` are the docstore stats of
+/// the filter pass that found them, replayed on a hit so a cached answer
+/// stays byte-identical to an uncached one.  The panel's label counts
+/// and the Hamming-index allowlist are derived from the ids on first
+/// demand, each at most once, so neither consumer pays for the other's.
+struct FilterMatchSet {
+  std::vector<docstore::DocId> ids;
   docstore::QueryStats filter_stats;
+  /// Guards the two derived members below.
+  mutable std::mutex mu;
+  mutable std::optional<LabelStatistics::LabelCounts> label_counts;
+  mutable std::optional<index::CandidateSet> candidates;
 };
 
-/// EarthQube's query-cache subsystem: a response cache and an allowlist
-/// cache over one shared EpochValidator.  Any archive mutation bumps the
-/// epoch, lazily invalidating every entry of both caches without a
-/// sweep.  Thread-safe; Get/Put may race with Invalidate freely.
+/// EarthQube's query-cache subsystem: a response cache, an allowlist
+/// (filter match set) cache and a negative cache over one shared
+/// EpochValidator.  Any archive mutation bumps the epoch, lazily
+/// invalidating every entry of all three without a sweep.  Thread-safe;
+/// Get/Put may race with Invalidate freely.
 class QueryCache {
  public:
   explicit QueryCache(const QueryCacheConfig& config);
 
   /// Canonical fingerprint of a panel query's filter semantics.
-  /// `include_limit` distinguishes the response-cache use (limit changes
-  /// the materialised panel) from the allowlist-cache use (the hybrid
-  /// pre-filter pass ignores the panel limit).
+  /// `include_limit` distinguishes a limited pass (the response cache,
+  /// and a panel with a nonzero limit, whose match set is a prefix with
+  /// its own docs_examined) from the unlimited match set that unlimited
+  /// panels and the hybrid pre-filter leg share.
   static std::string PanelFingerprint(const EarthQubeQuery& query,
                                       bool include_limit = true);
 
@@ -93,13 +107,14 @@ class QueryCache {
   bool PutResponse(const std::string& fingerprint,
                    const QueryResponse& response, uint64_t computed_at_epoch);
 
-  // --- allowlist cache -----------------------------------------------------
+  // --- allowlist (filter match set) cache ---------------------------------
 
-  std::shared_ptr<const CachedAllowlist> GetAllowlist(
+  std::shared_ptr<const FilterMatchSet> GetMatchSet(
       const std::string& fingerprint);
-  void PutAllowlist(const std::string& fingerprint,
-                    std::shared_ptr<const CachedAllowlist> allowlist,
-                    uint64_t computed_at_epoch);
+  /// Charged for its ids and the largest allowlist they can derive.
+  void PutMatchSet(const std::string& fingerprint,
+                   std::shared_ptr<const FilterMatchSet> matches,
+                   uint64_t computed_at_epoch);
 
   // --- negative cache ------------------------------------------------------
 
@@ -112,7 +127,7 @@ class QueryCache {
 
   // --- invalidation & introspection ---------------------------------------
 
-  /// Bumps the shared epoch: every currently cached entry of both caches
+  /// Bumps the shared epoch: every currently cached entry of every cache
   /// becomes stale and is dropped lazily on its next access.
   void Invalidate() { epoch_.Bump(); }
   uint64_t epoch() const { return epoch_.Current(); }
@@ -128,7 +143,7 @@ class QueryCache {
   /// deep-copying a potentially large response under the shard mutex.
   cache::ShardedLruCache<std::string, std::shared_ptr<const QueryResponse>>
       responses_;
-  cache::ShardedLruCache<std::string, std::shared_ptr<const CachedAllowlist>>
+  cache::ShardedLruCache<std::string, std::shared_ptr<const FilterMatchSet>>
       allowlists_;
   cache::ShardedLruCache<std::string, Status> negatives_;
 };

@@ -131,7 +131,7 @@ struct PageCursor {
   size_t page_size = kPageSize;
   /// Ranked-access handle id (RankedAccess::HandleIdFor of the
   /// page-free request fingerprint); empty = stateless v2 cursor.
-  std::string handle;
+  std::string handle = {};
 };
 
 /// Emits the legacy v2 token when `handle` is empty, v3 otherwise.

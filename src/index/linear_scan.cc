@@ -213,10 +213,14 @@ size_t LinearScanIndex::MaskedScan(
 
 std::unique_ptr<HitFrontier> LinearScanIndex::OpenFrontier(
     const BinaryCode& query, const FrontierOptions& options) const {
+  // The scans read and pad a query by the indexed row width; a code of
+  // any other width matches nothing (and would overrun the padding).
+  if (query.size() != code_bits_) {
+    return std::make_unique<MaterializedFrontier>(std::vector<SearchResult>{});
+  }
   const CandidateSet* allowed = options.allowed;
   const simd::HammingKernel* kernel = simd::ActiveKernel();
   if (!ids_.empty() && (allowed == nullptr || !allowed->empty())) {
-    assert(query.words().size() == words_per_code_);
     simd::CountDispatch(kernel);
   }
   if (SparseAllowlist(allowed)) {
@@ -249,7 +253,13 @@ std::vector<std::unique_ptr<HitFrontier>> LinearScanIndex::OpenFrontiers(
     const std::vector<BinaryCode>& queries, const FrontierOptions& options,
     ThreadPool* pool) const {
   assert(options.stats == nullptr);
-  if (SparseAllowlist(options.allowed)) {
+  // Row by row when any query has a foreign width: OpenFrontier answers
+  // those with an empty frontier.
+  const bool foreign_width =
+      std::any_of(queries.begin(), queries.end(), [&](const BinaryCode& q) {
+        return q.size() != code_bits_;
+      });
+  if (foreign_width || SparseAllowlist(options.allowed)) {
     return HammingIndex::OpenFrontiers(queries, options, pool);
   }
   std::vector<std::unique_ptr<HitFrontier>> out(queries.size());

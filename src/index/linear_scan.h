@@ -37,7 +37,8 @@ class LinearScanIndex : public HammingIndex {
   /// ordering the far tail; bounded ones keep a sorted top-`limit`
   /// list.  A selective allowlist is scanned row by row (O(|allowed|)
   /// popcounts instead of O(n)); a dense one takes the full blocked
-  /// pass with a membership check.
+  /// pass with a membership check.  A query whose bit count differs
+  /// from the indexed codes' opens an empty frontier.
   std::unique_ptr<HitFrontier> OpenFrontier(
       const BinaryCode& query, const FrontierOptions& options) const override;
 

@@ -434,7 +434,8 @@ std::string EarthQubeService::ResponseToJson(const QueryResponse& response,
   // clients can page without recomputing offsets.
   out += "],\"cursor\":\"";
   if ((page + 1) * earthqube::kPageSize < response.panel.total()) {
-    out += earthqube::EncodeCursor({page + 1, earthqube::kPageSize});
+    out += earthqube::EncodeCursor(
+        {.page = page + 1, .page_size = earthqube::kPageSize});
   }
   out += "\"}";
   return out;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "cbir_test_util.h"
 #include "query_test_util.h"
@@ -470,7 +471,8 @@ TEST_F(EarthQubeTest, PanelWindowsMatchBruteForceReference) {
   // A paged panel builds only its page's rows; every page must still
   // serialise exactly as a brute-force reference does: all matches in
   // ingest order, label statistics over all of them, the v2 total and
-  // cursor, and the v1 /api/search pages.
+  // cursor, and the v1 /api/search pages.  Every page, served again from
+  // the cached match set, must match its first, uncached answer.
   using netsvc::EarthQubeService;
   const auto& patches = archive_->patches;
   const CivilDate first_day = archive_->config.dates.begin;
@@ -536,8 +538,26 @@ TEST_F(EarthQubeTest, PanelWindowsMatchBruteForceReference) {
         QueryRequest request = PanelRequest(query);
         request.page = page;
         request.page_size = page_size;
+        // The first answer comes from a fresh filter pass; the replay
+        // is served from the cached match set and must not differ.
+        system_->query_cache().Invalidate();
+        const cache::CacheStats before =
+            system_->query_cache().AllowlistStats();
         auto got = system_->Execute(request);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
+        auto replay = system_->Execute(request);
+        ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+        const cache::CacheStats after = system_->query_cache().AllowlistStats();
+        EXPECT_EQ(after.misses, before.misses + 1);
+        EXPECT_EQ(after.hits, before.hits + 1);
+        EXPECT_EQ(EarthQubeService::QueryResponseToJson(*replay),
+                  EarthQubeService::QueryResponseToJson(*got))
+            << "page " << page << " of size " << page_size;
+        EXPECT_EQ(replay->query_stats.plan, got->query_stats.plan);
+        EXPECT_EQ(replay->query_stats.docs_examined,
+                  got->query_stats.docs_examined);
+        EXPECT_EQ(replay->query_stats.index_candidates,
+                  got->query_stats.index_candidates);
         QueryResponse want;
         want.panel = ResultPanel(all);
         want.statistics = LabelStatistics::FromLabelSets(label_sets);
@@ -1442,6 +1462,208 @@ TEST(QueryCacheTest, IngestInvalidatesAllowlistCache) {
   EXPECT_TRUE(hit_names.count("twin_of_patch_0"))
       << "stale cached allowlist excluded the newly ingested twin";
   EXPECT_GE(system.query_cache().AllowlistStats().stale_drops, 1u);
+}
+
+/// The panel's side of the same guard: an ingest between two identical
+/// panels must reach the second one's total, rows and label counts.
+TEST(QueryCacheTest, IngestInvalidatesPanelMatchSet) {
+  HybridFixture fixture;
+  EarthQube& system = fixture.system();
+  const auto& patch0 = fixture.archive().patches[0];
+  EarthQubeQuery panel;
+  panel.seasons = {patch0.season};
+  const QueryRequest request = PanelRequest(panel);
+
+  auto warm = system.Execute(request);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_FALSE(warm->panel.entries().empty());
+
+  bigearthnet::Archive extra;
+  bigearthnet::PatchMetadata twin = patch0;
+  twin.name = "twin_of_patch_0";
+  extra.patches.push_back(twin);
+  ASSERT_TRUE(system.IngestArchive(extra).ok());
+
+  auto fresh = system.Execute(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->panel.total(), warm->panel.total() + 1);
+  // Ingest order is DocId order: the twin is the last row.
+  EXPECT_EQ(fresh->panel.entries().back().name, "twin_of_patch_0");
+  for (bigearthnet::LabelId label : patch0.labels.ids()) {
+    EXPECT_EQ(fresh->statistics.CountOf(label),
+              warm->statistics.CountOf(label) + 1);
+  }
+  EXPECT_EQ(fresh->statistics.num_images(), warm->statistics.num_images() + 1);
+  EXPECT_GE(system.query_cache().AllowlistStats().stale_drops, 1u);
+}
+
+/// A metadata write that bypasses the facade leaves the cache epoch
+/// alone; a cached match whose document is gone is reported as
+/// corruption instead of being dereferenced.
+TEST(QueryCacheTest, CachedMatchWithoutDocumentIsCorruption) {
+  HybridFixture fixture;
+  EarthQube& system = fixture.system();
+  EarthQubeQuery panel;
+  panel.seasons = {fixture.archive().patches[0].season};
+  const QueryRequest request = PanelRequest(panel);
+  ASSERT_TRUE(system.Execute(request).ok());
+
+  docstore::Collection* metadata =
+      system.database().GetCollection(kMetadataCollection);
+  auto id = metadata->FindOneId(docstore::Filter::Eq(
+      kFieldName, docstore::Value(fixture.archive().patches[0].name)));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(metadata->Remove(*id).ok());
+
+  auto stale = system.Execute(request);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_TRUE(stale.status().IsCorruption()) << stale.status().ToString();
+  // The documented remedy: invalidate after writing behind the facade.
+  system.query_cache().Invalidate();
+  auto fresh = system.Execute(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+}
+
+/// Panels and pre-filter hybrids on one filter share one match set, in
+/// either order, and the shared answers equal cold ones.
+TEST(QueryCacheTest, PanelAndPreFilterHybridShareOneMatchSet) {
+  EarthQubeConfig config;
+  config.cache.enable_response_cache = false;
+  HybridFixture fixture(config);
+  EarthQube& system = fixture.system();
+  const auto& patch0 = fixture.archive().patches[0];
+  EarthQubeQuery panel;
+  panel.seasons = {patch0.season};
+  const QueryRequest panel_request = PanelRequest(panel);
+  QueryRequest hybrid = panel_request;
+  hybrid.similarity = SimilaritySpec::NameKnn(patch0.name, 20);
+  hybrid.planner = PlannerMode::kForcePreFilter;
+
+  using netsvc::EarthQubeService;
+  const auto cold = [&](const QueryRequest& request) {
+    system.query_cache().Invalidate();
+    auto response = system.Execute(request);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return EarthQubeService::QueryResponseToJson(*response);
+  };
+  const std::string cold_panel = cold(panel_request);
+  const std::string cold_hybrid = cold(hybrid);
+
+  for (bool panel_first : {true, false}) {
+    SCOPED_TRACE(panel_first ? "panel first" : "hybrid first");
+    system.query_cache().Invalidate();
+    const cache::CacheStats before = system.query_cache().AllowlistStats();
+    const QueryRequest& first = panel_first ? panel_request : hybrid;
+    const QueryRequest& second = panel_first ? hybrid : panel_request;
+    auto a = system.Execute(first);
+    auto b = system.Execute(second);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    const cache::CacheStats after = system.query_cache().AllowlistStats();
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.hits, before.hits + 1);
+    const std::string panel_json =
+        EarthQubeService::QueryResponseToJson(panel_first ? *a : *b);
+    const std::string hybrid_json =
+        EarthQubeService::QueryResponseToJson(panel_first ? *b : *a);
+    EXPECT_EQ(panel_json, cold_panel);
+    EXPECT_EQ(hybrid_json, cold_hybrid);
+  }
+}
+
+/// Concurrent panel pages and pre-filter hybrids race to fill and derive
+/// one match set; every answer still equals its cold reference.
+TEST(QueryCacheTest, ConcurrentPanelsAndHybridsShareOneMatchSet) {
+  EarthQubeConfig config;
+  config.cache.enable_response_cache = false;
+  HybridFixture fixture(config);
+  EarthQube& system = fixture.system();
+  const auto& patch0 = fixture.archive().patches[0];
+  EarthQubeQuery panel;
+  panel.seasons = {patch0.season};
+  std::vector<QueryRequest> requests;
+  for (size_t page = 0; page < 3; ++page) {
+    QueryRequest request = PanelRequest(panel);
+    request.page = page;
+    request.page_size = 7;
+    requests.push_back(request);
+  }
+  for (size_t k : {size_t{5}, size_t{9}}) {
+    QueryRequest hybrid = PanelRequest(panel);
+    hybrid.similarity = SimilaritySpec::NameKnn(patch0.name, k);
+    hybrid.planner = PlannerMode::kForcePreFilter;
+    requests.push_back(hybrid);
+  }
+  using netsvc::EarthQubeService;
+  std::vector<std::string> want;
+  for (const QueryRequest& request : requests) {
+    system.query_cache().Invalidate();
+    auto response = system.Execute(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    want.push_back(EarthQubeService::QueryResponseToJson(*response));
+  }
+
+  system.query_cache().Invalidate();
+  constexpr size_t kThreads = 4;
+  // Slot t lists the answers thread t got that differ from the cold one.
+  std::vector<std::vector<std::string>> mismatches(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < requests.size(); ++i) {
+          const size_t r = (i + t) % requests.size();
+          auto response = system.Execute(requests[r]);
+          const std::string json =
+              response.ok() ? EarthQubeService::QueryResponseToJson(*response)
+                            : response.status().ToString();
+          if (json != want[r]) mismatches[t].push_back(json);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(mismatches[t].empty()) << mismatches[t].front();
+  }
+}
+
+/// A limited panel keys its own match set: it never reads the unlimited
+/// one (a prefix of it would report the wrong docs_examined).
+TEST(QueryCacheTest, LimitedPanelKeysItsOwnMatchSet) {
+  HybridFixture fixture;
+  EarthQube& system = fixture.system();
+  EarthQubeQuery panel;
+  panel.seasons = {fixture.archive().patches[0].season};
+  EarthQubeQuery limited = panel;
+  limited.limit = 5;
+
+  system.query_cache().Invalidate();
+  auto cold = system.Execute(PanelRequest(limited));
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold->panel.total(), 5u);
+
+  system.query_cache().Invalidate();
+  auto unlimited = system.Execute(PanelRequest(panel));
+  ASSERT_TRUE(unlimited.ok());
+  ASSERT_GT(unlimited->panel.total(), 5u);
+  const cache::CacheStats before = system.query_cache().AllowlistStats();
+  auto first = system.Execute(PanelRequest(limited));
+  auto second = system.Execute(PanelRequest(limited));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  const cache::CacheStats after = system.query_cache().AllowlistStats();
+  // The first limited panel misses beside the warm unlimited entry; the
+  // second hits its own.
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  for (const auto* got : {&*first, &*second}) {
+    EXPECT_EQ(netsvc::EarthQubeService::QueryResponseToJson(*got),
+              netsvc::EarthQubeService::QueryResponseToJson(*cold));
+    EXPECT_EQ(got->query_stats.docs_examined, cold->query_stats.docs_examined);
+    EXPECT_LT(got->query_stats.docs_examined,
+              unlimited->query_stats.docs_examined);
+  }
 }
 
 TEST(QueryCacheTest, ExecuteBatchDedupesIdenticalRequests) {

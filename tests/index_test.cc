@@ -85,6 +85,42 @@ TEST(LinearScanTest, RejectsMismatchedLengths) {
   EXPECT_TRUE(idx.Add(2, BinaryCode()).IsInvalidArgument());
 }
 
+TEST(LinearScanTest, ForeignWidthQueriesMatchNothing) {
+  // A query of any width but the indexed one opens an empty frontier on
+  // every scan path (full, dense and sparse allowlist, batched) instead
+  // of reading past the padded query buffer.
+  LinearScanIndex idx;
+  Rng rng(4);
+  const size_t n = 300;
+  for (ItemId id = 0; id < n; ++id) {
+    ASSERT_TRUE(idx.Add(id, RandomCode(64, &rng)).ok());
+  }
+  std::vector<ItemId> all_ids(n);
+  for (ItemId id = 0; id < n; ++id) all_ids[id] = id;
+  const CandidateSet dense(all_ids);
+  const CandidateSet sparse({1, 7, 42});
+  const BinaryCode native = RandomCode(64, &rng);
+  ThreadPool pool(2);
+  for (size_t bits : {size_t{63}, size_t{65}, size_t{128}}) {
+    SCOPED_TRACE(bits);
+    BinaryCode foreign(bits);
+    for (size_t i = 0; i < bits; ++i) foreign.SetBit(i, true);
+    for (const CandidateSet* allowed : {static_cast<const CandidateSet*>(
+                                            nullptr),
+                                        &dense, &sparse}) {
+      EXPECT_TRUE(DrainRadius(idx, foreign, 64, allowed).empty());
+      EXPECT_TRUE(DrainKnn(idx, foreign, 10, allowed).empty());
+      // A batch mixing widths answers the native query as usual.
+      const auto batch =
+          DrainKnnBatch(idx, {foreign, native, foreign}, 10, &pool, allowed);
+      ASSERT_EQ(batch.size(), 3u);
+      EXPECT_TRUE(batch[0].empty());
+      EXPECT_EQ(batch[1], DrainKnn(idx, native, 10, allowed));
+      EXPECT_TRUE(batch[2].empty());
+    }
+  }
+}
+
 TEST(FloatLinearScanTest, ExactNeighbors) {
   FloatLinearScan idx(2);
   idx.Add(0, Tensor({2}, {0, 0}));
