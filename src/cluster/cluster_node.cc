@@ -24,7 +24,8 @@ ClusterNode::ClusterNode(earthqube::EarthQube* system, Options options)
     : system_(system),
       options_(std::move(options)),
       server_(std::make_unique<netsvc::HttpServer>()),
-      service_(system) {
+      service_(system),
+      peer_client_(options_.host, options_.client_options) {
   obs::Observability& obs = system_->obs();
   moved_metric_ = obs.CounterOrNull("agoraeo_cluster_moved_total");
   epoch_gauge_ = obs.GaugeOrNull("agoraeo_cluster_epoch");
@@ -385,9 +386,12 @@ Status ClusterNode::MigrateSlot(size_t slot, const std::string& target_id) {
       if (!body.ok()) {
         result = body.status();
       } else {
-        netsvc::HttpClient client(target.host, options_.client_options);
-        auto imported = client.Post(target.port, "/api/v2/cluster/import",
-                                    json::Serialize(*body));
+        netsvc::HttpCall call;
+        call.host = target.host;
+        call.port = static_cast<uint16_t>(target.port);
+        call.target = "/api/v2/cluster/import";
+        call.body = json::Serialize(*body);
+        auto imported = peer_client_.Send(call);
         if (!imported.ok()) {
           result = imported.status();
         } else if (imported->status_code != 200) {

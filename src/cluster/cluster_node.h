@@ -142,6 +142,9 @@ class ClusterNode {
   Options options_;
   std::unique_ptr<netsvc::HttpServer> server_;
   netsvc::EarthQubeService service_;
+  /// The long-lived client of node->node calls (migration push), so
+  /// repeated hand-offs to a peer reuse its connection.
+  netsvc::HttpClient peer_client_;
 
   /// Cluster-tier metrics, registered into the SYSTEM's registry (the
   /// node serves /metrics through the standard service routes); all

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -78,7 +77,13 @@ Coordinator::Coordinator(Options options)
     : options_(std::move(options)),
       obs_(options_.obs),
       result_cache_(ResultCacheOptions(&result_epoch_)) {
-  if (!obs_.metrics_enabled()) return;
+  if (obs_.metrics_enabled()) RegisterMetrics();
+  // After RegisterMetrics: the client copies options_.client_options.
+  client_ = std::make_unique<netsvc::HttpClient>("127.0.0.1",
+                                                 options_.client_options);
+}
+
+void Coordinator::RegisterMetrics() {
   obs::MetricsRegistry& registry = obs_.registry();
   client_metrics_.requests =
       registry.GetCounter("agoraeo_http_client_requests_total");
@@ -98,6 +103,7 @@ Coordinator::Coordinator(Options options)
   }
   options_.client_options.metrics = &client_metrics_;
   fanout_ns_ = obs_.HistogramOrNull("agoraeo_cluster_fanout_ns");
+  merge_ns_ = obs_.HistogramOrNull("agoraeo_cluster_merge_ns");
   epoch_gauge_ = obs_.GaugeOrNull("agoraeo_cluster_epoch");
   redirects_metric_ = obs_.CounterOrNull("agoraeo_cluster_redirects_total");
   fanout_node_failures_ =
@@ -134,10 +140,12 @@ void Coordinator::AttachTable(const SlotTable& table) {
 }
 
 Status Coordinator::RefreshTopology(const NodeAddress& seed) {
-  netsvc::HttpClient client(seed.host, options_.client_options);
-  AGORAEO_ASSIGN_OR_RETURN(
-      const HttpResponse response,
-      client.Get(static_cast<uint16_t>(seed.port), "/api/v2/cluster/slots"));
+  netsvc::HttpCall call;
+  call.host = seed.host;
+  call.port = static_cast<uint16_t>(seed.port);
+  call.method = "GET";
+  call.target = "/api/v2/cluster/slots";
+  AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response, client_->Send(call));
   if (response.status_code != 200) {
     return Status::Internal("slot table fetch from " + seed.id +
                             " answered " +
@@ -158,21 +166,6 @@ SlotTable Coordinator::table() const {
 uint64_t Coordinator::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return table_.epoch();
-}
-
-uint64_t Coordinator::SeqOf(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = seq_.find(name);
-  return it == seq_.end() ? kUnknownSeq : it->second;
-}
-
-StatusOr<HttpResponse> Coordinator::PostNode(
-    const NodeAddress& node, const std::string& target,
-    const std::string& body, netsvc::HttpRequestDetail* detail,
-    const std::map<std::string, std::string>& extra_headers) {
-  netsvc::HttpClient client(node.host, options_.client_options);
-  return client.Request(static_cast<uint16_t>(node.port), "POST", target,
-                        body, "application/json", detail, extra_headers);
 }
 
 uint64_t Coordinator::ObserveEpoch(const NodeAddress& node,
@@ -231,7 +224,11 @@ Status Coordinator::IngestArchive(const bigearthnet::Archive& archive,
       }
       group->second.push_back(i);
     }
-    for (const auto& [node, indices] : groups) {
+    // Every owner's group ships at once, so the owners ingest in
+    // parallel; each node still receives its patches in archive order.
+    std::vector<netsvc::HttpCall> calls(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const auto& [node, indices] = groups[g];
       SlotPayload payload;
       payload.slot = 0;  // routed ingest spans slots; field unused here
       payload.epoch = snapshot.epoch();
@@ -242,9 +239,16 @@ Status Coordinator::IngestArchive(const bigearthnet::Archive& archive,
       }
       AGORAEO_ASSIGN_OR_RETURN(const Document body,
                                SlotPayloadToJson(payload));
-      AGORAEO_ASSIGN_OR_RETURN(
-          const HttpResponse response,
-          PostNode(node, "/api/v2/cluster/ingest", json::Serialize(body)));
+      calls[g].host = node.host;
+      calls[g].port = static_cast<uint16_t>(node.port);
+      calls[g].target = "/api/v2/cluster/ingest";
+      calls[g].body = json::Serialize(body);
+    }
+    std::vector<StatusOr<HttpResponse>> responses = client_->RequestAll(calls);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const auto& [node, indices] = groups[g];
+      AGORAEO_RETURN_IF_ERROR(responses[g].status());
+      const HttpResponse& response = *responses[g];
       ObserveEpoch(node, response);
       if (response.status_code == 308) {
         if (depth >= 1) {
@@ -253,7 +257,7 @@ Status Coordinator::IngestArchive(const bigearthnet::Archive& archive,
               " still answers MOVED after a topology refresh");
         }
         redirects_followed_.fetch_add(1, std::memory_order_relaxed);
-      if (redirects_metric_ != nullptr) redirects_metric_->Increment();
+        if (redirects_metric_ != nullptr) redirects_metric_->Increment();
         // The redirecting node holds a newer table than ours; adopt it
         // and re-route just this group once.
         AGORAEO_RETURN_IF_ERROR(RefreshTopology(node));
@@ -287,11 +291,12 @@ StatusOr<BinaryCode> Coordinator::ResolveSubjectCode(const std::string& name) {
   }
   NodeAddress target = *owner;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    netsvc::HttpClient client(target.host, options_.client_options);
-    AGORAEO_ASSIGN_OR_RETURN(
-        const HttpResponse response,
-        client.Get(static_cast<uint16_t>(target.port),
-                   "/api/v2/cluster/code/" + netsvc::UrlEncode(name)));
+    netsvc::HttpCall call;
+    call.host = target.host;
+    call.port = static_cast<uint16_t>(target.port);
+    call.method = "GET";
+    call.target = "/api/v2/cluster/code/" + netsvc::UrlEncode(name);
+    AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response, client_->Send(call));
     ObserveEpoch(target, response);
     if (response.status_code == 200) {
       AGORAEO_ASSIGN_OR_RETURN(const Document doc,
@@ -354,23 +359,57 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   // cached ranking stale instead of serving pre-ingest rows as fresh.
   const uint64_t epoch_snapshot = result_epoch_.Current();
 
-  std::shared_ptr<const MergedRows> merged;
+  // The global cap on rows (k, a similarity or panel limit) and, for a
+  // windowed similarity request, the rows its page needs: the page, and
+  // one more to prove a next page.  Only that many are fetched when it
+  // is fewer than the cap; everything else fetches the whole capped
+  // ranking.
+  std::optional<size_t> cap;
+  if (has_sim) {
+    const earthqube::SimilaritySpec& spec = *request.similarity;
+    if (spec.k.has_value()) {
+      cap = *spec.k;
+    } else if (spec.limit > 0) {
+      cap = spec.limit;
+    }
+  } else if (has_panel && request.panel->limit > 0) {
+    cap = request.panel->limit;
+  }
+  const bool windowed = has_sim && page_size > 0;
+  const size_t window = (page + 1) * page_size + 1;
+  // Rows of the whole capped ranking (SIZE_MAX when uncapped), and the
+  // rows this request reads.
+  const size_t all = cap.value_or(std::numeric_limits<size_t>::max());
+  const size_t need = windowed ? std::min(window, all) : all;
+
+  std::shared_ptr<const MergedRanking> merged;
   bool from_cache = false;
+  bool deepen = false;  // a cached ranking too shallow for this page
   if (stream_fp.has_value()) {
     if (auto cached = result_cache_.Get(*stream_fp); cached.has_value()) {
       // Cursor resume (or any repeat page of a recent ranking): slice
-      // the cached merged rows — no fan-out at all.
-      merged = *std::move(cached);
-      from_cache = true;
+      // the cached merged rows — no fan-out at all — unless this page
+      // lies past the rows the first fan-out fetched.
+      if ((*cached)->Covers(need)) {
+        merged = *std::move(cached);
+        from_cache = true;
+      } else {
+        deepen = true;
+      }
     }
   }
 
   const std::vector<NodeAddress> nodes = snapshot.nodes();
   if (merged == nullptr) {
-  // Rewrite for fan-out: unpaged, uncapped — every global limit is
-  // re-applied after the merge, where "first N" means something.
+  // A client paging past a bounded fetch is walking the ranking: fetch
+  // the rest of it at once rather than one page deeper each time.
+  const size_t depth = deepen ? all : need;
+  // Rewrite for fan-out: unpaged, and capped at `depth` per node only
+  // where a node's truncation is safe to repair (k-NN, and radius
+  // limits of a bounded fetch); every global limit is re-applied after
+  // the merge, where "first N" means something.
   std::string exclude;
-  std::optional<size_t> cap;
+  size_t per_node = 0;  // rows each node may return; 0 = all it has
   if (has_sim) {
     earthqube::SimilaritySpec& spec = *request.similarity;
     if (spec.patch.has_value()) {
@@ -386,51 +425,40 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
       }
       spec.code = std::move(code);
       spec.archive_name.reset();
-      // The subject occupies one rank on its owner node; ask for one
-      // more so dropping it cannot starve the global top-k.
-      if (spec.k.has_value()) *spec.k += 1;
     }
-    if (spec.k.has_value()) {
-      cap = *spec.k - (exclude.empty() ? 0 : 1);
-    } else if (spec.limit > 0) {
-      cap = spec.limit;
+    // The subject occupies one rank on its owner node; ask for one
+    // more so dropping it cannot starve the global top rows.
+    if (spec.k.has_value() || depth < all) {
+      per_node = depth + (exclude.empty() ? 0 : 1);
     }
-    spec.limit = 0;
-  } else if (has_panel && request.panel->limit > 0) {
-    cap = request.panel->limit;
+    if (spec.k.has_value()) spec.k = per_node;
+    spec.limit = spec.k.has_value() ? 0 : per_node;
   }
   if (has_panel) request.panel->limit = 0;
   request.page = 0;
   request.page_size = 0;
 
   // Scatter: every node holds some of the slots, so every node is
-  // asked.  One thread per peer — the win the cluster exists for.
+  // asked, all at once over the pooled connections.
   const auto fan_once = [&](const std::string& body, uint64_t* newest_epoch)
       -> StatusOr<std::vector<WireQueryResponse>> {
     obs::ScopedSpan fan_span(trace.get(), "fanout");
-    // Propagate the trace id so each node's engine stamps its stage
-    // spans under OUR trace and echoes them back in x-trace-spans.
-    std::map<std::string, std::string> headers;
-    if (trace != nullptr) headers["x-trace-id"] = trace->id();
-    std::vector<std::unique_ptr<StatusOr<HttpResponse>>> raw(nodes.size());
-    std::vector<netsvc::HttpRequestDetail> details(nodes.size());
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(nodes.size());
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        threads.emplace_back([this, &nodes, &raw, &details, &body, &headers,
-                              i] {
-          raw[i] = std::make_unique<StatusOr<HttpResponse>>(
-              PostNode(nodes[i], "/api/v2/query", body, &details[i],
-                       headers));
-        });
-      }
-      for (std::thread& t : threads) t.join();
+    std::vector<netsvc::HttpCall> calls(nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      calls[i].host = nodes[i].host;
+      calls[i].port = static_cast<uint16_t>(nodes[i].port);
+      calls[i].target = "/api/v2/query";
+      calls[i].body = body;
+      // Propagate the trace id so each node's engine stamps its stage
+      // spans under OUR trace and echoes them back in x-trace-spans.
+      if (trace != nullptr) calls[i].headers["x-trace-id"] = trace->id();
     }
+    std::vector<netsvc::HttpRequestDetail> details;
+    std::vector<StatusOr<HttpResponse>> raw = client_->RequestAll(calls, &details);
     std::vector<WireQueryResponse> partials;
     partials.reserve(nodes.size());
     for (size_t i = 0; i < nodes.size(); ++i) {
-      if (!raw[i]->ok()) {
+      if (!raw[i].ok()) {
         if (fanout_node_failures_ != nullptr) {
           fanout_node_failures_->Increment();
         }
@@ -441,9 +469,9 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
             "fan-out to node " + nodes[i].id + " failed (" +
             netsvc::HttpErrorKindName(details[i].error_kind) + " after " +
             std::to_string(details[i].attempts) + " attempt(s)): " +
-            std::string(raw[i]->status().message()));
+            std::string(raw[i].status().message()));
       }
-      const HttpResponse& response = **raw[i];
+      const HttpResponse& response = *raw[i];
       *newest_epoch =
           std::max(*newest_epoch, ObserveEpoch(nodes[i], response));
       // A node's typed error (a full queue's 429, a bad request's 400)
@@ -492,22 +520,29 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   };
 
   // Gather: dedup by name (the migration forwarding window can answer
-  // one item from two nodes), then restore the global order.
+  // one item from two nodes), restore the global order, and keep the
+  // first `depth` rows.
   struct Row {
     WireResult result;
     uint64_t seq;
   };
   std::vector<Row> rows;
-  const auto merge = [&](std::vector<WireQueryResponse> partials) {
+  uint64_t merge_ns = 0;
+  const auto merge = [&](std::vector<WireQueryResponse>& partials) {
     obs::ScopedSpan merge_span(trace.get(), "merge");
+    const uint64_t merge_start = merge_ns_ != nullptr ? obs::NowNanos() : 0;
     rows.clear();
     std::unordered_set<std::string> seen;
-    for (WireQueryResponse& partial : partials) {
-      for (WireResult& result : partial.results) {
-        if (!exclude.empty() && result.name == exclude) continue;
-        if (!seen.insert(result.name).second) continue;
-        const uint64_t seq = SeqOf(result.name);
-        rows.push_back({std::move(result), seq});
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (WireQueryResponse& partial : partials) {
+        for (WireResult& result : partial.results) {
+          if (!exclude.empty() && result.name == exclude) continue;
+          if (!seen.insert(result.name).second) continue;
+          const auto it = seq_.find(result.name);
+          const uint64_t seq = it == seq_.end() ? kUnknownSeq : it->second;
+          rows.push_back({std::move(result), seq});
+        }
       }
     }
     std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
@@ -517,57 +552,59 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
       if (a.seq != b.seq) return a.seq < b.seq;
       return a.result.name < b.result.name;
     });
+    if (rows.size() > depth) rows.resize(depth);
+    if (merge_start != 0) merge_ns += obs::NowNanos() - merge_start;
   };
 
-  const bool fanned_knn = has_sim && request.similarity->k.has_value();
-  const size_t fanned_k = fanned_knn ? *request.similarity->k : 0;
   AGORAEO_ASSIGN_OR_RETURN(const Document fan_doc,
                            QueryRequestToJson(request));
   AGORAEO_ASSIGN_OR_RETURN(std::vector<WireQueryResponse> partials,
                            fan_all(json::Serialize(fan_doc)));
 
-  // k-NN tie repair.  A node truncates its answer at k by (distance,
-  // LOCAL id), and after a slot migration local-id order no longer
-  // follows global ingest order — a tie at the global k-th distance can
-  // hide an item that belongs in the global top-k.  Detect the only
-  // case where that is possible (some node returned a full k rows whose
-  // worst distance reaches the merged k-th distance) and re-fan as an
-  // inclusive RADIUS search at that boundary: every candidate that
-  // could make the top-k comes back, and the merge truncates exactly.
-  if (fanned_knn && cap.has_value()) {
-    merge(partials);
-    bool may_hide_ties = false;
-    if (rows.size() >= *cap && *cap > 0) {
-      const uint32_t boundary = rows[*cap - 1].result.distance;
-      for (const WireQueryResponse& partial : partials) {
-        if (partial.results.size() >= fanned_k && !partial.results.empty() &&
-            partial.results.back().distance <= boundary) {
-          may_hide_ties = true;
-        }
-      }
-      if (may_hide_ties) {
-        earthqube::SimilaritySpec& spec = *request.similarity;
-        spec.k.reset();
-        spec.radius = boundary;
-        AGORAEO_ASSIGN_OR_RETURN(const Document widened,
-                                 QueryRequestToJson(request));
-        AGORAEO_ASSIGN_OR_RETURN(partials,
-                                 fan_all(json::Serialize(widened)));
-      }
-    }
-    if (may_hide_ties) merge(partials);
-  } else {
-    merge(partials);
+  // Tie repair.  A node that cuts its answer at `per_node` rows does so
+  // by (distance, LOCAL id), and after a slot migration local-id order
+  // no longer follows global ingest order — a tie at the global cut's
+  // distance can hide an item that belongs before the cut.  Detect the
+  // only case where that is possible (some node returned a full answer
+  // whose worst distance reaches the merged cut's distance) and re-fan
+  // as an uncapped, inclusive RADIUS search at that boundary: every
+  // candidate that could make the cut comes back, and the merge
+  // truncates exactly.
+  std::vector<std::pair<size_t, uint32_t>> tails;  // (rows, worst distance)
+  for (const WireQueryResponse& partial : partials) {
+    tails.emplace_back(partial.results.size(),
+                       partial.results.empty()
+                           ? 0
+                           : partial.results.back().distance);
   }
-  if (cap.has_value() && rows.size() > *cap) rows.resize(*cap);
+  merge(partials);
+  if (per_node > 0 && rows.size() == depth && depth > 0) {
+    const uint32_t boundary = rows.back().result.distance;
+    const bool may_hide_ties =
+        std::any_of(tails.begin(), tails.end(), [&](const auto& tail) {
+          return tail.first >= per_node && tail.second <= boundary;
+        });
+    if (may_hide_ties) {
+      earthqube::SimilaritySpec& spec = *request.similarity;
+      spec.k.reset();
+      spec.limit = 0;
+      spec.radius = boundary;
+      AGORAEO_ASSIGN_OR_RETURN(const Document widened,
+                               QueryRequestToJson(request));
+      AGORAEO_ASSIGN_OR_RETURN(partials, fan_all(json::Serialize(widened)));
+      merge(partials);
+    }
+  }
+  if (merge_ns_ != nullptr) merge_ns_->Record(merge_ns);
 
-  auto owned = std::make_shared<MergedRows>();
-  owned->reserve(rows.size());
-  for (Row& row : rows) owned->push_back(std::move(row.result));
+  auto owned = std::make_shared<MergedRanking>();
+  owned->depth = depth;
+  owned->rows.reserve(rows.size());
+  for (Row& row : rows) owned->rows.push_back(std::move(row.result));
   merged = std::move(owned);
   if (stream_fp.has_value()) {
     size_t bytes = 64;
-    for (const WireResult& r : *merged) {
+    for (const WireResult& r : merged->rows) {
       bytes += 96 + r.name.size() + r.country.size() + r.date.size();
     }
     result_cache_.Put(*stream_fp, merged, bytes, epoch_snapshot);
@@ -580,8 +617,7 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   // v3 cursor), so a cluster answer stays byte-identical to a
   // monolithic one.  Panel-only responses keep the eager shape and let
   // the serialiser slice.
-  const MergedRows& all_rows = *merged;
-  const bool windowed = has_sim && page_size > 0;
+  const std::vector<WireResult>& all_rows = merged->rows;
   size_t begin = 0;
   size_t end = all_rows.size();
   bool has_more = false;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -35,12 +36,24 @@ namespace agoraeo::cluster {
 ///     ingest sequence; similarity hits merge by (distance, seq) — the
 ///     exact (distance, id) order the monolithic index produces — and
 ///     panel rows merge by seq, the docstore's ascending-DocId order.
-///   - Limits (panel limit, similarity limit, paging) are stripped from
-///     the fan-out and re-applied after the merge, so a node never
-///     truncates away a row that is globally in range.
+///   - Paging and panel limits are stripped from the fan-out and
+///     re-applied after the merge, so a node never truncates away a row
+///     that is globally in range.
 ///   - A k-NN fan-out asks each node for the same k (k+1 for by-name
 ///     subjects, whose excluded subject occupies one rank); the global
 ///     top-k is a subset of the union of per-node top-ks.
+///   - A windowed similarity request (page_size > 0) needs only the
+///     global ranking's first (page+1)*page_size + 1 rows — its page and
+///     one more to prove a next page.  When that is fewer than its k or
+///     limit (or it has no limit), each node is asked for just that many
+///     (as its k, or as its radius limit), plus one for a by-name
+///     subject.  Any other request fetches its whole capped ranking; a
+///     radius limit is then stripped as well.
+///   - A node truncates by (distance, LOCAL id), which after a slot
+///     migration no longer follows global ingest order; when a node's
+///     full answer reaches the merged cut's distance, ties there may
+///     hide a row, and the coordinator re-asks every node for the
+///     uncapped radius at that distance before cutting exactly.
 ///   - By-NAME subjects are resolved to a code at the slot owner first
 ///     (GET /cluster/code/<name>), then fanned out by code, so every
 ///     node searches the same subject; the subject row is dropped after
@@ -82,9 +95,10 @@ class Coordinator {
   uint64_t epoch() const;
 
   /// Routed ingest: assigns each patch the next global ingest sequence
-  /// number, groups patches by slot owner, and ships each group (codes
-  /// + metadata, snapshot-framed) to its owner's /cluster/ingest.  A
-  /// stale-table 308 refreshes the topology and re-routes once.
+  /// number, groups patches by slot owner, and ships every group (codes
+  /// + metadata, snapshot-framed) to its owner's /cluster/ingest at
+  /// once.  A stale-table 308 refreshes the topology and re-routes that
+  /// group once.
   Status IngestArchive(const bigearthnet::Archive& archive,
                        const std::vector<BinaryCode>& codes);
 
@@ -124,14 +138,7 @@ class Coordinator {
   /// owner, following at most one MOVED redirect.
   StatusOr<BinaryCode> ResolveSubjectCode(const std::string& name);
 
-  /// POSTs `body` to one node, surfacing transport errors as Status.
-  /// `detail` (optional) reports the typed error kind and attempt count;
-  /// `extra_headers` rides along verbatim (trace propagation).
-  StatusOr<netsvc::HttpResponse> PostNode(
-      const NodeAddress& node, const std::string& target,
-      const std::string& body,
-      netsvc::HttpRequestDetail* detail = nullptr,
-      const std::map<std::string, std::string>& extra_headers = {});
+  void RegisterMetrics();
 
   /// Notes a response's x-cluster-epoch header; refreshes the table
   /// from `node` when the header advertises a newer topology.  Returns
@@ -139,15 +146,19 @@ class Coordinator {
   uint64_t ObserveEpoch(const NodeAddress& node,
                         const netsvc::HttpResponse& response);
 
-  uint64_t SeqOf(const std::string& name) const;
-
   Options options_;
   /// Declared before the metric pointers below, which index into it.
   obs::Observability obs_;
-  /// The client-side metric hooks every PostNode/RefreshTopology client
-  /// records into (options_.client_options.metrics points here).
+  /// The client-side metric hooks client_ records into
+  /// (options_.client_options.metrics points here).
   obs::HttpClientMetrics client_metrics_;
+  /// Every node call (fan-out, subject resolve, ingest, topology) goes
+  /// through this one client, so each node's connections stay open.
+  std::unique_ptr<netsvc::HttpClient> client_;
   obs::Histogram* fanout_ns_ = nullptr;
+  /// Dedup + sort + truncate of one fan-out's node answers (one sample
+  /// per fan-out, a tie repair's second merge included).
+  obs::Histogram* merge_ns_ = nullptr;
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Counter* redirects_metric_ = nullptr;
   obs::Counter* fanout_node_failures_ = nullptr;
@@ -161,13 +172,25 @@ class Coordinator {
   /// The result cache: the merged, deduped, capped global ranking per
   /// page-free request fingerprint, so resuming a cursor (or re-asking
   /// any page of a recent ranking) is a slice of the cached rows instead
-  /// of a cluster-wide fan-out.  Entries are validated against
-  /// result_epoch_, which routed ingest and topology changes bump.
+  /// of a cluster-wide fan-out.  A ranking fetched for one window holds
+  /// only that window's rows; a page past them fans out again, for the
+  /// whole capped ranking, and replaces the entry.  Entries are
+  /// validated against result_epoch_, which routed ingest and topology
+  /// changes bump.
   /// Shared pointers keep a ranking alive for a reader even if an epoch
   /// bump or LRU pressure drops it from the cache mid-slice.
-  using MergedRows = std::vector<WireResult>;
+  struct MergedRanking {
+    std::vector<WireResult> rows;
+    /// How many leading rows the fan-out fetched (SIZE_MAX: all).
+    size_t depth = 0;
+    /// True when the first `need` rows are all known: the fetch went
+    /// that deep, or the ranking ended before its depth.
+    bool Covers(size_t need) const {
+      return depth >= need || rows.size() < depth;
+    }
+  };
   cache::EpochValidator result_epoch_;
-  cache::ShardedLruCache<std::string, std::shared_ptr<const MergedRows>>
+  cache::ShardedLruCache<std::string, std::shared_ptr<const MergedRanking>>
       result_cache_;
 };
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -111,87 +112,343 @@ const char* HttpErrorKindName(HttpErrorKind kind) {
   return "other";
 }
 
-StatusOr<HttpResponse> HttpClient::Attempt(uint16_t port,
-                                           const std::string& wire,
-                                           HttpErrorKind* kind) const {
-  *kind = HttpErrorKind::kOther;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+/// One request's progress through a scatter: its wire bytes, the
+/// connection it is on, the response bytes so far and its outcome.
+struct HttpClient::Exchange {
+  std::string host;
+  uint16_t port = 0;
+  std::string key;  ///< idle-pool key, "host:port"
+  std::string method;
+  std::string wire;
+  uint64_t jitter_salt = 0;
+
+  int fd = -1;
+  bool reused = false;  ///< the connection came from the idle pool
+  std::string buffer;
+  size_t head_end = std::string::npos;
+  HttpResponse response;  ///< head parsed once head_end is known
+  bool has_length = false;
+  size_t content_length = 0;
+
+  int attempts = 0;
+  bool done = false;  ///< succeeded, or failed in a way not retried
+  HttpErrorKind kind = HttpErrorKind::kOther;
+  StatusOr<HttpResponse> result = Status::IOError("no attempt made");
+
+  void Fail(HttpErrorKind error_kind, Status status) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+    kind = error_kind;
+    result = std::move(status);
+  }
+};
+
+HttpClient::~HttpClient() {
+  for (auto& [key, fds] : idle_) {
+    for (int fd : fds) ::close(fd);
+  }
+}
+
+int HttpClient::TakeIdle(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  auto it = idle_.find(key);
+  while (it != idle_.end() && !it->second.empty()) {
+    const int fd = it->second.back();
+    it->second.pop_back();
+    // An idle connection has nothing to read: readable means the peer
+    // closed it (or sent stray bytes), so it cannot carry a request.
+    pollfd pfd{fd, POLLIN | POLLRDHUP, 0};
+    if (::poll(&pfd, 1, 0) == 0) return fd;
+    ::close(fd);
+  }
+  return -1;
+}
+
+void HttpClient::ReturnIdle(const std::string& key, int fd) const {
+  // Bounds the sockets one peer can hold open for this client; the
+  // pool never needs more than the peak of concurrent requests.
+  constexpr size_t kMaxIdlePerPeer = 16;
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  std::vector<int>& fds = idle_[key];
+  if (fds.size() >= kMaxIdlePerPeer) {
+    ::close(fd);
+    return;
+  }
+  fds.push_back(fd);
+}
+
+void HttpClient::Open(Exchange* x) const {
+  x->buffer.clear();
+  x->head_end = std::string::npos;
+  x->has_length = false;
+  x->fd = x->reused ? -1 : TakeIdle(x->key);
+  if (x->fd >= 0) {
+    if (SendAll(x->fd, x->wire).ok()) {
+      x->reused = true;
+      return;
+    }
+    ::close(x->fd);  // a stale pooled connection: dial afresh
+  }
+  x->reused = false;
+  x->fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (x->fd < 0) {
+    x->Fail(HttpErrorKind::kOther,
+            Status::IOError(std::string("socket: ") + std::strerror(errno)));
+    return;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad host address: " + host_);
+  addr.sin_port = htons(x->port);
+  if (::inet_pton(AF_INET, x->host.c_str(), &addr.sin_addr) != 1) {
+    x->Fail(HttpErrorKind::kOther,
+            Status::InvalidArgument("bad host address: " + x->host));
+    return;
   }
+  HttpErrorKind kind = HttpErrorKind::kOther;
   Status connected =
-      ConnectWithTimeout(fd, addr, options_.connect_timeout_ms, kind);
+      ConnectWithTimeout(x->fd, addr, options_.connect_timeout_ms, &kind);
   if (!connected.ok()) {
-    ::close(fd);
-    return connected;
+    x->Fail(kind, std::move(connected));
+    return;
   }
+  connections_opened_.fetch_add(1, std::memory_order_relaxed);
   timeval tv{};
   tv.tv_sec = options_.read_timeout_ms / 1000;
   tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  const Status sent = SendAll(fd, wire);
+  ::setsockopt(x->fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  const int one = 1;
+  ::setsockopt(x->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  Status sent = SendAll(x->fd, x->wire);
   if (!sent.ok()) {
     const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
-    ::close(fd);
-    *kind = timed_out ? HttpErrorKind::kReadTimeout : HttpErrorKind::kRefused;
-    return sent;
+    x->Fail(timed_out ? HttpErrorKind::kReadTimeout : HttpErrorKind::kRefused,
+            std::move(sent));
+  }
+}
+
+void HttpClient::Gather(std::vector<Exchange*>& open) const {
+  // Consumes newly read bytes; true once the response is complete
+  // (its result set), or on a framing error (its failure set).
+  const auto consume = [](Exchange* x) {
+    if (x->head_end == std::string::npos) {
+      x->head_end = x->buffer.find("\r\n\r\n");
+      if (x->head_end == std::string::npos) return false;
+      auto head = ParseResponseHead(x->buffer.substr(0, x->head_end));
+      if (!head.ok()) {
+        x->Fail(HttpErrorKind::kMalformed, head.status());
+        return true;
+      }
+      x->response = *std::move(head);
+      const auto it = x->response.headers.find("content-length");
+      x->has_length = it != x->response.headers.end();
+      if (x->has_length) {
+        x->content_length = static_cast<size_t>(
+            std::strtoull(it->second.c_str(), nullptr, 10));
+      }
+    }
+    return x->has_length &&
+           x->buffer.size() - (x->head_end + 4) >= x->content_length;
+  };
+  // A complete response: its result, and its connection back to the
+  // pool unless the peer said it will close it.
+  const auto finish = [this](Exchange* x) {
+    const size_t body_begin = x->head_end + 4;
+    const size_t body_size =
+        x->has_length ? x->content_length : x->buffer.size() - body_begin;
+    const auto conn = x->response.headers.find("connection");
+    const bool reusable =
+        x->fd >= 0 && x->has_length &&
+        x->buffer.size() == body_begin + body_size &&
+        x->buffer.compare(0, 8, "HTTP/1.1") == 0 &&
+        (conn == x->response.headers.end() || conn->second != "close");
+    x->buffer.resize(body_begin + body_size);
+    x->buffer.erase(0, body_begin);
+    x->response.body = std::move(x->buffer);
+    if (reusable) {
+      ReturnIdle(x->key, x->fd);
+    } else if (x->fd >= 0) {
+      ::close(x->fd);
+    }
+    x->fd = -1;
+    x->kind = HttpErrorKind::kNone;
+    x->result = std::move(x->response);
+  };
+
+  std::vector<pollfd> pfds;
+  char chunk[16384];
+  while (!open.empty()) {
+    pfds.clear();
+    for (const Exchange* x : open) pfds.push_back({x->fd, POLLIN, 0});
+    const int rc = ::poll(pfds.data(), pfds.size(), options_.read_timeout_ms);
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) {
+      const std::string message =
+          rc == 0 ? "recv timed out after " +
+                        std::to_string(options_.read_timeout_ms) + " ms"
+                  : std::string("poll: ") + std::strerror(errno);
+      for (Exchange* x : open) {
+        x->Fail(rc == 0 ? HttpErrorKind::kReadTimeout : HttpErrorKind::kOther,
+                Status::IOError(message));
+      }
+      return;
+    }
+    std::vector<Exchange*> still_open;
+    for (size_t i = 0; i < open.size(); ++i) {
+      Exchange* x = open[i];
+      if (pfds[i].revents == 0) {
+        still_open.push_back(x);
+        continue;
+      }
+      const ssize_t n = ::recv(x->fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        x->buffer.append(chunk, static_cast<size_t>(n));
+        if (consume(x)) {
+          if (x->fd >= 0) finish(x);
+        } else {
+          still_open.push_back(x);
+        }
+        continue;
+      }
+      if (n < 0 && errno == EINTR) {
+        still_open.push_back(x);
+        continue;
+      }
+      const int err = errno;
+      if (x->reused && x->buffer.empty()) {
+        // The peer closed a pooled connection before answering on it:
+        // the request never ran there, so replay it once on a fresh one.
+        ::close(x->fd);
+        Open(x);
+        if (x->fd >= 0) still_open.push_back(x);
+        continue;
+      }
+      if (n == 0 && x->head_end != std::string::npos && !x->has_length) {
+        finish(x);  // a response delimited by the peer's close
+      } else if (n == 0) {
+        x->Fail(HttpErrorKind::kMalformed,
+                Status::IOError(x->head_end == std::string::npos
+                                    ? "no complete HTTP response head received"
+                                    : "response body shorter than "
+                                      "content-length"));
+      } else {
+        x->Fail(HttpErrorKind::kRefused,
+                Status::IOError(std::string("recv: ") + std::strerror(err)));
+      }
+    }
+    open.swap(still_open);
+  }
+}
+
+std::vector<StatusOr<HttpResponse>> HttpClient::RequestAll(
+    const std::vector<HttpCall>& calls,
+    std::vector<HttpRequestDetail>* details) const {
+  const obs::HttpClientMetrics* metrics = options_.metrics;
+  std::vector<Exchange> exchanges(calls.size());
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const HttpCall& call = calls[i];
+    if (metrics != nullptr && metrics->requests != nullptr) {
+      metrics->requests->Increment();
+    }
+    Exchange& x = exchanges[i];
+    x.host = call.host.empty() ? host_ : call.host;
+    x.port = call.port;
+    x.key = x.host + ":" + std::to_string(call.port);
+    x.method = call.method;
+    HttpRequest req;
+    req.method = call.method;
+    const size_t qmark = call.target.find('?');
+    req.path = call.target.substr(0, qmark);
+    if (qmark != std::string::npos) req.query = call.target.substr(qmark + 1);
+    req.body = call.body;
+    if (!call.body.empty()) req.headers["content-type"] = call.content_type;
+    for (const auto& [name, value] : call.headers) req.headers[name] = value;
+    x.wire = SerializeRequest(req, x.key);
+    x.jitter_salt = std::hash<std::string>{}(call.target) ^
+                    (static_cast<uint64_t>(call.port) << 17);
   }
 
-  // Read until EOF (the server closes after one response).
-  std::string buffer;
-  char chunk[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
-      ::close(fd);
-      *kind =
-          timed_out ? HttpErrorKind::kReadTimeout : HttpErrorKind::kRefused;
-      return Status::IOError(
-          timed_out ? "recv timed out after " +
-                          std::to_string(options_.read_timeout_ms) + " ms"
-                    : std::string("recv: ") + std::strerror(errno));
+  std::vector<Exchange*> round;
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    round.clear();
+    for (Exchange& x : exchanges) {
+      if (!x.done) round.push_back(&x);
     }
-    if (n == 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
+    if (round.empty()) break;
+    if (attempt > 0) {
+      const int base = std::min(options_.backoff_max_ms,
+                                options_.backoff_base_ms << (attempt - 1));
+      int sleep_ms = 1;
+      for (const Exchange* x : round) {
+        retries_.fetch_add(1);
+        if (metrics != nullptr && metrics->retries != nullptr) {
+          metrics->retries->Increment();
+        }
+        sleep_ms = std::max(sleep_ms,
+                            static_cast<int>(base * JitterFraction(
+                                                        x->jitter_salt,
+                                                        attempt)));
+      }
+      if (metrics != nullptr && metrics->backoff_sleeps != nullptr) {
+        metrics->backoff_sleeps->Increment();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+    }
+    std::vector<Exchange*> open;
+    for (Exchange* x : round) {
+      ++x->attempts;
+      x->reused = false;
+      Open(x);
+      if (x->fd >= 0) open.push_back(x);
+    }
+    Gather(open);
+    for (Exchange* x : round) {
+      // Connection-phase failures never reached the server, so any
+      // method can retry them; read-phase failures may have executed
+      // server-side and only idempotent GETs retry.
+      const bool retryable =
+          x->kind == HttpErrorKind::kRefused ||
+          x->kind == HttpErrorKind::kConnectTimeout ||
+          (x->method == "GET" && (x->kind == HttpErrorKind::kReadTimeout ||
+                                  x->kind == HttpErrorKind::kMalformed));
+      x->done = x->result.ok() || !retryable;
+    }
   }
-  ::close(fd);
 
-  const size_t head_end = buffer.find("\r\n\r\n");
-  if (head_end == std::string::npos) {
-    *kind = HttpErrorKind::kMalformed;
-    return Status::IOError("no complete HTTP response head received");
-  }
-  auto resp_or = ParseResponseHead(buffer.substr(0, head_end));
-  if (!resp_or.ok()) {
-    *kind = HttpErrorKind::kMalformed;
-    return resp_or.status();
-  }
-  HttpResponse resp = std::move(resp_or).value();
-  resp.body = buffer.substr(head_end + 4);
-  // Trust Content-Length when present and sane.
-  auto it = resp.headers.find("content-length");
-  if (it != resp.headers.end()) {
-    const size_t expected =
-        static_cast<size_t>(std::strtoull(it->second.c_str(), nullptr, 10));
-    if (resp.body.size() < expected) {
-      *kind = HttpErrorKind::kMalformed;
-      return Status::IOError("response body shorter than content-length");
+  std::vector<StatusOr<HttpResponse>> results;
+  results.reserve(exchanges.size());
+  if (details != nullptr) details->assign(exchanges.size(), {});
+  for (size_t i = 0; i < exchanges.size(); ++i) {
+    Exchange& x = exchanges[i];
+    if (details != nullptr) {
+      (*details)[i].error_kind = x.kind;
+      (*details)[i].attempts = x.attempts;
     }
-    resp.body.resize(expected);
+    if (x.result.ok()) {
+      results.push_back(std::move(x.result));
+      continue;
+    }
+    if (metrics != nullptr) {
+      if (metrics->failures != nullptr) metrics->failures->Increment();
+      const int kind_index = static_cast<int>(x.kind);
+      if (kind_index >= 0 &&
+          kind_index < obs::HttpClientMetrics::kNumErrorKinds &&
+          metrics->errors_by_kind[kind_index] != nullptr) {
+        metrics->errors_by_kind[kind_index]->Increment();
+      }
+    }
+    results.push_back(Status::IOError(std::string(HttpErrorKindName(x.kind)) +
+                                      ": " +
+                                      std::string(x.result.status().message())));
   }
-  *kind = HttpErrorKind::kNone;
-  return resp;
+  return results;
+}
+
+StatusOr<HttpResponse> HttpClient::Send(const HttpCall& call,
+                                        HttpRequestDetail* detail) const {
+  std::vector<HttpRequestDetail> details;
+  std::vector<StatusOr<HttpResponse>> results = RequestAll({call}, &details);
+  if (detail != nullptr) *detail = details[0];
+  return std::move(results[0]);
 }
 
 StatusOr<HttpResponse> HttpClient::Request(
@@ -199,76 +456,14 @@ StatusOr<HttpResponse> HttpClient::Request(
     const std::string& body, const std::string& content_type,
     HttpRequestDetail* detail,
     const std::map<std::string, std::string>& extra_headers) const {
-  const obs::HttpClientMetrics* metrics = options_.metrics;
-  if (metrics != nullptr && metrics->requests != nullptr) {
-    metrics->requests->Increment();
-  }
-  HttpRequest req;
-  req.method = method;
-  const size_t qmark = target.find('?');
-  if (qmark == std::string::npos) {
-    req.path = target;
-  } else {
-    req.path = target.substr(0, qmark);
-    req.query = target.substr(qmark + 1);
-  }
-  req.body = body;
-  if (!body.empty()) req.headers["content-type"] = content_type;
-  for (const auto& [name, value] : extra_headers) req.headers[name] = value;
-  const std::string wire =
-      SerializeRequest(req, host_ + ":" + std::to_string(port));
-
-  const uint64_t jitter_salt =
-      std::hash<std::string>{}(target) ^ (static_cast<uint64_t>(port) << 17);
-  StatusOr<HttpResponse> result = Status::IOError("no attempt made");
-  HttpErrorKind kind = HttpErrorKind::kOther;
-  int attempts = 0;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1);
-      if (metrics != nullptr && metrics->retries != nullptr) {
-        metrics->retries->Increment();
-      }
-      const int base = std::min(options_.backoff_max_ms,
-                                options_.backoff_base_ms << (attempt - 1));
-      const int sleep_ms = std::max(
-          1, static_cast<int>(base * JitterFraction(jitter_salt, attempt)));
-      if (metrics != nullptr && metrics->backoff_sleeps != nullptr) {
-        metrics->backoff_sleeps->Increment();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    }
-    ++attempts;
-    result = Attempt(port, wire, &kind);
-    if (result.ok()) break;
-    // Connection-phase failures never reached the server, so any method
-    // can retry them; read-phase failures may have executed server-side
-    // and only idempotent GETs retry.
-    const bool retryable =
-        kind == HttpErrorKind::kRefused ||
-        kind == HttpErrorKind::kConnectTimeout ||
-        (method == "GET" && (kind == HttpErrorKind::kReadTimeout ||
-                             kind == HttpErrorKind::kMalformed));
-    if (!retryable) break;
-  }
-  if (detail != nullptr) {
-    detail->error_kind = kind;
-    detail->attempts = attempts;
-  }
-  if (!result.ok() && kind != HttpErrorKind::kNone) {
-    if (metrics != nullptr) {
-      if (metrics->failures != nullptr) metrics->failures->Increment();
-      const int kind_index = static_cast<int>(kind);
-      if (kind_index >= 0 &&
-          kind_index < obs::HttpClientMetrics::kNumErrorKinds &&
-          metrics->errors_by_kind[kind_index] != nullptr) {
-        metrics->errors_by_kind[kind_index]->Increment();
-      }
-    }
-    return Status::IOError(std::string(HttpErrorKindName(kind)) + ": " +
-                           std::string(result.status().message()));
-  }
-  return result;
+  HttpCall call;
+  call.port = port;
+  call.method = method;
+  call.target = target;
+  call.body = body;
+  call.content_type = content_type;
+  call.headers = extra_headers;
+  return Send(call, detail);
 }
 
 }  // namespace agoraeo::netsvc

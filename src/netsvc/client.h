@@ -4,7 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "netsvc/http.h"
@@ -40,7 +43,8 @@ struct HttpClientOptions {
   /// poll), separate from the read budget so a dead host fails fast
   /// while a slow response can still stream.
   int connect_timeout_ms = 2000;
-  /// Budget for each send/recv on an established connection.
+  /// Budget for each send, and for each wait for response bytes, on an
+  /// established connection.
   int read_timeout_ms = 5000;
   /// Extra attempts after the first failure.  Only connection-phase
   /// failures (refused, connect timeout) are retried for non-idempotent
@@ -59,11 +63,27 @@ struct HttpClientOptions {
   const obs::HttpClientMetrics* metrics = nullptr;
 };
 
+/// One request of a scatter (HttpClient::RequestAll).
+struct HttpCall {
+  std::string host;  ///< empty: the client's own host
+  uint16_t port = 0;
+  std::string method = "POST";
+  std::string target;
+  std::string body;
+  std::string content_type = "application/json";
+  std::map<std::string, std::string> headers;
+};
+
 /// A blocking HTTP client for the loopback tiers (the UI tier's side of
 /// the paper's three-tier architecture, and the cluster tier's
-/// inter-node transport).  One request per connection, mirroring the
-/// server.  Thread-safe: requests share no mutable state beyond
-/// counters.
+/// inter-node transport).  Speaks HTTP/1.1 keep-alive: responses are
+/// framed by Content-Length and the connection goes back to a per-peer
+/// idle pool for the next request, so a long-lived client pays the TCP
+/// handshake once per concurrent connection, not once per request.  A
+/// pooled connection the peer has closed meanwhile (a restart, an idle
+/// close) that fails before any response byte arrives is retried once
+/// on a fresh connection.  Thread-safe: concurrent requests each take
+/// their own connection.
 class HttpClient {
  public:
   explicit HttpClient(std::string host = "127.0.0.1",
@@ -76,6 +96,10 @@ class HttpClient {
     options_.read_timeout_ms = timeout_ms;
   }
 
+  ~HttpClient();
+  HttpClient(const HttpClient&) = delete;
+  HttpClient& operator=(const HttpClient&) = delete;
+
   /// Issues `method target` with an optional body.  Failures carry a
   /// "<kind>: " prefix in the Status message; pass `detail` for the
   /// typed kind and the attempt count.
@@ -85,6 +109,19 @@ class HttpClient {
       const std::string& content_type = "application/json",
       HttpRequestDetail* detail = nullptr,
       const std::map<std::string, std::string>& extra_headers = {}) const;
+
+  /// One request to any peer (RequestAll of one call).
+  StatusOr<HttpResponse> Send(const HttpCall& call,
+                              HttpRequestDetail* detail = nullptr) const;
+
+  /// Sends every call first and then gathers the responses as they
+  /// arrive, all on the calling thread: a scatter to N peers costs the
+  /// slowest peer's time without a thread per peer.  Result i (and
+  /// `(*details)[i]` when given) belongs to calls[i]; each call retries
+  /// and fails exactly as Request does.
+  std::vector<StatusOr<HttpResponse>> RequestAll(
+      const std::vector<HttpCall>& calls,
+      std::vector<HttpRequestDetail>* details = nullptr) const;
 
   StatusOr<HttpResponse> Get(uint16_t port, const std::string& target) const {
     return Request(port, "GET", target);
@@ -97,15 +134,28 @@ class HttpClient {
   const HttpClientOptions& options() const { return options_; }
   /// Lifetime retry count across all requests (observability, tests).
   uint64_t retries_attempted() const { return retries_.load(); }
+  /// Connections this client opened (observability, tests): with
+  /// keep-alive peers it stays at the peak number of concurrent
+  /// requests per peer.
+  uint64_t connections_opened() const { return connections_opened_.load(); }
 
  private:
-  /// One connection attempt: connect, send, read to EOF, parse.
-  StatusOr<HttpResponse> Attempt(uint16_t port, const std::string& wire,
-                                 HttpErrorKind* kind) const;
+  struct Exchange;
+  /// Opens (or takes from the pool) a connection for `x` and sends its
+  /// request.
+  void Open(Exchange* x) const;
+  /// Waits for every open exchange's response.
+  void Gather(std::vector<Exchange*>& open) const;
+  /// Pooled idle connection for `key` ("host:port"), or -1.
+  int TakeIdle(const std::string& key) const;
+  void ReturnIdle(const std::string& key, int fd) const;
 
   std::string host_;
   HttpClientOptions options_;
   mutable std::atomic<uint64_t> retries_{0};
+  mutable std::atomic<uint64_t> connections_opened_{0};
+  mutable std::mutex pool_mu_;
+  mutable std::unordered_map<std::string, std::vector<int>> idle_;
 };
 
 }  // namespace agoraeo::netsvc

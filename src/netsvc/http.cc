@@ -142,18 +142,17 @@ std::string SerializeRequest(const HttpRequest& request,
   out += " HTTP/1.1\r\n";
   out += "host: " + host + "\r\n";
   for (const auto& [name, value] : request.headers) {
-    if (name == "host" || name == "content-length" || name == "connection") {
-      continue;
-    }
+    if (name == "host" || name == "content-length") continue;
     out += name + ": " + value + "\r\n";
   }
-  out += "content-length: " + std::to_string(request.body.size()) + "\r\n";
-  out += "connection: close\r\n\r\n";
+  out += "content-length: " + std::to_string(request.body.size()) +
+         "\r\n\r\n";
   out += request.body;
   return out;
 }
 
-std::string SerializeResponse(const HttpResponse& response) {
+std::string SerializeResponse(const HttpResponse& response,
+                              bool keep_alive) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status_code) + " " +
                     response.reason + "\r\n";
   for (const auto& [name, value] : response.headers) {
@@ -161,7 +160,8 @@ std::string SerializeResponse(const HttpResponse& response) {
     out += name + ": " + value + "\r\n";
   }
   out += "content-length: " + std::to_string(response.body.size()) + "\r\n";
-  out += "connection: close\r\n\r\n";
+  if (!keep_alive) out += "connection: close\r\n";
+  out += "\r\n";
   out += response.body;
   return out;
 }
@@ -192,6 +192,8 @@ StatusOr<HttpRequest> ParseRequestHead(const std::string& head) {
     req.query = target.substr(qmark + 1);
   }
   AGORAEO_RETURN_IF_ERROR(ParseHeaderLines(lines, 1, &req.headers));
+  req.keep_alive = version != "HTTP/1.0" &&
+                   ToLower(req.Header("connection")) != "close";
   return req;
 }
 

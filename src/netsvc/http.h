@@ -16,6 +16,9 @@ struct HttpRequest {
   std::string query;   ///< raw query string without '?', may be empty
   std::map<std::string, std::string> headers;
   std::string body;
+  /// False for an HTTP/1.0 request or one that sent `connection: close`:
+  /// the server answers it and then closes the connection.
+  bool keep_alive = true;
 
   /// Header lookup by lower-case name; empty string when absent.
   const std::string& Header(const std::string& lower_name) const;
@@ -44,12 +47,15 @@ struct HttpResponse {
   static HttpResponse MethodNotAllowed(const std::string& what);
 };
 
-/// Serialises a request/response with a Content-Length header and
-/// `Connection: close` (the server speaks one-request-per-connection
-/// HTTP, which is all the loopback tiers need).
+/// Serialises a request/response with a Content-Length header, the
+/// framing both tiers rely on to keep HTTP/1.1 connections open.  A
+/// request carries a `connection` header only when the caller set one;
+/// a response says `connection: close` when `keep_alive` is false, i.e.
+/// when the server closes the connection after it.
 std::string SerializeRequest(const HttpRequest& request,
                              const std::string& host);
-std::string SerializeResponse(const HttpResponse& response);
+std::string SerializeResponse(const HttpResponse& response,
+                              bool keep_alive = true);
 
 /// Parses the head (request line + headers) of a request/response given
 /// everything up to and excluding the blank line.  Body handling is the

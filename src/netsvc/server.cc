@@ -2,6 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,22 +17,21 @@ namespace agoraeo::netsvc {
 
 namespace {
 
-/// Reads from `fd` until the terminator "\r\n\r\n" has been seen and
-/// Content-Length further bytes are buffered, or the peer closes.
-/// Returns (head, body) split, or an error.
-Status ReadFullRequest(int fd, std::string* head, std::string* body,
-                       size_t max_bytes) {
-  std::string buffer;
+/// Takes one complete request (head + Content-Length body) off the
+/// front of `buffer`, reading from `fd` until it is there.  Returns
+/// false when the peer closed the connection before sending any byte of
+/// a request (an idle keep-alive client going away), true with `head`
+/// and `body` filled otherwise, or an error.
+StatusOr<bool> ReadRequest(int fd, std::string* buffer, std::string* head,
+                           std::string* body, size_t max_bytes) {
   size_t head_end = std::string::npos;
   size_t content_length = 0;
-  bool have_length = false;
-
-  char chunk[4096];
+  char chunk[16384];
   while (true) {
     if (head_end == std::string::npos) {
-      head_end = buffer.find("\r\n\r\n");
+      head_end = buffer->find("\r\n\r\n");
       if (head_end != std::string::npos) {
-        *head = buffer.substr(0, head_end);
+        *head = buffer->substr(0, head_end);
         // A paranoia-light parse of Content-Length from the raw head.
         auto parsed = ParseRequestHead(*head);
         if (!parsed.ok()) return parsed.status();
@@ -38,17 +40,21 @@ Status ReadFullRequest(int fd, std::string* head, std::string* body,
                              ? 0
                              : static_cast<size_t>(std::strtoull(
                                    cl.c_str(), nullptr, 10));
-        have_length = true;
       }
     }
-    if (have_length) {
-      const size_t body_have = buffer.size() - (head_end + 4);
-      if (body_have >= content_length) {
-        *body = buffer.substr(head_end + 4, content_length);
-        return Status::OK();
-      }
+    if (head_end != std::string::npos &&
+        buffer->size() - (head_end + 4) >= content_length) {
+      // Hand the bytes over rather than erase them: a kept-alive
+      // connection must not hold its largest request's capacity.
+      const size_t end = head_end + 4 + content_length;
+      std::string rest = buffer->substr(end);
+      buffer->resize(end);
+      buffer->erase(0, head_end + 4);
+      *body = std::move(*buffer);
+      *buffer = std::move(rest);
+      return true;
     }
-    if (buffer.size() > max_bytes) {
+    if (buffer->size() > max_bytes) {
       return Status::InvalidArgument("request exceeds size limit");
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -57,9 +63,10 @@ Status ReadFullRequest(int fd, std::string* head, std::string* body,
       return Status::IOError(std::string("recv: ") + std::strerror(errno));
     }
     if (n == 0) {
+      if (buffer->empty()) return false;
       return Status::IOError("peer closed before complete request");
     }
-    buffer.append(chunk, static_cast<size_t>(n));
+    buffer->append(chunk, static_cast<size_t>(n));
   }
 }
 
@@ -82,14 +89,20 @@ Status SendAll(int fd, const std::string& data) {
   return Status::OK();
 }
 
+/// epoll tags of the two non-connection descriptors; connections are
+/// tagged with their Connection*.
+char kListenTag;
+char kWakeTag;
+
 }  // namespace
 
-/// The shared state behind a deferred response: the connection fd and
-/// the server whose counters the completion must update.  Exactly one
-/// Send wins; dropping every Responder copy without sending answers 500
-/// from the destructor.
+/// The shared state behind a deferred response: the connection and the
+/// server whose counters the completion must update.  Exactly one Send
+/// wins; dropping every Responder copy without sending answers 500 from
+/// the destructor.
 struct HttpServer::Responder::Pending {
-  int fd = -1;
+  Connection* conn = nullptr;
+  bool keep_alive = true;
   HttpServer* server = nullptr;
   std::atomic<bool> sent{false};
   /// Route metrics carried across the deferral so the latency
@@ -106,11 +119,7 @@ struct HttpServer::Responder::Pending {
       latency_metric->Record(obs::NowNanos() - start_ns);
     }
     if (inflight_gauge != nullptr) inflight_gauge->Add(-1);
-    // Count before sending: a client that has seen the response must
-    // be able to observe the incremented counter.
-    server->requests_served_.fetch_add(1);
-    (void)SendAll(fd, SerializeResponse(response));
-    ::close(fd);
+    server->Respond(conn, response, keep_alive);
     server->DeferredFinished();
   }
 
@@ -161,7 +170,8 @@ void HttpServer::RouteAsync(const std::string& method, const std::string& path,
 Status HttpServer::Start(uint16_t port) {
   if (running_.load()) return Status::FailedPrecondition("already running");
 
-  const int sock = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int sock =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (sock < 0) {
     return Status::IOError(std::string("socket: ") + std::strerror(errno));
   }
@@ -184,6 +194,24 @@ Status HttpServer::Start(uint16_t port) {
   if (::getsockname(sock, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
     port_ = ntohs(addr.sin_port);
   }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+    const std::string error = std::strerror(errno);
+    ::close(sock);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    epoll_fd_ = wake_fd_ = -1;
+    return Status::IOError("epoll: " + error);
+  }
+  epoll_event listen_event{};
+  listen_event.events = EPOLLIN;
+  listen_event.data.ptr = &kListenTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, sock, &listen_event);
+  epoll_event wake_event{};
+  wake_event.events = EPOLLIN;
+  wake_event.data.ptr = &kWakeTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &wake_event);
 
   if (obs_ != nullptr) {
     for (RouteEntry& route : routes_) {
@@ -199,32 +227,49 @@ Status HttpServer::Start(uint16_t port) {
     inflight_gauge_ = obs_->GaugeOrNull("agoraeo_http_inflight_requests");
   }
 
-  listen_fd_.store(sock);
+  listen_fd_ = sock;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    stopping_ = false;
+  }
   pool_ = std::make_unique<ThreadPool>(num_workers_);
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  event_thread_ = std::thread([this] { EventLoop(); });
   AGORAEO_LOG(kInfo) << "EarthQube back-end listening on 127.0.0.1:" << port_;
   return Status::OK();
 }
 
 void HttpServer::Stop() {
   if (!running_.exchange(false)) return;
-  // Retire the socket: shutdown() unblocks a blocked accept(), but the
-  // fd is only close()d after the accept thread joins — closing earlier
-  // would let the kernel reuse the fd number while AcceptLoop may still
-  // hold a loaded copy, making it accept() on a foreign socket.
-  const int sock = listen_fd_.exchange(-1);
-  if (sock >= 0) ::shutdown(sock, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (sock >= 0) ::close(sock);
+  const uint64_t wake = 1;
+  (void)::write(wake_fd_, &wake, sizeof(wake));
+  if (event_thread_.joinable()) event_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  // The event loop has exited, so every idle connection is ours to
+  // close; busy ones close themselves once stopping_ is set.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    stopping_ = true;
+    for (Connection* conn : idle_) {
+      ::close(conn->fd);
+      delete conn;
+    }
+    idle_.clear();
+  }
   if (pool_ != nullptr) {
     pool_->Wait();
     pool_.reset();
   }
   // Deferred responses complete on foreign threads (engine workers);
   // wait them out so no completion touches a destroyed server.
-  std::unique_lock<std::mutex> lock(deferred_mu_);
-  deferred_cv_.wait(lock, [&] { return deferred_in_flight_ == 0; });
+  {
+    std::unique_lock<std::mutex> lock(deferred_mu_);
+    deferred_cv_.wait(lock, [&] { return deferred_in_flight_ == 0; });
+  }
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  epoll_fd_ = wake_fd_ = -1;
 }
 
 void HttpServer::DeferredStarted() {
@@ -241,37 +286,114 @@ void HttpServer::DeferredFinished() {
   deferred_cv_.notify_all();
 }
 
-void HttpServer::AcceptLoop() {
-  while (running_.load()) {
-    const int listen_fd = listen_fd_.load();
-    if (listen_fd < 0) break;  // retired by Stop()
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
+void HttpServer::EventLoop() {
+  epoll_event events[64];
+  while (true) {
+    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
+    if (n < 0) {
       if (errno == EINTR) continue;
-      break;  // listening socket closed by Stop()
+      AGORAEO_LOG(kError) << "epoll_wait: " << std::strerror(errno);
+      return;
     }
-    pool_->Submit([this, fd] { HandleConnection(fd); });
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == &kWakeTag) return;  // Stop()
+      if (tag == &kListenTag) {
+        AcceptReady();
+        continue;
+      }
+      // A readable (or hung-up) idle connection: EPOLLONESHOT disarmed
+      // it, so it is this loop's alone until a worker re-arms it.
+      auto* conn = static_cast<Connection*>(tag);
+      {
+        std::lock_guard<std::mutex> lock(conn_mu_);
+        idle_.erase(conn);
+      }
+      pool_->Submit([this, conn] { Serve(conn); });
+    }
   }
 }
 
-void HttpServer::HandleConnection(int fd) {
+void HttpServer::AcceptReady() {
+  while (true) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN: the backlog is drained
+    }
+    // Each response is one send; never hold its tail for an ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    auto* conn = new Connection;
+    conn->fd = fd;
+    Park(conn, /*keep_alive=*/true);
+  }
+}
+
+void HttpServer::Park(Connection* conn, bool keep_alive) {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  if (!keep_alive || stopping_) {
+    ::close(conn->fd);
+    delete conn;
+    return;
+  }
+  if (!conn->buffer.empty()) {
+    // A pipelined request is already buffered; epoll would never report
+    // it, so serve it now.
+    pool_->Submit([this, conn] { Serve(conn); });
+    return;
+  }
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+  event.data.ptr = conn;
+  const int op = conn->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+  if (::epoll_ctl(epoll_fd_, op, conn->fd, &event) != 0) {
+    ::close(conn->fd);
+    delete conn;
+    return;
+  }
+  conn->registered = true;
+  idle_.insert(conn);
+}
+
+void HttpServer::Respond(Connection* conn, const HttpResponse& response,
+                         bool keep_alive) {
+  // Count before sending: a client that has seen the response must be
+  // able to observe the incremented counter.
+  requests_served_.fetch_add(1);
+  keep_alive = keep_alive && running_.load();
+  if (!SendAll(conn->fd, SerializeResponse(response, keep_alive)).ok()) {
+    keep_alive = false;
+  }
+  Park(conn, keep_alive);
+}
+
+void HttpServer::Serve(Connection* conn) {
+  std::string head, body;
+  const StatusOr<bool> read =
+      ReadRequest(conn->fd, &conn->buffer, &head, &body, kMaxRequestBytes);
+  if (read.ok() && !*read) {
+    Park(conn, /*keep_alive=*/false);  // the client hung up between requests
+    return;
+  }
   const uint64_t start_ns = inflight_gauge_ != nullptr ||
                                     unmatched_requests_ != nullptr
                                 ? obs::NowNanos()
                                 : 0;
   if (inflight_gauge_ != nullptr) inflight_gauge_->Add(1);
-  std::string head, body;
-  const Status read = ReadFullRequest(fd, &head, &body, kMaxRequestBytes);
   HttpResponse response;
   const RouteEntry* matched = nullptr;
+  bool keep_alive = false;  // a malformed request ends the connection
   if (!read.ok()) {
-    response = HttpResponse::BadRequest(read.message());
+    response = HttpResponse::BadRequest(read.status().message());
   } else {
     auto request = ParseRequestHead(head);
     if (!request.ok()) {
       response = HttpResponse::BadRequest(request.status().message());
     } else {
       request->body = std::move(body);
+      keep_alive = request->keep_alive;
       HttpResponse route_error;
       const RouteEntry* route = FindRoute(*request, &route_error);
       if (route == nullptr) {
@@ -283,7 +405,8 @@ void HttpServer::HandleConnection(int fd) {
         // destructor guarantees the client always hears back.
         DeferredStarted();
         auto pending = std::make_shared<Responder::Pending>();
-        pending->fd = fd;
+        pending->conn = conn;
+        pending->keep_alive = keep_alive;
         pending->server = this;
         pending->requests_metric = route->requests_metric;
         pending->latency_metric = route->latency_metric;
@@ -295,7 +418,7 @@ void HttpServer::HandleConnection(int fd) {
         } catch (const std::exception& e) {
           responder.Send(HttpResponse::InternalError(e.what()));
         }
-        return;  // the Responder owns the fd now
+        return;  // the Responder owns the connection now
       } else {
         matched = route;
         try {
@@ -317,11 +440,7 @@ void HttpServer::HandleConnection(int fd) {
     unmatched_requests_->Increment();
   }
   if (inflight_gauge_ != nullptr) inflight_gauge_->Add(-1);
-  // Count before sending: a client that has seen the response must be
-  // able to observe the incremented counter.
-  requests_served_.fetch_add(1);
-  (void)SendAll(fd, SerializeResponse(response));
-  ::close(fd);
+  Respond(conn, response, keep_alive);
 }
 
 const HttpServer::RouteEntry* HttpServer::FindRoute(

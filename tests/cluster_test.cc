@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "metrics_test_util.h"
@@ -330,15 +331,65 @@ class ClusterTest : public ::testing::Test {
   /// Posts the same body to the monolith and the coordinator and
   /// expects canonically identical answers.
   static void ExpectParity(const std::string& body) {
+    ExpectParityAt(coordinator_server_->port(), body);
+  }
+
+  /// ExpectParity against the coordinator serving on `port`.
+  static void ExpectParityAt(uint16_t port, const std::string& body) {
     HttpClient client;
     auto mono = client.Post(mono_server_->port(), "/api/v2/query", body);
-    auto cluster =
-        client.Post(coordinator_server_->port(), "/api/v2/query", body);
+    auto cluster = client.Post(port, "/api/v2/query", body);
     ASSERT_TRUE(mono.ok());
     ASSERT_TRUE(cluster.ok());
     ASSERT_EQ(mono->status_code, 200) << mono->body;
     ASSERT_EQ(cluster->status_code, 200) << cluster->body;
     EXPECT_EQ(Canonical(cluster->body), Canonical(mono->body)) << body;
+  }
+
+  /// Walks the windowed ranking `request` (the body's fields, without
+  /// braces) page by page on the monolith and on the coordinator at
+  /// `port`, each side following its own cursor, and expects identical
+  /// pages and identical cursor tokens.  Returns the pages walked.
+  static size_t ExpectWalkParity(uint16_t port, const std::string& request,
+                                 size_t max_pages) {
+    HttpClient client;
+    std::string mono_body = "{" + request + "}";
+    std::string cluster_body = mono_body;
+    for (size_t page = 0; page < max_pages; ++page) {
+      auto mono = client.Post(mono_server_->port(), "/api/v2/query", mono_body);
+      auto cluster = client.Post(port, "/api/v2/query", cluster_body);
+      EXPECT_TRUE(mono.ok() && cluster.ok());
+      if (!mono.ok() || !cluster.ok()) return page;
+      EXPECT_EQ(mono->status_code, 200) << mono->body;
+      EXPECT_EQ(cluster->status_code, 200) << cluster->body;
+      EXPECT_EQ(Canonical(cluster->body), Canonical(mono->body))
+          << request << " page " << page;
+      auto mono_doc = json::ParseObject(mono->body);
+      auto cluster_doc = json::ParseObject(cluster->body);
+      EXPECT_TRUE(mono_doc.ok() && cluster_doc.ok());
+      if (!mono_doc.ok() || !cluster_doc.ok()) return page;
+      const std::string mono_cursor = mono_doc->Get("cursor")->as_string();
+      const std::string cluster_cursor =
+          cluster_doc->Get("cursor")->as_string();
+      EXPECT_EQ(cluster_cursor, mono_cursor) << request << " page " << page;
+      if (cluster_cursor.empty() || mono_cursor.empty()) return page + 1;
+      mono_body = "{" + request + R"(,"cursor":")" + mono_cursor + R"("})";
+      cluster_body =
+          "{" + request + R"(,"cursor":")" + cluster_cursor + R"("})";
+    }
+    return max_pages;
+  }
+
+  /// Query requests the nodes serving on `ports` have answered.
+  static double NodeQueryRequests(const std::vector<uint16_t>& ports) {
+    double total = 0;
+    for (const uint16_t port : ports) {
+      total += metrics_test::MetricValue(
+          metrics_test::ScrapeMetrics(port),
+          obs::LabeledName("agoraeo_http_requests_total", "route",
+                           "POST /api/v2/query"));
+    }
+    return total;
   }
 
   static bigearthnet::ArchiveGenerator* generator_;
@@ -535,9 +586,84 @@ TEST_F(ClusterTest, RankedCursorWalkMatchesMonolithPageByPage) {
   EXPECT_GT(pages, 1u) << "ranking too small to exercise cursor resume";
   ASSERT_LT(pages, 120u) << "cursor chain never terminated";
 
-  // Every page after the first resumed the coordinator's cached merged
-  // ranking instead of fanning out again.
+  // Every page after the first found the coordinator's cached merged
+  // ranking: the first page fetched only its window, the second fanned
+  // out again for the whole ranking, and every later page was a slice.
   EXPECT_GE(coordinator_->result_cache_stats().hits - hits_before, pages);
+}
+
+TEST_F(ClusterTest, BoundedWindowWalksMatchMonolith) {
+  // Each page fans out only the rows its window needs (page end + 1 per
+  // node) when that is fewer than k or the limit; every page, cursor and
+  // reported total must still equal the monolith's.
+  const std::string code = (*codes_)[11].ToBitString();
+  const uint16_t port = coordinator_server_->port();
+  EXPECT_EQ(ExpectWalkParity(port,
+                             R"("similarity":{"code":")" + code +
+                                 R"(","k":100},"page_size":20)",
+                             10),
+            5u);
+  EXPECT_GT(ExpectWalkParity(port,
+                             R"("similarity":{"code":")" + code +
+                                 R"(","radius":12,"limit":45},"page_size":8)",
+                             10),
+            2u);
+  EXPECT_GT(ExpectWalkParity(port,
+                             R"("similarity":{"name":")" +
+                                 archive_->patches[7].name +
+                                 R"(","k":60},"page_size":15,)"
+                                 R"("projection":"full")",
+                             10),
+            2u);
+  EXPECT_GT(ExpectWalkParity(
+                port,
+                R"("panel":{"seasons":["summer","autumn"]},)"
+                R"("similarity":{"code":")" +
+                    code + R"(","radius":11},"page_size":6)",
+                10),
+            2u);
+}
+
+TEST_F(ClusterTest, PagePastCachedDepthFansOutAgain) {
+  const std::vector<uint16_t> node_ports = {
+      nodes_[0]->port(), nodes_[1]->port(), nodes_[2]->port()};
+  const std::string base = R"({"similarity":{"code":")" +
+                           (*codes_)[29].ToBitString() +
+                           R"(","k":90},"page_size":10)";
+  const double start = NodeQueryRequests(node_ports);
+  ExpectParity(base + "}");  // page 0: 11 rows per node
+  const double after_first = NodeQueryRequests(node_ports);
+  EXPECT_GE(after_first - start, 3);
+  // Rows 40-49 lie past the cached 11: the coordinator fans out again
+  // (for the whole k) instead of answering a short or empty page.
+  ExpectParity(base + R"(,"page":4})");
+  const double after_deep = NodeQueryRequests(node_ports);
+  EXPECT_GE(after_deep - after_first, 3);
+  // The deeper ranking now serves any page from the cache.
+  ExpectParity(base + R"(,"page":8})");
+  ExpectParity(base + R"(,"page":1})");
+  EXPECT_EQ(NodeQueryRequests(node_ports), after_deep);
+}
+
+TEST_F(ClusterTest, OneFanoutRecordsOneMergeSample) {
+  obs::Histogram* merge =
+      coordinator_->obs().HistogramOrNull("agoraeo_cluster_merge_ns");
+  obs::Histogram* fanout =
+      coordinator_->obs().HistogramOrNull("agoraeo_cluster_fanout_ns");
+  ASSERT_NE(merge, nullptr);
+  ASSERT_NE(fanout, nullptr);
+  const uint64_t merges = merge->Snapshot().count;
+  const uint64_t fanouts = fanout->Snapshot().count;
+  const std::string body = R"({"similarity":{"code":")" +
+                           (*codes_)[5].ToBitString() + R"(","k":17}})";
+  ASSERT_TRUE(coordinator_->Query(body).ok());
+  EXPECT_EQ(merge->Snapshot().count, merges + 1);
+  EXPECT_EQ(fanout->Snapshot().count, fanouts + 1);
+  // A repeat is a merged-ranking cache hit: no node is asked, nothing
+  // is merged.
+  ASSERT_TRUE(coordinator_->Query(body).ok());
+  EXPECT_EQ(merge->Snapshot().count, merges + 1);
+  EXPECT_EQ(fanout->Snapshot().count, fanouts + 2);
 }
 
 TEST_F(ClusterTest, BatchMatchesMonolith) {
@@ -895,6 +1021,111 @@ TEST_F(MigrationTest, MigrationMovesSlotAndKeepsParity) {
     ASSERT_EQ(clustered->status_code, 200) << clustered->body;
     EXPECT_EQ(Canonical(clustered->body), Canonical(mono->body)) << body;
   }
+  coordinator_server.Stop();
+  n1.Stop();
+  n2.Stop();
+}
+
+TEST_F(MigrationTest, BoundedWindowsKeepParityAcrossSlotMove) {
+  std::unique_ptr<earthqube::EarthQube> s1(NewNodeSystem());
+  std::unique_ptr<earthqube::EarthQube> s2(NewNodeSystem());
+  ClusterNode::Options o1, o2;
+  o1.id = "m1";
+  o2.id = "m2";
+  ClusterNode n1(s1.get(), o1);
+  ClusterNode n2(s2.get(), o2);
+  ASSERT_TRUE(n1.Start(0).ok());
+  ASSERT_TRUE(n2.Start(0).ok());
+  const SlotTable table({n1.address(), n2.address()}, 8);
+  n1.SetTable(table);
+  n2.SetTable(table);
+  Coordinator coordinator;
+  coordinator.AttachTable(table);
+  ASSERT_TRUE(coordinator.IngestArchive(*archive_, *codes_).ok());
+  netsvc::HttpServer coordinator_server(2);
+  coordinator.RegisterRoutes(&coordinator_server);
+  ASSERT_TRUE(coordinator_server.Start(0).ok());
+  const uint16_t port = coordinator_server.port();
+
+  const std::string code = (*codes_)[11].ToBitString();
+  const std::vector<std::string> walks = {
+      R"("similarity":{"code":")" + code + R"(","k":100},"page_size":20)",
+      R"("similarity":{"code":")" + code +
+          R"(","radius":12,"limit":45},"page_size":8)",
+  };
+  for (const std::string& walk : walks) {
+    EXPECT_GT(ExpectWalkParity(port, walk, 10), 2u) << walk;
+  }
+
+  // Move m1's first slot to m2: m2 now holds that slot's items under
+  // local ids AFTER its own, so its local-id order no longer follows
+  // global ingest order.
+  const size_t slot = table.SlotsOwnedBy("m1")[0];
+  HttpClient client;
+  auto moved = client.Post(n1.port(), "/api/v2/cluster/migrate",
+                           R"({"slot":)" + std::to_string(slot) +
+                               R"(,"target":"m2"})");
+  ASSERT_TRUE(moved.ok());
+  ASSERT_EQ(moved->status_code, 200) << moved->body;
+  // Adopting the new table drops the rankings cached before the move,
+  // so the walks below fan out over the moved slot.
+  ASSERT_TRUE(coordinator.RefreshTopology(n1.address()).ok());
+  for (const std::string& walk : walks) {
+    EXPECT_GT(ExpectWalkParity(port, walk, 10), 2u) << walk;
+  }
+
+  // Find a bounded radius window where the nodes' truncated answers,
+  // merged naively, differ from the monolith — a boundary tie that m2
+  // cut by local id — and check that the coordinator repairs it.
+  std::unordered_map<std::string, size_t> seq;  // global ingest order
+  for (size_t i = 0; i < archive_->patches.size(); ++i) {
+    seq[archive_->patches[i].name] = i;
+  }
+  using Ranked = std::vector<std::pair<int64_t, size_t>>;  // (distance, seq)
+  const auto ranked = [&](uint16_t at, const std::string& body) {
+    Ranked rows;
+    auto resp = client.Post(at, "/api/v2/query", body);
+    EXPECT_TRUE(resp.ok());
+    if (!resp.ok()) return rows;
+    auto doc = json::ParseObject(resp->body);
+    EXPECT_TRUE(doc.ok()) << resp->body;
+    if (!doc.ok()) return rows;
+    for (const Value& row : doc->Get("results")->as_array()) {
+      const Document& r = row.as_document();
+      rows.emplace_back(r.Get("distance")->as_int64(),
+                        seq.at(r.Get("name")->as_string()));
+    }
+    return rows;
+  };
+  constexpr size_t kPageSize = 10;
+  const std::vector<uint16_t> node_ports = {n1.port(), n2.port()};
+  bool forced = false;
+  for (size_t i = 0; i < codes_->size() && !forced; i += 3) {
+    for (const int radius : {8, 11, 14}) {
+      const std::string spec = R"("code":")" + (*codes_)[i].ToBitString() +
+                               R"(","radius":)" + std::to_string(radius);
+      const std::string window_body = R"({"similarity":{)" + spec +
+                                      R"(,"limit":)" +
+                                      std::to_string(kPageSize + 1) + "}}";
+      Ranked naive = ranked(n1.port(), window_body);
+      const Ranked from_n2 = ranked(n2.port(), window_body);
+      naive.insert(naive.end(), from_n2.begin(), from_n2.end());
+      std::sort(naive.begin(), naive.end());
+      if (naive.size() > kPageSize + 1) naive.resize(kPageSize + 1);
+      if (naive == ranked(mono_server_->port(), window_body)) continue;
+      // The bounded fan-out alone would answer wrongly: the coordinator
+      // must notice the tie and re-ask both nodes at the boundary.
+      const double before = NodeQueryRequests(node_ports);
+      ExpectParityAt(port, R"({"similarity":{)" + spec +
+                               R"(,"limit":60},"page_size":)" +
+                               std::to_string(kPageSize) + "}");
+      EXPECT_EQ(NodeQueryRequests(node_ports) - before, 4.0);
+      forced = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(forced) << "no boundary tie hidden by migrated local ids";
+
   coordinator_server.Stop();
   n1.Stop();
   n2.Stop();

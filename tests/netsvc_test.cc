@@ -9,7 +9,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <memory>
 #include <thread>
@@ -317,6 +321,292 @@ TEST(ClientTest, GarbageResponseIsMalformedAndNotRetriedForPost) {
   ::shutdown(listener, SHUT_RDWR);
   ::close(listener);
   garbler.join();
+}
+
+// --- keep-alive ----------------------------------------------------------------
+
+/// A raw loopback TCP connection to `port` (the tests' stand-in for a
+/// client that is not HttpClient).
+int DialRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Reads until the peer closes (or `timeout_ms` passes without a byte).
+std::string ReadToEof(int fd, int timeout_ms = 2000) {
+  timeval tv{};
+  tv.tv_sec = timeout_ms / 1000;
+  tv.tv_usec = (timeout_ms % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string out;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    out.append(buf, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+/// Counts occurrences of `needle` in `haystack`.
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(KeepAliveTest, SequentialRequestsShareOneConnection) {
+  HttpServer server(2);
+  server.Route("POST", "/echo", [](const HttpRequest& req) {
+    return HttpResponse::Json(200, req.body);
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  HttpClient client;
+  constexpr int kRequests = 25;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string body = "{\"i\":" + std::to_string(i) + "}";
+    auto resp = client.Post(server.port(), "/echo", body);
+    ASSERT_TRUE(resp.ok()) << resp.status().message();
+    EXPECT_EQ(resp->body, body);
+    EXPECT_EQ(resp->headers.count("connection"), 0u);
+  }
+  EXPECT_EQ(server.requests_served(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(client.connections_opened(), 1u);
+  server.Stop();
+}
+
+TEST(KeepAliveTest, ScatterReusesOneConnectionPerPeer) {
+  std::vector<std::unique_ptr<HttpServer>> servers;
+  std::vector<HttpCall> calls;
+  for (int i = 0; i < 3; ++i) {
+    servers.push_back(std::make_unique<HttpServer>(2));
+    servers.back()->Route("POST", "/who", [i](const HttpRequest& req) {
+      return HttpResponse::Text(200, std::to_string(i) + ":" + req.body);
+    });
+    ASSERT_TRUE(servers.back()->Start(0).ok());
+    HttpCall call;
+    call.port = servers.back()->port();
+    call.target = "/who";
+    call.body = "b" + std::to_string(i);
+    calls.push_back(call);
+  }
+  HttpClient client;
+  for (int round = 0; round < 5; ++round) {
+    std::vector<HttpRequestDetail> details;
+    const auto results = client.RequestAll(calls, &details);
+    ASSERT_EQ(results.size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().message();
+      EXPECT_EQ(results[i]->body,
+                std::to_string(i) + ":b" + std::to_string(i));
+      EXPECT_EQ(details[i].attempts, 1);
+    }
+  }
+  for (const auto& server : servers) {
+    EXPECT_EQ(server->connections_accepted(), 1u);
+    server->Stop();
+  }
+  EXPECT_EQ(client.connections_opened(), 3u);
+}
+
+TEST(KeepAliveTest, RestartedServerIsReachedOnAFreshConnection) {
+  HttpServer server(2);
+  server.Route("POST", "/x", [](const HttpRequest& req) {
+    return HttpResponse::Text(200, req.body);
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  const uint16_t port = server.port();
+  HttpClient client;
+  ASSERT_TRUE(client.Post(port, "/x", "one").ok());
+  // Stop() closes the client's pooled connection; the restarted server
+  // listens on the same port.
+  server.Stop();
+  ASSERT_TRUE(server.Start(port).ok());
+  HttpRequestDetail detail;
+  auto resp = client.Request(port, "POST", "/x", "two", "text/plain", &detail);
+  ASSERT_TRUE(resp.ok()) << resp.status().message();
+  EXPECT_EQ(resp->body, "two");
+  EXPECT_EQ(detail.attempts, 1);
+  EXPECT_EQ(client.retries_attempted(), 0u);
+  EXPECT_EQ(client.connections_opened(), 2u);
+  server.Stop();
+}
+
+TEST(KeepAliveTest, PeerClosingAPooledConnectionMidRequestIsRetriedOnce) {
+  // A listener that answers the first request on each connection with a
+  // kept-alive response and then closes the connection when the next
+  // request arrives, without answering it — a server that closed an
+  // idle connection just as the client reused it.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 8), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const uint16_t port = ntohs(addr.sin_port);
+  std::atomic<int> accepted{0};
+  std::atomic<int> answered{0};
+  std::thread peer([listener, &accepted, &answered] {
+    std::vector<std::thread> conns;
+    while (true) {
+      const int conn = ::accept(listener, nullptr, nullptr);
+      if (conn < 0) break;
+      ++accepted;
+      conns.emplace_back([conn, &answered] {
+        char buf[4096];
+        if (::recv(conn, buf, sizeof(buf), 0) > 0) {
+          const std::string reply =
+              "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok";
+          ++answered;  // before the client can see the answer
+          (void)::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+          (void)::recv(conn, buf, sizeof(buf), 0);  // the reused request
+        }
+        ::close(conn);
+      });
+    }
+    for (auto& t : conns) t.join();
+  });
+
+  {
+    HttpClientOptions options;
+    options.max_retries = 0;  // the stale-connection replay is no retry
+    HttpClient client("127.0.0.1", options);
+    for (int i = 0; i < 3; ++i) {
+      HttpRequestDetail detail;
+      auto resp = client.Request(port, "POST", "/x", "{}",
+                                 "application/json", &detail);
+      // EXPECT, not ASSERT: an early return would leave the peer
+      // thread blocked on this client's pooled connection.
+      EXPECT_TRUE(resp.ok()) << i << ": " << resp.status().message();
+      if (resp.ok()) {
+        EXPECT_EQ(resp->body, "ok");
+      }
+      EXPECT_EQ(detail.attempts, 1);
+    }
+    // Requests 2 and 3 each failed on the pooled connection and were
+    // replayed on a fresh one: three connections, three answers.
+    EXPECT_EQ(accepted.load(), 3);
+    EXPECT_EQ(answered.load(), 3);
+    EXPECT_EQ(client.retries_attempted(), 0u);
+  }  // closes the last pooled connection, ending its peer thread
+
+  ::shutdown(listener, SHUT_RDWR);
+  ::close(listener);
+  peer.join();
+}
+
+TEST(KeepAliveTest, ConnectionCloseAndHttp10GetOneResponseThenEof) {
+  HttpServer server(2);
+  server.Route("GET", "/x", [](const HttpRequest&) {
+    return HttpResponse::Text(200, "x");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  for (const std::string& request :
+       {std::string("GET /x HTTP/1.1\r\nhost: a\r\nconnection: close\r\n\r\n"),
+        std::string("GET /x HTTP/1.0\r\nhost: a\r\n\r\n")}) {
+    const int fd = DialRaw(server.port());
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    const std::string reply = ReadToEof(fd);
+    EXPECT_EQ(CountOf(reply, "HTTP/1.1 200"), 1u) << reply;
+    EXPECT_NE(reply.find("connection: close\r\n"), std::string::npos) << reply;
+    EXPECT_EQ(reply.substr(reply.size() - 3), "\r\nx") << reply;
+    ::close(fd);
+  }
+  // A kept-alive connection answers pipelined requests in order.
+  const int fd = DialRaw(server.port());
+  const std::string two =
+      "GET /x HTTP/1.1\r\nhost: a\r\n\r\n"
+      "GET /x HTTP/1.1\r\nhost: a\r\nconnection: close\r\n\r\n";
+  ASSERT_EQ(::send(fd, two.data(), two.size(), 0),
+            static_cast<ssize_t>(two.size()));
+  const std::string replies = ReadToEof(fd);
+  EXPECT_EQ(CountOf(replies, "HTTP/1.1 200"), 2u) << replies;
+  EXPECT_EQ(CountOf(replies, "connection: close"), 1u) << replies;
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(KeepAliveTest, StopClosesParkedIdleConnectionsPromptly) {
+  HttpServer server(2);
+  server.Route("GET", "/x", [](const HttpRequest&) {
+    return HttpResponse::Text(200, "x");
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+  // Eight connections, each answered once and now parked idle.
+  std::vector<int> fds;
+  const std::string request = "GET /x HTTP/1.1\r\nhost: a\r\n\r\n";
+  for (int i = 0; i < 8; ++i) {
+    fds.push_back(DialRaw(server.port()));
+    ASSERT_EQ(::send(fds.back(), request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    char buf[256];
+    ASSERT_GT(::recv(fds.back(), buf, sizeof(buf), 0), 0);
+  }
+  EXPECT_EQ(server.connections_accepted(), 8u);
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+  // Every parked connection was closed by the server.
+  for (int fd : fds) {
+    EXPECT_EQ(ReadToEof(fd, 1000), "");
+    ::close(fd);
+  }
+}
+
+TEST(KeepAliveTest, StopWaitsOutADeferredResponderAndThenCloses) {
+  HttpServer server(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<HttpServer::Responder> parked;
+  server.RouteAsync("GET", "/slow",
+                    [&](const HttpRequest&, HttpServer::Responder responder) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      parked = responder;
+                      cv.notify_all();
+                    });
+  ASSERT_TRUE(server.Start(0).ok());
+  HttpClient client;
+  StatusOr<HttpResponse> answer = Status::Internal("not answered");
+  std::thread caller([&] { answer = client.Get(server.port(), "/slow"); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return parked.has_value(); }));
+  }
+  // Complete the parked response while Stop() is waiting for it.
+  std::thread completer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::lock_guard<std::mutex> lock(mu);
+    parked->Send(HttpResponse::Text(200, "late"));
+    parked.reset();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(2000));
+  completer.join();
+  caller.join();
+  ASSERT_TRUE(answer.ok()) << answer.status().message();
+  EXPECT_EQ(answer->body, "late");
+  // A response sent while stopping tells the client the connection ends.
+  EXPECT_EQ(answer->headers["connection"], "close");
 }
 
 // --- EarthQube service over the wire ------------------------------------------
