@@ -68,6 +68,15 @@ class ShardedLruCache {
   /// Looks a key up, refreshing its LRU position.  Stale (old-epoch) and
   /// expired (TTL) entries are dropped and reported as misses.
   std::optional<Value> Get(const Key& key) {
+    return GetIf(key, [](const Value&) { return true; });
+  }
+
+  /// Get for a lookup that only some values can answer: a live entry
+  /// `usable(value)` rejects is reported as a miss and stays cached
+  /// (the caller typically replaces it).  `usable` runs under the shard
+  /// lock.
+  template <typename Usable>
+  std::optional<Value> GetIf(const Key& key, Usable usable) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -86,6 +95,10 @@ class ShardedLruCache {
       ++shard.stats.expired_drops;
       ++shard.stats.misses;
       RemoveLocked(shard, it);
+      return std::nullopt;
+    }
+    if (!usable(std::as_const(it->second->value))) {
+      ++shard.stats.misses;
       return std::nullopt;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

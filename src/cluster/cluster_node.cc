@@ -120,13 +120,14 @@ std::optional<HttpResponse> ClusterNode::MovedResponse(size_t slot) const {
   return response;
 }
 
-void ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
-                                   QueryResponse* response) const {
+size_t ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
+                                     QueryResponse* response) const {
   const size_t num_slots = [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return table_.num_slots();
   }();
-  if (num_slots == 0) return;
+  if (num_slots == 0) return 0;
+  size_t dropped = 0;
   const auto keep = [&](const std::string& name) {
     return tombstones.count(SlotOf(name, num_slots)) == 0;
   };
@@ -136,6 +137,7 @@ void ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
     for (earthqube::CbirResult& hit : response->hits) {
       if (keep(hit.patch_name)) hits.push_back(std::move(hit));
     }
+    dropped = response->hits.size() - hits.size();
     response->hits = std::move(hits);
   } else {
     const auto& entries = response->panel.entries();
@@ -150,6 +152,7 @@ void ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
       kept.push_back(entries[i]);
       if (aligned) kept_hits.push_back(response->hits[i]);
     }
+    dropped = entries.size() - kept.size();
     response->panel = earthqube::ResultPanel(std::move(kept));
     if (aligned) response->hits = std::move(kept_hits);
     response->statistics =
@@ -163,6 +166,7 @@ void ClusterNode::FilterTombstoned(const std::set<size_t>& tombstones,
     response->cursor = earthqube::EncodeCursor(
         {.page = response->page + 1, .page_size = response->page_size});
   }
+  return dropped;
 }
 
 HttpResponse ClusterNode::ExecuteOne(const QueryRequest& request,
@@ -242,10 +246,21 @@ HttpResponse ClusterNode::ExecuteOne(const QueryRequest& request,
 
   if (!response.ok()) return FromStatus(response.status());
 
-  if (!tombstones.empty()) FilterTombstoned(tombstones, &*response);
+  // The engine cut a k or limit answer before the tombstoned rows were
+  // dropped, so the answer can hold fewer rows than asked while more
+  // live ones remain; the header tells the coordinator how many rows
+  // the cut kept, which is what its tie repair tests.
+  const size_t dropped =
+      tombstones.empty() ? 0 : FilterTombstoned(tombstones, &*response);
   HttpResponse http = HttpResponse::Json(
       200, EarthQubeService::QueryResponseToJson(*response));
   http.headers["x-cluster-epoch"] = std::to_string(read_epoch);
+  if (dropped > 0) {
+    const size_t kept = response->projection == earthqube::Projection::kHitsOnly
+                            ? response->hits.size()
+                            : response->panel.entries().size();
+    http.headers["x-cluster-cut-rows"] = std::to_string(kept + dropped);
+  }
   if (trace != nullptr) {
     http.headers["x-trace-id"] = trace->id();
     http.headers["x-trace-spans"] = trace->SpansToJson();
@@ -391,7 +406,7 @@ Status ClusterNode::MigrateSlot(size_t slot, const std::string& target_id) {
         call.port = static_cast<uint16_t>(target.port);
         call.target = "/api/v2/cluster/import";
         call.body = json::Serialize(*body);
-        auto imported = peer_client_.Send(call);
+        auto imported = peer_client_.Request(call);
         if (!imported.ok()) {
           result = imported.status();
         } else if (imported->status_code != 200) {

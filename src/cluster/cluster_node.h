@@ -61,7 +61,9 @@ namespace agoraeo::cluster {
 ///
 /// Every cluster-aware response carries the node's topology epoch in an
 /// `x-cluster-epoch` header — the cross-node staleness token: a reader
-/// holding an older table refreshes when it sees a higher epoch.
+/// holding an older table refreshes when it sees a higher epoch.  A
+/// query answer the tombstone filter shortened also carries
+/// `x-cluster-cut-rows`, its row count before the filter.
 class ClusterNode {
  public:
   struct Options {
@@ -134,8 +136,8 @@ class ClusterNode {
   std::optional<netsvc::HttpResponse> MovedResponse(size_t slot) const;
 
   /// Drops tombstoned-slot rows from a response and repairs the
-  /// dependent fields (statistics, cursor).
-  void FilterTombstoned(const std::set<size_t>& tombstones,
+  /// dependent fields (statistics, cursor); returns the rows dropped.
+  size_t FilterTombstoned(const std::set<size_t>& tombstones,
                         earthqube::QueryResponse* response) const;
 
   earthqube::EarthQube* system_;

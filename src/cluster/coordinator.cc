@@ -1,6 +1,7 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <unordered_set>
@@ -145,7 +146,8 @@ Status Coordinator::RefreshTopology(const NodeAddress& seed) {
   call.port = static_cast<uint16_t>(seed.port);
   call.method = "GET";
   call.target = "/api/v2/cluster/slots";
-  AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response, client_->Send(call));
+  AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response,
+                           client_->Request(call));
   if (response.status_code != 200) {
     return Status::Internal("slot table fetch from " + seed.id +
                             " answered " +
@@ -296,7 +298,8 @@ StatusOr<BinaryCode> Coordinator::ResolveSubjectCode(const std::string& name) {
     call.port = static_cast<uint16_t>(target.port);
     call.method = "GET";
     call.target = "/api/v2/cluster/code/" + netsvc::UrlEncode(name);
-    AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response, client_->Send(call));
+    AGORAEO_ASSIGN_OR_RETURN(const HttpResponse response,
+                             client_->Request(call));
     ObserveEpoch(target, response);
     if (response.status_code == 200) {
       AGORAEO_ASSIGN_OR_RETURN(const Document doc,
@@ -386,16 +389,17 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   bool from_cache = false;
   bool deepen = false;  // a cached ranking too shallow for this page
   if (stream_fp.has_value()) {
-    if (auto cached = result_cache_.Get(*stream_fp); cached.has_value()) {
-      // Cursor resume (or any repeat page of a recent ranking): slice
-      // the cached merged rows — no fan-out at all — unless this page
-      // lies past the rows the first fan-out fetched.
-      if ((*cached)->Covers(need)) {
-        merged = *std::move(cached);
-        from_cache = true;
-      } else {
-        deepen = true;
-      }
+    // Cursor resume (or any repeat page of a recent ranking): slice the
+    // cached merged rows — no fan-out at all — unless this page lies
+    // past the rows the first fan-out fetched, which is a miss.
+    auto cached = result_cache_.GetIf(
+        *stream_fp, [&](const std::shared_ptr<const MergedRanking>& ranking) {
+          deepen = !ranking->Covers(need);
+          return !deepen;
+        });
+    if (cached.has_value()) {
+      merged = *std::move(cached);
+      from_cache = true;
     }
   }
 
@@ -496,6 +500,13 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
                                json::ParseObject(response.body));
       AGORAEO_ASSIGN_OR_RETURN(WireQueryResponse partial,
                                ParseQueryResponse(doc));
+      partial.cut_rows = partial.results.size();
+      const auto cut_it = response.headers.find("x-cluster-cut-rows");
+      if (cut_it != response.headers.end()) {
+        partial.cut_rows = std::max<size_t>(
+            partial.cut_rows,
+            std::strtoull(cut_it->second.c_str(), nullptr, 10));
+      }
       partials.push_back(std::move(partial));
     }
     return partials;
@@ -565,14 +576,15 @@ StatusOr<QueryResponse> Coordinator::ExecuteFanout(QueryRequest request) {
   // by (distance, LOCAL id), and after a slot migration local-id order
   // no longer follows global ingest order — a tie at the global cut's
   // distance can hide an item that belongs before the cut.  Detect the
-  // only case where that is possible (some node returned a full answer
-  // whose worst distance reaches the merged cut's distance) and re-fan
-  // as an uncapped, inclusive RADIUS search at that boundary: every
-  // candidate that could make the cut comes back, and the merge
+  // only case where that is possible (some node's engine cut a full
+  // answer — counted before its tombstone filter shortened it — whose
+  // worst returned distance reaches the merged cut's distance) and
+  // re-fan as an uncapped, inclusive RADIUS search at that boundary:
+  // every candidate that could make the cut comes back, and the merge
   // truncates exactly.
   std::vector<std::pair<size_t, uint32_t>> tails;  // (rows, worst distance)
   for (const WireQueryResponse& partial : partials) {
-    tails.emplace_back(partial.results.size(),
+    tails.emplace_back(partial.cut_rows,
                        partial.results.empty()
                            ? 0
                            : partial.results.back().distance);

@@ -51,7 +51,9 @@ namespace agoraeo::cluster {
 ///     radius limit is then stripped as well.
 ///   - A node truncates by (distance, LOCAL id), which after a slot
 ///     migration no longer follows global ingest order; when a node's
-///     full answer reaches the merged cut's distance, ties there may
+///     full answer (full before its tombstone filter dropped rows, as
+///     its x-cluster-cut-rows header reports) reaches the merged cut's
+///     distance, ties there may
 ///     hide a row, and the coordinator re-asks every node for the
 ///     uncapped radius at that distance before cutting exactly.
 ///   - By-NAME subjects are resolved to a code at the slot owner first
@@ -173,8 +175,9 @@ class Coordinator {
   /// page-free request fingerprint, so resuming a cursor (or re-asking
   /// any page of a recent ranking) is a slice of the cached rows instead
   /// of a cluster-wide fan-out.  A ranking fetched for one window holds
-  /// only that window's rows; a page past them fans out again, for the
-  /// whole capped ranking, and replaces the entry.  Entries are
+  /// only that window's rows; a page past them is a cache miss that
+  /// fans out again, for the whole capped ranking, and replaces the
+  /// entry.  Entries are
   /// validated against result_epoch_, which routed ingest and topology
   /// changes bump.
   /// Shared pointers keep a ranking alive for a reader even if an epoch

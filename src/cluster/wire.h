@@ -52,6 +52,10 @@ struct WireResult {
 struct WireQueryResponse {
   size_t total = 0;
   std::vector<WireResult> results;
+  /// Rows the node's engine cut its answer at, before its tombstone
+  /// filter dropped any (the x-cluster-cut-rows header, not the body;
+  /// results.size() when nothing was dropped).
+  size_t cut_rows = 0;
 };
 
 StatusOr<WireQueryResponse> ParseQueryResponse(const docstore::Document& doc);

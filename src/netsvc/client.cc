@@ -443,27 +443,12 @@ std::vector<StatusOr<HttpResponse>> HttpClient::RequestAll(
   return results;
 }
 
-StatusOr<HttpResponse> HttpClient::Send(const HttpCall& call,
-                                        HttpRequestDetail* detail) const {
+StatusOr<HttpResponse> HttpClient::Request(const HttpCall& call,
+                                           HttpRequestDetail* detail) const {
   std::vector<HttpRequestDetail> details;
   std::vector<StatusOr<HttpResponse>> results = RequestAll({call}, &details);
   if (detail != nullptr) *detail = details[0];
   return std::move(results[0]);
-}
-
-StatusOr<HttpResponse> HttpClient::Request(
-    uint16_t port, const std::string& method, const std::string& target,
-    const std::string& body, const std::string& content_type,
-    HttpRequestDetail* detail,
-    const std::map<std::string, std::string>& extra_headers) const {
-  HttpCall call;
-  call.port = port;
-  call.method = method;
-  call.target = target;
-  call.body = body;
-  call.content_type = content_type;
-  call.headers = extra_headers;
-  return Send(call, detail);
 }
 
 }  // namespace agoraeo::netsvc

@@ -31,7 +31,8 @@ enum class HttpErrorKind {
 const char* HttpErrorKindName(HttpErrorKind kind);
 
 /// Per-request outcome detail beyond the Status (optional out-param of
-/// Request): the typed failure kind and how many attempts were made.
+/// Request and RequestAll): the typed failure kind and how many
+/// attempts were made.
 struct HttpRequestDetail {
   HttpErrorKind error_kind = HttpErrorKind::kNone;
   int attempts = 0;  ///< total connection attempts (1 = no retry needed)
@@ -63,15 +64,17 @@ struct HttpClientOptions {
   const obs::HttpClientMetrics* metrics = nullptr;
 };
 
-/// One request of a scatter (HttpClient::RequestAll).
+/// One request: HttpClient::Request sends one, RequestAll a scatter.
+/// Every member has an initializer, so a designated initializer may
+/// name just the fields it sets.
 struct HttpCall {
-  std::string host;  ///< empty: the client's own host
+  std::string host{};  ///< empty: the client's own host
   uint16_t port = 0;
   std::string method = "POST";
-  std::string target;
-  std::string body;
+  std::string target{};
+  std::string body{};
   std::string content_type = "application/json";
-  std::map<std::string, std::string> headers;
+  std::map<std::string, std::string> headers{};
 };
 
 /// A blocking HTTP client for the loopback tiers (the UI tier's side of
@@ -100,19 +103,11 @@ class HttpClient {
   HttpClient(const HttpClient&) = delete;
   HttpClient& operator=(const HttpClient&) = delete;
 
-  /// Issues `method target` with an optional body.  Failures carry a
-  /// "<kind>: " prefix in the Status message; pass `detail` for the
-  /// typed kind and the attempt count.
-  StatusOr<HttpResponse> Request(
-      uint16_t port, const std::string& method, const std::string& target,
-      const std::string& body = "",
-      const std::string& content_type = "application/json",
-      HttpRequestDetail* detail = nullptr,
-      const std::map<std::string, std::string>& extra_headers = {}) const;
-
-  /// One request to any peer (RequestAll of one call).
-  StatusOr<HttpResponse> Send(const HttpCall& call,
-                              HttpRequestDetail* detail = nullptr) const;
+  /// Issues one request.  Failures carry a "<kind>: " prefix in the
+  /// Status message; pass `detail` for the typed kind and the attempt
+  /// count.
+  StatusOr<HttpResponse> Request(const HttpCall& call,
+                                 HttpRequestDetail* detail = nullptr) const;
 
   /// Sends every call first and then gathers the responses as they
   /// arrive, all on the calling thread: a scatter to N peers costs the
@@ -124,11 +119,11 @@ class HttpClient {
       std::vector<HttpRequestDetail>* details = nullptr) const;
 
   StatusOr<HttpResponse> Get(uint16_t port, const std::string& target) const {
-    return Request(port, "GET", target);
+    return Request({.port = port, .method = "GET", .target = target});
   }
   StatusOr<HttpResponse> Post(uint16_t port, const std::string& target,
                               const std::string& json_body) const {
-    return Request(port, "POST", target, json_body);
+    return Request({.port = port, .target = target, .body = json_body});
   }
 
   const HttpClientOptions& options() const { return options_; }

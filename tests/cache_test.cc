@@ -38,6 +38,19 @@ TEST(ShardedLruCache, GetMissThenHit) {
   EXPECT_EQ(stats.capacity_bytes, 1024u);
 }
 
+TEST(ShardedLruCache, GetIfCountsARejectedEntryAsAMissAndKeepsIt) {
+  ShardedLruCache<std::string, int> cache(SmallOptions(1024));
+  cache.Put("a", 3, 8);
+  EXPECT_FALSE(cache.GetIf("a", [](int v) { return v > 5; }).has_value());
+  EXPECT_EQ(cache.Stats().hits, 0u);
+  EXPECT_EQ(cache.Stats().misses, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  auto hit = cache.GetIf("a", [](int v) { return v == 3; });
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, 3);
+  EXPECT_EQ(cache.Stats().hits, 1u);
+}
+
 TEST(ShardedLruCache, PutReplacesExistingKey) {
   ShardedLruCache<std::string, int> cache(SmallOptions(1024));
   cache.Put("a", 1, 8);

@@ -555,6 +555,10 @@ TEST_F(ClusterTest, RankedCursorWalkMatchesMonolithPageByPage) {
   const std::string subject = R"("similarity":{"code":")" + code +
                               R"(","radius":8},"page_size":9)";
   const auto hits_before = coordinator_->result_cache_stats().hits;
+  obs::Histogram* merge =
+      coordinator_->obs().HistogramOrNull("agoraeo_cluster_merge_ns");
+  ASSERT_NE(merge, nullptr);
+  const uint64_t fanouts_before = merge->Snapshot().count;
 
   HttpClient client;
   std::string body = "{" + subject + "}";
@@ -586,10 +590,12 @@ TEST_F(ClusterTest, RankedCursorWalkMatchesMonolithPageByPage) {
   EXPECT_GT(pages, 1u) << "ranking too small to exercise cursor resume";
   ASSERT_LT(pages, 120u) << "cursor chain never terminated";
 
-  // Every page after the first found the coordinator's cached merged
-  // ranking: the first page fetched only its window, the second fanned
-  // out again for the whole ranking, and every later page was a slice.
-  EXPECT_GE(coordinator_->result_cache_stats().hits - hits_before, pages);
+  // Exactly two fan-outs (one merge sample each): the first page
+  // fetched only its window, the second found that ranking too shallow
+  // (a cache miss) and fanned out for the whole ranking, and every
+  // later page was a slice of the cached ranking.
+  EXPECT_EQ(merge->Snapshot().count - fanouts_before, 2u);
+  EXPECT_EQ(coordinator_->result_cache_stats().hits - hits_before, pages - 1);
 }
 
 TEST_F(ClusterTest, BoundedWindowWalksMatchMonolith) {
@@ -1125,6 +1131,126 @@ TEST_F(MigrationTest, BoundedWindowsKeepParityAcrossSlotMove) {
     }
   }
   EXPECT_TRUE(forced) << "no boundary tie hidden by migrated local ids";
+
+  coordinator_server.Stop();
+  n1.Stop();
+  n2.Stop();
+}
+
+TEST_F(MigrationTest,
+       BoundedRadiusStaysExactWhenANodeBothImportsAndTombstones) {
+  std::unique_ptr<earthqube::EarthQube> s1(NewNodeSystem());
+  std::unique_ptr<earthqube::EarthQube> s2(NewNodeSystem());
+  ClusterNode::Options o1, o2;
+  o1.id = "m1";
+  o2.id = "m2";
+  ClusterNode n1(s1.get(), o1);
+  ClusterNode n2(s2.get(), o2);
+  ASSERT_TRUE(n1.Start(0).ok());
+  ASSERT_TRUE(n2.Start(0).ok());
+  const SlotTable table({n1.address(), n2.address()}, 8);
+  n1.SetTable(table);
+  n2.SetTable(table);
+  Coordinator coordinator;
+  coordinator.AttachTable(table);
+  ASSERT_TRUE(coordinator.IngestArchive(*archive_, *codes_).ok());
+  netsvc::HttpServer coordinator_server(2);
+  coordinator.RegisterRoutes(&coordinator_server);
+  ASSERT_TRUE(coordinator_server.Start(0).ok());
+  const uint16_t port = coordinator_server.port();
+
+  // Two moves in opposite directions: afterwards each node holds an
+  // imported slot (local ids out of global ingest order) AND a
+  // tombstoned one, whose rows its engine still ranks before the
+  // filter drops them.
+  HttpClient client;
+  const auto migrate = [&](const ClusterNode& from, size_t slot,
+                           const std::string& to) {
+    auto moved = client.Post(from.port(), "/api/v2/cluster/migrate",
+                             R"({"slot":)" + std::to_string(slot) +
+                                 R"(,"target":")" + to + R"("})");
+    ASSERT_TRUE(moved.ok());
+    ASSERT_EQ(moved->status_code, 200) << moved->body;
+  };
+  migrate(n1, table.SlotsOwnedBy("m1")[0], "m2");
+  migrate(n2, table.SlotsOwnedBy("m2")[0], "m1");
+  ASSERT_FALSE(n1.tombstoned_slots().empty());
+  ASSERT_FALSE(n2.tombstoned_slots().empty());
+  ASSERT_TRUE(coordinator.RefreshTopology(n1.address()).ok());
+
+  const std::string code = (*codes_)[11].ToBitString();
+  EXPECT_GT(ExpectWalkParity(port,
+                             R"("similarity":{"code":")" + code +
+                                 R"(","radius":12,"limit":45},"page_size":8)",
+                             10),
+            2u);
+  EXPECT_GT(ExpectWalkParity(port,
+                             R"("similarity":{"code":")" + code +
+                                 R"(","radius":11},"page_size":6)",
+                             10),
+            2u);
+
+  // Find a bounded radius window where the nodes' filtered answers,
+  // merged naively, differ from the monolith although no node returned
+  // as many rows as it was asked for: the hidden tie sits on a node
+  // whose engine cut a full answer and whose tombstone filter then
+  // shortened it.  Only the cut count tells the coordinator to repair.
+  std::unordered_map<std::string, size_t> seq;  // global ingest order
+  for (size_t i = 0; i < archive_->patches.size(); ++i) {
+    seq[archive_->patches[i].name] = i;
+  }
+  using Ranked = std::vector<std::pair<int64_t, size_t>>;  // (distance, seq)
+  const auto ranked = [&](uint16_t at, const std::string& body) {
+    Ranked rows;
+    auto resp = client.Post(at, "/api/v2/query", body);
+    EXPECT_TRUE(resp.ok());
+    if (!resp.ok()) return rows;
+    auto doc = json::ParseObject(resp->body);
+    EXPECT_TRUE(doc.ok()) << resp->body;
+    if (!doc.ok()) return rows;
+    for (const Value& row : doc->Get("results")->as_array()) {
+      const Document& r = row.as_document();
+      rows.emplace_back(r.Get("distance")->as_int64(),
+                        seq.at(r.Get("name")->as_string()));
+    }
+    return rows;
+  };
+  constexpr size_t kPageSize = 10;
+  constexpr size_t kWindow = kPageSize + 1;
+  const std::vector<uint16_t> node_ports = {n1.port(), n2.port()};
+  bool forced = false;
+  for (size_t i = 0; i < codes_->size() && !forced; ++i) {
+    for (const int radius : {8, 11, 14}) {
+      const std::string spec = R"("code":")" + (*codes_)[i].ToBitString() +
+                               R"(","radius":)" + std::to_string(radius);
+      const std::string window_body = R"({"similarity":{)" + spec +
+                                      R"(,"limit":)" +
+                                      std::to_string(kWindow) + "}}";
+      const Ranked from_n1 = ranked(n1.port(), window_body);
+      const Ranked from_n2 = ranked(n2.port(), window_body);
+      Ranked naive = from_n1;
+      naive.insert(naive.end(), from_n2.begin(), from_n2.end());
+      std::sort(naive.begin(), naive.end());
+      if (naive.size() < kWindow) continue;
+      naive.resize(kWindow);
+      if (naive == ranked(mono_server_->port(), window_body)) continue;
+      const int64_t boundary = naive.back().first;
+      const auto full_at_boundary = [&](const Ranked& rows) {
+        return rows.size() >= kWindow && rows.back().first <= boundary;
+      };
+      if (full_at_boundary(from_n1) || full_at_boundary(from_n2)) continue;
+      const double before = NodeQueryRequests(node_ports);
+      ExpectParityAt(port, R"({"similarity":{)" + spec +
+                               R"(,"limit":60},"page_size":)" +
+                               std::to_string(kPageSize) + "}");
+      // The window's fan-out, then the repair's radius fan-out.
+      EXPECT_EQ(NodeQueryRequests(node_ports) - before, 4.0);
+      forced = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(forced)
+      << "no boundary tie hidden behind a tombstone-shortened answer";
 
   coordinator_server.Stop();
   n1.Stop();

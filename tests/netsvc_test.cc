@@ -224,8 +224,8 @@ TEST(ClientTest, RefusedConnectionIsTypedAndRetried) {
   options.backoff_max_ms = 2;
   HttpClient client("127.0.0.1", options);
   HttpRequestDetail detail;
-  auto resp = client.Request(ClosedPort(), "POST", "/x", "{}",
-                             "application/json", &detail);
+  auto resp = client.Request(
+      {.port = ClosedPort(), .target = "/x", .body = "{}"}, &detail);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(detail.error_kind, HttpErrorKind::kRefused);
   // Connection-phase failures retry even for POST: first try + 2 retries.
@@ -241,7 +241,8 @@ TEST(ClientTest, ZeroRetriesFailsFast) {
   options.max_retries = 0;
   HttpClient client("127.0.0.1", options);
   HttpRequestDetail detail;
-  auto resp = client.Request(ClosedPort(), "GET", "/x", "", "", &detail);
+  auto resp = client.Request(
+      {.port = ClosedPort(), .method = "GET", .target = "/x"}, &detail);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(detail.attempts, 1);
   EXPECT_EQ(client.retries_attempted(), 0u);
@@ -268,7 +269,8 @@ TEST(ClientTest, SilentServerIsAReadTimeout) {
   options.max_retries = 0;
   HttpClient client("127.0.0.1", options);
   HttpRequestDetail detail;
-  auto resp = client.Request(port, "GET", "/slow", "", "", &detail);
+  auto resp = client.Request(
+      {.port = port, .method = "GET", .target = "/slow"}, &detail);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(detail.error_kind, HttpErrorKind::kReadTimeout);
   EXPECT_NE(resp.status().message().find("read_timeout"), std::string::npos)
@@ -309,8 +311,8 @@ TEST(ClientTest, GarbageResponseIsMalformedAndNotRetriedForPost) {
   options.backoff_base_ms = 1;
   HttpClient client("127.0.0.1", options);
   HttpRequestDetail detail;
-  auto resp = client.Request(port, "POST", "/x", "{}", "application/json",
-                             &detail);
+  auto resp = client.Request(
+      {.port = port, .target = "/x", .body = "{}"}, &detail);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(detail.error_kind, HttpErrorKind::kMalformed);
   // A POST may have executed server-side: read-phase failures must NOT
@@ -433,7 +435,12 @@ TEST(KeepAliveTest, RestartedServerIsReachedOnAFreshConnection) {
   server.Stop();
   ASSERT_TRUE(server.Start(port).ok());
   HttpRequestDetail detail;
-  auto resp = client.Request(port, "POST", "/x", "two", "text/plain", &detail);
+  auto resp = client.Request(
+      {.port = port,
+       .target = "/x",
+       .body = "two",
+       .content_type = "text/plain"},
+      &detail);
   ASSERT_TRUE(resp.ok()) << resp.status().message();
   EXPECT_EQ(resp->body, "two");
   EXPECT_EQ(detail.attempts, 1);
@@ -488,8 +495,8 @@ TEST(KeepAliveTest, PeerClosingAPooledConnectionMidRequestIsRetriedOnce) {
     HttpClient client("127.0.0.1", options);
     for (int i = 0; i < 3; ++i) {
       HttpRequestDetail detail;
-      auto resp = client.Request(port, "POST", "/x", "{}",
-                                 "application/json", &detail);
+      auto resp = client.Request(
+          {.port = port, .target = "/x", .body = "{}"}, &detail);
       // EXPECT, not ASSERT: an early return would leave the peer
       // thread blocked on this client's pooled connection.
       EXPECT_TRUE(resp.ok()) << i << ": " << resp.status().message();

@@ -400,8 +400,10 @@ TEST(ClusterTraceTest, FanOutMergesChildSpansFromEveryNode) {
   // the stage spans come back in x-trace-spans.
   netsvc::HttpClient client;
   auto direct = client.Request(
-      n1.port(), "POST", "/api/v2/query", R"({"panel":{"limit":5}})",
-      "application/json", nullptr, {{"x-trace-id", "feedface00000000"}});
+      {.port = n1.port(),
+       .target = "/api/v2/query",
+       .body = R"({"panel":{"limit":5}})",
+       .headers = {{"x-trace-id", "feedface00000000"}}});
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(direct->status_code, 200) << direct->body;
   auto id_header = direct->headers.find("x-trace-id");
