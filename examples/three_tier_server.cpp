@@ -8,10 +8,13 @@
 /// — and drives the same interactions the demo's UI would issue: a
 /// health probe, a label search, a date-range search, a content-based
 /// similarity search, patch metadata fetches and feedback submission,
-/// all as real JSON over real loopback TCP.
+/// all as real JSON over real loopback TCP.  Every query goes through
+/// the one query route, POST /api/v2/query.  The example exits 1 when
+/// any call fails or answers with an unexpected status.
 ///
 /// Build & run:  ./build/examples/three_tier_server
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "bigearthnet/archive_generator.h"
@@ -28,16 +31,33 @@ using namespace agoraeo;
 
 namespace {
 
-/// Pretty-prints the interesting parts of a /api/search response.
+/// The body of a call that answered `expected`; exits 1 otherwise, so a
+/// failed call or a dead route fails the run.
+std::string BodyOf(const StatusOr<netsvc::HttpResponse>& response,
+                   const char* what, int expected = 200) {
+  if (!response.ok()) {
+    std::printf("   %s failed: %s\n", what,
+                response.status().message().c_str());
+    std::exit(1);
+  }
+  if (response->status_code != expected) {
+    std::printf("   %s answered HTTP %d (want %d): %s\n", what,
+                response->status_code, expected, response->body.c_str());
+    std::exit(1);
+  }
+  return response->body;
+}
+
+/// Pretty-prints the interesting parts of a /api/v2/query response.
 void PrintResults(const char* title, const std::string& body) {
   auto parsed = json::ParseObject(body);
   if (!parsed.ok()) {
     std::printf("   (unparseable response: %s)\n", body.c_str());
-    return;
+    std::exit(1);
   }
   std::printf("   %s: total=%lld plan=%s\n", title,
               static_cast<long long>(parsed->Get("total")->as_int64()),
-              parsed->Get("plan")->as_string().c_str());
+              parsed->GetPath("plan.description")->as_string().c_str());
   const auto& results = parsed->Get("results")->as_array();
   for (size_t i = 0; i < results.size() && i < 3; ++i) {
     const auto& r = results[i].as_document();
@@ -111,38 +131,38 @@ int main() {
   netsvc::HttpClient ui;
 
   std::printf("\n== UI tier: GET /health\n");
-  auto health = ui.Get(port, "/health");
-  std::printf("   %d %s\n", health->status_code, health->body.c_str());
+  std::printf("   %s\n", BodyOf(ui.Get(port, "/health"), "health").c_str());
 
   std::printf("\n== UI tier: industrial areas near inland water (scenario 1)\n");
-  auto s1 = ui.Post(port, "/api/search",
-                    R"({"labels":{"operator":"at_least_and_more",)"
+  auto s1 = ui.Post(port, "/api/v2/query",
+                    R"({"panel":{"labels":{"operator":"at_least_and_more",)"
                     R"("names":["Industrial or commercial units",)"
-                    R"("Water bodies"]},"limit":50})");
-  PrintResults("label search", s1->body);
+                    R"("Water bodies"]},"limit":50}})");
+  PrintResults("label search", BodyOf(s1, "label search"));
 
   std::printf("\n== UI tier: August 2017 acquisitions (date-range index)\n");
-  auto s2 = ui.Post(port, "/api/search",
-                    R"({"date_range":{"begin":"2017-08-01",)"
-                    R"("end":"2017-08-31"},"limit":40})");
-  PrintResults("date search", s2->body);
+  auto s2 = ui.Post(port, "/api/v2/query",
+                    R"({"panel":{"date_range":{"begin":"2017-08-01",)"
+                    R"("end":"2017-08-31"},"limit":40}})");
+  PrintResults("date search", BodyOf(s2, "date search"));
 
   std::printf("\n== UI tier: similarity search from an archive image\n");
-  docstore::Document req;
-  req.Set("name", docstore::Value(archive->patches[10].name));
-  req.Set("k", docstore::Value(5));
-  auto s3 = ui.Post(port, "/api/similar/by_name", json::Serialize(req));
-  PrintResults("similar images", s3->body);
+  auto s3 = ui.Post(port, "/api/v2/query",
+                    R"({"similarity":{"name":")" + archive->patches[10].name +
+                        R"(","k":5}})");
+  PrintResults("similar images", BodyOf(s3, "similarity search"));
 
   std::printf("\n== UI tier: patch metadata + feedback\n");
   auto meta = ui.Get(
       port, "/api/patch/" + netsvc::UrlEncode(archive->patches[10].name));
-  std::printf("   metadata: %s\n", meta->body.c_str());
+  std::printf("   metadata: %s\n", BodyOf(meta, "metadata").c_str());
   auto fb = ui.Post(port, "/api/feedback",
                     R"({"text":"found my burnt-forest study area fast"})");
-  std::printf("   feedback stored: HTTP %d\n", fb->status_code);
+  std::printf("   feedback stored: %s\n",
+              BodyOf(fb, "feedback", 201).c_str());
   auto count = ui.Get(port, "/api/feedback/count");
-  std::printf("   feedback count: %s\n", count->body.c_str());
+  std::printf("   feedback count: %s\n",
+              BodyOf(count, "feedback count").c_str());
 
   std::printf("\n== shutting down (served %zu requests)\n",
               server.requests_served());

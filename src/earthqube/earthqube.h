@@ -123,9 +123,9 @@ class EarthQube {
   /// Execute(requests[i]) would return; otherwise the first failing
   /// slot's status.  The whole batch is admitted under one engine
   /// pause, so identical requests execute once (singleflight fan-out)
-  /// and compatible CBIR shapes (the /cbir/batch_search pattern) fuse
-  /// into micro-batched index passes.  The last slot to complete
-  /// invokes `done`.
+  /// and compatible CBIR shapes (a /api/v2/query batch of similarity
+  /// requests) fuse into micro-batched index passes.  The last slot to
+  /// complete invokes `done`.
   void ExecuteBatchAsync(const std::vector<QueryRequest>& requests,
                          BatchCallback done) const;
 

@@ -93,12 +93,6 @@ class HttpClient {
                       HttpClientOptions options = {})
       : host_(std::move(host)), options_(options) {}
 
-  /// Legacy convenience: one timeout bounds connect and read alike.
-  HttpClient(std::string host, int timeout_ms) : host_(std::move(host)) {
-    options_.connect_timeout_ms = timeout_ms;
-    options_.read_timeout_ms = timeout_ms;
-  }
-
   ~HttpClient();
   HttpClient(const HttpClient&) = delete;
   HttpClient& operator=(const HttpClient&) = delete;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "json/json.h"
 
@@ -32,7 +31,7 @@ StatusOr<double> NumberField(const Document& doc, const std::string& path) {
 }
 
 /// Reads an optional non-negative integer field; malformed or negative
-/// values are rejected (the v1 endpoints used to clamp silently).
+/// values are rejected, not clamped.
 StatusOr<int64_t> NonNegativeField(const Document& doc, const std::string& key,
                                    int64_t default_value) {
   const Value* v = doc.Get(key);
@@ -104,9 +103,11 @@ StatusOr<LabelFilter> LabelsFromJson(const Document& labels) {
     if (!name.is_string()) {
       return Status::InvalidArgument("label names must be strings");
     }
-    AGORAEO_ASSIGN_OR_RETURN(bigearthnet::LabelId id,
-                             bigearthnet::LabelIdFromName(name.as_string()));
-    set.Add(id);
+    // An unknown name is a malformed request (400), like an unknown
+    // season, not a missing resource.
+    auto id = bigearthnet::LabelIdFromName(name.as_string());
+    if (!id.ok()) return Status::InvalidArgument(id.status().message());
+    set.Add(*id);
   }
   const Value* op = labels.Get("operator");
   const std::string op_name =
@@ -134,8 +135,7 @@ Document EntryToJsonDoc(const earthqube::ResultEntry& entry) {
   return d;
 }
 
-/// Serialises the label-statistics bars as the contents of a JSON array
-/// (shared between the v1 and v2 response shapes).
+/// Serialises the label-statistics bars as the contents of a JSON array.
 std::string LabelStatisticsToJson(const earthqube::LabelStatistics& stats) {
   std::string out;
   bool first = true;
@@ -151,56 +151,6 @@ std::string LabelStatisticsToJson(const earthqube::LabelStatistics& stats) {
     out += json::Serialize(d);
   }
   return out;
-}
-
-/// Parses a /cbir/batch_search body into its queried names and one
-/// unpaged hits-only similarity request per name.  Every rejection is
-/// InvalidArgument (400).
-Status ParseBatchSearch(const std::string& text,
-                        std::vector<std::string>* names,
-                        std::vector<QueryRequest>* requests) {
-  auto body = json::ParseObject(text);
-  if (!body.ok()) return Status::InvalidArgument(body.status().message());
-  const Value* list = body->Get("names");
-  if (list == nullptr || !list->is_array() || list->as_array().empty()) {
-    return Status::InvalidArgument("names must be a non-empty array");
-  }
-  if (list->as_array().size() > EarthQubeService::kMaxBatchQueries) {
-    return Status::InvalidArgument(
-        "batch too large: at most " +
-        std::to_string(EarthQubeService::kMaxBatchQueries) +
-        " names per request");
-  }
-  for (const Value& n : list->as_array()) {
-    if (!n.is_string()) return Status::InvalidArgument("names must be strings");
-    names->push_back(n.as_string());
-  }
-  std::optional<size_t> k;
-  uint32_t radius = 0;
-  size_t limit = 0;
-  if (body->Has("k")) {
-    AGORAEO_ASSIGN_OR_RETURN(const int64_t value,
-                             NonNegativeField(*body, "k", 0));
-    k = static_cast<size_t>(value);
-  } else {
-    AGORAEO_ASSIGN_OR_RETURN(const int64_t r,
-                             NonNegativeField(*body, "radius", 8));
-    AGORAEO_ASSIGN_OR_RETURN(const int64_t l,
-                             NonNegativeField(*body, "limit", 0));
-    radius = static_cast<uint32_t>(r);
-    limit = static_cast<size_t>(l);
-  }
-  requests->reserve(names->size());
-  for (const std::string& name : *names) {
-    QueryRequest request;
-    request.similarity = k.has_value()
-                             ? SimilaritySpec::NameKnn(name, *k)
-                             : SimilaritySpec::NameRadius(name, radius, limit);
-    request.projection = Projection::kHitsOnly;
-    request.page_size = 0;
-    requests->push_back(std::move(request));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -361,7 +311,6 @@ StatusOr<QueryRequest> EarthQubeService::QueryRequestFromJson(
       AGORAEO_ASSIGN_OR_RETURN(const int64_t k, NonNegativeField(s, "k", 0));
       spec.k = static_cast<size_t>(k);
     }
-    // v1-compatible default mode.
     if (!spec.radius.has_value() && !spec.k.has_value()) spec.radius = 8;
     AGORAEO_ASSIGN_OR_RETURN(const int64_t limit,
                              NonNegativeField(s, "limit", 0));
@@ -415,30 +364,6 @@ StatusOr<QueryRequest> EarthQubeService::QueryRequestFromJson(
   }
   AGORAEO_RETURN_IF_ERROR(request.Validate());
   return request;
-}
-
-std::string EarthQubeService::ResponseToJson(const QueryResponse& response,
-                                             size_t page) {
-  std::string out = "{\"total\":" + std::to_string(response.panel.total()) +
-                    ",\"page\":" + std::to_string(page) + ",\"plan\":\"" +
-                    response.query_stats.plan + "\",\"results\":[";
-  bool first = true;
-  for (const earthqube::ResultEntry* entry : response.panel.Page(page)) {
-    if (!first) out += ",";
-    first = false;
-    out += json::Serialize(EntryToJsonDoc(*entry));
-  }
-  out += "],\"label_statistics\":[";
-  out += LabelStatisticsToJson(response.statistics);
-  // The v2 continuation cursor, also served on v1 search responses so
-  // clients can page without recomputing offsets.
-  out += "],\"cursor\":\"";
-  if ((page + 1) * earthqube::kPageSize < response.panel.total()) {
-    out += earthqube::EncodeCursor(
-        {.page = page + 1, .page_size = earthqube::kPageSize});
-  }
-  out += "\"}";
-  return out;
 }
 
 std::string EarthQubeService::QueryResponseToJson(
@@ -528,21 +453,6 @@ void EarthQubeService::RegisterRoutes(HttpServer* server,
                          HandleQueryV2(request, std::move(responder));
                        });
   }
-  server->RouteAsync("POST", "/api/search",
-                     [this](const HttpRequest& request,
-                            HttpServer::Responder responder) {
-                       HandleSearch(request, std::move(responder));
-                     });
-  server->RouteAsync("POST", "/api/similar/by_name",
-                     [this](const HttpRequest& request,
-                            HttpServer::Responder responder) {
-                       HandleSimilarByName(request, std::move(responder));
-                     });
-  server->RouteAsync("POST", "/cbir/batch_search",
-                     [this](const HttpRequest& request,
-                            HttpServer::Responder responder) {
-                       HandleBatchSearch(request, std::move(responder));
-                     });
   server->Route("POST", "/api/feedback", [this](const HttpRequest& request) {
     return HandleFeedback(request);
   });
@@ -692,128 +602,6 @@ void EarthQubeService::HandleQueryV2(const HttpRequest& request,
         responder.Send(http);
       },
       trace);
-}
-
-void EarthQubeService::HandleSearch(const HttpRequest& request,
-                                    HttpServer::Responder responder) const {
-  auto body = json::ParseObject(request.body.empty() ? "{}" : request.body);
-  if (!body.ok()) {
-    responder.Send(HttpResponse::BadRequest(body.status().message()));
-    return;
-  }
-  auto query = QueryFromJson(*body);
-  if (!query.ok()) {
-    responder.Send(HttpResponse::BadRequest(query.status().message()));
-    return;
-  }
-  // Malformed paging is a client error, not something to clamp away.
-  auto page = NonNegativeField(*body, "page", 0);
-  if (!page.ok()) {
-    responder.Send(HttpResponse::BadRequest(page.status().message()));
-    return;
-  }
-  QueryRequest unified;
-  unified.panel = std::move(query).value();
-  unified.page_size = 0;  // the v1 serialiser pages the panel itself
-  const size_t page_index = static_cast<size_t>(*page);
-  system_->ExecuteAsync(
-      unified,
-      [responder, page_index](const StatusOr<QueryResponse>& response) {
-        if (!response.ok()) {
-          responder.Send(FromStatus(response.status()));
-          return;
-        }
-        responder.Send(
-            HttpResponse::Json(200, ResponseToJson(*response, page_index)));
-      });
-}
-
-void EarthQubeService::HandleSimilarByName(
-    const HttpRequest& request, HttpServer::Responder responder) const {
-  auto body = json::ParseObject(request.body);
-  if (!body.ok()) {
-    responder.Send(HttpResponse::BadRequest(body.status().message()));
-    return;
-  }
-  const Value* name = body->Get("name");
-  if (name == nullptr || !name->is_string()) {
-    responder.Send(HttpResponse::BadRequest("name is required"));
-    return;
-  }
-  QueryRequest unified;
-  unified.page_size = 0;  // v1 similarity responses are unpaged
-  // v1 precedence: "k" selects k-NN and wins over "radius".
-  if (body->Has("k")) {
-    auto k = NonNegativeField(*body, "k", 0);
-    if (!k.ok()) {
-      responder.Send(HttpResponse::BadRequest(k.status().message()));
-      return;
-    }
-    unified.similarity = SimilaritySpec::NameKnn(
-        name->as_string(), static_cast<size_t>(*k));
-  } else {
-    auto radius = NonNegativeField(*body, "radius", 8);
-    if (!radius.ok()) {
-      responder.Send(HttpResponse::BadRequest(radius.status().message()));
-      return;
-    }
-    auto limit = NonNegativeField(*body, "limit", 0);
-    if (!limit.ok()) {
-      responder.Send(HttpResponse::BadRequest(limit.status().message()));
-      return;
-    }
-    unified.similarity = SimilaritySpec::NameRadius(
-        name->as_string(), static_cast<uint32_t>(*radius),
-        static_cast<size_t>(*limit));
-  }
-  system_->ExecuteAsync(
-      unified, [responder](const StatusOr<QueryResponse>& response) {
-        if (!response.ok()) {
-          responder.Send(FromStatus(response.status()));
-          return;
-        }
-        responder.Send(HttpResponse::Json(200, ResponseToJson(*response, 0)));
-      });
-}
-
-void EarthQubeService::HandleBatchSearch(
-    const HttpRequest& request, HttpServer::Responder responder) const {
-  std::vector<std::string> names;
-  std::vector<QueryRequest> requests;
-  const Status parsed = ParseBatchSearch(request.body, &names, &requests);
-  if (!parsed.ok()) {
-    responder.Send(FromStatus(parsed));
-    return;
-  }
-  system_->ExecuteBatchAsync(
-      requests, [responder, names = std::move(names)](
-                    StatusOr<std::vector<QueryResponse>> batch) {
-        if (!batch.ok()) {
-          responder.Send(FromStatus(batch.status()));
-          return;
-        }
-        Document out;
-        out.Set("batch_size", Value(static_cast<int64_t>(names.size())));
-        std::vector<Value> results;
-        results.reserve(names.size());
-        for (size_t i = 0; i < names.size(); ++i) {
-          Document entry;
-          entry.Set("query", Value(names[i]));
-          std::vector<Value> hits;
-          hits.reserve((*batch)[i].hits.size());
-          for (const earthqube::CbirResult& hit : (*batch)[i].hits) {
-            Document h;
-            h.Set("name", Value(hit.patch_name));
-            h.Set("distance",
-                  Value(static_cast<int64_t>(hit.hamming_distance)));
-            hits.emplace_back(std::move(h));
-          }
-          entry.Set("hits", Value(std::move(hits)));
-          results.emplace_back(std::move(entry));
-        }
-        out.Set("results", Value(std::move(results)));
-        responder.Send(HttpResponse::Json(200, json::Serialize(out)));
-      });
 }
 
 HttpResponse EarthQubeService::HandleFeedback(const HttpRequest& request) {

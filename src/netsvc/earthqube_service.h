@@ -37,26 +37,19 @@ Status StatusFromResponse(const HttpResponse& response);
 ///                                        and route state
 ///   GET  /api/v2/metrics                 same registry as JSON
 ///   GET  /api/v2/debug/slow_queries      slow-query ring, worst first
-///   POST /api/search                     [v1, deprecated] query panel
-///   POST /api/similar/by_name            [v1, deprecated] CBIR by name
-///   POST /cbir/batch_search              [v1, deprecated] batched CBIR
 ///   POST /api/v2/index/snapshot          checkpoint a durable index
 ///   POST /api/download                   zip export of named images
 ///   POST /api/feedback                   anonymous feedback text
 ///   GET  /api/feedback/count
 ///   GET  /api/patch/<name>               one image's metadata
 ///
-/// The v1 routes are thin translations onto the same QueryRequest ->
-/// QueryResponse execution that serves /api/v2/query and are kept for
-/// compatibility; new clients should use v2.
-///
-/// The query routes (/api/v2/query, /api/search, /api/similar/by_name,
-/// /cbir/batch_search) are registered as deferred (async) handlers: the
-/// HTTP worker parses the request, submits it to EarthQube's execution
-/// engine via ExecuteAsync / ExecuteBatchAsync, and returns
-/// immediately; an engine worker completes the parked connection when
-/// the (possibly coalesced or micro-batched) execution finishes.
-/// Non-query routes stay synchronous.
+/// /api/v2/query is the one query route.  It is registered as a
+/// deferred (async) handler: the HTTP worker parses the request,
+/// submits it to EarthQube's execution engine via ExecuteAsync /
+/// ExecuteBatchAsync, and returns immediately; an engine worker
+/// completes the parked connection when the (possibly coalesced or
+/// micro-batched) execution finishes.  Non-query routes stay
+/// synchronous.
 ///
 /// /api/v2/query request body — one schema covers panel-only,
 /// CBIR-only, hybrid (panel ∧ similarity) and batch submissions:
@@ -112,13 +105,6 @@ Status StatusFromResponse(const HttpResponse& response);
 /// Every endpoint answers errors with the shared JSON envelope
 /// {"error": {"code": "...", "message": "..."}} (HttpResponse::Error),
 /// classified by FromStatus.
-///
-/// v1 bodies (unchanged): /api/search takes the "panel" fields at the
-/// top level plus "page"; /api/similar/by_name takes {"name", "radius"
-/// | "k", "limit"}; /cbir/batch_search takes {"names": [...], "radius"
-/// | "k", "limit"}.  v1 search responses now carry the v2 continuation
-/// "cursor", and malformed "page"/"limit" values are rejected (400)
-/// instead of clamped.
 class EarthQubeService {
  public:
   /// `system` must outlive the service and the server.
@@ -130,26 +116,19 @@ class EarthQubeService {
   /// in front of the same execution path.
   void RegisterRoutes(HttpServer* server, bool include_query_route = true);
 
-  /// Largest accepted batch (/cbir/batch_search names and /api/v2/query
-  /// requests).
+  /// Largest accepted /api/v2/query batch.
   static constexpr size_t kMaxBatchQueries = 1024;
 
-  /// Translates a JSON search request body into a query-panel submission
-  /// (exposed for tests).
+  /// Translates a /api/v2/query "panel" object into a query-panel
+  /// submission (exposed for tests).
   static StatusOr<earthqube::EarthQubeQuery> QueryFromJson(
       const docstore::Document& body);
 
   /// Translates a /api/v2/query body into a unified request (exposed
   /// for tests).  Parser-level and semantic validation errors both
-  /// surface as InvalidArgument.
+  /// surface as InvalidArgument, an undecodable cursor as CursorExpired.
   static StatusOr<earthqube::QueryRequest> QueryRequestFromJson(
       const docstore::Document& body);
-
-  /// Serialises a v1 search response — the kPageSize page `page` of an
-  /// unpaged response's panel (exposed for tests).  Emits the v2
-  /// continuation cursor when further kPageSize pages remain.
-  static std::string ResponseToJson(const earthqube::QueryResponse& response,
-                                    size_t page);
 
   /// Serialises a v2 response (exposed for tests).
   static std::string QueryResponseToJson(
@@ -159,12 +138,6 @@ class EarthQubeService {
   void HandleQueryV2(const HttpRequest& request,
                      HttpServer::Responder responder) const;
   HttpResponse HandleIndexSnapshot();
-  void HandleSearch(const HttpRequest& request,
-                    HttpServer::Responder responder) const;
-  void HandleSimilarByName(const HttpRequest& request,
-                           HttpServer::Responder responder) const;
-  void HandleBatchSearch(const HttpRequest& request,
-                         HttpServer::Responder responder) const;
   HttpResponse HandleFeedback(const HttpRequest& request);
   HttpResponse HandleDownload(const HttpRequest& request) const;
   HttpResponse HandlePatchMetadata(const HttpRequest& request) const;

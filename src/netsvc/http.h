@@ -12,7 +12,7 @@ namespace agoraeo::netsvc {
 /// is split into path and (raw) query string at the first '?'.
 struct HttpRequest {
   std::string method;  ///< upper-case, e.g. "GET", "POST"
-  std::string path;    ///< e.g. "/api/search"
+  std::string path;    ///< e.g. "/api/v2/query"
   std::string query;   ///< raw query string without '?', may be empty
   std::map<std::string, std::string> headers;
   std::string body;
@@ -34,8 +34,8 @@ struct HttpResponse {
   static HttpResponse Json(int code, std::string json_body);
   static HttpResponse Text(int code, std::string text_body);
 
-  /// The shared JSON error envelope every endpoint (v1 and v2) answers
-  /// errors with: {"error": {"code": "<machine code>", "message":
+  /// The shared JSON error envelope every endpoint answers errors
+  /// with: {"error": {"code": "<machine code>", "message":
   /// "<human text>"}} — `message` is JSON-escaped.
   static HttpResponse Error(int status, const std::string& code,
                             const std::string& message);

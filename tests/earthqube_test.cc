@@ -470,9 +470,9 @@ TEST_F(EarthQubeTest, SeasonAndSatelliteAndDateFilters) {
 TEST_F(EarthQubeTest, PanelWindowsMatchBruteForceReference) {
   // A paged panel builds only its page's rows; every page must still
   // serialise exactly as a brute-force reference does: all matches in
-  // ingest order, label statistics over all of them, the v2 total and
-  // cursor, and the v1 /api/search pages.  Every page, served again from
-  // the cached match set, must match its first, uncached answer.
+  // ingest order, label statistics over all of them, the total and the
+  // cursor.  Every page, served again from the cached match set, must
+  // match its first, uncached answer.
   using netsvc::EarthQubeService;
   const auto& patches = archive_->patches;
   const CivilDate first_day = archive_->config.dates.begin;
@@ -572,12 +572,6 @@ TEST_F(EarthQubeTest, PanelWindowsMatchBruteForceReference) {
         ASSERT_EQ(EarthQubeService::QueryResponseToJson(*got),
                   EarthQubeService::QueryResponseToJson(want))
             << "page " << page << " of size " << page_size;
-        if (page_size != 0) continue;
-        // v1 /api/search executes unpaged and pages by kPageSize itself.
-        for (size_t v1 = 0; v1 <= all.size() / kPageSize; ++v1) {
-          EXPECT_EQ(EarthQubeService::ResponseToJson(*got, v1),
-                    EarthQubeService::ResponseToJson(want, v1));
-        }
       }
     }
   }

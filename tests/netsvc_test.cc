@@ -44,13 +44,13 @@ using docstore::Value;
 
 TEST(HttpTest, ParseRequestHead) {
   auto req = ParseRequestHead(
-      "POST /api/search?debug=1 HTTP/1.1\r\n"
+      "POST /api/v2/query?debug=1 HTTP/1.1\r\n"
       "Host: localhost\r\n"
       "Content-Type: application/json\r\n"
       "Content-Length: 2");
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->method, "POST");
-  EXPECT_EQ(req->path, "/api/search");
+  EXPECT_EQ(req->path, "/api/v2/query");
   EXPECT_EQ(req->query, "debug=1");
   EXPECT_EQ(req->Header("content-type"), "application/json");
   EXPECT_EQ(req->Header("host"), "localhost");
@@ -706,9 +706,9 @@ TEST_F(ServiceTest, HealthEndpoint) {
 TEST_F(ServiceTest, SearchByCountryLabelsOverWire) {
   HttpClient client;
   auto resp = client.Post(
-      server_->port(), "/api/search",
-      R"({"labels":{"operator":"some","names":["Broad-leaved forest",)"
-      R"("Coniferous forest","Mixed forest"]},"limit":25})");
+      server_->port(), "/api/v2/query",
+      R"({"panel":{"labels":{"operator":"some","names":["Broad-leaved forest",)"
+      R"("Coniferous forest","Mixed forest"]},"limit":25},"page_size":0})");
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status_code, 200) << resp->body;
   auto body = json::ParseObject(resp->body);
@@ -736,71 +736,81 @@ TEST_F(ServiceTest, SearchByCountryLabelsOverWire) {
 TEST_F(ServiceTest, SearchWithDateRangeUsesRangeIndex) {
   HttpClient client;
   auto resp = client.Post(
-      server_->port(), "/api/search",
-      R"({"date_range":{"begin":"2017-08-01","end":"2017-08-31"}})");
+      server_->port(), "/api/v2/query",
+      R"({"panel":{"date_range":{"begin":"2017-08-01","end":"2017-08-31"}},)"
+      R"("page_size":0})");
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status_code, 200) << resp->body;
   auto body = json::ParseObject(resp->body);
   ASSERT_TRUE(body.ok());
-  EXPECT_NE(body->Get("plan")->as_string().find("range"), std::string::npos)
-      << body->Get("plan")->as_string();
+  const std::string& plan = body->GetPath("plan.description")->as_string();
+  EXPECT_NE(plan.find("range"), std::string::npos) << plan;
 }
 
 TEST_F(ServiceTest, SimilarByNameOverWire) {
   HttpClient client;
   const std::string& name = archive_->patches[0].name;
-  Document req;
-  req.Set("name", Value(name));
-  req.Set("k", Value(10));
-  auto resp = client.Post(server_->port(), "/api/similar/by_name",
-                          json::Serialize(req));
+  auto resp = client.Post(server_->port(), "/api/v2/query",
+                          R"({"similarity":{"name":")" + name +
+                              R"(","k":10},"page_size":0})");
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status_code, 200) << resp->body;
   auto body = json::ParseObject(resp->body);
   ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body->GetPath("plan.strategy")->as_string(), "cbir_only");
   const auto& results = body->Get("results")->as_array();
   ASSERT_EQ(results.size(), 10u);
   // The service drops the self-match (the UI's "retrieve similar images"
   // button must not return the clicked image itself); every name is
-  // distinct and differs from the query.
+  // distinct and differs from the query, and every joined row carries
+  // its Hamming distance.
   std::set<std::string> names;
   for (const Value& r : results) {
     const std::string& n = r.as_document().Get("name")->as_string();
     EXPECT_NE(n, name);
+    EXPECT_TRUE(r.as_document().Has("distance"));
     names.insert(n);
   }
   EXPECT_EQ(names.size(), results.size());
 }
 
+/// A hits-only, unpaged similarity request: one slot of a batch.
+std::string HitsBody(const std::string& name, const std::string& mode) {
+  return R"({"similarity":{"name":")" + name + R"(",)" + mode +
+         R"(},"projection":"hits","page_size":0})";
+}
+
+std::string BatchBody(const std::vector<std::string>& slots) {
+  std::string body = R"({"requests":[)";
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i != 0) body += ",";
+    body += slots[i];
+  }
+  return body + "]}";
+}
+
 TEST_F(ServiceTest, BatchSearchOverWire) {
   HttpClient client;
-  const std::string& a = archive_->patches[0].name;
-  const std::string& b = archive_->patches[5].name;
-  Document req;
-  req.Set("names", Value(std::vector<Value>{Value(a), Value(b)}));
-  req.Set("k", Value(8));
-  auto resp = client.Post(server_->port(), "/cbir/batch_search",
-                          json::Serialize(req));
+  const std::string queries[] = {archive_->patches[0].name,
+                                 archive_->patches[5].name};
+  auto resp = client.Post(
+      server_->port(), "/api/v2/query",
+      BatchBody({HitsBody(queries[0], R"("k":8)"),
+                 HitsBody(queries[1], R"("k":8)")}));
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status_code, 200) << resp->body;
   auto body = json::ParseObject(resp->body);
   ASSERT_TRUE(body.ok());
   EXPECT_EQ(body->Get("batch_size")->as_int64(), 2);
-  const auto& results = body->Get("results")->as_array();
-  ASSERT_EQ(results.size(), 2u);
+  const auto& responses = body->Get("responses")->as_array();
+  ASSERT_EQ(responses.size(), 2u);
 
-  // Each slot must agree with the single-query endpoint for that name.
-  const std::string queries[] = {a, b};
+  // Each slot must agree with the same request sent on its own.
   for (size_t i = 0; i < 2; ++i) {
-    const Document& slot = results[i].as_document();
-    EXPECT_EQ(slot.Get("query")->as_string(), queries[i]);
-    const auto& hits = slot.Get("hits")->as_array();
+    const auto& hits = responses[i].as_document().Get("results")->as_array();
     ASSERT_EQ(hits.size(), 8u);
-    Document single_req;
-    single_req.Set("name", Value(queries[i]));
-    single_req.Set("k", Value(8));
-    auto single = client.Post(server_->port(), "/api/similar/by_name",
-                              json::Serialize(single_req));
+    auto single = client.Post(server_->port(), "/api/v2/query",
+                              HitsBody(queries[i], R"("k":8)"));
     ASSERT_TRUE(single.ok());
     ASSERT_EQ(single->status_code, 200);
     auto single_body = json::ParseObject(single->body);
@@ -821,20 +831,17 @@ TEST_F(ServiceTest, BatchSearchOverWire) {
 
 TEST_F(ServiceTest, BatchSearchRadiusFlavour) {
   HttpClient client;
-  Document req;
-  req.Set("names",
-          Value(std::vector<Value>{Value(archive_->patches[2].name)}));
-  req.Set("radius", Value(6));
-  req.Set("limit", Value(10));
-  auto resp = client.Post(server_->port(), "/cbir/batch_search",
-                          json::Serialize(req));
+  auto resp = client.Post(
+      server_->port(), "/api/v2/query",
+      BatchBody({HitsBody(archive_->patches[2].name,
+                          R"("radius":6,"limit":10)")}));
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->status_code, 200) << resp->body;
   auto body = json::ParseObject(resp->body);
   ASSERT_TRUE(body.ok());
-  const auto& results = body->Get("results")->as_array();
-  ASSERT_EQ(results.size(), 1u);
-  const auto& hits = results[0].as_document().Get("hits")->as_array();
+  const auto& responses = body->Get("responses")->as_array();
+  ASSERT_EQ(responses.size(), 1u);
+  const auto& hits = responses[0].as_document().Get("results")->as_array();
   EXPECT_LE(hits.size(), 10u);
   // Hits arrive in ascending Hamming distance within the radius.
   int64_t last = -1;
@@ -848,34 +855,26 @@ TEST_F(ServiceTest, BatchSearchRadiusFlavour) {
 
 TEST_F(ServiceTest, BatchSearchRejectsBadBodies) {
   HttpClient client;
-  auto missing = client.Post(server_->port(), "/cbir/batch_search",
-                             R"({"k":5})");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing->status_code, 400);
-  auto empty = client.Post(server_->port(), "/cbir/batch_search",
-                           R"({"names":[],"k":5})");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->status_code, 400);
-  auto unknown = client.Post(server_->port(), "/cbir/batch_search",
-                             R"({"names":["ghost_patch"],"k":5})");
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_EQ(unknown->status_code, 404);
-  // Oversized batches are rejected before touching the query pool.
-  std::string big = R"({"k":1,"names":[)";
-  for (size_t i = 0; i <= EarthQubeService::kMaxBatchQueries; ++i) {
-    if (i != 0) big += ",";
-    big += "\"" + archive_->patches[0].name + "\"";
-  }
-  big += "]}";
-  auto oversized = client.Post(server_->port(), "/cbir/batch_search", big);
-  ASSERT_TRUE(oversized.ok());
-  EXPECT_EQ(oversized->status_code, 400);
+  const auto status = [&](const std::string& body) {
+    auto resp = client.Post(server_->port(), "/api/v2/query", body);
+    return resp.ok() ? resp->status_code : -1;
+  };
+  EXPECT_EQ(status(R"({"requests":"all"})"), 400);
+  EXPECT_EQ(status(R"({"requests":[]})"), 400);
+  EXPECT_EQ(status(R"({"requests":[7]})"), 400);
+  EXPECT_EQ(status(BatchBody({HitsBody("ghost_patch", R"("k":5)")})), 404);
+  // Oversized batches are rejected before touching the engine.
+  std::vector<std::string> slots(EarthQubeService::kMaxBatchQueries + 1,
+                                 HitsBody(archive_->patches[0].name,
+                                          R"("k":1)"));
+  EXPECT_EQ(status(BatchBody(slots)), 400);
 }
 
 TEST_F(ServiceTest, SimilarByNameUnknownIs404) {
   HttpClient client;
-  auto resp = client.Post(server_->port(), "/api/similar/by_name",
-                          R"({"name":"no_such_patch","k":5})");
+  auto resp = client.Post(
+      server_->port(), "/api/v2/query",
+      R"({"similarity":{"name":"no_such_patch","k":5},"page_size":0})");
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status_code, 404);
 }
@@ -961,27 +960,16 @@ TEST_F(ServiceTest, DownloadCartAsZipOverWire) {
 
 TEST_F(ServiceTest, MalformedSearchBodyIs400) {
   HttpClient client;
-  auto resp = client.Post(server_->port(), "/api/search", "{not json");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->status_code, 400);
-
-  auto bad_label = client.Post(
-      server_->port(), "/api/search",
-      R"({"labels":{"operator":"some","names":["Atlantis"]}})");
-  ASSERT_TRUE(bad_label.ok());
-  EXPECT_EQ(bad_label->status_code, 400);
-
-  auto bad_op = client.Post(
-      server_->port(), "/api/search",
-      R"({"labels":{"operator":"banana","names":["Airports"]}})");
-  ASSERT_TRUE(bad_op.ok());
-  EXPECT_EQ(bad_op->status_code, 400);
-
-  auto bad_date = client.Post(
-      server_->port(), "/api/search",
-      R"({"date_range":{"begin":"2017-02-30","end":"2017-03-01"}})");
-  ASSERT_TRUE(bad_date.ok());
-  EXPECT_EQ(bad_date->status_code, 400);
+  for (const std::string body :
+       {"{not json",
+        R"({"panel":{"labels":{"operator":"some","names":["Atlantis"]}}})",
+        R"({"panel":{"labels":{"operator":"banana","names":["Airports"]}}})",
+        R"({"panel":{"date_range":{"begin":"2017-02-30",)"
+        R"("end":"2017-03-01"}}})"}) {
+    auto resp = client.Post(server_->port(), "/api/v2/query", body);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status_code, 400) << body << ": " << resp->body;
+  }
 }
 
 // --- QueryFromJson unit tests (no sockets) -----------------------------------
@@ -1257,36 +1245,6 @@ TEST_F(ServiceTest, V2PanelOnlyQuery) {
   }
 }
 
-TEST_F(ServiceTest, V2CbirOnlyMatchesV1SimilarByName) {
-  HttpClient client;
-  const std::string& name = archive_->patches[4].name;
-  auto v2 = client.Post(server_->port(), "/api/v2/query",
-                        R"({"similarity":{"name":")" + name +
-                            R"(","k":10},"page_size":0})");
-  ASSERT_TRUE(v2.ok());
-  ASSERT_EQ(v2->status_code, 200) << v2->body;
-  auto v2_body = json::ParseObject(v2->body);
-  ASSERT_TRUE(v2_body.ok());
-  EXPECT_EQ(v2_body->GetPath("plan.strategy")->as_string(), "cbir_only");
-
-  auto v1 = client.Post(server_->port(), "/api/similar/by_name",
-                        R"({"name":")" + name + R"(","k":10})");
-  ASSERT_TRUE(v1.ok());
-  ASSERT_EQ(v1->status_code, 200) << v1->body;
-  auto v1_body = json::ParseObject(v1->body);
-  ASSERT_TRUE(v1_body.ok());
-
-  const auto& v2_results = v2_body->Get("results")->as_array();
-  const auto& v1_results = v1_body->Get("results")->as_array();
-  ASSERT_EQ(v2_results.size(), v1_results.size());
-  for (size_t i = 0; i < v2_results.size(); ++i) {
-    EXPECT_EQ(v2_results[i].as_document().Get("name")->as_string(),
-              v1_results[i].as_document().Get("name")->as_string());
-    // v2 joined results carry the Hamming distance.
-    EXPECT_TRUE(v2_results[i].as_document().Has("distance"));
-  }
-}
-
 TEST_F(ServiceTest, V2HybridPlannerStrategiesAgreeOverWire) {
   HttpClient client;
   const std::string& name = archive_->patches[7].name;
@@ -1329,48 +1287,6 @@ TEST_F(ServiceTest, V2HybridPlannerStrategiesAgreeOverWire) {
   }
 }
 
-TEST_F(ServiceTest, V2BatchMatchesV1BatchSearch) {
-  HttpClient client;
-  const std::string& a = archive_->patches[1].name;
-  const std::string& b = archive_->patches[6].name;
-  auto v2 = client.Post(
-      server_->port(), "/api/v2/query",
-      R"({"requests":[)"
-      R"({"similarity":{"name":")" + a +
-          R"(","k":6},"projection":"hits","page_size":0},)"
-      R"({"similarity":{"name":")" + b +
-          R"(","k":6},"projection":"hits","page_size":0}]})");
-  ASSERT_TRUE(v2.ok());
-  ASSERT_EQ(v2->status_code, 200) << v2->body;
-  auto v2_body = json::ParseObject(v2->body);
-  ASSERT_TRUE(v2_body.ok());
-  EXPECT_EQ(v2_body->Get("batch_size")->as_int64(), 2);
-  const auto& responses = v2_body->Get("responses")->as_array();
-  ASSERT_EQ(responses.size(), 2u);
-
-  Document v1_req;
-  v1_req.Set("names", Value(std::vector<Value>{Value(a), Value(b)}));
-  v1_req.Set("k", Value(6));
-  auto v1 = client.Post(server_->port(), "/cbir/batch_search",
-                        json::Serialize(v1_req));
-  ASSERT_TRUE(v1.ok());
-  ASSERT_EQ(v1->status_code, 200) << v1->body;
-  auto v1_body = json::ParseObject(v1->body);
-  ASSERT_TRUE(v1_body.ok());
-  const auto& v1_results = v1_body->Get("results")->as_array();
-  for (size_t i = 0; i < 2; ++i) {
-    const auto& v2_hits =
-        responses[i].as_document().Get("results")->as_array();
-    const auto& v1_hits =
-        v1_results[i].as_document().Get("hits")->as_array();
-    ASSERT_EQ(v2_hits.size(), v1_hits.size());
-    for (size_t j = 0; j < v2_hits.size(); ++j) {
-      EXPECT_EQ(v2_hits[j].as_document().Get("name")->as_string(),
-                v1_hits[j].as_document().Get("name")->as_string());
-    }
-  }
-}
-
 TEST_F(ServiceTest, V2RejectsMalformedBodies) {
   HttpClient client;
   auto empty = client.Post(server_->port(), "/api/v2/query", "{}");
@@ -1392,6 +1308,13 @@ TEST_F(ServiceTest, V2RejectsMalformedBodies) {
                                  R"({"requests":[]})");
   ASSERT_TRUE(empty_batch.ok());
   EXPECT_EQ(empty_batch->status_code, 400);
+
+  // An unknown label name is a malformed panel, not a missing resource.
+  auto unknown_label = client.Post(
+      server_->port(), "/api/v2/query",
+      R"({"panel":{"labels":{"names":["No such label"]}}})");
+  ASSERT_TRUE(unknown_label.ok());
+  EXPECT_EQ(unknown_label->status_code, 400) << unknown_label->body;
 }
 
 /// A raw query code must have the indexed width: anything else is a
@@ -1452,25 +1375,25 @@ TEST(CodeWidthTest, RawCodeOfTheWrongWidthIs400) {
   server.Stop();
 }
 
-// --- v1 paging + shared error envelope ----------------------------------------
+// --- paging + shared error envelope ------------------------------------------
 
-TEST_F(ServiceTest, V1SearchRejectsMalformedPagingAndReturnsCursor) {
+TEST_F(ServiceTest, SearchRejectsMalformedPagingAndReturnsCursor) {
   HttpClient client;
-  auto negative = client.Post(server_->port(), "/api/search",
-                              R"({"page":-2})");
+  auto negative = client.Post(server_->port(), "/api/v2/query",
+                              R"({"panel":{},"page":-2})");
   ASSERT_TRUE(negative.ok());
   EXPECT_EQ(negative->status_code, 400);
 
-  auto fractional = client.Post(server_->port(), "/api/search",
-                                R"({"page":1.5})");
+  auto fractional = client.Post(server_->port(), "/api/v2/query",
+                                R"({"panel":{},"page":1.5})");
   ASSERT_TRUE(fractional.ok());
   EXPECT_EQ(fractional->status_code, 400);
 
-  // An unfiltered search has many pages: the v1 response carries the v2
-  // continuation cursor.
-  auto all = client.Post(server_->port(), "/api/search", "{}");
+  // An unfiltered search has many pages: the response carries the
+  // continuation cursor to the next one.
+  auto all = client.Post(server_->port(), "/api/v2/query", R"({"panel":{}})");
   ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->status_code, 200);
+  ASSERT_EQ(all->status_code, 200) << all->body;
   auto body = json::ParseObject(all->body);
   ASSERT_TRUE(body.ok());
   ASSERT_TRUE(body->Has("cursor"));
@@ -1484,7 +1407,7 @@ TEST_F(ServiceTest, V1SearchRejectsMalformedPagingAndReturnsCursor) {
 TEST_F(ServiceTest, ErrorsUseSharedJsonEnvelope) {
   HttpClient client;
   // 400 from a handler.
-  auto bad = client.Post(server_->port(), "/api/search", "{not json");
+  auto bad = client.Post(server_->port(), "/api/v2/query", "{not json");
   ASSERT_TRUE(bad.ok());
   ASSERT_EQ(bad->status_code, 400);
   auto bad_body = json::ParseObject(bad->body);
@@ -1500,15 +1423,24 @@ TEST_F(ServiceTest, ErrorsUseSharedJsonEnvelope) {
   ASSERT_TRUE(missing_body.ok()) << missing->body;
   EXPECT_EQ(missing_body->GetPath("error.code")->as_string(), "not_found");
 
-  // 404/405 from the router itself share the envelope.
-  auto unrouted = client.Get(server_->port(), "/no/such/route");
-  ASSERT_TRUE(unrouted.ok());
-  ASSERT_EQ(unrouted->status_code, 404);
-  auto unrouted_body = json::ParseObject(unrouted->body);
-  ASSERT_TRUE(unrouted_body.ok()) << unrouted->body;
-  EXPECT_EQ(unrouted_body->GetPath("error.code")->as_string(), "not_found");
+  // 404/405 from the router itself share the envelope.  The retired v1
+  // query routes are unrouted too, even for a body they used to serve.
+  const std::string& name = archive_->patches[0].name;
+  const std::string v1_body = R"({"name":")" + name + R"(","names":[")" +
+                              name + R"("],"k":1})";
+  for (const char* path : {"/no/such/route", "/api/search",
+                           "/api/similar/by_name", "/cbir/batch_search"}) {
+    auto unrouted = client.Post(server_->port(), path, v1_body);
+    ASSERT_TRUE(unrouted.ok());
+    EXPECT_EQ(unrouted->status_code, 404) << path;
+    auto unrouted_body = json::ParseObject(unrouted->body);
+    ASSERT_TRUE(unrouted_body.ok()) << path << ": " << unrouted->body;
+    const Value* code = unrouted_body->GetPath("error.code");
+    ASSERT_NE(code, nullptr) << path << ": " << unrouted->body;
+    EXPECT_EQ(code->as_string(), "not_found") << path;
+  }
 
-  auto wrong_method = client.Get(server_->port(), "/api/search");
+  auto wrong_method = client.Get(server_->port(), "/api/v2/query");
   ASSERT_TRUE(wrong_method.ok());
   ASSERT_EQ(wrong_method->status_code, 405);
   auto wrong_body = json::ParseObject(wrong_method->body);
@@ -1646,11 +1578,12 @@ TEST(ShardedServiceTest, IndexMetricsReportPartitions) {
 
   HttpClient client;
   // A batched pass so the fan-out counters move.
-  const std::string batch_body = R"({"names":[")" + names[0] + R"(",")" +
-                                 names[1] + R"(",")" + names[2] +
-                                 R"("],"radius":10})";
+  const std::string batch_body =
+      BatchBody({HitsBody(names[0], R"("radius":10)"),
+                 HitsBody(names[1], R"("radius":10)"),
+                 HitsBody(names[2], R"("radius":10)")});
   ASSERT_EQ(
-      client.Post(server.port(), "/cbir/batch_search", batch_body)->status_code,
+      client.Post(server.port(), "/api/v2/query", batch_body)->status_code,
       200);
 
   using metrics_test::MetricValue;
@@ -1793,7 +1726,7 @@ TEST_F(ServiceTest, ConcurrentDeferredQueriesOverWire) {
             submitted_before + kClients * kPerClient);
 }
 
-/// /cbir/batch_search is deferred too: batches parked on a paused engine
+/// Batches are deferred too: batches parked on a paused engine
 /// hold no HTTP worker, so the fixture's 2-worker server still answers
 /// /health while 3 of them wait.
 TEST_F(ServiceTest, BatchSearchParksInsteadOfBlocking) {
@@ -1819,13 +1752,11 @@ TEST_F(ServiceTest, BatchSearchParksInsteadOfBlocking) {
   for (size_t b = 0; b < kBatches; ++b) {
     names[b] = {archive_->patches[700 + 2 * b].name,
                 archive_->patches[701 + 2 * b].name};
-    Document req;
-    req.Set("names", Value(std::vector<Value>{Value(names[b][0]),
-                                              Value(names[b][1])}));
-    req.Set("k", Value(7));
-    clients.emplace_back([&responses, b, body = json::Serialize(req)] {
+    const std::string body = BatchBody({HitsBody(names[b][0], R"("k":7)"),
+                                        HitsBody(names[b][1], R"("k":7)")});
+    clients.emplace_back([&responses, b, body] {
       HttpClient client;
-      auto resp = client.Post(server_->port(), "/cbir/batch_search", body);
+      auto resp = client.Post(server_->port(), "/api/v2/query", body);
       if (resp.ok()) responses[b] = *resp;
     });
   }
@@ -1852,14 +1783,12 @@ TEST_F(ServiceTest, BatchSearchParksInsteadOfBlocking) {
     ASSERT_EQ(responses[b].status_code, 200) << responses[b].body;
     auto body = json::ParseObject(responses[b].body);
     ASSERT_TRUE(body.ok()) << responses[b].body;
-    const auto& results = body->Get("results")->as_array();
-    ASSERT_EQ(results.size(), 2u);
+    const auto& slots = body->Get("responses")->as_array();
+    ASSERT_EQ(slots.size(), 2u);
     for (size_t i = 0; i < 2; ++i) {
-      const Document& slot = results[i].as_document();
-      EXPECT_EQ(slot.Get("query")->as_string(), names[b][i]);
       auto want = earthqube::KnnByName(*system_->cbir(), names[b][i], 7);
       ASSERT_TRUE(want.ok());
-      const auto& hits = slot.Get("hits")->as_array();
+      const auto& hits = slots[i].as_document().Get("results")->as_array();
       ASSERT_EQ(hits.size(), want->size());
       for (size_t j = 0; j < hits.size(); ++j) {
         EXPECT_EQ(hits[j].as_document().Get("name")->as_string(),

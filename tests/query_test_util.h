@@ -31,8 +31,8 @@ inline QueryRequest SimilarRequest(
   return request;
 }
 
-/// One hits-only similarity request per archive name — the
-/// /cbir/batch_search shape; `spec(name)` builds each slot's spec.
+/// One hits-only similarity request per archive name — a /api/v2/query
+/// similarity batch; `spec(name)` builds each slot's spec.
 template <typename SpecFn>
 std::vector<QueryRequest> HitsRequests(const std::vector<std::string>& names,
                                        SpecFn spec) {
